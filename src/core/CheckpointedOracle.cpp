@@ -659,8 +659,8 @@ std::vector<bool> CheckpointedOracle::typecheckBatchImpl(
       } else {
         // No checkpoint (layer off or prefix unsnapshottable): infer the
         // full variant program. Inference is thread-safe -- the trail is
-        // thread-local and the stdlib environment is immutable after its
-        // thread-safe first initialization.
+        // thread-local, and the shared standard-library base is built
+        // once under a function-local static's guard and never written.
         Program Variant = PrefixClone.clone();
         Variant.Decls.push_back(D.clone());
         TypecheckResult R = typecheckProgram(Variant);

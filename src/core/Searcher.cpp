@@ -40,10 +40,22 @@ void Searcher::note(const char *Layer, const char *Kind,
 LazyProgram Searcher::captureModified() {
   if (!Arena)
     return LazyProgram(Work.clone());
+  // The declarations before FocusDecl are never edited during a run (the
+  // seedPrefix contract), so they are interned once per run, memoized on
+  // their addresses; each capture interns only the focus declaration.
+  for (unsigned I = 0; I < FocusDecl; ++I) {
+    const Decl *D = Work.Decls[I].get();
+    if (I < PrefixIds.size() && PrefixIds[I].first == D)
+      continue;
+    PrefixIds.resize(I);
+    PrefixIds.emplace_back(D, Arena->internDecl(*D));
+  }
   std::vector<AstArena::DeclId> Ids;
   Ids.reserve(Work.Decls.size());
-  for (const DeclPtr &D : Work.Decls)
-    Ids.push_back(Arena->internDecl(*D));
+  for (unsigned I = 0; I < FocusDecl; ++I)
+    Ids.push_back(PrefixIds[I].second);
+  for (size_t I = FocusDecl; I < Work.Decls.size(); ++I)
+    Ids.push_back(Arena->internDecl(*Work.Decls[I]));
   return LazyProgram(Arena, std::move(Ids));
 }
 
@@ -702,6 +714,7 @@ void Searcher::prepareSlice() {
 SearchOutput Searcher::run(const Program &Input) {
   SearchOutput Out;
   Suggestions.clear();
+  PrefixIds.clear(); // Keyed on addresses of the previous run's Work.
   OutOfBudget = false;
   SliceResult.reset();
   Guide.reset();

@@ -210,8 +210,9 @@ private:
                      bool LikelyUnbound = false, int Priority = 0);
 
   /// Captures Work for a Suggestion: interned ids over the arena when one
-  /// is attached (allocation only for previously unseen spine nodes), a
-  /// deep clone otherwise.
+  /// is attached (the prefix interned once per run, the focus declaration
+  /// per call; allocation only for previously unseen spine nodes), a deep
+  /// clone otherwise.
   LazyProgram captureModified();
 
   Oracle &TheOracle;
@@ -220,6 +221,10 @@ private:
 
   caml::Program Work;      ///< Prefix clone being edited in place.
   unsigned FocusDecl = 0;  ///< Declaration under scrutiny.
+  /// Interned ids of Work's declarations before FocusDecl, paired with
+  /// the declaration each was interned from (see captureModified).
+  std::vector<std::pair<const caml::Decl *, caml::AstArena::DeclId>>
+      PrefixIds;
   bool OutOfBudget = false;
 
   /// Computes the slice of Work's focus declaration and (in guided mode)

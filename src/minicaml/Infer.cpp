@@ -47,9 +47,14 @@ struct RecordInfo {
 /// The whole-program inference context. One instance per oracle call for
 /// one-shot checks; kept alive across calls by InferenceCheckpoint, which
 /// pairs each incremental query with a TypeTrail rollback.
+///
+/// Every instance starts from the shared standard-library base (base()):
+/// its own tables hold only what the program declares, and lookups fall
+/// back to the base after them, so a program binding shadows a stdlib one
+/// exactly as if both lived in one environment.
 class Inferencer {
 public:
-  Inferencer() { loadStdlib(); }
+  Inferencer() : Base(&base()), Arena(Base->Arena.mark().NextVarId) {}
 
   TypecheckResult run(const Program &Prog, const TypecheckOptions &RunOpts);
 
@@ -69,6 +74,26 @@ public:
   bool extendDecl(const Decl &D, size_t *TypesAllocated);
 
 private:
+  struct StdlibTag {};
+  /// Builds the base itself: a standalone instance holding the stdlib.
+  explicit Inferencer(StdlibTag) { loadStdlib(); }
+
+  /// The standard-library environment every run starts from: the value
+  /// schemes of stdlibValues(), the builtin type arities, option's
+  /// constructors and the predefined exceptions. Built once per process
+  /// and shared, read-only, by every instance on every thread. Sharing is
+  /// sound because nothing writes to it: every use of a stdlib type goes
+  /// through instantiate(), which copies generic variables instead of
+  /// linking or re-levelling them and hands out only argument-less
+  /// constructors uncopied (unification never writes a constructor). Run
+  /// arenas number their variables after the base's, so no printed type
+  /// can mistake two variables for one. Never destroyed: daemon threads
+  /// may still be inferring at exit.
+  static const Inferencer &base() {
+    static const Inferencer *const Stdlib = new Inferencer(StdlibTag{});
+    return *Stdlib;
+  }
+
   // Environment -----------------------------------------------------------
   size_t envMark() const { return Env.size(); }
   void envRestore(size_t Mark) { Env.resize(Mark); }
@@ -77,7 +102,19 @@ private:
     for (auto It = Env.rbegin(); It != Env.rend(); ++It)
       if (It->first == Name)
         return It->second;
-    return nullptr;
+    return Base ? Base->lookup(Name) : nullptr;
+  }
+  const ConstrInfo *findConstructor(const std::string &Name) const {
+    auto It = Constructors.find(Name);
+    if (It != Constructors.end())
+      return &It->second;
+    return Base ? Base->findConstructor(Name) : nullptr;
+  }
+  const int *findTypeArity(const std::string &Name) const {
+    auto It = TypeArity.find(Name);
+    if (It != TypeArity.end())
+      return &It->second;
+    return Base ? Base->findTypeArity(Name) : nullptr;
   }
 
   // Levels and schemes -----------------------------------------------------
@@ -224,6 +261,7 @@ private:
                         bool AutoBindVars, const SourceSpan &Span);
 
   // Declarations -------------------------------------------------------------
+  /// Fills this instance's tables with the stdlib; runs once, for base().
   void loadStdlib();
   void processDecl(const Decl &D);
   void processTypeDecl(const Decl &D);
@@ -240,6 +278,7 @@ private:
 
   // State ---------------------------------------------------------------------
   const TypecheckOptions *Opts = nullptr; ///< Options of the current run.
+  const Inferencer *Base = nullptr; ///< The stdlib; null only in base().
   TypeArena Arena;
   std::vector<std::pair<std::string, Type *>> Env;
   std::unordered_map<std::string, int> TypeArity;
@@ -314,16 +353,16 @@ Type *Inferencer::convertTypeExpr(const TypeExpr &TE,
     return Fresh;
   }
   case TypeExpr::Kind::Name: {
-    auto It = TypeArity.find(TE.Name);
-    if (It == TypeArity.end()) {
+    const int *Arity = findTypeArity(TE.Name);
+    if (!Arity) {
       report(TypeError::Kind::Unbound, Span,
              "Unbound type constructor " + TE.Name, TE.Name);
       return Arena.freshVar(CurrentLevel);
     }
-    if (int(TE.Args.size()) != It->second) {
+    if (int(TE.Args.size()) != *Arity) {
       report(TypeError::Kind::ConstructorArity, Span,
              "The type constructor " + TE.Name + " expects " +
-                 std::to_string(It->second) + " argument(s)",
+                 std::to_string(*Arity) + " argument(s)",
              TE.Name);
       return Arena.freshVar(CurrentLevel);
     }
@@ -551,16 +590,15 @@ void Inferencer::checkPattern(const Pattern &P, Type *Expected) {
     return;
   }
   case Pattern::Kind::Constr: {
-    auto It = Constructors.find(P.Name);
-    if (It == Constructors.end()) {
+    const ConstrInfo *Info = findConstructor(P.Name);
+    if (!Info) {
       report(TypeError::Kind::Unbound, P.Span,
              "Unbound constructor " + P.Name, P.Name);
       return;
     }
     std::map<Type *, Type *> Subst;
-    Type *Result = instantiate(It->second.Result, Subst);
-    Type *Arg =
-        It->second.Arg ? instantiate(It->second.Arg, Subst) : nullptr;
+    Type *Result = instantiate(Info->Result, Subst);
+    Type *Arg = Info->Arg ? instantiate(Info->Arg, Subst) : nullptr;
     if ((P.Arg != nullptr) != (Arg != nullptr)) {
       report(TypeError::Kind::ConstructorArity, P.Span,
              "The constructor " + P.Name + " expects " +
@@ -818,16 +856,15 @@ void Inferencer::checkExpr(const Expr &E, Type *Expected) {
     break;
   }
   case Expr::Kind::Constr: {
-    auto It = Constructors.find(E.Name);
-    if (It == Constructors.end()) {
+    const ConstrInfo *Info = findConstructor(E.Name);
+    if (!Info) {
       report(TypeError::Kind::Unbound, E.Span,
              "Unbound constructor " + E.Name, E.Name);
       break;
     }
     std::map<Type *, Type *> Subst;
-    Type *Result = instantiate(It->second.Result, Subst);
-    Type *Arg =
-        It->second.Arg ? instantiate(It->second.Arg, Subst) : nullptr;
+    Type *Result = instantiate(Info->Result, Subst);
+    Type *Arg = Info->Arg ? instantiate(Info->Arg, Subst) : nullptr;
     bool HasArg = !E.Children.empty();
     if (HasArg != (Arg != nullptr)) {
       report(TypeError::Kind::ConstructorArity, E.Span,

@@ -84,23 +84,27 @@ struct TypecheckResult {
   std::vector<std::pair<std::string, std::string>> TopLevelTypes;
   /// Rendered type of Options::QueryNode, if requested and reached.
   std::optional<std::string> QueriedType;
-  /// Number of unification-variable allocations; a cheap effort metric.
+  /// Number of type allocations; a cheap effort metric. Counts this
+  /// run's own allocations only: the standard-library environment is
+  /// built once per process and shared, so it is excluded (an empty
+  /// program allocates 0).
   size_t TypesAllocated = 0;
 
   bool ok() const { return !Error.has_value(); }
 };
 
-/// Type-checks \p Prog against the standard library environment.
+/// Type-checks \p Prog against the standard library environment, which
+/// is built once per process and shared read-only by every run.
 TypecheckResult typecheckProgram(const Program &Prog,
                                  const TypecheckOptions &Opts = {});
 
 /// A reusable typing-environment snapshot taken after inferring the first
-/// k declarations of a program (plus the standard library). Once built, it
-/// answers "does declaration D type-check as declaration k+1?" without
-/// re-inferring the prefix or re-loading the standard library: the
-/// declaration is checked against the cached environment and every
-/// unification side effect is rolled back through a TypeTrail, so the
-/// snapshot can serve an unbounded number of queries.
+/// k declarations of a program on top of the shared standard library.
+/// Once built, it answers "does declaration D type-check as declaration
+/// k+1?" without re-inferring the prefix: the declaration is checked
+/// against the cached environment and every unification side effect is
+/// rolled back through a TypeTrail, so the snapshot can serve an
+/// unbounded number of queries.
 ///
 /// Validity rules (see DESIGN.md "Oracle acceleration"):
 ///   * the prefix declarations must not be mutated while the checkpoint is

@@ -13,7 +13,8 @@
 /// "unit", "exn", "list", "ref", and user-declared names.
 ///
 /// Types are arena-allocated; each oracle call runs inference in a fresh
-/// arena, so there is no sharing across type-check invocations.
+/// arena. The one type graph shared across type-check invocations is the
+/// standard-library environment (Infer.cpp), which no run ever writes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -110,6 +111,9 @@ TypeTrail *activeTypeTrail();
 class TypeArena {
 public:
   TypeArena() = default;
+  /// An arena whose variable ids start at \p FirstVarId, after those of
+  /// an arena whose types it is used alongside.
+  explicit TypeArena(int FirstVarId) : NextVarId(FirstVarId) {}
   TypeArena(const TypeArena &) = delete;
   TypeArena &operator=(const TypeArena &) = delete;
 

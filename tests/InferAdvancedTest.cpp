@@ -124,6 +124,63 @@ TEST(InferAdvancedTest, MutualShadowOfStdlib) {
   EXPECT_EQ(typeOf(R, "max"), "string -> string -> string");
 }
 
+/// Checks \p D against a checkpoint whose prefix is the program \p Prefix.
+TypecheckResult checkAfter(const std::string &Prefix, const Decl &D,
+                           const TypecheckOptions &Opts = {}) {
+  ParseResult P = parseProgram(Prefix);
+  EXPECT_TRUE(P.ok());
+  auto CP =
+      InferenceCheckpoint::create(*P.Prog, unsigned(P.Prog->Decls.size()));
+  EXPECT_TRUE(CP);
+  return CP->checkDecl(D, Opts);
+}
+
+TEST(InferAdvancedTest, ProgramConstructorsShadowStdlibOnes) {
+  const std::string TypeDecl = "type t = None | Some of int";
+  const std::string Match =
+      "let f = fun x -> match x with None -> 0 | Some n -> n";
+  const std::string Bad = "let bad = Some \"s\"";
+  const char *Mismatch =
+      "This expression has type string but is here used with type int";
+
+  TypecheckResult R = check(TypeDecl + "\n" + Match);
+  ASSERT_TRUE(R.ok()) << R.Error->Message;
+  EXPECT_EQ(typeOf(R, "f"), "t -> int");
+  R = check(TypeDecl + "\n" + Bad);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error->Message, Mismatch);
+
+  // The same answers from a checkpoint whose prefix holds the type.
+  ParseResult M = parseProgram(Match), B = parseProgram(Bad);
+  ASSERT_TRUE(M.ok() && B.ok());
+  TypecheckOptions Query;
+  Query.QueryNode = M.Prog->Decls[0]->Rhs.get();
+  R = checkAfter(TypeDecl, *M.Prog->Decls[0], Query);
+  ASSERT_TRUE(R.ok()) << R.Error->Message;
+  EXPECT_EQ(R.QueriedType, "t -> int");
+  R = checkAfter(TypeDecl, *B.Prog->Decls[0]);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error->Message, Mismatch);
+}
+
+TEST(InferAdvancedTest, ProgramExceptionsShadowPredefinedOnes) {
+  // A base lookup winning over the local one would accept `Not_found`
+  // with no argument, as the predefined exception takes none.
+  const std::string ExcDecl = "exception Not_found of int";
+  const std::string Raise = "let g () = raise Not_found";
+  const char *Arity =
+      "The constructor Not_found expects 1 argument, but is applied here to 0";
+
+  TypecheckResult R = check(ExcDecl + "\n" + Raise);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error->Message, Arity);
+  ParseResult G = parseProgram(Raise);
+  ASSERT_TRUE(G.ok());
+  R = checkAfter(ExcDecl, *G.Prog->Decls[0]);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error->Message, Arity);
+}
+
 TEST(InferAdvancedTest, CurriedPartialApplications) {
   TypecheckResult R = check("let add3 a b c = a + b + c\n"
                             "let f = add3 1\n"
@@ -207,6 +264,22 @@ TEST(InferAdvancedTest, TypesAllocatedIsReported) {
   TypecheckResult R = check("let x = List.map (fun v -> v + 1) [1; 2]");
   EXPECT_TRUE(R.ok());
   EXPECT_GT(R.TypesAllocated, 10u);
+}
+
+TEST(InferAdvancedTest, TypesAllocatedExcludesTheStandardLibrary) {
+  // The stdlib environment is built once per process and shared, so a
+  // run allocates only for its own program.
+  TypecheckResult Empty = typecheckProgram(Program());
+  EXPECT_TRUE(Empty.ok());
+  EXPECT_EQ(Empty.TypesAllocated, 0u);
+
+  ParseResult P = parseProgram("let x = List.map (fun v -> v + 1) [1; 2]");
+  ASSERT_TRUE(P.ok());
+  TypecheckResult Whole = typecheckProgram(*P.Prog);
+  auto CP = InferenceCheckpoint::create(*P.Prog, 0);
+  ASSERT_TRUE(CP);
+  TypecheckResult Query = CP->checkDecl(*P.Prog->Decls[0]);
+  EXPECT_EQ(Whole.TypesAllocated, Query.TypesAllocated);
 }
 
 } // namespace

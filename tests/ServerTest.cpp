@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -435,6 +436,11 @@ TEST(ServerSocketTest, MidStreamDisconnectLeavesSessionIntact) {
     ASSERT_TRUE(C1.send(CheckBase));
     C1.close();
   }
+  // drain() only waits for work already posted, and client 1's connection
+  // thread may not have read its line yet; wait until its check finished.
+  for (int Tries = 0; Tries < 5000 && Engine.stats().Checks == 0; ++Tries)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(Engine.stats().Checks, 1u) << "client 1's check never ran";
   Engine.drain();
 
   // Client 2 reconnects to the same session: the work client 1 paid for
