@@ -281,11 +281,14 @@ int runConnected(const std::string &SocketPath, const std::string &Session,
     if (const json::Value *Warm = Doc.member("warm"))
       std::fprintf(stderr,
                    "warm reuse: %lld prefix hits, %lld verdict reuses, "
-                   "%lld seed adoptions, %lld conv memo hits\n",
+                   "%lld seed adoptions, %lld conv memo hits%s\n",
                    static_cast<long long>(Warm->getInt("prefix_hits", 0)),
                    static_cast<long long>(Warm->getInt("verdict_reuses", 0)),
                    static_cast<long long>(Warm->getInt("seed_adoptions", 0)),
-                   static_cast<long long>(Warm->getInt("conv_memo_hits", 0)));
+                   static_cast<long long>(Warm->getInt("conv_memo_hits", 0)),
+                   Warm->getBool("replayed", false)
+                       ? "; replayed the session's previous answer"
+                       : "");
   }
   return 1;
 }

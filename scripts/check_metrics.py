@@ -45,6 +45,7 @@ REQUIRED_FAMILIES = [
     "seminal_malformed_total",
     "seminal_sessions_created_total",
     "seminal_evictions_total",
+    "seminal_replays_total",
     "seminal_oracle_calls_total",
     "seminal_inference_runs_total",
     "seminal_warm_hits_total",
@@ -179,6 +180,7 @@ def reconcile(samples, stats):
         ("seminal_malformed_total", "malformed"),
         ("seminal_sessions_created_total", "sessions_created"),
         ("seminal_evictions_total", "evictions"),
+        ("seminal_replays_total", "replays"),
         ("seminal_oracle_calls_total", "oracle_calls"),
         ("seminal_inference_runs_total", "inference_runs"),
     ]

@@ -28,7 +28,8 @@ std::string ServerStats::renderJsonMembers() const {
      << ",\"resets\":" << Resets << ",\"pings\":" << Pings
      << ",\"malformed\":" << Malformed
      << ",\"sessions_created\":" << SessionsCreated
-     << ",\"evictions\":" << Evictions << ",\"oracle_calls\":" << OracleCalls
+     << ",\"evictions\":" << Evictions << ",\"replays\":" << Replays
+     << ",\"oracle_calls\":" << OracleCalls
      << ",\"inference_runs\":" << InferenceRuns
      << ",\"cache_hits\":" << Accel.CacheHits
      << ",\"cache_misses\":" << Accel.CacheMisses
@@ -62,27 +63,32 @@ std::string server::renderCheckResponse(const std::string &Id,
   std::ostringstream M;
   if (!O.SyntaxError.empty()) {
     M << ",\"syntax_error\":\"" << jsonEscape(O.SyntaxError) << "\"";
-    return okResponse(Id, M.str());
+  } else {
+    M << ",\"input_typechecks\":" << (O.InputTypechecks ? "true" : "false")
+      << ",\"failing_decl\":" << O.FailingDecl << ",\"budget_exhausted\":"
+      << (O.BudgetExhausted ? "true" : "false") << ",\"conventional\":\""
+      << jsonEscape(O.Conventional) << "\",\"suggestions\":[";
+    for (size_t I = 0; I < O.Suggestions.size(); ++I) {
+      const CheckOutcome::RenderedSuggestion &S = O.Suggestions[I];
+      if (I)
+        M << ",";
+      M << "{\"rank\":" << S.Rank << ",\"kind\":\"" << jsonEscape(S.Kind)
+        << "\",\"layer\":\"" << jsonEscape(S.Layer)
+        << "\",\"description\":\"" << jsonEscape(S.Description)
+        << "\",\"path\":\"" << jsonEscape(S.Path) << "\",\"message\":\""
+        << jsonEscape(S.Message) << "\"}";
+    }
+    M << "]";
   }
-  M << ",\"input_typechecks\":" << (O.InputTypechecks ? "true" : "false")
-    << ",\"failing_decl\":" << O.FailingDecl << ",\"budget_exhausted\":"
-    << (O.BudgetExhausted ? "true" : "false") << ",\"conventional\":\""
-    << jsonEscape(O.Conventional) << "\",\"suggestions\":[";
-  for (size_t I = 0; I < O.Suggestions.size(); ++I) {
-    const CheckOutcome::RenderedSuggestion &S = O.Suggestions[I];
-    if (I)
-      M << ",";
-    M << "{\"rank\":" << S.Rank << ",\"kind\":\"" << jsonEscape(S.Kind)
-      << "\",\"layer\":\"" << jsonEscape(S.Layer) << "\",\"description\":\""
-      << jsonEscape(S.Description) << "\",\"path\":\"" << jsonEscape(S.Path)
-      << "\",\"message\":\"" << jsonEscape(S.Message) << "\"}";
-  }
-  M << "],\"oracle_calls\":" << O.OracleCalls
+  // The counters and the ledger ride on every check reply, a syntax
+  // error's included, so the replies sum to the stats rollup.
+  M << ",\"oracle_calls\":" << O.OracleCalls
     << ",\"inference_runs\":" << O.InferenceRuns
     << ",\"warm\":{\"prefix_hits\":" << O.Accel.SessionPrefixHits
     << ",\"verdict_reuses\":" << O.Accel.SessionVerdictReuses
     << ",\"seed_adoptions\":" << O.Accel.SessionSeedAdoptions
     << ",\"conv_memo_hits\":" << O.Accel.SessionConvMemoHits
+    << ",\"replayed\":" << (O.Replayed ? "true" : "false")
     << "},\"wall_seconds\":" << O.WallSeconds
     << ",\"cost\":{\"cpu_ns\":" << O.Cost.CpuNs
     << ",\"wall_ns\":" << O.Cost.WallNs
@@ -181,6 +187,9 @@ ServerEngine::ServerEngine(const ServerOptions &Opts)
                                           "Sessions created since start");
   Ops.Evictions = &Registry.counter("seminal_evictions_total",
                                     "Arena watermark evictions");
+  Ops.Replays = &Registry.counter(
+      "seminal_replays_total",
+      "Checks answered by replaying the session's previous answer");
   Ops.OracleCalls = &Registry.counter("seminal_oracle_calls_total",
                                       "Logical oracle calls across checks");
   Ops.InferenceRuns = &Registry.counter("seminal_inference_runs_total",
@@ -284,6 +293,16 @@ std::shared_ptr<Session> ServerEngine::sessionFor(const std::string &Name) {
   return S;
 }
 
+void ServerEngine::setArenaShare(const std::string &SessionName,
+                                 uint64_t Bytes) {
+  // Process-wide retained-bytes gauge, tracked as a sum of per-session
+  // deltas so one request updates it in O(1).
+  uint64_t &Prev = ArenaBySession[SessionName];
+  TotalArenaBytes += Bytes - Prev;
+  Prev = Bytes;
+  Ops.ArenaBytes->set(int64_t(TotalArenaBytes));
+}
+
 void ServerEngine::finishCheck(const std::string &Id,
                                const std::string &SessionName, size_t Shard,
                                uint64_t LatencyUs, const CheckOutcome &Out) {
@@ -297,12 +316,9 @@ void ServerEngine::finishCheck(const std::string &Id,
     Stats.Cost += Out.Cost;
     if (Out.Evicted)
       ++Stats.Evictions;
-    // Process-wide retained-bytes gauge, tracked as a sum of per-session
-    // deltas so one request updates it in O(1).
-    uint64_t &Prev = ArenaBySession[SessionName];
-    TotalArenaBytes += Out.ArenaBytes - Prev;
-    Prev = Out.ArenaBytes;
-    Ops.ArenaBytes->set(int64_t(TotalArenaBytes));
+    if (Out.Replayed)
+      ++Stats.Replays;
+    setArenaShare(SessionName, Out.ArenaBytes);
     if (LatencyUs > SlowestLatencyUs) {
       SlowestLatencyUs = LatencyUs;
       NewSlowest = true;
@@ -337,9 +353,13 @@ void ServerEngine::finishCheck(const std::string &Id,
     Ops.WarmHits->inc(Warm);
   if (Out.Evicted)
     Ops.Evictions->inc();
+  if (Out.Replayed)
+    Ops.Replays->inc();
   if (!Out.SlowTracePath.empty())
     Ops.SlowTraces->inc();
-  (Warm ? Ops.LatencyWarm : Ops.LatencyCold)->record(LatencyUs);
+  // A replay reuses the whole previous answer: the warmest check there is.
+  (Warm || Out.Replayed ? Ops.LatencyWarm : Ops.LatencyCold)
+      ->record(LatencyUs);
   Ops.RequestCpuUs->record(Out.Cost.CpuNs / 1000);
   Ops.OracleCallsPerRequest->record(Out.OracleCalls);
 }
@@ -359,7 +379,8 @@ void ServerEngine::logCheck(const std::string &Id,
       .num("inference_runs", Out.InferenceRuns)
       .num("warm_hits", warmTotal(Out.Accel))
       .num("suggestions", uint64_t(Out.Suggestions.size()))
-      .boolean("evicted", Out.Evicted);
+      .boolean("evicted", Out.Evicted)
+      .boolean("replayed", Out.Replayed);
   if (!Out.SyntaxError.empty())
     E.boolean("syntax_error", true);
   if (!Out.SlowTracePath.empty())
@@ -466,9 +487,11 @@ void ServerEngine::submit(const std::string &Line, ReplyFn Reply) {
       auto RunStart = std::chrono::steady_clock::now();
       S->reset();
       SI.BusyUs->inc(microsSince(RunStart));
+      uint64_t ArenaBytes = S->arenaBytes();
       {
         sync::MutexLock Lock(Mutex);
         ++Stats.Resets;
+        setArenaShare(S->name(), ArenaBytes);
       }
       Ops.Resets->inc();
       if (Opts.Log && Opts.Log->enabled(obs::LogLevel::Info))
@@ -522,11 +545,11 @@ std::string ServerEngine::handle(const std::string &Line) {
   bool Done = false;
   std::string Result;
   submit(Line, [&](const std::string &Response) {
-    {
-      sync::MutexLock Lock(M);
-      Result = Response;
-      Done = true;
-    }
+    // Notify under the lock: the caller returns, destroying CV, as soon
+    // as it sees Done, so the notify must be over before it can look.
+    sync::MutexLock Lock(M);
+    Result = Response;
+    Done = true;
     CV.notify_one();
   });
   sync::MutexLock Lock(M);

@@ -89,6 +89,8 @@ struct ServerStats {
   uint64_t Malformed = 0;
   uint64_t SessionsCreated = 0;
   uint64_t Evictions = 0;
+  /// Checks answered by replaying the session's previous answer.
+  uint64_t Replays = 0;
   uint64_t OracleCalls = 0;
   uint64_t InferenceRuns = 0;
   /// Acceleration counters accumulated across every check of every
@@ -184,6 +186,7 @@ private:
     obs::OpsCounter *Malformed = nullptr;
     obs::OpsCounter *SessionsCreated = nullptr;
     obs::OpsCounter *Evictions = nullptr;
+    obs::OpsCounter *Replays = nullptr;
     obs::OpsCounter *OracleCalls = nullptr;
     obs::OpsCounter *InferenceRuns = nullptr;
     obs::OpsCounter *WarmHits = nullptr;
@@ -216,6 +219,9 @@ private:
   };
 
   std::shared_ptr<Session> sessionFor(const std::string &Name);
+  /// Sets one session's share of the seminal_arena_bytes gauge.
+  void setArenaShare(const std::string &SessionName, uint64_t Bytes)
+      SEMINAL_REQUIRES(Mutex);
   void finishCheck(const std::string &Id, const std::string &SessionName,
                    size_t Shard, uint64_t LatencyUs, const CheckOutcome &Out);
   void logCheck(const std::string &Id, const std::string &SessionName,

@@ -49,25 +49,89 @@ void Session::rebuildOracle() {
 
 void Session::reset() {
   ++Requests;
+  Previous.reset();
   rebuildOracle();
 }
 
+uint64_t Session::arenaBytes() const {
+  return Oracle->arena() ? Oracle->arena()->stats().Bytes : 0;
+}
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// The part of an outcome that depends on the request alone: what a
+/// replay serves again. Counters, the ledger and the report are the
+/// searched request's own.
+CheckOutcome answerOf(const CheckOutcome &O) {
+  CheckOutcome A;
+  A.SyntaxError = O.SyntaxError;
+  A.InputTypechecks = O.InputTypechecks;
+  A.FailingDecl = O.FailingDecl;
+  A.BudgetExhausted = O.BudgetExhausted;
+  A.Conventional = O.Conventional;
+  A.Suggestions = O.Suggestions;
+  return A;
+}
+
+/// Stamps the ledger's clocks. CpuNs is a thread-CPU clock delta: the
+/// session is pinned to one shard worker, so everything the check burns
+/// lands on this thread and nothing else does (DESIGN.md section 16).
+void stampClocks(CheckOutcome &Out, Clock::time_point Start,
+                 uint64_t CpuStart) {
+  Out.WallSeconds =
+      std::chrono::duration<double>(Clock::now() - Start).count();
+  Out.Cost.CpuNs = prof::threadCpuNs() - CpuStart;
+  Out.Cost.WallNs = uint64_t(Out.WallSeconds * 1e9);
+}
+
+} // namespace
+
 CheckOutcome Session::check(const std::string &Source,
                             const CheckOptions &Opts) {
-  auto Start = std::chrono::steady_clock::now();
-  // The ledger's CPU figure is a thread-CPU clock delta: the session is
-  // pinned to one shard worker, so everything the check burns lands on
-  // this thread and nothing else does (DESIGN.md section 16).
+  auto Start = Clock::now();
   uint64_t CpuStart = prof::threadCpuNs();
-  CheckOutcome Out;
   ++Requests;
   ++Checks;
 
+  // A replay or a syntax error runs no search: its bill is its own
+  // clocks, no oracle work, and the arena as the session holds it now.
+  auto CloseUnsearched = [&](CheckOutcome &Out) {
+    stampClocks(Out, Start, CpuStart);
+    if (Oracle->arena()) {
+      const caml::AstArena::Stats &A = Oracle->arena()->stats();
+      Out.Cost.ArenaNodes = A.Nodes;
+      Out.Cost.ArenaBytes = A.Bytes;
+    }
+    Out.ArenaBytes = Out.Cost.ArenaBytes;
+    AccumulatedCost += Out.Cost;
+  };
+  auto Remember = [&](const CheckOutcome &Out) {
+    Previous = PreviousCheck{Source, Opts.MaxSuggestions, Opts.MaxOracleCalls,
+                             answerOf(Out)};
+  };
+
+  // Same bytes under the same limits: a search is deterministic in its
+  // program and options, so the previous answer is this one. A report
+  // describes a search, so a request for one runs it.
+  if (Previous && !Opts.WantReport && Previous->Source == Source &&
+      Previous->MaxSuggestions == Opts.MaxSuggestions &&
+      Previous->MaxOracleCalls == Opts.MaxOracleCalls) {
+    CheckOutcome Out = Previous->Outcome;
+    Out.Replayed = true;
+    CloseUnsearched(Out);
+    return Out;
+  }
+
+  CheckOutcome Out;
   caml::ParseResult PR = caml::parseProgram(Source);
   if (!PR.ok()) {
     // A syntax error is a normal outcome; warm state stays valid for the
     // next (hopefully parseable) resubmit.
     Out.SyntaxError = PR.Error->str();
+    Remember(Out);
+    CloseUnsearched(Out);
     return Out;
   }
 
@@ -76,7 +140,6 @@ CheckOutcome Session::check(const std::string &Source,
     RunOpts.MaxSuggestions = Opts.MaxSuggestions;
   if (Opts.MaxOracleCalls)
     RunOpts.Search.MaxOracleCalls = Opts.MaxOracleCalls;
-  RunOpts.Search.Metric = &SessionMetrics;
 
   // Tail sampling: record every request when enabled, export only the
   // slow ones (the decision needs the wall time, which exists only
@@ -113,18 +176,15 @@ CheckOutcome Session::check(const std::string &Source,
     RS.Message = renderSuggestion(S, RunOpts.Message);
     Out.Suggestions.push_back(std::move(RS));
   }
+  Remember(Out);
   Out.OracleCalls = R.OracleCalls;
   Out.InferenceRuns = R.InferenceRuns;
   Out.Accel = R.Accel;
-  Out.WallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - Start)
-                        .count();
 
   // Ledger: measured here, where both clocks were stamped, so the
   // RunReport, the outcome (-> protocol response, engine rollups) and
   // the session total all carry the same numbers.
-  Out.Cost.CpuNs = prof::threadCpuNs() - CpuStart;
-  Out.Cost.WallNs = uint64_t(Out.WallSeconds * 1e9);
+  stampClocks(Out, Start, CpuStart);
   Out.Cost.OracleCalls = R.OracleCalls;
   Out.Cost.InferenceRuns = R.InferenceRuns;
   Out.Cost.ArenaNodes = R.Accel.ArenaNodes;
@@ -152,14 +212,12 @@ CheckOutcome Session::check(const std::string &Source,
   // is already rendered into Out) before deciding, so an in-place clear
   // is possible.
   R = SeminalReport();
-  if (Oracle->arena() &&
-      Oracle->arena()->stats().Bytes > Config.ArenaEvictBytes) {
+  if (arenaBytes() > Config.ArenaEvictBytes) {
     rebuildOracle();
     ++Evictions;
     Out.Evicted = true;
   }
-  if (Oracle->arena())
-    Out.ArenaBytes = Oracle->arena()->stats().Bytes;
+  Out.ArenaBytes = arenaBytes();
 
   if (WantSlowTrace && Out.WallSeconds * 1000.0 >= Config.TraceSlowMs)
     Out.SlowTracePath = Config.SlowTraces->capture(Opts.RequestId, *Sink);

@@ -7,15 +7,16 @@
 /// \file
 /// A Session is the unit of warm-state reuse in the search daemon: one
 /// long-lived CheckpointedOracle in session-retention mode, its shared
-/// hash-consing arena, and a per-session Metrics sink. Requests from the
-/// same editor hit the same Session, so an edit-resubmit re-adopts the
-/// previous request's prefix checkpoint and verdict cache instead of
-/// re-inferring from scratch (CheckpointedOracle.h's server-mode notes).
+/// hash-consing arena, and the previous check's answer. Requests from
+/// the same editor hit the same Session, so an edit-resubmit re-adopts
+/// the previous request's prefix checkpoint and verdict cache instead of
+/// re-inferring from scratch (CheckpointedOracle.h's server-mode notes),
+/// and a resubmit of the very same bytes under the same limits replays
+/// the previous answer without searching at all.
 ///
 /// Scoping rules (DESIGN.md section 13): AccelCounters are per-request
 /// -- runSeminalWithOracle resets them at entry and the Session folds
-/// each request's counters into its own rollup; Metrics are per-session
-/// (one sink per Session, never shared across sessions); the arena is
+/// each request's counters into its own rollup; the arena is
 /// per-session and persists across requests until the eviction
 /// watermark. A Session is single-threaded by construction: the server
 /// pins it to one ThreadPool shard and its requests run FIFO there, so
@@ -35,11 +36,11 @@
 
 #include "core/Seminal.h"
 #include "obs/SlowTraceRing.h"
-#include "support/Metrics.h"
 #include "support/Stats.h"
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,9 @@ struct CheckOutcome {
   /// File the slow-trace ring captured for this request ("" = not slow
   /// or tracing disabled).
   std::string SlowTracePath;
+  /// The session's previous answer was served again: same bytes, same
+  /// limits, no search (DESIGN.md section 13).
+  bool Replayed = false;
 };
 
 class Session {
@@ -126,12 +130,18 @@ public:
   const std::string &name() const { return Name; }
 
   /// Runs one request. Never throws; a syntax error is an outcome, not a
-  /// failure, and leaves the warm state untouched.
+  /// failure, and leaves the warm state untouched. When \p Source and the
+  /// limits in \p Opts equal the previous check's, the previous outcome
+  /// is replayed (unless \p Opts asks for a report).
   CheckOutcome check(const std::string &Source, const CheckOptions &Opts);
 
   /// Drops all warm state (retained checkpoints, verdict caches, memos,
-  /// arena contents). The session identity and rollup counters survive.
+  /// arena contents, the replayable answer). The session identity and
+  /// rollup counters survive.
   void reset();
+
+  /// Retained arena bytes right now.
+  uint64_t arenaBytes() const;
 
   // Rollup (read by the server's stats method) -------------------------
   const AccelCounters &accumulated() const { return Accumulated; }
@@ -142,7 +152,6 @@ public:
   uint64_t evictions() const { return Evictions; }
   uint64_t totalOracleCalls() const { return TotalOracleCalls; }
   uint64_t totalInferenceRuns() const { return TotalInferenceRuns; }
-  const Metrics &metrics() const { return SessionMetrics; }
 
 private:
   /// (Re)creates the oracle, reusing the arena storage when this session
@@ -152,9 +161,18 @@ private:
   std::string Name;
   SessionConfig Config;
   std::unique_ptr<CheckpointedOracle> Oracle;
-  /// Per-session metric sink (satellite scoping rule: metrics never
-  /// bleed across sessions).
-  Metrics SessionMetrics;
+
+  /// The previous check, kept for replay. The key is the exact bytes and
+  /// the per-request limits: a search is deterministic in its program
+  /// and options, so an equal key has an equal answer. Outcome holds
+  /// rendered strings and no arena ids, so eviction keeps it.
+  struct PreviousCheck {
+    std::string Source;
+    size_t MaxSuggestions = 0;
+    size_t MaxOracleCalls = 0;
+    CheckOutcome Outcome;
+  };
+  std::optional<PreviousCheck> Previous;
 
   AccelCounters Accumulated;
   RequestCost AccumulatedCost;

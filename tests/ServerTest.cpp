@@ -3,7 +3,8 @@
 // The server's contract (DESIGN.md section 13): suggestions served from
 // a warm session are byte-identical to a cold one-shot runSeminal of
 // the same source -- session retention only skips work, never changes
-// answers -- and warm-reuse counters actually rise on an edit-resubmit.
+// answers -- warm-reuse counters actually rise on an edit-resubmit, and
+// a resubmit of the same bytes replays the previous answer unsearched.
 // Also pins the protocol (malformed lines get an error reply, never a
 // dropped connection), the stdio and Unix-socket transports, and the
 // mid-stream-disconnect behavior (the session survives, only the reply
@@ -18,6 +19,7 @@
 
 #include "core/Message.h"
 #include "core/Seminal.h"
+#include "corpus/Generator.h"
 #include "obs/Log.h"
 #include "obs/SlowTraceRing.h"
 #include "support/Json.h"
@@ -90,6 +92,15 @@ json::Value parseReply(const std::string &Line) {
   EXPECT_TRUE(P.ok()) << Line;
   EXPECT_TRUE(P.Doc->isObject()) << Line;
   return std::move(*P.Doc);
+}
+
+std::string checkLine(int Id, const std::string &SessionName,
+                      const std::string &Source) {
+  std::string Line = "{\"method\":\"check\",\"id\":" + std::to_string(Id) +
+                     ",\"session\":\"" + SessionName + "\",\"source\":\"";
+  Line += jsonEscape(Source);
+  Line += "\"}";
+  return Line;
 }
 
 //===----------------------------------------------------------------------===//
@@ -190,12 +201,26 @@ TEST(ServerSessionTest, WarmResubmitIsByteIdenticalAndCounted) {
   EXPECT_LT(Warm.InferenceRuns, Cold.InferenceRuns)
       << "the warm resubmit must do strictly less inference";
 
-  // An identical resubmit additionally replays the conventional error
-  // from the cross-request memo.
-  CheckOutcome Replay = S.check(EditedSource, CheckOptions());
-  EXPECT_GT(Replay.Accel.SessionConvMemoHits, 0u);
-  EXPECT_EQ(Replay.Conventional, Conventional);
-  EXPECT_EQ(outcomeMessages(Replay), Expected);
+  // A declaration appended after the failing one leaves the bytes up to
+  // the error unchanged, so the conventional error additionally comes
+  // from the cross-request memo -- and the answer is still the cold one.
+  std::string Appended = std::string(EditedSource) + "let after = inc 1\n";
+  std::string AppendedConventional;
+  std::vector<std::string> AppendedExpected =
+      oneShotMessages(Appended, &AppendedConventional);
+  CheckOutcome Memo = S.check(Appended, CheckOptions());
+  EXPECT_GT(Memo.Accel.SessionConvMemoHits, 0u);
+  EXPECT_EQ(Memo.Conventional, Conventional);
+  EXPECT_EQ(outcomeMessages(Memo), Expected);
+  EXPECT_EQ(Memo.Conventional, AppendedConventional);
+  EXPECT_EQ(outcomeMessages(Memo), AppendedExpected);
+
+  // An identical resubmit replays the whole answer without a search.
+  CheckOutcome Replay = S.check(Appended, CheckOptions());
+  EXPECT_TRUE(Replay.Replayed);
+  EXPECT_EQ(Replay.OracleCalls, 0u);
+  EXPECT_EQ(Replay.Conventional, AppendedConventional);
+  EXPECT_EQ(outcomeMessages(Replay), AppendedExpected);
 }
 
 TEST(ServerSessionTest, CountersAreScopedPerRequest) {
@@ -240,6 +265,235 @@ TEST(ServerSessionTest, EvictionGoesColdButStaysCorrect) {
   EXPECT_EQ(warmTotal(Second.Accel), 0u) << "evicted sessions run cold";
   EXPECT_EQ(outcomeMessages(Second), Expected);
   EXPECT_EQ(S.evictions(), 2u);
+}
+
+//===----------------------------------------------------------------------===//
+// Replay: a resubmit of the same bytes serves the previous answer
+//===----------------------------------------------------------------------===//
+
+/// Every answer member of a check reply equals a cold one-shot run of
+/// the same source, rendered the way Session renders it.
+void expectColdAnswer(const json::Value &Reply, const std::string &Source) {
+  SeminalOptions Opts;
+  SeminalReport R = runSeminalOnSource(Source, Opts);
+  ASSERT_FALSE(R.SyntaxError.has_value());
+  EXPECT_EQ(Reply.getBool("input_typechecks", !R.InputTypechecks),
+            R.InputTypechecks);
+  EXPECT_EQ(Reply.getInt("failing_decl", -2),
+            R.FailingDeclIndex ? int64_t(*R.FailingDeclIndex) : -1);
+  EXPECT_EQ(Reply.getBool("budget_exhausted", !R.BudgetExhausted),
+            R.BudgetExhausted);
+  EXPECT_EQ(Reply.getString("conventional", "<missing>"),
+            R.InputTypechecks ? "" : R.conventionalMessage());
+  const json::Value *Got = Reply.member("suggestions");
+  ASSERT_TRUE(Got && Got->isArray());
+  ASSERT_EQ(Got->arrayValue().size(), R.Suggestions.size()) << Source;
+  for (size_t I = 0; I < R.Suggestions.size(); ++I) {
+    const json::Value &G = Got->arrayValue()[I];
+    const Suggestion &Want = R.Suggestions[I];
+    EXPECT_EQ(G.getInt("rank", 0), int64_t(I) + 1);
+    EXPECT_EQ(G.getString("kind"), changeKindName(Want.Kind));
+    EXPECT_EQ(G.getString("layer"), suggestionLayer(Want));
+    EXPECT_EQ(G.getString("description"), Want.Description);
+    EXPECT_EQ(G.getString("path"), Want.Path.str());
+    EXPECT_EQ(G.getString("message"), renderSuggestion(Want, Opts.Message));
+  }
+}
+
+/// The answer fields of two outcomes are equal.
+void expectSameAnswer(const CheckOutcome &A, const CheckOutcome &B) {
+  EXPECT_EQ(A.SyntaxError, B.SyntaxError);
+  EXPECT_EQ(A.InputTypechecks, B.InputTypechecks);
+  EXPECT_EQ(A.FailingDecl, B.FailingDecl);
+  EXPECT_EQ(A.BudgetExhausted, B.BudgetExhausted);
+  EXPECT_EQ(A.Conventional, B.Conventional);
+  ASSERT_EQ(A.Suggestions.size(), B.Suggestions.size());
+  for (size_t I = 0; I < A.Suggestions.size(); ++I) {
+    EXPECT_EQ(A.Suggestions[I].Rank, B.Suggestions[I].Rank);
+    EXPECT_EQ(A.Suggestions[I].Kind, B.Suggestions[I].Kind);
+    EXPECT_EQ(A.Suggestions[I].Layer, B.Suggestions[I].Layer);
+    EXPECT_EQ(A.Suggestions[I].Description, B.Suggestions[I].Description);
+    EXPECT_EQ(A.Suggestions[I].Path, B.Suggestions[I].Path);
+    EXPECT_EQ(A.Suggestions[I].Message, B.Suggestions[I].Message);
+  }
+}
+
+TEST(ServerReplayTest, CorpusResubmitsReplayTheColdAnswer) {
+  CorpusOptions CO;
+  CO.Scale = 0.5;
+  Corpus C = generateCorpus(CO);
+  ASSERT_FALSE(C.Analyzed.empty());
+  ServerEngine Engine;
+  int Id = 0;
+  for (size_t I = 0; I < C.Analyzed.size(); ++I) {
+    const std::string &Source = C.Analyzed[I].Source;
+    std::string Sess = "file" + std::to_string(I);
+    json::Value First = parseReply(Engine.handle(checkLine(++Id, Sess, Source)));
+    json::Value Second =
+        parseReply(Engine.handle(checkLine(++Id, Sess, Source)));
+    const json::Value *W1 = First.member("warm");
+    const json::Value *W2 = Second.member("warm");
+    ASSERT_TRUE(W1 && W2);
+    EXPECT_FALSE(W1->getBool("replayed", true));
+    EXPECT_TRUE(W2->getBool("replayed", false)) << Source;
+    EXPECT_GT(First.getInt("oracle_calls", 0), 0);
+    EXPECT_EQ(Second.getInt("oracle_calls", -1), 0);
+    EXPECT_EQ(Second.getInt("inference_runs", -1), 0);
+    expectColdAnswer(First, Source);
+    expectColdAnswer(Second, Source);
+  }
+  ServerStats S = Engine.stats();
+  EXPECT_EQ(S.Checks, 2 * C.Analyzed.size());
+  EXPECT_EQ(S.Replays, C.Analyzed.size());
+}
+
+TEST(ServerReplayTest, SyntaxErrorReplays) {
+  Session S("t", SessionConfig());
+  std::string Bad = std::string(BaseSource) + "let broken = ";
+  CheckOutcome First = S.check(Bad, CheckOptions());
+  ASSERT_FALSE(First.SyntaxError.empty());
+  EXPECT_FALSE(First.Replayed);
+  CheckOutcome Second = S.check(Bad, CheckOptions());
+  EXPECT_TRUE(Second.Replayed);
+  expectSameAnswer(Second, First);
+}
+
+TEST(ServerReplayTest, LimitsReportsAndResetsSearchAgain) {
+  Session S("t", SessionConfig());
+  auto Searched = [](const CheckOutcome &O) {
+    return !O.Replayed && O.OracleCalls > 0;
+  };
+  CheckOptions Plain;
+  CheckOutcome First = S.check(BaseSource, Plain);
+  EXPECT_TRUE(Searched(First));
+  EXPECT_TRUE(S.check(BaseSource, Plain).Replayed);
+
+  // Either limit is part of the key: a change searches again, and the
+  // next identical request replays the capped answer.
+  CheckOptions OneSuggestion;
+  OneSuggestion.MaxSuggestions = 1;
+  CheckOutcome Capped = S.check(BaseSource, OneSuggestion);
+  EXPECT_TRUE(Searched(Capped));
+  EXPECT_EQ(Capped.Suggestions.size(), 1u);
+  CheckOutcome CappedAgain = S.check(BaseSource, OneSuggestion);
+  EXPECT_TRUE(CappedAgain.Replayed);
+  expectSameAnswer(CappedAgain, Capped);
+
+  CheckOptions FewCalls;
+  FewCalls.MaxOracleCalls = 3;
+  CheckOutcome Tight = S.check(BaseSource, FewCalls);
+  EXPECT_TRUE(Searched(Tight));
+  EXPECT_TRUE(Tight.BudgetExhausted);
+  CheckOutcome TightAgain = S.check(BaseSource, FewCalls);
+  EXPECT_TRUE(TightAgain.Replayed);
+  expectSameAnswer(TightAgain, Tight);
+
+  // A report describes a search, so a request for one always runs it.
+  CheckOptions Report;
+  Report.WantReport = true;
+  CheckOutcome Reported = S.check(BaseSource, Report);
+  EXPECT_TRUE(Searched(Reported));
+  EXPECT_FALSE(Reported.ReportJson.empty());
+  EXPECT_TRUE(Searched(S.check(BaseSource, Report)));
+  // The searched check replaced the remembered one; a plain resubmit
+  // replays its answer without its report.
+  CheckOutcome AfterReport = S.check(BaseSource, Plain);
+  EXPECT_TRUE(AfterReport.Replayed);
+  EXPECT_TRUE(AfterReport.ReportJson.empty());
+  expectSameAnswer(AfterReport, First);
+
+  S.reset();
+  CheckOutcome AfterReset = S.check(BaseSource, Plain);
+  EXPECT_TRUE(Searched(AfterReset)) << "reset forgets the answer too";
+  expectSameAnswer(AfterReset, First);
+}
+
+TEST(ServerReplayTest, EvictionKeepsTheAnswer) {
+  SessionConfig Config;
+  Config.ArenaEvictBytes = 1; // every search crosses the watermark
+  Session S("t", Config);
+  CheckOutcome First = S.check(BaseSource, CheckOptions());
+  ASSERT_TRUE(First.Evicted);
+  CheckOutcome Second = S.check(BaseSource, CheckOptions());
+  EXPECT_TRUE(Second.Replayed);
+  EXPECT_FALSE(Second.Evicted);
+  expectSameAnswer(Second, First);
+  EXPECT_EQ(outcomeMessages(Second), oneShotMessages(BaseSource, nullptr));
+  EXPECT_EQ(S.evictions(), 1u);
+}
+
+TEST(ServerReplayTest, ReplayBillsItsOwnClocksAndNoSearch) {
+  Session S("t", SessionConfig());
+  CheckOutcome First = S.check(BaseSource, CheckOptions());
+  CheckOutcome Replay = S.check(BaseSource, CheckOptions());
+  ASSERT_TRUE(Replay.Replayed);
+  EXPECT_EQ(Replay.OracleCalls, 0u);
+  EXPECT_EQ(Replay.InferenceRuns, 0u);
+  EXPECT_EQ(warmTotal(Replay.Accel), 0u);
+  EXPECT_EQ(Replay.Cost.OracleCalls, 0u);
+  EXPECT_EQ(Replay.Cost.InferenceRuns, 0u);
+  EXPECT_EQ(Replay.Cost.VerdictCacheHits, 0u);
+  EXPECT_GT(Replay.Cost.WallNs, 0u);
+  EXPECT_TRUE(Replay.ReportJson.empty());
+  EXPECT_TRUE(Replay.SlowTracePath.empty());
+  // The arena levels are the session's current ones.
+  EXPECT_GT(First.ArenaBytes, 0u);
+  EXPECT_EQ(Replay.ArenaBytes, First.ArenaBytes);
+  EXPECT_EQ(Replay.Cost.ArenaBytes, First.ArenaBytes);
+  EXPECT_EQ(Replay.Cost.ArenaNodes, First.Cost.ArenaNodes);
+  // The session's ledger bills the replay; its search totals do not move.
+  EXPECT_EQ(S.accumulatedCost().CpuNs, First.Cost.CpuNs + Replay.Cost.CpuNs);
+  EXPECT_EQ(S.accumulatedCost().WallNs,
+            First.Cost.WallNs + Replay.Cost.WallNs);
+  EXPECT_EQ(S.totalOracleCalls(), First.OracleCalls);
+  EXPECT_EQ(S.totalInferenceRuns(), First.InferenceRuns);
+  EXPECT_EQ(S.checks(), 2u);
+}
+
+TEST(ServerReplayTest, EngineLogsAndCountsReplaysAndTracesNone) {
+  std::string Dir =
+      "/tmp/seminal_replay_trace_" + std::to_string(::getpid());
+  std::string Cmd = "rm -rf '" + Dir + "'";
+  (void)std::system(Cmd.c_str());
+  obs::SlowTraceRing Ring(Dir, 4);
+  std::ostringstream LogOut;
+  obs::Logger Log(LogOut, obs::LogLevel::Info);
+  ServerOptions Opts;
+  Opts.Log = &Log;
+  Opts.SlowTraces = &Ring;
+  Opts.TraceSlowMs = 0.0; // every searched check exports a trace
+  ServerEngine Engine(Opts);
+
+  json::Value First = parseReply(Engine.handle(checkLine(1, "r", BaseSource)));
+  EXPECT_FALSE(First.getString("slow_trace").empty());
+  json::Value Second =
+      parseReply(Engine.handle(checkLine(2, "r", BaseSource)));
+  ASSERT_TRUE(Second.member("warm"));
+  EXPECT_TRUE(Second.member("warm")->getBool("replayed", false));
+  EXPECT_FALSE(Second.member("slow_trace"))
+      << "a replay runs no search, so it records no trace";
+  EXPECT_EQ(Ring.captured(), 1u);
+
+  obs::OpsRegistry &R = Engine.registry();
+  EXPECT_EQ(R.counter("seminal_replays_total").value(), 1u);
+  EXPECT_EQ(Engine.stats().Replays, 1u);
+  json::Value Stats =
+      parseReply(Engine.handle("{\"method\":\"stats\",\"id\":3}"));
+  EXPECT_EQ(Stats.getInt("replays", -1), 1);
+  // The replay is the warmest check there is.
+  EXPECT_EQ(
+      R.histogram("seminal_request_latency_us", "", {{"state", "cold"}}).count(),
+      1u);
+  EXPECT_EQ(
+      R.histogram("seminal_request_latency_us", "", {{"state", "warm"}}).count(),
+      1u);
+
+  std::string Text = LogOut.str();
+  size_t SecondLine = Text.find("id=2");
+  ASSERT_NE(SecondLine, std::string::npos) << Text;
+  EXPECT_NE(Text.find("replayed=false"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("replayed=true", SecondLine), std::string::npos) << Text;
+  (void)std::system(Cmd.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -510,20 +764,13 @@ TEST(ServerSocketTest, SecondDaemonOnSameSocketFailsCleanly) {
 // Observability: metrics verb, per-shard stats, slow traces, HTTP scrape
 //===----------------------------------------------------------------------===//
 
-std::string checkLine(int Id, const char *SessionName, const char *Source) {
-  std::string Line = "{\"method\":\"check\",\"id\":" + std::to_string(Id) +
-                     ",\"session\":\"" + SessionName + "\",\"source\":\"";
-  Line += jsonEscape(Source);
-  Line += "\"}";
-  return Line;
-}
-
 TEST(ServerObsTest, MetricsReconcileExactlyWithStats) {
   ServerOptions Opts;
   Opts.Threads = 2;
   ServerEngine Engine(Opts);
   Engine.handle(checkLine(1, "alpha", BaseSource));
   Engine.handle(checkLine(2, "alpha", EditedSource)); // warm
+  Engine.handle(checkLine(6, "alpha", EditedSource)); // replayed
   Engine.handle(checkLine(3, "beta", BaseSource));
   Engine.handle("{\"method\":\"ping\",\"id\":4}");
   Engine.handle("{\"method\":\"reset\",\"id\":5,\"session\":\"beta\"}");
@@ -533,7 +780,8 @@ TEST(ServerObsTest, MetricsReconcileExactlyWithStats) {
   // sites; every shared total must agree exactly.
   ServerStats S = Engine.stats();
   obs::OpsRegistry &R = Engine.registry();
-  EXPECT_EQ(S.Checks, 3u);
+  EXPECT_EQ(S.Checks, 4u);
+  EXPECT_EQ(S.Replays, 1u);
   EXPECT_EQ(R.counter("seminal_requests_total").value(), S.Requests);
   EXPECT_EQ(R.counter("seminal_checks_total").value(), S.Checks);
   EXPECT_EQ(R.counter("seminal_resets_total").value(), S.Resets);
@@ -544,6 +792,7 @@ TEST(ServerObsTest, MetricsReconcileExactlyWithStats) {
   EXPECT_EQ(R.counter("seminal_sessions_created_total").value(),
             S.SessionsCreated);
   EXPECT_EQ(R.counter("seminal_evictions_total").value(), S.Evictions);
+  EXPECT_EQ(R.counter("seminal_replays_total").value(), S.Replays);
   uint64_t Warm = S.Accel.SessionPrefixHits + S.Accel.SessionVerdictReuses +
                   S.Accel.SessionSeedAdoptions + S.Accel.SessionConvMemoHits;
   EXPECT_EQ(R.counter("seminal_warm_hits_total").value(), Warm);
@@ -556,7 +805,7 @@ TEST(ServerObsTest, MetricsReconcileExactlyWithStats) {
       R.histogram("seminal_request_latency_us", "", {{"state", "warm"}});
   EXPECT_EQ(Cold.count() + WarmH.count(), S.Checks);
   EXPECT_EQ(Cold.count(), 2u);
-  EXPECT_EQ(WarmH.count(), 1u);
+  EXPECT_EQ(WarmH.count(), 2u) << "the warm edit and the replay";
   EXPECT_EQ(R.histogram("seminal_oracle_calls_per_request").count(),
             S.Checks);
 
@@ -659,9 +908,11 @@ TEST(ServerObsTest, SlowRequestsExportBoundedTraces) {
   EXPECT_FALSE(Events->arrayValue().empty());
 
   // The ring caps disk: three more captures, never more than two files.
+  // Each source differs from the one before it, because a resubmit of
+  // the same bytes is replayed without a search and records no trace.
   Engine.handle(checkLine(8, "t", EditedSource));
-  Engine.handle(checkLine(9, "t", EditedSource));
-  Engine.handle(checkLine(10, "t", BaseSource));
+  Engine.handle(checkLine(9, "t", BaseSource));
+  Engine.handle(checkLine(10, "t", EditedSource));
   EXPECT_EQ(Ring.captured(), 4u);
   EXPECT_EQ(Ring.size(), 2u);
 
@@ -801,9 +1052,17 @@ TEST(ServerLedgerTest, ResponsesStatsAndScrapeReconcile) {
   ServerOptions Opts;
   Opts.Threads = 2;
   ServerEngine Engine(Opts);
-  constexpr uint64_t Checks = 6;
+  constexpr uint64_t Searched = 6;
+  constexpr uint64_t Checks = Searched + 1;
   RequestCost Sum;
-  for (int I = 1; I <= int(Checks); ++I) {
+  auto Add = [&Sum](const RequestCost &C) {
+    Sum.CpuNs += C.CpuNs;
+    Sum.WallNs += C.WallNs;
+    Sum.OracleCalls += C.OracleCalls;
+    Sum.InferenceRuns += C.InferenceRuns;
+    Sum.VerdictCacheHits += C.VerdictCacheHits;
+  };
+  for (int I = 1; I <= int(Searched); ++I) {
     const char *Src = (I % 2) ? BaseSource : EditedSource;
     const char *Sess = (I <= 3) ? "ledger_a" : "ledger_b";
     json::Value Reply = parseReply(Engine.handle(checkLine(I, Sess, Src)));
@@ -811,12 +1070,18 @@ TEST(ServerLedgerTest, ResponsesStatsAndScrapeReconcile) {
     EXPECT_GT(C.CpuNs, 0u);
     EXPECT_GT(C.WallNs, 0u);
     EXPECT_GT(C.OracleCalls, 0u);
-    Sum.CpuNs += C.CpuNs;
-    Sum.WallNs += C.WallNs;
-    Sum.OracleCalls += C.OracleCalls;
-    Sum.InferenceRuns += C.InferenceRuns;
-    Sum.VerdictCacheHits += C.VerdictCacheHits;
+    Add(C);
   }
+  // A replayed check bills its own clocks and no oracle work.
+  json::Value Replayed = parseReply(
+      Engine.handle(checkLine(int(Checks), "ledger_b", EditedSource)));
+  ASSERT_TRUE(Replayed.member("warm"));
+  EXPECT_TRUE(Replayed.member("warm")->getBool("replayed", false));
+  RequestCost C = costOf(Replayed);
+  EXPECT_GT(C.WallNs, 0u);
+  EXPECT_EQ(C.OracleCalls, 0u);
+  EXPECT_EQ(C.InferenceRuns, 0u);
+  Add(C);
   Engine.drain();
 
   // The stats verb's rollup is the sum of the per-response ledgers --
@@ -862,6 +1127,61 @@ TEST(ServerLedgerTest, ResponsesStatsAndScrapeReconcile) {
   // Sessions are pinned to one shard worker, so each request's CPU
   // delta is real thread time: the process clock upper-bounds the sum.
   EXPECT_LE(Sum.CpuNs, prof::processCpuNs());
+}
+
+TEST(ServerLedgerTest, SyntaxErrorsCarryTheirCostAndTheArenaLevel) {
+  Session S("t", SessionConfig());
+  CheckOutcome Good = S.check(BaseSource, CheckOptions());
+  ASSERT_GT(Good.ArenaBytes, 0u);
+  std::string Bad = std::string(BaseSource) + "let broken = ";
+  CheckOutcome Syntax = S.check(Bad, CheckOptions());
+  ASSERT_FALSE(Syntax.SyntaxError.empty());
+  EXPECT_GT(Syntax.Cost.CpuNs, 0u) << "parsing three declarations costs CPU";
+  EXPECT_GT(Syntax.Cost.WallNs, 0u);
+  EXPECT_EQ(Syntax.Cost.OracleCalls, 0u);
+  EXPECT_EQ(Syntax.ArenaBytes, Good.ArenaBytes)
+      << "a syntax error leaves the arena as it was";
+  EXPECT_EQ(Syntax.Cost.ArenaBytes, Good.ArenaBytes);
+  EXPECT_EQ(Syntax.Cost.ArenaNodes, Good.Cost.ArenaNodes);
+  EXPECT_EQ(S.accumulatedCost().CpuNs, Good.Cost.CpuNs + Syntax.Cost.CpuNs);
+}
+
+TEST(ServerLedgerTest, ArenaGaugeSurvivesSyntaxErrors) {
+  ServerEngine Engine;
+  obs::OpsGauge &Gauge = Engine.registry().gauge("seminal_arena_bytes");
+  json::Value Good = parseReply(Engine.handle(checkLine(1, "g", BaseSource)));
+  int64_t Bytes = Good.member("cost")->getInt("arena_bytes", -1);
+  ASSERT_GT(Bytes, 0);
+  EXPECT_EQ(Gauge.value(), Bytes);
+
+  // The syntax-error reply carries its own bill, and the session's share
+  // of the gauge stays what its arena still holds.
+  json::Value Bad = parseReply(Engine.handle(
+      checkLine(2, "g", std::string(BaseSource) + "let broken = ")));
+  ASSERT_FALSE(Bad.getString("syntax_error").empty());
+  RequestCost BadCost = costOf(Bad);
+  EXPECT_GT(BadCost.WallNs, 0u);
+  EXPECT_EQ(BadCost.ArenaBytes, uint64_t(Bytes));
+  EXPECT_EQ(Gauge.value(), Bytes);
+  ServerStats Stats = Engine.stats();
+  EXPECT_EQ(Stats.Cost.CpuNs, costOf(Good).CpuNs + BadCost.CpuNs);
+  EXPECT_EQ(Stats.Cost.WallNs, costOf(Good).WallNs + BadCost.WallNs);
+}
+
+TEST(ServerLedgerTest, ArenaGaugeFollowsResets) {
+  ServerEngine Engine;
+  obs::OpsGauge &Gauge = Engine.registry().gauge("seminal_arena_bytes");
+  json::Value G = parseReply(Engine.handle(checkLine(1, "g", BaseSource)));
+  json::Value H = parseReply(Engine.handle(checkLine(2, "h", EditedSource)));
+  int64_t GBytes = G.member("cost")->getInt("arena_bytes", -1);
+  int64_t HBytes = H.member("cost")->getInt("arena_bytes", -1);
+  ASSERT_GT(GBytes, 0);
+  ASSERT_GT(HBytes, 0);
+  EXPECT_EQ(Gauge.value(), GBytes + HBytes);
+
+  // A reset clears one session's arena, and its share leaves the gauge.
+  Engine.handle("{\"method\":\"reset\",\"id\":3,\"session\":\"g\"}");
+  EXPECT_EQ(Gauge.value(), HBytes);
 }
 
 TEST(ServerLedgerTest, RunReportEmbedsTheSameLedger) {
