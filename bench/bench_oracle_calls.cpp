@@ -7,7 +7,7 @@
 // programs engineered to stress each mechanism.
 //
 // Also the home of the oracle-acceleration ablation: every layer of the
-// acceleration stack (prefix checkpoint, verdict cache, parallel batch)
+// acceleration stack (prefix checkpoint, conventional-verdict memo)
 // toggled independently over the Figure-7 corpus, verifying that each
 // configuration reproduces the unaccelerated searches exactly (same
 // ranked suggestions, same logical-call counts) while measuring the
@@ -85,7 +85,7 @@ struct AccelRow {
   double WallSec = 0.0;
   size_t LogicalCalls = 0;
   size_t InferenceRuns = 0;
-  AccelCounters Counters;
+  AccelCounters Counters = {};
   size_t SuggestionMismatches = 0;
   size_t CallCountMismatches = 0;
 };
@@ -98,20 +98,19 @@ void runAccelAblation(const DriverOptions &Driver) {
   Corpus C = generateCorpus(CO);
 
   OracleAccelOptions Off;
-  Off.Checkpoint = Off.VerdictCache = Off.ParallelBatch = false;
+  Off.Checkpoint = Off.VerdictCache = false;
   OracleAccelOptions CheckpointOnly = Off;
   CheckpointOnly.Checkpoint = true;
   OracleAccelOptions CacheOnly = Off;
   CacheOnly.VerdictCache = true;
   OracleAccelOptions Both;
   Both.Checkpoint = Both.VerdictCache = true;
-  OracleAccelOptions All = Both;
-  All.ParallelBatch = true;
 
   std::vector<AccelRow> Rows = {
-      {"acceleration off", Off},  {"checkpoint only", CheckpointOnly},
-      {"cache only", CacheOnly},  {"checkpoint + cache", Both},
-      {"all + parallel batch", All},
+      {"acceleration off", Off},
+      {"checkpoint only", CheckpointOnly},
+      {"cache only", CacheOnly},
+      {"checkpoint + cache", Both},
   };
 
   // Baseline fingerprints come from the acceleration-off configuration.
@@ -155,36 +154,30 @@ void runAccelAblation(const DriverOptions &Driver) {
   std::printf("%zu analyzed files, %zu logical oracle calls per "
               "configuration\n\n",
               C.Analyzed.size(), Rows[0].LogicalCalls);
-  std::printf("%-24s %9s %9s %10s %10s %7s %10s\n", "configuration",
-              "wall ms", "ms/file", "calls", "inf runs", "hit%",
+  std::printf("%-24s %9s %9s %10s %10s %9s %10s\n", "configuration",
+              "wall ms", "ms/file", "calls", "inf runs", "memo hits",
               "identical");
   rule();
   const AccelRow &Base = Rows[0];
   for (const AccelRow &Row : Rows) {
-    uint64_t Lookups = Row.Counters.CacheHits + Row.Counters.CacheMisses;
-    double HitPct =
-        Lookups ? 100.0 * double(Row.Counters.CacheHits) / double(Lookups)
-                : 0.0;
     bool Identical =
         Row.SuggestionMismatches == 0 && Row.CallCountMismatches == 0;
-    std::printf("%-24s %9.1f %9.3f %10zu %10zu %6.1f%% %10s\n", Row.Name,
+    std::printf("%-24s %9.1f %9.3f %10zu %10zu %9llu %10s\n", Row.Name,
                 Row.WallSec * 1000.0,
                 Row.WallSec * 1000.0 / double(C.Analyzed.size()),
-                Row.LogicalCalls, Row.InferenceRuns, HitPct,
+                Row.LogicalCalls, Row.InferenceRuns,
+                (unsigned long long)Row.Counters.CacheHits,
                 &Row == &Base ? "(base)" : Identical ? "yes" : "NO");
   }
   rule();
-  // "Acceleration on" is the shipped default (checkpoint + cache;
-  // parallel batching stays opt-in), so the headline compares that row.
+  // "Acceleration on" is the shipped default (checkpoint + memo), so the
+  // headline compares that row.
   const AccelRow &Full = Rows[3];
-  const AccelRow &Par = Rows.back();
   double Speedup = Full.WallSec > 0.0 ? Base.WallSec / Full.WallSec : 0.0;
   std::printf("acceleration speedup: %.2fx wall-clock per search "
-              "(%.3f -> %.3f ms/file; all layers incl. parallel batch: "
-              "%.2fx)\n",
+              "(%.3f -> %.3f ms/file)\n",
               Speedup, Base.WallSec * 1000.0 / double(C.Analyzed.size()),
-              Full.WallSec * 1000.0 / double(C.Analyzed.size()),
-              Par.WallSec > 0.0 ? Base.WallSec / Par.WallSec : 0.0);
+              Full.WallSec * 1000.0 / double(C.Analyzed.size()));
   std::printf("checkpoint+cache: %zu of %zu logical calls actually ran "
               "inference (%.1f%%); %llu prefix decl re-checks saved\n",
               Full.InferenceRuns, Full.LogicalCalls,
@@ -205,8 +198,6 @@ void runAccelAblation(const DriverOptions &Driver) {
                  C.Analyzed.size(), Driver.Scale,
                  (unsigned long long)Driver.Seed);
     std::fprintf(F, "  \"speedup_wall\": %.4f,\n", Speedup);
-    std::fprintf(F, "  \"speedup_wall_parallel\": %.4f,\n",
-                 Par.WallSec > 0.0 ? Base.WallSec / Par.WallSec : 0.0);
     std::fprintf(F, "  \"configs\": [\n");
     for (size_t I = 0; I < Rows.size(); ++I) {
       const AccelRow &Row = Rows[I];
@@ -215,7 +206,7 @@ void runAccelAblation(const DriverOptions &Driver) {
           "    {\"name\": \"%s\", \"wall_ms\": %.3f, \"logical_calls\": "
           "%zu, \"inference_runs\": %zu, \"cache_hits\": %llu, "
           "\"cache_misses\": %llu, \"incremental\": %llu, \"full\": %llu, "
-          "\"decl_rechecks_saved\": %llu, \"batches\": %llu, "
+          "\"decl_rechecks_saved\": %llu, "
           "\"suggestion_mismatches\": %zu, \"call_count_mismatches\": "
           "%zu}%s\n",
           Row.Name, Row.WallSec * 1000.0, Row.LogicalCalls,
@@ -224,7 +215,6 @@ void runAccelAblation(const DriverOptions &Driver) {
           (unsigned long long)Row.Counters.IncrementalInferences,
           (unsigned long long)Row.Counters.FullInferences,
           (unsigned long long)Row.Counters.DeclInferencesSaved,
-          (unsigned long long)Row.Counters.BatchesDispatched,
           Row.SuggestionMismatches, Row.CallCountMismatches,
           I + 1 < Rows.size() ? "," : "");
     }

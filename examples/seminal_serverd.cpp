@@ -2,7 +2,7 @@
 //
 // The long-lived counterpart of seminal_cli (DESIGN.md section 13): one
 // process holds every editor session's warm search state -- prefix
-// checkpoints, interned-AST verdict caches, conventional-error memos --
+// checkpoints keyed on interned declarations, conventional-error memos --
 // so an edit-resubmit only pays for the suffix that changed. Requests
 // are one JSON object per line on stdin (--stdio, the default) or on a
 // Unix domain socket (--socket=PATH); both transports can run at once.

@@ -17,15 +17,12 @@ oracle_calls_accel (bench_oracle_calls):
     regressed.
 
 micro_allocs (bench_micro --json):
-  * The candidate-wave allocation reduction (legacy vs arena pipeline,
-    measured in the same process by the counting operator-new
-    interposer) must stay above the hard 10x floor and above
-    REGRESSION_FRACTION of the baseline's ratio.
-  * The arena scenarios' absolute allocation counts are deterministic
-    for a given libstdc++, but not across toolchains, so they are gated
-    with a 1.25x tolerance rather than exact equality: enough slack for
-    container implementation drift, tight enough to catch reintroduced
-    per-candidate clone traffic.
+  * The end-to-end search scenario's allocation count (measured by the
+    counting operator-new interposer) is deterministic for a given
+    libstdc++, but not across toolchains, so it is gated with a 1.25x
+    tolerance rather than exact equality: enough slack for container
+    implementation drift, tight enough to catch reintroduced
+    per-candidate clone or intern traffic.
 
 slice_ablation (bench_slice_ablation):
   * slice-guided must have produced byte-identical suggestion lists to
@@ -39,8 +36,8 @@ slice_ablation (bench_slice_ablation):
 server (bench_server):
   * Warm responses must be byte-identical to cold one-shot runs
     (suggestion_mismatches pinned to zero) and every deterministic
-    warm-reuse counter (prefix hits, verdict reuses, seed adoptions,
-    conv-memo hits, inference runs) must match the baseline exactly.
+    warm-reuse counter (prefix hits, seed adoptions, conv-memo hits,
+    inference runs) must match the baseline exactly.
   * The warm/cold p50 ratio (within-run, hardware-independent) must stay
     above max(10x, 50% of the baseline ratio): 10x is the daemon's
     edit-resubmit contract, the relative bound tracks the trajectory.
@@ -104,7 +101,6 @@ def check_oracle_calls(base, fresh):
     return failures
 
 
-ALLOC_HARD_FLOOR = 10.0     # absolute floor on the candidate-wave ratio
 ALLOC_COUNT_TOLERANCE = 1.25  # per-scenario alloc-count drift allowance
 
 
@@ -116,8 +112,6 @@ def check_micro_allocs(base, fresh):
         failures.append(
             f"scenario set changed: {sorted(base_rows)} vs "
             f"{sorted(fresh_rows)}")
-    check_exact(failures, "waves", fresh.get("waves"), base.get("waves"),
-                "scenario shape changed; refresh the baseline deliberately")
 
     for name in sorted(set(base_rows) & set(fresh_rows)):
         ceiling = base_rows[name]["allocs"] * ALLOC_COUNT_TOLERANCE
@@ -127,14 +121,7 @@ def check_micro_allocs(base, fresh):
                 f"[{name}] allocs {allocs} exceeds {ceiling:.0f} "
                 f"({ALLOC_COUNT_TOLERANCE}x baseline "
                 f"{base_rows[name]['allocs']})")
-
-    base_ratio = base.get("alloc_reduction", 0.0)
-    fresh_ratio = fresh.get("alloc_reduction", 0.0)
-    floor = max(ALLOC_HARD_FLOOR, base_ratio * REGRESSION_FRACTION)
-    check_floor(failures, "alloc_reduction", fresh_ratio, floor,
-                "arena pipeline lost its copy-free property")
-    print(f"baseline alloc reduction {base_ratio:.1f}x, fresh "
-          f"{fresh_ratio:.1f}x (floor {floor:.1f}x)")
+        print(f"[{name}] allocs {allocs} (ceiling {ceiling:.0f})")
     return failures
 
 
@@ -169,11 +156,10 @@ def check_server(base, fresh):
     failures = []
     # Scenario shape and everything the search actually did are
     # deterministic in (scale, seed): same program, same localization
-    # probes, same candidate waves, same warm reuse. Exact equality.
+    # probes, same candidates, same warm reuse. Exact equality.
     for key in ("decls", "iterations", "cold_inference_runs",
                 "warm_inference_runs", "warm_prefix_hits",
-                "warm_verdict_reuses", "warm_seed_adoptions",
-                "warm_conv_memo_hits"):
+                "warm_seed_adoptions", "warm_conv_memo_hits"):
         check_exact(failures, key, fresh.get(key), base.get(key),
                     "server warm-reuse behavior changed")
     check_exact(failures, "suggestion_mismatches",

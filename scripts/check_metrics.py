@@ -196,8 +196,7 @@ def reconcile(samples, stats):
 
     warm = stats.get("warm", {})
     warm_total = sum(warm.get(k, 0) for k in
-                     ("prefix_hits", "verdict_reuses", "seed_adoptions",
-                      "conv_memo_hits"))
+                     ("prefix_hits", "seed_adoptions", "conv_memo_hits"))
     got = single_value(samples, "seminal_warm_hits_total")
     if got != warm_total:
         fail(f"seminal_warm_hits_total = {got} but stats.warm sums to "

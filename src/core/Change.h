@@ -18,7 +18,6 @@
 #ifndef SEMINAL_CORE_CHANGE_H
 #define SEMINAL_CORE_CHANGE_H
 
-#include "minicaml/Arena.h"
 #include "minicaml/Ast.h"
 
 #include <functional>
@@ -29,40 +28,38 @@
 
 namespace seminal {
 
-/// A whole program held either eagerly (an owned clone) or as interned
-/// declaration ids over a shared hash-consing arena, materialized on
-/// first access. Suggestions carry their modified program this way so
-/// that confirming a candidate costs O(edit spine) interned nodes, not a
-/// deep copy; the tree is only built if something (the evaluation judge,
-/// a test) actually reads it. Converts implicitly to const Program&, so
-/// consumers are oblivious to which representation they got.
+/// A whole program held as a shared, unedited declaration prefix plus
+/// one owned edited declaration, assembled into a Program on first
+/// access. Suggestions carry their modified program this way so that
+/// confirming a candidate costs one clone of the edited declaration, not
+/// of the whole program: the prefix is cloned once per search and shared
+/// by every suggestion. The captured trees are owned here, so a
+/// LazyProgram stays readable after the search, its oracle and its input
+/// are gone. Converts implicitly to const Program&, so consumers are
+/// oblivious to the representation.
 class LazyProgram {
 public:
   LazyProgram() = default;
-  LazyProgram(caml::Program P) : Cache(std::move(P)), Materialized(true) {}
-  LazyProgram(std::shared_ptr<caml::AstArena> Arena,
-              std::vector<caml::AstArena::DeclId> Decls)
-      : Arena(std::move(Arena)), DeclIds(std::move(Decls)) {}
+  LazyProgram(std::shared_ptr<const caml::Program> Prefix, caml::DeclPtr Edited)
+      : Prefix(std::move(Prefix)), Edited(std::move(Edited)) {}
   LazyProgram(LazyProgram &&) = default;
   LazyProgram &operator=(LazyProgram &&) = default;
 
   operator const caml::Program &() const { return get(); }
 
   const caml::Program &get() const {
-    if (!Materialized) {
-      Cache.Decls.reserve(DeclIds.size());
-      for (caml::AstArena::DeclId Id : DeclIds)
-        Cache.Decls.push_back(Arena->materializeDecl(Id));
-      Materialized = true;
+    if (Edited) {
+      Cache = Prefix->clone();
+      Cache.Decls.push_back(std::move(Edited));
+      Prefix.reset();
     }
     return Cache;
   }
 
 private:
-  std::shared_ptr<caml::AstArena> Arena;
-  std::vector<caml::AstArena::DeclId> DeclIds;
+  mutable std::shared_ptr<const caml::Program> Prefix;
+  mutable caml::DeclPtr Edited;
   mutable caml::Program Cache;
-  mutable bool Materialized = false;
 };
 
 /// Classification of a successful change, in the ranker's preference
@@ -160,8 +157,7 @@ struct Suggestion {
   bool InSlice = false;
 
   /// The whole modified program (for triage: includes sibling wildcards,
-  /// so it need not type-check by itself). Used by the evaluation judge;
-  /// stored as arena overlays and materialized only when read.
+  /// so it need not type-check by itself). Assembled only when read.
   LazyProgram Modified;
 
   Suggestion() = default;

@@ -9,54 +9,42 @@
 /// failing declaration found by prefix localization (Section 2.1), so of
 /// the up-to-200,000 oracle calls a search may issue, almost all ask about
 /// programs that differ from each other in exactly one declaration. This
-/// oracle exploits that three ways, preserving black-box semantics
-/// bit-for-bit (same verdicts, same logical-call counts):
+/// oracle exploits that while preserving black-box semantics bit-for-bit
+/// (same verdicts, same logical-call counts):
 ///
-///   1. Prefix-environment checkpointing -- after seedPrefix(), the typing
-///      environment of the unedited declarations is inferred once and
-///      reused; each call re-infers only the edited declaration, rolling
-///      back unification side effects through a TypeTrail.
-///   2. Structural verdict cache -- verdicts are memoized by the edited
-///      declaration's structural hash (triage and the enumerator's lazy
-///      change collections regenerate identical candidates, e.g. wildcard
-///      placements revisited across phases); hash hits are confirmed with
-///      a deep equality check, so a collision can never flip a verdict.
-///      With the hash-consing arena enabled (OracleAccelOptions::Arena,
-///      minicaml/Arena.h) the cache is keyed on interned node ids
-///      instead: a probe is one integer lookup with no stored clones, and
-///      batch candidates are built as path-copied overlays over the
-///      interned base declaration rather than cloned programs, so two
-///      candidates collapsing to the same tree are found by comparing two
-///      integers (counted as WaveCollapsed). Verdicts and hit/miss
-///      accounting are bit-identical to the hash-keyed path.
-///   3. Batched parallel evaluation -- typecheckBatch() fans independent
-///      candidates out over a thread pool, one inference checkpoint per
-///      worker, collecting verdicts rank-stably in input order.
-///
-/// Two further fast paths cover the calls issued *before* seedPrefix():
-/// the searcher's prefix-localization loop ("do the first k declarations
-/// type-check?", k growing by one per call) is served by extending a
-/// persistent environment one committed declaration at a time instead of
-/// re-inferring the prefix from scratch each round -- and the grown
-/// environment is then adopted as the seed checkpoint, making seeding
-/// free. The initial whole-program check reuses the conventionalError()
-/// verdict (confirmed by deep equality) instead of running inference
-/// twice on the same program.
+///   * Prefix-environment checkpointing -- after seedPrefix(), the typing
+///     environment of the unedited declarations is inferred once and
+///     reused; each call re-infers only the edited declaration, rolling
+///     back unification side effects through a TypeTrail. This is the one
+///     candidate-evaluation path: a seeded call goes from matchesSeed()
+///     straight to InferenceCheckpoint::checkDecl(), with no memo lookup
+///     and no interning in between (keying a verdict cache cost more than
+///     the inference it saved).
+///   * Prefix growth -- the calls issued *before* seedPrefix() come from
+///     the searcher's prefix-localization loop ("do the first k
+///     declarations type-check?", k growing by one per call). They are
+///     served by extending a persistent environment one committed
+///     declaration at a time instead of re-inferring the prefix from
+///     scratch each round, and the grown environment is then adopted as
+///     the seed checkpoint, making seeding free.
+///   * Conventional-verdict memo (OracleAccelOptions::VerdictCache) -- the
+///     initial whole-program check reuses the conventionalError() verdict
+///     (confirmed by deep equality) instead of running inference twice on
+///     the same program.
 ///
 /// Every layer toggles independently via OracleAccelOptions so the
 /// ablation benches can attribute savings.
 ///
 /// Server mode (setSessionRetention) keeps the oracle alive across
-/// requests: instead of discarding the seed checkpoint, the id-keyed
-/// verdict cache and the conventional-error memo at clearPrefix(), they
-/// are stashed keyed on the prefix's interned declaration ids and
+/// requests: instead of discarding the seed checkpoint and the
+/// conventional-error memo at clearPrefix(), they are stashed keyed on
+/// the prefix's interned declaration ids (interned once per request) and
 /// re-adopted when a later request seeds an id-identical prefix. An
-/// edit-resubmit from an editor then costs near-zero inference: the
+/// edit-resubmit from an editor then costs little inference: the
 /// localization walk is answered from the retained known-good prefix
 /// (SessionPrefixHits), seeding re-installs the retained environment
-/// (SessionSeedAdoptions), candidate verdicts replay from the retained
-/// cache (SessionVerdictReuses), and the conventional message replays
-/// from a source-prefix memo (SessionConvMemoHits). Verdicts and ranked
+/// (SessionSeedAdoptions), and the conventional message replays from a
+/// source-prefix memo (SessionConvMemoHits). Verdicts and ranked
 /// suggestions stay bit-identical to a cold run; only the work changes.
 ///
 //===----------------------------------------------------------------------===//
@@ -67,10 +55,8 @@
 #include "core/Oracle.h"
 #include "minicaml/Arena.h"
 #include "support/Stats.h"
-#include "support/ThreadPool.h"
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace seminal {
@@ -78,11 +64,10 @@ namespace seminal {
 /// Drop-in replacement for CamlOracle with the acceleration layer.
 class CheckpointedOracle : public Oracle {
 public:
-  /// \p Arena may be shared with the searcher (so suggestion overlays and
-  /// verdict-cache keys live in one store); when null and Accel.Arena is
-  /// set the oracle creates a private arena. The arena outlives every
-  /// seedPrefix/clearPrefix cycle -- interned nodes are immortal, which
-  /// is what lets a future daemon share them across requests.
+  /// \p Arena may be shared with the caller (the server keeps a session's
+  /// arena across oracle rebuilds); when null and Accel.Arena is set the
+  /// oracle creates a private arena. Interned nodes are immortal, so the
+  /// ids keying retained session state stay valid across requests.
   explicit CheckpointedOracle(const OracleAccelOptions &Accel = {},
                               std::shared_ptr<caml::AstArena> Arena = nullptr);
   ~CheckpointedOracle() override;
@@ -95,19 +80,19 @@ public:
   conventionalError(const caml::Program &Prog) override;
   void seedPrefix(const caml::Program &Prog, unsigned EditedDecl) override;
   void clearPrefix() override;
-  bool supportsBatch() const override { return Accel.ParallelBatch; }
   size_t inferenceRuns() const override { return Counters.inferenceRuns(); }
 
-  /// Layer-by-layer instrumentation (hits, misses, saved work).
+  /// Layer-by-layer instrumentation (hits, misses, saved work). The
+  /// Arena* gauges are not maintained here; runSeminalWithOracle reads
+  /// them from the arena once per run.
   const AccelCounters &counters() const { return Counters; }
   void resetCounters() { Counters.reset(); }
 
   // Session retention (server mode) -----------------------------------------
   /// Keep warm state across seedPrefix/clearPrefix cycles: the seed
-  /// checkpoint, worker checkpoints, the id-keyed verdict cache and the
-  /// conventional-error memo survive into the next request and are
-  /// re-adopted when its prefix interns to the same declaration ids.
-  /// Requires the arena, checkpoint and verdict-cache layers; toggle
+  /// checkpoint and the conventional-error memo survive into the next
+  /// request and are re-adopted when its prefix interns to the same
+  /// declaration ids. Requires the arena and checkpoint layers; toggle
   /// between requests, never mid-request. Turning it off drops all
   /// retained state.
   void setSessionRetention(bool Enabled);
@@ -121,52 +106,22 @@ public:
   /// inference. The caller must pass the exact text \p Prog came from.
   void primeConventional(std::string Source);
 
-  /// Drops every piece of retained session state (the eviction path:
-  /// the server calls this before clearing or swapping the arena, since
-  /// retained verdicts are keyed on arena ids).
+  /// Drops every piece of retained session state.
   void resetSession();
 
 protected:
   bool typecheckImpl(const caml::Program &Prog) override;
   std::optional<std::string> typeOfNodeImpl(const caml::Program &Prog,
                                             const caml::Expr *Node) override;
-  std::vector<bool>
-  typecheckBatchImpl(const caml::Program &Base, const caml::NodePath &Path,
-                     const std::vector<const caml::Expr *> &Replacements)
-      override;
 
 private:
-  /// The copy-free batch: candidates become arena overlays of the interned
-  /// base declaration; only distinct verdict-cache misses are materialized
-  /// (serially, before fan-out) for inference.
-  std::vector<bool>
-  typecheckBatchArena(const caml::Program &Base, const caml::NodePath &Path,
-                      const std::vector<const caml::Expr *> &Replacements);
-
-  /// Mirrors arena occupancy into Counters and the batch-span fields.
-  void syncArenaStats();
-  /// One memoized verdict; the clone confirms hash hits structurally.
-  struct CacheEntry {
-    caml::DeclPtr EditedDecl;
-    bool Typechecks = false;
-  };
-
   /// True when \p Prog is "seed prefix + one edited let declaration".
   bool matchesSeed(const caml::Program &Prog) const;
-
-  /// Looks up the verdict for \p D (the edited declaration); returns
-  /// nullptr on miss. \p H must be hashDecl(D).
-  const CacheEntry *cacheLookup(uint64_t H, const caml::Decl &D) const;
-  void cacheInsert(uint64_t H, const caml::Decl &D, bool Verdict);
 
   /// Runs inference for "prefix + \p D", via the checkpoint when
   /// available, else over \p Fallback (the full program). Bumps the
   /// inference counters.
   bool inferEditedDecl(const caml::Decl &D, const caml::Program &Fallback);
-
-  /// The checkpoint for \p Worker, built on demand (worker 0 reuses the
-  /// seed checkpoint; others infer the stored prefix clone once each).
-  caml::InferenceCheckpoint *workerCheckpoint(unsigned Worker);
 
   /// Recognizes the prefix-localization pattern (the grown prefix plus
   /// exactly one new declaration, or a fresh single-declaration start) and
@@ -183,19 +138,17 @@ private:
   /// the retained checkpoint into a growth environment so the rest of
   /// the walk runs incrementally. \returns true when handled.
   bool trySessionProbe(const caml::Program &Prog, bool &Verdict);
-  /// Moves the live seed state (checkpoint, prefix clone, worker
-  /// checkpoints, verdict cache) into Retained, keyed on the seed's
-  /// interned prefix ids; called from clearPrefix in session mode.
+  /// Moves the live seed state (checkpoint, prefix clone) into Retained,
+  /// keyed on the seed's interned prefix ids; called from clearPrefix in
+  /// session mode.
   void stashSessionState();
-  /// Moves the retained verdict cache and worker checkpoints back into
-  /// the live seed state (the adopting seed's prefix ids matched).
-  void adoptRetainedCaches();
   /// True when the retained conventional-error memo provably applies to
   /// the program the current source text parsed to.
   bool convMemoApplies(const caml::Program &Prog) const;
 
   OracleAccelOptions Accel;
   AccelCounters Counters;
+  std::shared_ptr<caml::AstArena> TheArena;
 
   // Pre-seed state ----------------------------------------------------------
   /// Environment grown one committed declaration at a time while the
@@ -214,38 +167,25 @@ private:
   bool Seeded = false;
   unsigned EditedIndex = 0;
   std::vector<const caml::Decl *> PrefixIdentity; ///< Fast-path pointers.
-  caml::Program PrefixClone; ///< For building worker checkpoints.
+  /// Clones of the prefix declarations (the adopted growth environment's,
+  /// or built at seedPrefix in session mode only): a retained checkpoint
+  /// turned back into a growth environment needs them to match later
+  /// localization probes structurally.
+  caml::Program PrefixClone;
   std::unique_ptr<caml::InferenceCheckpoint> Checkpoint;
-  std::vector<std::unique_ptr<caml::InferenceCheckpoint>> WorkerCheckpoints;
-  std::unordered_map<uint64_t, std::vector<CacheEntry>> VerdictCache;
-
-  /// Arena-keyed verdict cache: canonical declaration id -> flags. Id
-  /// equality is structural equality, so no confirming deep compare and
-  /// no stored clones. Cleared with the prefix (verdicts depend on the
-  /// prefix environment); the arena itself persists. In session mode the
-  /// map is stashed at clearPrefix and re-adopted by a later request
-  /// whose prefix interns to the same ids; RetainedBit marks entries
-  /// that crossed a request boundary so reuse is countable.
-  static constexpr uint8_t VerdictBit = 1;  ///< The candidate type-checks.
-  static constexpr uint8_t RetainedBit = 2; ///< From an earlier request.
-  std::shared_ptr<caml::AstArena> TheArena;
-  std::unordered_map<caml::AstArena::DeclId, uint8_t> VerdictById;
 
   // Session retention state (server mode) ------------------------------
   bool SessionRetention = false;
   /// Seed state stashed at clearPrefix, keyed on the prefix's interned
   /// ids. Everything here is conditioned on exactly that prefix: the
-  /// checkpoint and worker checkpoints snapshot its environment, the
-  /// verdict flags answer "does this edited declaration type-check after
-  /// it", and FailingId is the declaration known to fail on top of it.
+  /// checkpoint snapshots its environment and FailingId is the
+  /// declaration known to fail on top of it.
   struct RetainedSeed {
     bool Valid = false;
     std::vector<caml::AstArena::DeclId> PrefixIds;
     caml::AstArena::DeclId FailingId = caml::AstArena::InvalidId;
     std::unique_ptr<caml::InferenceCheckpoint> Checkpoint;
     caml::Program PrefixClone;
-    std::vector<std::unique_ptr<caml::InferenceCheckpoint>> WorkerCheckpoints;
-    std::unordered_map<caml::AstArena::DeclId, uint8_t> Verdicts;
   };
   RetainedSeed Retained;
 
@@ -280,8 +220,6 @@ private:
   /// (primeConventional/conventionalError/clearPrefix) so pointers never
   /// dangle across programs.
   std::vector<std::pair<const caml::Decl *, caml::AstArena::DeclId>> WalkIds;
-
-  std::unique_ptr<ThreadPool> Pool; ///< Created on first batch.
 };
 
 } // namespace seminal

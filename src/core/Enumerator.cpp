@@ -83,19 +83,12 @@ std::vector<CandidateChange> emitTuplePermutations(const Expr &Node,
   return Perms;
 }
 
-/// A thunk that rebuilds \p Node on demand for a deferred follow-up
-/// family. With an arena the closure captures the overlay spine (shared
-/// arena + interned id) and materializes only if the family actually
-/// fires; without one it falls back to owning a clone for its lifetime.
+/// A thunk that rebuilds \p Node's permutation family on demand for a
+/// deferred follow-up; the closure owns a clone of the node.
 std::function<std::vector<CandidateChange>()>
-deferredFamily(const Expr &Node, const EnumeratorOptions &Opts,
+deferredFamily(const Expr &Node,
                std::vector<CandidateChange> (*Emit)(const Expr &, unsigned),
                unsigned Arity) {
-  if (Opts.Arena) {
-    std::shared_ptr<AstArena> A = Opts.Arena;
-    AstArena::ExprId Id = A->internExpr(Node);
-    return [A, Id, Emit, Arity]() { return Emit(*A->materializeExpr(Id), Arity); };
-  }
   auto NodeCopy = std::shared_ptr<Expr>(Node.clone().release());
   return [NodeCopy, Emit, Arity]() { return Emit(*NodeCopy, Arity); };
 }
@@ -160,7 +153,7 @@ void appChanges(const Expr &Node, const EnumeratorOptions &Opts,
   // Full permutations, gated behind an all-wildcards probe: if
   // `f [[...]] ... [[...]]` fails, no permutation can succeed.
   if (NumArgs >= 3 && NumArgs <= Opts.MaxPermutationArity) {
-    auto EmitPerms = deferredFamily(Node, Opts, emitArgPermutations, NumArgs);
+    auto EmitPerms = deferredFamily(Node, emitArgPermutations, NumArgs);
 
     if (Opts.GateExpensiveChanges) {
       // Slice feasibility pre-probe: when the guide proves no argument
@@ -364,7 +357,7 @@ void tupleChanges(const Expr &Node, const EnumeratorOptions &Opts,
   // Permute components, gated behind the paper's example probe:
   // (e1, e2, e3) -> ([[...]], [[...]], [[...]]).
   if (N >= 2 && N <= Opts.MaxPermutationArity) {
-    auto EmitPerms = deferredFamily(Node, Opts, emitTuplePermutations, N);
+    auto EmitPerms = deferredFamily(Node, emitTuplePermutations, N);
     if (Opts.GateExpensiveChanges) {
       CandidateChange Probe;
       std::vector<ExprPtr> Holes;

@@ -56,13 +56,6 @@ struct EnumeratorOptions {
   /// any emitted candidate. The searcher installs this only in
   /// slice-guided mode, outside triage.
   const analysis::SliceGuide *Guide = nullptr;
-
-  /// Hash-consing arena (may be null). When set, lazily-gated follow-up
-  /// families capture the examined node as an interned id -- the overlay
-  /// spine -- instead of a deep clone held alive by the closure, so
-  /// families that never fire (their probe failed) pin no dead trees.
-  /// Emitted candidates are identical either way.
-  std::shared_ptr<caml::AstArena> Arena;
 };
 
 /// Produces the constructive changes to try at \p Node.

@@ -4,7 +4,6 @@
 
 #include "minicaml/Printer.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace seminal;
@@ -22,7 +21,7 @@ bool Searcher::oracleSays() {
 
 void Searcher::note(const char *Layer, const char *Kind,
                     const std::string &Description, const std::string &Path,
-                    bool Verdict, bool Probe, bool Batched, bool Pruned) {
+                    bool Verdict, bool Probe, bool Pruned) {
   if (!Opts.Telemetry)
     return;
   obs::CandidateOutcome O;
@@ -32,31 +31,20 @@ void Searcher::note(const char *Layer, const char *Kind,
   O.Path = Path;
   O.Verdict = Verdict;
   O.Probe = Probe;
-  O.Batched = Batched;
   O.Pruned = Pruned;
   Opts.Telemetry->record(std::move(O));
 }
 
 LazyProgram Searcher::captureModified() {
-  if (!Arena)
-    return LazyProgram(Work.clone());
-  // The declarations before FocusDecl are never edited during a run (the
-  // seedPrefix contract), so they are interned once per run, memoized on
-  // their addresses; each capture interns only the focus declaration.
-  for (unsigned I = 0; I < FocusDecl; ++I) {
-    const Decl *D = Work.Decls[I].get();
-    if (I < PrefixIds.size() && PrefixIds[I].first == D)
-      continue;
-    PrefixIds.resize(I);
-    PrefixIds.emplace_back(D, Arena->internDecl(*D));
+  assert(Work.Decls.size() == FocusDecl + 1u && "Work ends at the focus");
+  if (!CapturedPrefix) {
+    auto Prefix = std::make_shared<Program>();
+    Prefix->Decls.reserve(FocusDecl);
+    for (unsigned I = 0; I < FocusDecl; ++I)
+      Prefix->Decls.push_back(Work.Decls[I]->clone());
+    CapturedPrefix = std::move(Prefix);
   }
-  std::vector<AstArena::DeclId> Ids;
-  Ids.reserve(Work.Decls.size());
-  for (unsigned I = 0; I < FocusDecl; ++I)
-    Ids.push_back(PrefixIds[I].second);
-  for (size_t I = FocusDecl; I < Work.Decls.size(); ++I)
-    Ids.push_back(Arena->internDecl(*Work.Decls[I]));
-  return LazyProgram(Arena, std::move(Ids));
+  return LazyProgram(CapturedPrefix, Work.Decls[FocusDecl]->clone());
 }
 
 bool Searcher::testWith(const NodePath &Path, ExprPtr &Replacement) {
@@ -105,13 +93,11 @@ void Searcher::addSuggestion(ChangeKind Kind, const NodePath &Path,
 
 bool Searcher::tryCandidates(const NodePath &Path,
                              std::vector<CandidateChange> Cands) {
-  if (Opts.Accel.ParallelBatch && TheOracle.supportsBatch())
-    return tryCandidatesBatched(Path, std::move(Cands));
   TraceLayerScope Layer("constructive");
   const Expr *Node = guideActive() ? resolvePath(Work, Path) : nullptr;
   // With an arena the per-candidate diff walks interned ids (shared
-  // subtrees compare as integers); interned once per node, reused for
-  // every candidate and by the oracle's overlay construction.
+  // subtrees compare as integers); the node is interned once and reused
+  // for every candidate.
   AstArena::ExprId NodeId =
       Node && Arena ? Arena->internExpr(*Node) : AstArena::InvalidId;
   const std::string PathStr = Opts.Telemetry ? Path.str() : std::string();
@@ -131,8 +117,7 @@ bool Searcher::tryCandidates(const NodePath &Path,
       ++Guide->PrunedCandidates;
       Ok = false;
       note("constructive", C.IsProbe ? "probe" : "constructive",
-           C.Description, PathStr, false, C.IsProbe, /*Batched=*/false,
-           /*Pruned=*/true);
+           C.Description, PathStr, false, C.IsProbe, /*Pruned=*/true);
     } else {
       TraceSpan Span(Opts.Trace, SpanKind::Candidate, "searcher.candidate");
       Ok = testWith(Path, C.Replacement);
@@ -156,94 +141,6 @@ bool Searcher::tryCandidates(const NodePath &Path,
       for (auto &Next : More)
         Cands.push_back(std::move(Next));
     }
-  }
-  if (Opts.Metric && Tried)
-    Opts.Metric->observe(metric::CandidatesPerNode, double(Tried));
-  return Any;
-}
-
-bool Searcher::tryCandidatesBatched(const NodePath &Path,
-                                    std::vector<CandidateChange> Cands) {
-  TraceLayerScope Layer("constructive");
-  const Expr *Node = guideActive() ? resolvePath(Work, Path) : nullptr;
-  AstArena::ExprId NodeId =
-      Node && Arena ? Arena->internExpr(*Node) : AstArena::InvalidId;
-  const std::string PathStr = Opts.Telemetry ? Path.str() : std::string();
-  bool Any = false;
-  size_t Tried = 0;
-  size_t I = 0;
-  while (I < Cands.size() && !OutOfBudget) {
-    // One wave = everything currently on the worklist (follow-ups landed
-    // by earlier waves included), truncated to the remaining budget. The
-    // candidates in a wave are mutually independent: each is a different
-    // replacement at the same path, so verdicts cannot interact.
-    size_t Used = TheOracle.callCount();
-    size_t Remaining =
-        Used < Opts.MaxOracleCalls ? Opts.MaxOracleCalls - Used : 0;
-    if (Remaining == 0) {
-      OutOfBudget = true;
-      break;
-    }
-    size_t WaveEnd = I + std::min(Cands.size() - I, Remaining);
-
-    // Slice-doomed candidates are excluded from the batch; their verdict
-    // is a proven "no" and they cost no oracle call.
-    std::vector<char> Doomed(WaveEnd - I, 0);
-    std::vector<const Expr *> Replacements;
-    Replacements.reserve(WaveEnd - I);
-    for (size_t J = I; J < WaveEnd; ++J) {
-      if (Node &&
-          (Arena
-               ? Guide->candidateDoomed(
-                     *Node, NodeId, *Cands[J].Replacement,
-                     Arena->internExpr(*Cands[J].Replacement), *Arena)
-               : Guide->candidateDoomed(*Node, *Cands[J].Replacement))) {
-        Doomed[J - I] = 1;
-        ++Guide->PrunedCandidates;
-      } else {
-        Replacements.push_back(Cands[J].Replacement.get());
-      }
-    }
-    std::vector<bool> Verdicts;
-    if (!Replacements.empty())
-      Verdicts = TheOracle.typecheckBatch(Work, Path, Replacements);
-
-    // Consume verdicts in worklist order: suggestions are appended and
-    // follow-ups enqueued exactly as the sequential loop would.
-    size_t VI = 0;
-    for (size_t J = I; J < WaveEnd; ++J) {
-      CandidateChange &C = Cands[J];
-      bool Ok = Doomed[J - I] ? false : Verdicts[VI++];
-      if (!Doomed[J - I])
-        ++Tried;
-      // Zero-duration attribution spans: the oracle work itself is
-      // recorded under the batch span, but rankers of the trace still
-      // see which candidate each verdict belonged to.
-      TraceSpan Span(Opts.Trace, SpanKind::Candidate, "searcher.candidate");
-      if (Span.enabled()) {
-        Span.attr("description", C.Description);
-        Span.attr("probe", C.IsProbe);
-        Span.attr("priority", C.Priority);
-        Span.attr("verdict", Ok);
-        Span.attr("batched", true);
-      }
-      Span.finish();
-      note("constructive", C.IsProbe ? "probe" : "constructive",
-           C.Description, PathStr, Ok, C.IsProbe, /*Batched=*/true,
-           /*Pruned=*/Doomed[J - I] != 0);
-      if (Ok && !C.IsProbe) {
-        addSuggestion(ChangeKind::Constructive, Path,
-                      std::move(C.Replacement), C.Description,
-                      /*LikelyUnbound=*/false, C.Priority);
-        Any = true;
-      }
-      if (C.FollowUps) {
-        std::vector<CandidateChange> More = C.FollowUps(Ok);
-        for (auto &Next : More)
-          Cands.push_back(std::move(Next));
-      }
-    }
-    I = WaveEnd;
   }
   if (Opts.Metric && Tried)
     Opts.Metric->observe(metric::CandidatesPerNode, double(Tried));
@@ -295,7 +192,7 @@ bool Searcher::searchExpr(const NodePath &Path) {
   if (guideActive() && Guide->subtreeDoomed(*Node)) {
     ++Guide->PrunedSubtrees;
     note("removal", "probe", "", Opts.Telemetry ? Path.str() : std::string(),
-         false, /*Probe=*/true, /*Batched=*/false, /*Pruned=*/true);
+         false, /*Probe=*/true, /*Pruned=*/true);
     return false;
   }
 
@@ -327,7 +224,7 @@ bool Searcher::searchExpr(const NodePath &Path) {
   if (guideActive() && Guide->adaptationDoomed(*Node)) {
     ++Guide->PrunedAdaptations;
     note("adaptation", "adaptation", "", PathStr, false, /*Probe=*/false,
-         /*Batched=*/false, /*Pruned=*/true);
+         /*Pruned=*/true);
   } else {
     ExprPtr Adapted = makeAdapt(Node->clone());
     {
@@ -345,7 +242,6 @@ bool Searcher::searchExpr(const NodePath &Path) {
   // rides along (guided mode, outside triage) so the enumerator can skip
   // permutation probes whose failure is already proven.
   EnumeratorOptions EnumOpts = Opts.Enum;
-  EnumOpts.Arena = Arena;
   if (guideActive())
     EnumOpts.Guide = Guide.get();
   bool AnyConstructive = tryCandidates(Path, enumerateChanges(*Node, EnumOpts));
@@ -714,7 +610,7 @@ void Searcher::prepareSlice() {
 SearchOutput Searcher::run(const Program &Input) {
   SearchOutput Out;
   Suggestions.clear();
-  PrefixIds.clear(); // Keyed on addresses of the previous run's Work.
+  CapturedPrefix.reset();
   OutOfBudget = false;
   SliceResult.reset();
   Guide.reset();
@@ -752,7 +648,7 @@ SearchOutput Searcher::run(const Program &Input) {
       for (size_t P = 0; P < LocalizationsSkipped && Opts.Telemetry; ++P)
         note("localize", "probe", "prefix pinned by internal inference", "",
              /*Verdict=*/P + 1 < LocalizationsSkipped, /*Probe=*/true,
-             /*Batched=*/false, /*Pruned=*/true);
+             /*Pruned=*/true);
     }
   }
   if (!Failing) {

@@ -72,8 +72,7 @@ struct SearchOptions {
   size_t MaxOracleCalls = 200000;
 
   /// Oracle acceleration toggles (forwarded to the oracle by runSeminal;
-  /// a Searcher driven with a hand-built oracle ignores all but
-  /// ParallelBatch, which additionally gates batched candidate waves).
+  /// a Searcher driven with a hand-built oracle ignores them).
   OracleAccelOptions Accel;
 
   EnumeratorOptions Enum;
@@ -147,12 +146,9 @@ struct SearchOutput {
 class Searcher {
 public:
   /// \p Arena, when non-null, is the hash-consing arena shared with the
-  /// accelerated oracle: suggestions capture their modified program as
-  /// interned declaration ids (materialized only if read), enumerator
-  /// follow-ups capture overlay spines instead of cloned subtrees, and
-  /// slice-guide candidate diffs walk interned ids. With a null arena
-  /// every capture falls back to deep clones; search behavior and
-  /// suggestion lists are bit-identical either way.
+  /// accelerated oracle; slice-guided search diffs candidates against the
+  /// examined node by interned id instead of walking both trees. Search
+  /// behavior and suggestion lists are bit-identical either way.
   Searcher(Oracle &TheOracle, const SearchOptions &Opts,
            std::shared_ptr<caml::AstArena> Arena = nullptr)
       : TheOracle(TheOracle), Opts(Opts), Arena(std::move(Arena)) {}
@@ -176,14 +172,6 @@ private:
   bool tryCandidates(const caml::NodePath &Path,
                      std::vector<CandidateChange> Cands);
 
-  /// Batched variant of tryCandidates: evaluates the worklist in waves
-  /// through Oracle::typecheckBatch. Wave order replays the sequential
-  /// worklist order exactly, so suggestions and logical-call totals are
-  /// identical; only the budget-exhaustion cutoff can differ in
-  /// granularity.
-  bool tryCandidatesBatched(const caml::NodePath &Path,
-                            std::vector<CandidateChange> Cands);
-
   /// Declaration-level changes (toggle rec, curry/tuple params).
   bool tryDeclChanges(unsigned DeclIndex);
 
@@ -200,8 +188,7 @@ private:
   /// Emits one outcome record to Opts.Telemetry (no-op when null).
   void note(const char *Layer, const char *Kind,
             const std::string &Description, const std::string &Path,
-            bool Verdict, bool Probe, bool Batched = false,
-            bool Pruned = false);
+            bool Verdict, bool Probe, bool Pruned = false);
 
   // Suggestion construction -------------------------------------------------
   void addSuggestion(ChangeKind Kind, const caml::NodePath &Path,
@@ -209,10 +196,8 @@ private:
                      const std::string &Description,
                      bool LikelyUnbound = false, int Priority = 0);
 
-  /// Captures Work for a Suggestion: interned ids over the arena when one
-  /// is attached (the prefix interned once per run, the focus declaration
-  /// per call; allocation only for previously unseen spine nodes), a deep
-  /// clone otherwise.
+  /// Captures Work for a Suggestion: a clone of the focus declaration
+  /// over CapturedPrefix, which is cloned once per run on first use.
   LazyProgram captureModified();
 
   Oracle &TheOracle;
@@ -221,10 +206,9 @@ private:
 
   caml::Program Work;      ///< Prefix clone being edited in place.
   unsigned FocusDecl = 0;  ///< Declaration under scrutiny.
-  /// Interned ids of Work's declarations before FocusDecl, paired with
-  /// the declaration each was interned from (see captureModified).
-  std::vector<std::pair<const caml::Decl *, caml::AstArena::DeclId>>
-      PrefixIds;
+  /// Clones of Work's declarations before FocusDecl, shared by every
+  /// suggestion of the run (the prefix is never edited while seeded).
+  std::shared_ptr<const caml::Program> CapturedPrefix;
   bool OutOfBudget = false;
 
   /// Computes the slice of Work's focus declaration and (in guided mode)

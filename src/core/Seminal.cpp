@@ -109,10 +109,6 @@ SeminalReport seminal::runSeminalWithOracle(CheckpointedOracle &TheOracle,
   TheOracle.resetCallCount();
   TheOracle.resetCounters();
   TheOracle.setInstrumentation(Opts.Search.Trace, Opts.Search.Metric);
-  // One arena per run, shared by oracle and searcher: the searcher's
-  // candidate overlays hit the oracle's interned base nodes, and
-  // suggestion captures reuse both. Null when the arena is toggled off.
-  std::shared_ptr<caml::AstArena> Arena = TheOracle.arena();
   Report.CheckerError = TheOracle.conventionalError(Prog);
 
   {
@@ -122,7 +118,7 @@ SeminalReport seminal::runSeminalWithOracle(CheckpointedOracle &TheOracle,
     if (RootSpan.enabled())
       RootSpan.attr("decls", int64_t(Prog.Decls.size()));
 
-    Searcher S(TheOracle, Opts.Search, Arena);
+    Searcher S(TheOracle, Opts.Search, TheOracle.arena());
     SearchOutput Out = S.run(Prog);
 
     Report.InputTypechecks = Out.InputTypechecks;
@@ -159,6 +155,15 @@ SeminalReport seminal::runSeminalWithOracle(CheckpointedOracle &TheOracle,
   Report.OracleCalls = TheOracle.logicalCalls();
   Report.InferenceRuns = TheOracle.inferenceRuns();
   Report.Accel = TheOracle.counters();
+  // Arena occupancy is a level, read once here for the report and the
+  // cost ledger. Only session retention's prefix ids and slice-guided
+  // candidate diffs add nodes; a default one-shot run adds none.
+  if (const std::shared_ptr<caml::AstArena> &Arena = TheOracle.arena()) {
+    const caml::AstArena::Stats &A = Arena->stats();
+    Report.Accel.ArenaNodes = A.Nodes;
+    Report.Accel.ArenaHits = A.Hits;
+    Report.Accel.ArenaBytes = A.Bytes;
+  }
   if (Opts.Search.Trace)
     Report.Trace = Opts.Search.Trace->summarize();
   return Report;

@@ -120,8 +120,8 @@ class CheckpointedOracle;
 
 /// Runs one request against a caller-owned (typically long-lived) oracle.
 /// This is the server entry point: the oracle keeps its arena, retained
-/// session checkpoints and verdict caches across calls, while everything
-/// per-request is reset at entry -- the logical-call count (so
+/// session checkpoint and conventional-error memo across calls, while
+/// everything per-request is reset at entry -- the logical-call count (so
 /// SearchOptions::MaxOracleCalls budgets each request, not the session)
 /// and the AccelCounters (so SeminalReport::Accel describes this request
 /// only; accumulate across requests caller-side). Suggestions and

@@ -1,4 +1,4 @@
-//===- Arena.h - Hash-consed AST arena with persistent overlays -*- C++ -*-==//
+//===- Arena.h - Hash-consed AST arena -------------------------*- C++ -*-===//
 //
 // Part of the SEMINAL reproduction. See README.md for license information.
 //
@@ -9,33 +9,24 @@
 /// expression/pattern/declaration subtree interns to a canonical node id:
 /// identical subtrees are stored exactly once, so id equality *is* tree
 /// equality, and each node's structural hash (bit-identical to
-/// minicaml/Hash's hashExpr/hashPattern/hashDecl of the materialized
-/// tree) is computed once from its children's cached hashes, never by
-/// walking a tree.
+/// minicaml/Hash's hashExpr/hashPattern/hashDecl of the same tree) is
+/// computed once from its children's cached hashes, never by walking a
+/// tree.
 ///
-/// The arena is what makes the candidate pipeline copy-free: a candidate
-/// edit is represented as a path-copied *overlay* -- overlayDecl() builds
-/// the id of "base declaration with the subtree at this path replaced" by
-/// re-interning only the O(spine) nodes along the path, sharing every
-/// off-spine subtree with the base. The accelerated oracle keys its
-/// verdict cache on these ids (a lookup is one integer probe; no rehash,
-/// no deep equality, no stored clones), and two candidates whose overlays
-/// collapse to the same interned tree are detected by comparing two
-/// integers. Real trees are materialized only on a verdict-cache miss
-/// (for inference) and when a Suggestion is rendered.
+/// Two consumers rely on this: the search daemon's session retention
+/// keys its cross-request state on a prefix's interned declaration ids
+/// (an edit-resubmit compares integers, not trees), and slice-guided
+/// search diffs a candidate against the examined node by id. Candidate
+/// evaluation itself never interns: a one-shot search leaves the arena
+/// empty.
 ///
 /// Interned nodes are immutable and never freed, so ids remain valid for
-/// the arena's lifetime -- across seedPrefix/clearPrefix cycles and, for
-/// the future search daemon, across requests: programs sharing subtrees
-/// (the common stdlib-prelude case) share storage and verdict-cache
-/// history automatically. Materialized trees carry default (unknown)
-/// source spans; hashes, equality, printing, inference and evaluation are
-/// all span-independent, which is what makes sharing sound.
+/// the arena's lifetime -- across seedPrefix/clearPrefix cycles and
+/// across a daemon session's requests. Hashes and equality are
+/// span-independent, which is what makes sharing sound.
 ///
 /// Thread-safety: interning mutates the arena and must stay on one thread
-/// (the search thread). The batched oracle materializes candidate trees
-/// *before* fanning out, so ThreadPool workers only ever read immutable
-/// plain-AST clones and never touch the arena.
+/// (the search thread of the session that owns it).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,28 +60,9 @@ public:
   PatternId internPattern(const Pattern &P);
   DeclId internDecl(const Decl &D);
 
-  // Overlays ------------------------------------------------------------
-  /// Id of expression \p Base with the subtree reached by \p Steps
-  /// replaced by \p Repl. Only the spine is re-interned (O(path length)
-  /// table probes); every off-spine child is shared with \p Base.
-  ExprId overlayExpr(ExprId Base, const std::vector<unsigned> &Steps,
-                     ExprId Repl);
-
-  /// Id of let-declaration \p Base with the subtree at \p Steps (inside
-  /// its right-hand side) replaced by \p Repl. Steps follow
-  /// NodePath::Steps semantics: empty replaces the whole Rhs.
-  DeclId overlayDecl(DeclId Base, const std::vector<unsigned> &Steps,
-                     ExprId Repl);
-
-  // Materialization -----------------------------------------------------
-  // Fresh trees, structurally equal to what was interned (spans default).
-  ExprPtr materializeExpr(ExprId Id) const;
-  PatternPtr materializePattern(PatternId Id) const;
-  DeclPtr materializeDecl(DeclId Id) const;
-
   // Node access ---------------------------------------------------------
-  /// Cached structural hash; equals hashExpr/hashDecl of the
-  /// materialized tree.
+  /// Cached structural hash; equals hashExpr/hashDecl of the interned
+  /// tree.
   uint64_t exprHash(ExprId Id) const { return ExprNodes[Id].Hash; }
   uint64_t declHash(DeclId Id) const { return DeclNodes[Id].Hash; }
   Expr::Kind exprKind(ExprId Id) const { return ExprNodes[Id].Kind; }
@@ -110,7 +82,7 @@ public:
   /// Drops every interned node and resets the occupancy stats, returning
   /// the arena to its freshly-constructed state. Every previously issued
   /// id becomes invalid -- the caller must guarantee nothing holds one
-  /// (no live LazyPrograms, no id-keyed verdict caches). This is the
+  /// (no oracle with session state keyed on it). This is the
   /// eviction path for long-lived arenas: the search daemon clears a
   /// session's arena when retained bytes cross the session watermark
   /// (DESIGN.md section 13), after dropping the caches keyed on it.
@@ -174,12 +146,10 @@ private:
   /// hashDecl; the canonical clone carries the structure).
   DeclId internDeclNode(DeclNode &&N);
 
-  // Allocation-free lookups for the hot paths. The keyed variants probe
-  // the table against a source tree plus already-interned child ids; a
-  // node record (with its string/vector copies) is built only on a miss,
-  // i.e. only for subtrees the arena has never seen. The *WithChild/
-  // *WithRhs variants are the overlay spine's probe: "existing node with
-  // one slot replaced", again copying only on a miss.
+  // Allocation-free lookups for the intern walk: probe the table against
+  // a source tree plus already-interned child ids; a node record (with
+  // its string/vector copies) is built only on a miss, i.e. only for
+  // subtrees the arena has never seen.
   PatternId internPatternKeyed(const Pattern &P, const PatternId *Elems,
                                size_t NumElems, PatternId Head,
                                PatternId Tail, PatternId Arg);
@@ -187,8 +157,6 @@ private:
                          const PatternId *Params, size_t NumParams,
                          const PatternId *ArmPats, size_t NumArmPats,
                          const ExprId *Children, size_t NumChildren);
-  ExprId internWithChild(ExprId Orig, unsigned Slot, ExprId NewChild);
-  DeclId internLetWithRhs(DeclId Base, ExprId NewRhs);
 
   std::vector<ExprNode> ExprNodes;
   std::vector<PatternNode> PatternNodes;

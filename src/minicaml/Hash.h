@@ -8,12 +8,9 @@
 /// Structural (content-based) 64-bit hashes over expressions, patterns,
 /// declarations, and programs. Two trees that compare equal under the AST
 /// equals() methods hash identically -- in particular a clone hashes the
-/// same as its original -- while source spans are ignored. The searcher's
-/// verdict cache (core/CheckpointedOracle.h) keys type-check outcomes on
-/// these hashes: triage and the enumerator's lazily-expanded change
-/// collections regenerate identical candidate programs many times over,
-/// and a hash plus one deep-equality check turns each repeat into a table
-/// lookup instead of an inference run.
+/// same as its original -- while source spans are ignored. The
+/// hash-consing arena (minicaml/Arena.h) buckets interned nodes by these
+/// hashes, and RunReports identify the input program by hashProgram.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +29,7 @@ namespace caml {
 /// hash-consing arena (minicaml/Arena.h) builds each interned node's hash
 /// from its children's cached hashes with exactly these functions, which
 /// is what guarantees arena hashes equal hashExpr/hashDecl of the
-/// materialized tree without walking it.
+/// interned tree without walking it.
 namespace hashing {
 
 /// Initial accumulator for every node hash (the FNV-1a offset basis).

@@ -3,6 +3,7 @@
 #include "minicaml/Lexer.h"
 
 #include <cctype>
+#include <charconv>
 #include <unordered_map>
 
 using namespace seminal;
@@ -114,7 +115,12 @@ Token Lexer::next() {
     while (std::isdigit(static_cast<unsigned char>(peek())))
       advance();
     Token T = makeToken(Token::Kind::IntLit, Start);
-    T.IntValue = std::stol(T.Text);
+    // A literal too large for a long is a lexical error (the source is
+    // untrusted: the daemon must answer it, not abort).
+    if (std::from_chars(T.Text.data(), T.Text.data() + T.Text.size(),
+                        T.IntValue)
+            .ec != std::errc())
+      return errorToken(Start, "integer literal out of range");
     return T;
   }
 

@@ -46,7 +46,11 @@ namespace obs {
 /// arena_nodes / arena_bytes / verdict_cache_hits). Consumers that
 /// reconcile effort against the ledger must not read v1 records, hence
 /// the bump rather than a silent field addition.
-inline constexpr int RunReportSchemaVersion = 2;
+///
+/// v3: effort lost "batches" and "wave_collapsed" with the batched
+/// candidate path they counted; "cache_hits" now counts only the
+/// conventional-verdict memo.
+inline constexpr int RunReportSchemaVersion = 3;
 
 /// One ranked suggestion, flattened for reporting.
 struct SuggestionOutcome {
@@ -113,8 +117,8 @@ struct RunReport {
   /// hardware-dependent and never gated; the logical fields mirror
   /// Accel / OracleCalls by construction.
   RequestCost Cost;
-  /// Acceleration-layer counters for the run (cache hits, checkpoint
-  /// reuse, batches).
+  /// Acceleration-layer counters for the run (memo hits, checkpoint
+  /// reuse, arena occupancy).
   AccelCounters Accel;
   /// Candidate outcomes per search layer (from the TelemetrySink).
   std::map<std::string, LayerStats> Layers;

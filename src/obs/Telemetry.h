@@ -53,8 +53,6 @@ struct CandidateOutcome {
   bool Verdict = false;
   /// Feasibility probe: steers follow-ups, never reported.
   bool Probe = false;
-  /// Answered inside a batched candidate wave.
-  bool Batched = false;
   /// Statically answered "no" by slice guidance (no oracle call spent).
   bool Pruned = false;
   /// 1-based rank among the final ranked suggestions; 0 for records that

@@ -34,7 +34,6 @@ std::string ServerStats::renderJsonMembers() const {
      << ",\"cache_hits\":" << Accel.CacheHits
      << ",\"cache_misses\":" << Accel.CacheMisses
      << ",\"warm\":{\"prefix_hits\":" << Accel.SessionPrefixHits
-     << ",\"verdict_reuses\":" << Accel.SessionVerdictReuses
      << ",\"seed_adoptions\":" << Accel.SessionSeedAdoptions
      << ",\"conv_memo_hits\":" << Accel.SessionConvMemoHits << "}";
   // The cost-ledger rollup, same field names as the RunReport's "cost"
@@ -85,7 +84,6 @@ std::string server::renderCheckResponse(const std::string &Id,
   M << ",\"oracle_calls\":" << O.OracleCalls
     << ",\"inference_runs\":" << O.InferenceRuns
     << ",\"warm\":{\"prefix_hits\":" << O.Accel.SessionPrefixHits
-    << ",\"verdict_reuses\":" << O.Accel.SessionVerdictReuses
     << ",\"seed_adoptions\":" << O.Accel.SessionSeedAdoptions
     << ",\"conv_memo_hits\":" << O.Accel.SessionConvMemoHits
     << ",\"replayed\":" << (O.Replayed ? "true" : "false")
@@ -108,8 +106,7 @@ std::string server::renderCheckResponse(const std::string &Id,
 namespace {
 
 uint64_t warmTotal(const AccelCounters &A) {
-  return A.SessionPrefixHits + A.SessionVerdictReuses +
-         A.SessionSeedAdoptions + A.SessionConvMemoHits;
+  return A.SessionPrefixHits + A.SessionSeedAdoptions + A.SessionConvMemoHits;
 }
 
 uint64_t microsSince(std::chrono::steady_clock::time_point Start) {
@@ -196,7 +193,7 @@ ServerEngine::ServerEngine(const ServerOptions &Opts)
                                         "Full inference runs across checks");
   Ops.WarmHits = &Registry.counter(
       "seminal_warm_hits_total",
-      "Session warm-state reuses (prefix + verdict + seed + memo)");
+      "Session warm-state reuses (prefix + seed + memo)");
   Ops.SlowTraces = &Registry.counter("seminal_slow_traces_total",
                                      "Requests that exported a slow trace");
   Ops.Sessions = &Registry.gauge("seminal_sessions", "Live sessions");
@@ -216,7 +213,7 @@ ServerEngine::ServerEngine(const ServerOptions &Opts)
       "Ledger: inference runs across checks");
   Ops.CostVerdictHits = &Registry.counter(
       "seminal_cost_verdict_cache_hits_total",
-      "Ledger: verdict-cache hits across checks");
+      "Ledger: conventional-verdict memo hits across checks");
   Ops.CostArenaNodes = &Registry.gauge(
       "seminal_cost_arena_nodes",
       "Ledger: arena nodes after the most recent check");

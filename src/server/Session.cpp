@@ -17,9 +17,10 @@ using namespace seminal::server;
 
 Session::Session(std::string Name, const SessionConfig &Config)
     : Name(std::move(Name)), Config(Config) {
-  // Session retention needs the arena-keyed caches; force the layers on
-  // regardless of what the caller left in Accel so a session is never
-  // silently cold. (Ablation experiments drive the oracle directly.)
+  // Session retention needs the arena and the checkpoint, and the memo
+  // answers the opening probe; force the layers on regardless of what the
+  // caller left in Accel so a session is never silently cold. (Ablation
+  // experiments drive the oracle directly.)
   this->Config.Accel.Arena = true;
   this->Config.Accel.Checkpoint = true;
   this->Config.Accel.VerdictCache = true;
@@ -207,11 +208,8 @@ CheckOutcome Session::check(const std::string &Source,
   TotalOracleCalls += R.OracleCalls;
   TotalInferenceRuns += R.InferenceRuns;
 
-  // Eviction check. Suggestions hold lazily-materialized programs that
-  // reference the arena; drop the report (everything the response needs
-  // is already rendered into Out) before deciding, so an in-place clear
-  // is possible.
-  R = SeminalReport();
+  // Eviction check: the arena holds only the retained prefix's ids, which
+  // rebuildOracle drops along with the oracle.
   if (arenaBytes() > Config.ArenaEvictBytes) {
     rebuildOracle();
     ++Evictions;

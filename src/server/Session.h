@@ -9,8 +9,8 @@
 /// long-lived CheckpointedOracle in session-retention mode, its shared
 /// hash-consing arena, and the previous check's answer. Requests from
 /// the same editor hit the same Session, so an edit-resubmit re-adopts
-/// the previous request's prefix checkpoint and verdict cache instead of
-/// re-inferring from scratch (CheckpointedOracle.h's server-mode notes),
+/// the previous request's prefix checkpoint instead of re-inferring from
+/// scratch (CheckpointedOracle.h's server-mode notes),
 /// and a resubmit of the very same bytes under the same limits replays
 /// the previous answer without searching at all.
 ///
@@ -49,9 +49,8 @@ namespace server {
 
 /// Configuration shared by every session of one server.
 struct SessionConfig {
-  /// Oracle acceleration for the long-lived oracle. ParallelBatch stays
-  /// off by default: server concurrency comes from sharding sessions
-  /// across workers, and nested pools would oversubscribe.
+  /// Oracle acceleration for the long-lived oracle. Server concurrency
+  /// comes from sharding sessions across workers, not from the oracle.
   OracleAccelOptions Accel;
 
   /// Baseline run options; per-request limits override copies of this.
@@ -135,7 +134,7 @@ public:
   /// is replayed (unless \p Opts asks for a report).
   CheckOutcome check(const std::string &Source, const CheckOptions &Opts);
 
-  /// Drops all warm state (retained checkpoints, verdict caches, memos,
+  /// Drops all warm state (retained checkpoints, memos,
   /// arena contents, the replayable answer). The session identity and
   /// rollup counters survive.
   void reset();

@@ -52,16 +52,9 @@ inline constexpr const char *OracleLatencyUs = "oracle.latency_us";
 inline constexpr const char *CandidatesPerNode = "search.candidates_per_node";
 inline constexpr const char *CheckpointReuseDepth =
     "oracle.checkpoint_reuse_depth";
-inline constexpr const char *BatchItems = "oracle.batch_items";
 inline constexpr const char *TriageRemovals = "triage.sibling_removals";
 inline constexpr const char *SliceSize = "slice.size";
 inline constexpr const char *SlicePruneRatio = "slice.prune_ratio";
-/// Overlays per batch that collapsed to another candidate's interned tree.
-inline constexpr const char *WaveCollapsed = "dedup.wave_collapsed";
-/// Hash-consing arena occupancy gauges, observed once per batch.
-inline constexpr const char *ArenaNodes = "arena.nodes";
-inline constexpr const char *ArenaHits = "arena.hits";
-inline constexpr const char *ArenaBytes = "arena.bytes";
 } // namespace metric
 
 /// Thread-safe registry of named sample series.

@@ -18,12 +18,8 @@ AccelCounters &AccelCounters::operator+=(const AccelCounters &Other) {
   DeclInferencesSaved += Other.DeclInferencesSaved;
   CheckpointSeeds += Other.CheckpointSeeds;
   CheckpointFallbacks += Other.CheckpointFallbacks;
-  BatchesDispatched += Other.BatchesDispatched;
-  BatchItems += Other.BatchItems;
   TypesAllocated += Other.TypesAllocated;
-  WaveCollapsed += Other.WaveCollapsed;
   SessionPrefixHits += Other.SessionPrefixHits;
-  SessionVerdictReuses += Other.SessionVerdictReuses;
   SessionSeedAdoptions += Other.SessionSeedAdoptions;
   SessionConvMemoHits += Other.SessionConvMemoHits;
   // Arena occupancy is a gauge, not a counter: the arena is shared across
@@ -37,26 +33,17 @@ AccelCounters &AccelCounters::operator+=(const AccelCounters &Other) {
 
 std::string AccelCounters::render() const {
   std::ostringstream OS;
-  uint64_t Lookups = CacheHits + CacheMisses;
-  OS << "  verdict cache: " << CacheHits << " hits / " << CacheMisses
-     << " misses";
-  if (Lookups)
-    OS << " (" << (100 * CacheHits / Lookups) << "% hit rate)";
-  OS << "\n  inference: " << FullInferences << " full + "
+  OS << "  conventional-verdict memo: " << CacheHits << " hits\n"
+     << "  inference: " << FullInferences << " full + "
      << IncrementalInferences << " incremental runs, "
      << DeclInferencesSaved << " prefix decl re-checks saved\n"
      << "  checkpoints: " << CheckpointSeeds << " seeded, "
      << CheckpointFallbacks << " fallbacks to full inference\n"
-     << "  batches: " << BatchesDispatched << " dispatched carrying "
-     << BatchItems << " candidates, " << WaveCollapsed
-     << " wave-collapsed overlays\n"
      << "  arena: " << ArenaNodes << " nodes, " << ArenaHits << " hits, "
      << ArenaBytes << " bytes\n"
      << "  type allocations: " << TypesAllocated << "\n";
-  if (SessionPrefixHits || SessionVerdictReuses || SessionSeedAdoptions ||
-      SessionConvMemoHits)
+  if (SessionPrefixHits || SessionSeedAdoptions || SessionConvMemoHits)
     OS << "  session reuse: " << SessionPrefixHits << " prefix probes, "
-       << SessionVerdictReuses << " retained verdicts, "
        << SessionSeedAdoptions << " seed adoptions, " << SessionConvMemoHits
        << " conventional-error memos\n";
   return OS.str();

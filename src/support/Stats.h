@@ -23,15 +23,17 @@
 
 namespace seminal {
 
-/// Hit/miss/saved-work counters for the oracle acceleration layer
-/// (prefix-environment checkpointing, structural verdict cache, batched
-/// parallel evaluation -- see core/CheckpointedOracle.h). Kept in support
+/// Hit/saved-work counters for the oracle acceleration layer
+/// (prefix-environment checkpointing, the conventional-verdict memo and
+/// session retention -- see core/CheckpointedOracle.h). Kept in support
 /// so both the oracle and the bench harnesses can consume them without a
 /// dependency cycle.
 struct AccelCounters {
-  /// Type-check verdicts served straight from the structural cache.
+  /// Verdicts served by the conventional-verdict memo
+  /// (OracleAccelOptions::VerdictCache) instead of inference.
   uint64_t CacheHits = 0;
-  /// Lookups that missed and had to run inference.
+  /// Always zero: no layer counts misses (a memo miss is an ordinary
+  /// inference run). Kept for the hit-fraction readers of the benchmark.
   uint64_t CacheMisses = 0;
   /// Whole-program inference runs (checkpoint unavailable or bypassed).
   uint64_t FullInferences = 0;
@@ -44,30 +46,22 @@ struct AccelCounters {
   /// inference because the program shape did not match the seed.
   uint64_t CheckpointSeeds = 0;
   uint64_t CheckpointFallbacks = 0;
-  /// Batches dispatched to the pool and items they carried.
-  uint64_t BatchesDispatched = 0;
-  uint64_t BatchItems = 0;
   /// Unification-variable allocations across all inference performed; a
   /// hardware-independent work proxy (TypecheckResult::TypesAllocated).
   uint64_t TypesAllocated = 0;
-  /// Batch items whose overlay collapsed to another candidate's interned
-  /// tree in the same wave (still billed as logical calls + cache hits;
-  /// this counts the collapses separately).
-  uint64_t WaveCollapsed = 0;
-  /// Hash-consing arena occupancy at last sync (minicaml/Arena.h):
-  /// distinct nodes stored, intern requests answered by an existing node,
-  /// and approximate retained bytes.
+  /// Hash-consing arena occupancy at the end of the run
+  /// (minicaml/Arena.h): distinct nodes stored, intern requests answered
+  /// by an existing node, and approximate retained bytes. Zero for
+  /// one-shot searches, which intern nothing.
   uint64_t ArenaNodes = 0;
   uint64_t ArenaHits = 0;
   uint64_t ArenaBytes = 0;
   /// Session warm-state reuse (server mode; all zero for one-shot runs).
   /// Localization probes answered from a prefix the session already
-  /// proved (no inference), verdicts served from a verdict cache retained
-  /// from an earlier request with an id-identical prefix, prefix
-  /// checkpoints re-adopted wholesale at seedPrefix, and conventional
-  /// errors served from the session's source-prefix memo.
+  /// proved (no inference), prefix checkpoints re-adopted wholesale at
+  /// seedPrefix, and conventional errors served from the session's
+  /// source-prefix memo.
   uint64_t SessionPrefixHits = 0;
-  uint64_t SessionVerdictReuses = 0;
   uint64_t SessionSeedAdoptions = 0;
   uint64_t SessionConvMemoHits = 0;
 
@@ -102,7 +96,8 @@ struct RequestCost {
   /// Arena occupancy after the request (AccelCounters::Arena*).
   uint64_t ArenaNodes = 0;
   uint64_t ArenaBytes = 0;
-  /// Verdicts served from the structural cache (AccelCounters::CacheHits).
+  /// Verdicts served by the conventional-verdict memo
+  /// (AccelCounters::CacheHits).
   uint64_t VerdictCacheHits = 0;
 
   RequestCost &operator+=(const RequestCost &Other) {

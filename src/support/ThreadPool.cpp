@@ -26,22 +26,6 @@ ThreadPool::~ThreadPool() {
     W.join();
 }
 
-void ThreadPool::parallelFor(size_t NumItems,
-                             const std::function<void(unsigned, size_t)> &Fn) {
-  if (NumItems == 0)
-    return;
-  MutexLock Lock(Mutex);
-  Job = &Fn;
-  JobSize = NumItems;
-  NextItem = 0;
-  ItemsLeft = NumItems;
-  ++Generation;
-  WorkReady.notify_all();
-  while (ItemsLeft != 0)
-    WorkDone.wait(Mutex);
-  Job = nullptr;
-}
-
 void ThreadPool::post(size_t Shard, std::function<void()> Task) {
   {
     MutexLock Lock(Mutex);
@@ -60,15 +44,12 @@ void ThreadPool::drainPosted() {
 }
 
 void ThreadPool::workerMain(unsigned WorkerIndex) {
-  uint64_t SeenGeneration = 0;
   MutexLock Lock(Mutex);
   for (;;) {
-    while (!(ShuttingDown || !Queues[WorkerIndex].empty() ||
-             (Job && Generation != SeenGeneration)))
+    while (!(ShuttingDown || !Queues[WorkerIndex].empty()))
       WorkReady.wait(Mutex);
-    // Shard queue first: posted tasks are interactive request handlers,
-    // parallelFor items are batch work. On shutdown the queue is still
-    // drained -- a posted task is a promise to the poster.
+    // On shutdown the queue is still drained -- a posted task is a
+    // promise to the poster.
     while (!Queues[WorkerIndex].empty()) {
       std::function<void()> Task = std::move(Queues[WorkerIndex].front());
       Queues[WorkerIndex].pop_front();
@@ -78,19 +59,7 @@ void ThreadPool::workerMain(unsigned WorkerIndex) {
       if (--PostedPending == 0)
         WorkDone.notify_all();
     }
-    if (Job && Generation != SeenGeneration) {
-      SeenGeneration = Generation;
-      while (NextItem < JobSize) {
-        size_t Item = NextItem++;
-        const auto *Fn = Job;
-        Lock.unlock();
-        (*Fn)(WorkerIndex, Item);
-        Lock.lock();
-        if (--ItemsLeft == 0)
-          WorkDone.notify_one();
-      }
-    }
-    if (ShuttingDown && Queues[WorkerIndex].empty())
+    if (ShuttingDown)
       return;
   }
 }

@@ -28,8 +28,6 @@ const char *seminal::spanKindName(SpanKind K) {
     return "candidate";
   case SpanKind::OracleCall:
     return "oracle-call";
-  case SpanKind::OracleBatch:
-    return "oracle-batch";
   case SpanKind::Triage:
     return "triage";
   case SpanKind::TriagePhase:
@@ -327,8 +325,6 @@ TraceSummary TraceSink::summarize() const {
     ++S.SpansByKind[spanKindName(E.Kind)];
     if (E.Parent == 0)
       S.RootDurMs += double(E.DurNs) / 1e6;
-    if (E.Kind == SpanKind::OracleBatch)
-      ++S.BatchSpans;
     if (E.Kind != SpanKind::OracleCall)
       continue;
     ++S.OracleCallSpans;
@@ -345,7 +341,7 @@ TraceSummary TraceSink::summarize() const {
 std::string TraceSummary::render() const {
   std::ostringstream OS;
   OS << "  spans: " << Spans << " (" << OracleCallSpans << " oracle calls, "
-     << CacheHits << " served from cache, " << BatchSpans << " batches); "
+     << CacheHits << " served from a memo); "
      << "root wall " << RootDurMs << " ms\n";
   if (!CallsByLayer.empty()) {
     OS << "  oracle calls by search layer:\n";

@@ -55,7 +55,6 @@ enum class SpanKind : uint8_t {
   NodeVisit,   ///< searchExpr at one AST node.
   Candidate,   ///< One enumerator candidate tested at a node.
   OracleCall,  ///< One logical oracle question.
-  OracleBatch, ///< One batched candidate wave.
   Triage,      ///< Triage entered at a node (Section 2.4).
   TriagePhase, ///< One phase of match triage / one focus iteration.
   PatternFix,  ///< Subpattern wildcard search.
@@ -99,7 +98,6 @@ struct TraceSummary {
   uint64_t Spans = 0;
   uint64_t OracleCallSpans = 0;
   uint64_t CacheHits = 0;
-  uint64_t BatchSpans = 0;
   /// Oracle-call spans bucketed by the search layer that issued them.
   std::map<std::string, uint64_t> CallsByLayer;
   /// All spans bucketed by kind name.

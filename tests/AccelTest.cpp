@@ -1,13 +1,13 @@
 //===- AccelTest.cpp - Oracle acceleration equivalence tests ---------------==//
 //
 // The acceleration layer must be invisible: any combination of prefix
-// checkpointing, verdict caching, and parallel batching has to reproduce
-// the plain oracle's searches bit for bit -- same suggestions in the same
+// checkpointing and the conventional-verdict memo has to reproduce the
+// plain oracle's searches bit for bit -- same suggestions in the same
 // ranked order, same logical-call totals -- while doing strictly less
 // inference. These tests pin that contract at three levels: the
 // InferenceCheckpoint primitive (rollback correctness), the
-// CheckpointedOracle (cache accounting), and whole runSeminal searches
-// across every acceleration configuration.
+// CheckpointedOracle (memo and checkpoint accounting), and whole
+// runSeminal searches across every acceleration configuration.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace seminal;
@@ -113,13 +114,10 @@ std::string fingerprint(const SeminalReport &R) {
   return Out;
 }
 
-SeminalOptions withAccel(bool Checkpoint, bool VerdictCache,
-                         bool ParallelBatch) {
+SeminalOptions withAccel(bool Checkpoint, bool VerdictCache) {
   SeminalOptions Opts;
   Opts.Search.Accel.Checkpoint = Checkpoint;
   Opts.Search.Accel.VerdictCache = VerdictCache;
-  Opts.Search.Accel.ParallelBatch = ParallelBatch;
-  Opts.Search.Accel.Threads = ParallelBatch ? 4 : 0;
   return Opts;
 }
 
@@ -221,21 +219,42 @@ TEST(CheckpointTest, QueryNodeTypeMatchesFullInference) {
 //===----------------------------------------------------------------------===//
 
 TEST(CheckpointedOracleTest, CacheHitsKeepLogicalCallsButSkipInference) {
+  // The conventional-verdict memo: the searcher's opening whole-program
+  // probe asks exactly what conventionalError() just inferred.
   Program P = parse("let a = 1\nlet b = a + true");
   CheckpointedOracle O;
-  O.seedPrefix(P, 1);
-  bool First = O.typechecks(P);
+  ASSERT_TRUE(O.conventionalError(P).has_value());
   for (int I = 0; I < 3; ++I)
-    EXPECT_EQ(O.typechecks(P), First);
-  EXPECT_EQ(O.logicalCalls(), 4u);
-  EXPECT_EQ(O.callCount(), 4u); // Legacy alias agrees.
+    EXPECT_FALSE(O.typechecks(P));
+  EXPECT_EQ(O.logicalCalls(), 3u);
+  EXPECT_EQ(O.callCount(), 3u); // Legacy alias agrees.
   EXPECT_EQ(O.counters().CacheHits, 3u);
-  EXPECT_EQ(O.counters().CacheMisses, 1u);
+  EXPECT_EQ(O.inferenceRuns(), 0u);
+  // A structurally equal copy hits too; a different program does not.
+  Program Copy = P.clone();
+  EXPECT_FALSE(O.typechecks(Copy));
+  EXPECT_EQ(O.counters().CacheHits, 4u);
+  EXPECT_TRUE(O.typechecks(parse("let a = 1\nlet b = a + 1")));
+  EXPECT_EQ(O.counters().CacheHits, 4u);
   EXPECT_EQ(O.inferenceRuns(), 1u);
-  O.clearPrefix();
-  // Cache is keyed on the seed; clearing forgets the verdicts.
-  O.typechecks(P);
-  EXPECT_EQ(O.counters().CacheHits, 3u);
+
+  // Seeded calls go straight to the checkpoint: no memo, every call runs
+  // inference.
+  O.seedPrefix(P, 1);
+  EXPECT_FALSE(O.typechecks(P));
+  EXPECT_FALSE(O.typechecks(P));
+  EXPECT_EQ(O.counters().CacheHits, 4u);
+  EXPECT_EQ(O.counters().IncrementalInferences, 2u);
+  EXPECT_EQ(O.inferenceRuns(), 3u);
+
+  // With the memo off the opening probe re-infers.
+  OracleAccelOptions NoMemo;
+  NoMemo.VerdictCache = false;
+  CheckpointedOracle Plain(NoMemo);
+  ASSERT_TRUE(Plain.conventionalError(P).has_value());
+  EXPECT_FALSE(Plain.typechecks(P));
+  EXPECT_EQ(Plain.counters().CacheHits, 0u);
+  EXPECT_EQ(Plain.inferenceRuns(), 1u);
 }
 
 TEST(CheckpointedOracleTest, UnseededFallsBackToFullInference) {
@@ -308,80 +327,44 @@ TEST(CheckpointedOracleTest, VerdictsMatchPlainOracleEverywhere) {
   }
 }
 
-TEST(CheckpointedOracleTest, BatchMatchesSequentialVerdicts) {
-  Program P = parse("let one = 1\nlet x = one + \"two\"");
-  NodePath Path(1);
-  Path.Steps = {1}; // The right operand of `one + "two"`.
-  ASSERT_NE(resolvePath(P, Path), nullptr);
-
-  std::vector<ExprPtr> Owned;
-  Owned.push_back(makeIntLit(2));         // fixes the program
-  Owned.push_back(makeStringLit("s"));    // still broken
-  Owned.push_back(makeIntLit(2));         // duplicate of [0]
-  Owned.push_back(makeWildcard());        // always checks
-  std::vector<const Expr *> Reps;
-  for (const auto &E : Owned)
-    Reps.push_back(E.get());
-
-  OracleAccelOptions Accel;
-  Accel.ParallelBatch = true;
-  Accel.Threads = 3;
-  CheckpointedOracle O(Accel);
-  ASSERT_TRUE(O.supportsBatch());
-  O.seedPrefix(P, 1);
-  std::vector<bool> Got = O.typecheckBatch(P, Path, Reps);
-  EXPECT_EQ(O.logicalCalls(), Reps.size());
-
-  CamlOracle Plain;
-  std::vector<bool> Want = Plain.typecheckBatch(P, Path, Reps);
-  EXPECT_EQ(Got, Want);
-  EXPECT_TRUE(Want[0] && !Want[1] && Want[2] && Want[3]);
-  // The duplicate and nothing else is deduped: 3 distinct candidates.
-  EXPECT_EQ(O.counters().CacheMisses, 3u);
-  EXPECT_EQ(O.counters().CacheHits, 1u);
-}
-
 //===----------------------------------------------------------------------===//
 // Whole-search equivalence across acceleration configurations
 //===----------------------------------------------------------------------===//
 
 struct AccelConfig {
   const char *Name;
-  bool Checkpoint, VerdictCache, ParallelBatch;
+  bool Checkpoint, VerdictCache;
 };
 
 const AccelConfig Configs[] = {
-    {"checkpoint-only", true, false, false},
-    {"cache-only", false, true, false},
-    {"checkpoint+cache", true, true, false},
-    {"parallel-only", false, false, true},
-    {"all-layers", true, true, true},
+    {"checkpoint-only", true, false},
+    {"memo-only", false, true},
+    {"checkpoint+memo", true, true},
 };
 
 TEST(AccelEquivalenceTest, AllConfigsReproduceTheUnacceleratedSearch) {
   for (const char *Src : ScenarioSources) {
-    SeminalReport Base =
-        runSeminalOnSource(Src, withAccel(false, false, false));
+    SeminalReport Base = runSeminalOnSource(Src, withAccel(false, false));
     std::string BaseFp = fingerprint(Base);
     EXPECT_EQ(Base.InferenceRuns, Base.OracleCalls) << Src;
 
     for (const AccelConfig &C : Configs) {
-      SeminalReport R = runSeminalOnSource(
-          Src, withAccel(C.Checkpoint, C.VerdictCache, C.ParallelBatch));
+      SeminalReport R =
+          runSeminalOnSource(Src, withAccel(C.Checkpoint, C.VerdictCache));
       EXPECT_EQ(fingerprint(R), BaseFp) << C.Name << " on:\n" << Src;
       EXPECT_EQ(R.OracleCalls, Base.OracleCalls)
           << C.Name << " changed the logical-call count on:\n" << Src;
       EXPECT_LE(R.InferenceRuns, R.OracleCalls) << C.Name;
-      if (C.VerdictCache || C.Checkpoint)
+      if (C.VerdictCache || C.Checkpoint) {
         EXPECT_LE(R.InferenceRuns, Base.InferenceRuns) << C.Name;
+      }
     }
   }
 }
 
 TEST(AccelEquivalenceTest, DefaultConfigDoesStrictlyLessInference) {
-  // On a triage-heavy search (wildcard placements are revisited across
-  // phases) the checkpoint+cache default must actually save work, not
-  // merely tie: cache hits make InferenceRuns < OracleCalls.
+  // The checkpoint+memo default must actually save work, not merely tie:
+  // the memo answers the opening probe, so InferenceRuns < OracleCalls.
   SeminalReport R = runSeminalOnSource("let go y =\n"
                                        "  let x = 3 + true in\n"
                                        "  let z = y + 1 in\n"
@@ -399,19 +382,32 @@ TEST(AccelEquivalenceTest, DefaultConfigDoesStrictlyLessInference) {
 }
 
 TEST(AccelEquivalenceTest, TriageHeavyCaseIsDeterministicUnderParallelism) {
-  // The multi-error triage scenario exercises batched waves inside triage
-  // contexts; run it repeatedly to shake out scheduling nondeterminism.
+  // Parallelism lives in the daemon's shards: searches with an oracle
+  // each run at once on different threads, sharing only the process-wide
+  // standard-library environment. Every one must reproduce the
+  // unaccelerated search; run under TSan in CI.
   const char *Src = "let go y =\n"
                     "  let x = 3 + true in\n"
                     "  let z = y + 1 in\n"
                     "  let w = 4 + \"hi\" in\n"
                     "  z\n";
-  SeminalReport Base = runSeminalOnSource(Src, withAccel(false, false, false));
+  SeminalReport Base = runSeminalOnSource(Src, withAccel(false, false));
   std::string BaseFp = fingerprint(Base);
-  for (int Round = 0; Round < 5; ++Round) {
-    SeminalReport R = runSeminalOnSource(Src, withAccel(true, true, true));
-    EXPECT_EQ(fingerprint(R), BaseFp) << "round " << Round;
-    EXPECT_EQ(R.OracleCalls, Base.OracleCalls) << "round " << Round;
+  constexpr size_t Threads = 4;
+  std::vector<std::string> Fps(Threads);
+  std::vector<size_t> Calls(Threads);
+  std::vector<std::thread> Workers;
+  for (size_t T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      SeminalReport R = runSeminalOnSource(Src, withAccel(true, true));
+      Fps[T] = fingerprint(R);
+      Calls[T] = R.OracleCalls;
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  for (size_t T = 0; T < Threads; ++T) {
+    EXPECT_EQ(Fps[T], BaseFp) << "thread " << T;
+    EXPECT_EQ(Calls[T], Base.OracleCalls) << "thread " << T;
   }
 }
 

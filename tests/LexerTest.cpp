@@ -139,4 +139,13 @@ TEST(LexerTest, LoneAmpersandIsError) {
   EXPECT_TRUE(Tokens[1].is(TK::Error));
 }
 
+TEST(LexerTest, IntegerLiteralOutOfRangeIsError) {
+  auto Tokens = lex("x 9223372036854775807 99999999999999999999999");
+  ASSERT_TRUE(Tokens[1].is(TK::IntLit));
+  EXPECT_EQ(Tokens[1].IntValue, 9223372036854775807L);
+  ASSERT_TRUE(Tokens[2].is(TK::Error));
+  EXPECT_EQ(Tokens[2].Text, "integer literal out of range");
+  EXPECT_EQ(Tokens[2].Loc.Col, 23u);
+}
+
 } // namespace

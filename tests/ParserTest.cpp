@@ -233,6 +233,21 @@ TEST(ParserExprTest, ErrorsReportLocation) {
   EXPECT_FALSE(R.Error->Message.empty());
 }
 
+TEST(ParserProgramTest, IntegerLiteralOutOfRangeIsSyntaxError) {
+  for (const char *Source :
+       {"let x = 99999999999999999999999", "99999999999999999999999",
+        "let f y = match y with 99999999999999999999999 -> 1 | _ -> 0"}) {
+    ParseResult R = parseProgram(Source);
+    ASSERT_FALSE(R.ok()) << Source;
+    EXPECT_NE(R.Error->Message.find("integer literal out of range"),
+              std::string::npos)
+        << R.Error->Message;
+  }
+  // The largest long still parses.
+  Program P = program("let x = 9223372036854775807");
+  EXPECT_EQ(P.Decls[0]->Rhs->IntValue, 9223372036854775807L);
+}
+
 TEST(ParserProgramTest, MultipleDecls) {
   Program P = program("let x = 1\nlet y = x + 1\nlet z = y");
   EXPECT_EQ(P.Decls.size(), 3u);

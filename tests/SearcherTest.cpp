@@ -7,12 +7,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/CheckpointedOracle.h"
 #include "core/Oracle.h"
 #include "core/Ranker.h"
+#include "core/Searcher.h"
 #include "core/Seminal.h"
+#include "minicaml/Parser.h"
 #include "minicaml/Printer.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 using namespace seminal;
 using namespace seminal::caml;
@@ -300,6 +305,45 @@ INSTANTIATE_TEST_SUITE_P(
         "let s = \"a\" + \"b\"",
         "let f a b c = a + b + c\nlet x = f 1 2 + 3",
         "let x = (1, 2)\nlet y = fst x + snd x + x"));
+
+// Captured programs own their trees: every suggestion's Modified is read
+// only after the searcher, the oracle and the input are gone (the ASan
+// job turns a dangling capture into a failure here).
+TEST(SuggestionCaptureTest, ModifiedOutlivesSearcherOracleAndInput) {
+  const std::string Source = "let one = 1\n"
+                             "let add a b = a + b\n"
+                             "let x = add one \"two\"\n";
+  std::vector<Suggestion> Captured;
+  {
+    auto Input = std::make_unique<Program>(std::move(*parseProgram(Source).Prog));
+    auto Oracle = std::make_unique<CheckpointedOracle>();
+    auto S = std::make_unique<Searcher>(*Oracle, SearchOptions(),
+                                        Oracle->arena());
+    SearchOutput Out = S->run(*Input);
+    ASSERT_EQ(Out.FailingDecl, std::optional<unsigned>(2u));
+    Captured = std::move(Out.Suggestions);
+    S.reset();
+    Oracle.reset();
+    Input.reset();
+  }
+  ASSERT_FALSE(Captured.empty());
+  size_t Checked = 0;
+  for (const Suggestion &Sugg : Captured) {
+    const Program &Modified = Sugg.Modified;
+    ASSERT_EQ(Modified.Decls.size(), 3u) << Sugg.Description;
+    if (Sugg.Replacement) {
+      Program Expected = std::move(*parseProgram(Source).Prog);
+      replaceAtPath(Expected, Sugg.Path, Sugg.Replacement->clone());
+      EXPECT_TRUE(Modified.equals(Expected)) << Sugg.Description;
+      EXPECT_EQ(printProgram(Modified), printProgram(Expected));
+      ++Checked;
+    }
+    if (!Sugg.ViaTriage) {
+      EXPECT_TRUE(typecheckProgram(Modified).ok()) << printProgram(Modified);
+    }
+  }
+  EXPECT_GT(Checked, 0u);
+}
 
 //===----------------------------------------------------------------------===//
 // Oracle accounting

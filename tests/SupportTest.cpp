@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 using namespace seminal;
@@ -183,9 +185,10 @@ AccelCounters makeCounters(uint64_t Base) {
   C.DeclInferencesSaved = Base + 5;
   C.CheckpointSeeds = Base + 6;
   C.CheckpointFallbacks = Base + 7;
-  C.BatchesDispatched = Base + 8;
-  C.BatchItems = Base + 9;
+  C.SessionPrefixHits = Base + 8;
+  C.SessionSeedAdoptions = Base + 9;
   C.TypesAllocated = Base + 10;
+  C.SessionConvMemoHits = Base + 11;
   return C;
 }
 
@@ -202,9 +205,10 @@ TEST(AccelCountersTest, PlusEqualsSumsEveryField) {
   EXPECT_EQ(A.DeclInferencesSaved, 110u);
   EXPECT_EQ(A.CheckpointSeeds, 112u);
   EXPECT_EQ(A.CheckpointFallbacks, 114u);
-  EXPECT_EQ(A.BatchesDispatched, 116u);
-  EXPECT_EQ(A.BatchItems, 118u);
+  EXPECT_EQ(A.SessionPrefixHits, 116u);
+  EXPECT_EQ(A.SessionSeedAdoptions, 118u);
   EXPECT_EQ(A.TypesAllocated, 120u);
+  EXPECT_EQ(A.SessionConvMemoHits, 122u);
   EXPECT_EQ(A.inferenceRuns(), 106u + 108u);
   // B is untouched.
   EXPECT_EQ(B.CacheHits, 101u);
@@ -228,9 +232,10 @@ TEST(AccelCountersTest, ResetClearsEveryField) {
   EXPECT_EQ(A.DeclInferencesSaved, 0u);
   EXPECT_EQ(A.CheckpointSeeds, 0u);
   EXPECT_EQ(A.CheckpointFallbacks, 0u);
-  EXPECT_EQ(A.BatchesDispatched, 0u);
-  EXPECT_EQ(A.BatchItems, 0u);
+  EXPECT_EQ(A.SessionPrefixHits, 0u);
+  EXPECT_EQ(A.SessionSeedAdoptions, 0u);
   EXPECT_EQ(A.TypesAllocated, 0u);
+  EXPECT_EQ(A.SessionConvMemoHits, 0u);
   EXPECT_EQ(A.inferenceRuns(), 0u);
   // Reusable after reset.
   A += makeCounters(0);
@@ -287,30 +292,39 @@ TEST(ThreadPoolTest, EveryItemRunsExactlyOnce) {
   ThreadPool Pool(4);
   constexpr size_t N = 1000;
   std::vector<std::atomic<int>> Hits(N);
-  Pool.parallelFor(N, [&](unsigned, size_t I) { Hits[I].fetch_add(1); });
+  for (size_t I = 0; I < N; ++I)
+    Pool.post(I, [&Hits, I] { Hits[I].fetch_add(1); });
+  Pool.drainPosted();
   for (size_t I = 0; I < N; ++I)
     EXPECT_EQ(Hits[I].load(), 1) << "item " << I;
 }
 
 TEST(ThreadPoolTest, WorkerIndexStaysInRange) {
+  // Shards wrap onto the workers: shard S runs on worker S % numThreads(),
+  // so any shard number is valid and S and S + numThreads() share a
+  // thread (the server hashes session names to arbitrary shards).
   ThreadPool Pool(3);
   ASSERT_EQ(Pool.numThreads(), 3u);
-  std::atomic<bool> OutOfRange{false};
-  Pool.parallelFor(500, [&](unsigned Worker, size_t) {
-    if (Worker >= 3)
-      OutOfRange = true;
-  });
-  EXPECT_FALSE(OutOfRange.load());
+  constexpr size_t Shards = 30;
+  std::vector<std::thread::id> RanOn(Shards);
+  for (size_t S = 0; S < Shards; ++S)
+    Pool.post(S, [&RanOn, S] { RanOn[S] = std::this_thread::get_id(); });
+  Pool.drainPosted();
+  EXPECT_EQ(std::set<std::thread::id>(RanOn.begin(), RanOn.end()).size(), 3u);
+  for (size_t S = 3; S < Shards; ++S)
+    EXPECT_EQ(RanOn[S], RanOn[S % 3]) << "shard " << S;
 }
 
 TEST(ThreadPoolTest, PerIndexSlotsNeedNoLocking) {
-  // The batched oracle's usage pattern: disjoint result slots written
-  // concurrently, read after the barrier. TSan validates the
-  // parallelFor fence makes the unsynchronized writes safe.
+  // Disjoint result slots written by tasks on every shard, read after
+  // drainPosted. TSan validates that the drain is the fence that makes
+  // the unsynchronized writes safe.
   ThreadPool Pool(4);
   constexpr size_t N = 2000;
   std::vector<size_t> Results(N, 0);
-  Pool.parallelFor(N, [&](unsigned, size_t I) { Results[I] = I * I; });
+  for (size_t I = 0; I < N; ++I)
+    Pool.post(I, [&Results, I] { Results[I] = I * I; });
+  Pool.drainPosted();
   for (size_t I = 0; I < N; ++I)
     EXPECT_EQ(Results[I], I * I);
 }
@@ -318,11 +332,14 @@ TEST(ThreadPoolTest, PerIndexSlotsNeedNoLocking) {
 TEST(ThreadPoolTest, ReusableAcrossCallsAndZeroItemsIsFine) {
   ThreadPool Pool(2);
   std::atomic<size_t> Total{0};
-  Pool.parallelFor(0, [&](unsigned, size_t) { Total.fetch_add(1); });
-  EXPECT_EQ(Total.load(), 0u);
-  for (int Round = 0; Round < 50; ++Round)
-    Pool.parallelFor(10, [&](unsigned, size_t) { Total.fetch_add(1); });
-  EXPECT_EQ(Total.load(), 500u);
+  for (size_t Round = 0; Round < 50; ++Round) {
+    // Every tenth round posts nothing before draining.
+    size_t Items = Round % 10 == 0 ? 0 : 10;
+    for (size_t I = 0; I < Items; ++I)
+      Pool.post(I, [&Total] { Total.fetch_add(1); });
+    Pool.drainPosted();
+  }
+  EXPECT_EQ(Total.load(), 450u);
 }
 
 TEST(ThreadPoolTest, PostedTasksRunFifoPerShard) {
@@ -341,18 +358,6 @@ TEST(ThreadPoolTest, PostedTasksRunFifoPerShard) {
     for (size_t I = 0; I < PerShard; ++I)
       EXPECT_EQ(Order[Shard][I], I) << "shard " << Shard;
   }
-}
-
-TEST(ThreadPoolTest, PostedTasksCoexistWithParallelFor) {
-  ThreadPool Pool(3);
-  std::atomic<size_t> Posted{0};
-  std::atomic<size_t> Items{0};
-  for (size_t I = 0; I < 100; ++I)
-    Pool.post(I, [&] { Posted.fetch_add(1); });
-  Pool.parallelFor(100, [&](unsigned, size_t) { Items.fetch_add(1); });
-  Pool.drainPosted();
-  EXPECT_EQ(Posted.load(), 100u);
-  EXPECT_EQ(Items.load(), 100u);
 }
 
 TEST(ThreadPoolTest, DrainPostedWithNothingPostedReturns) {
