@@ -557,7 +557,7 @@ int main(int Argc, char **Argv) {
         Run.SourceHash = caml::hashProgram(*PR.Prog);
     }
     fillRunReport(Run, Report, &Telemetry, WallSeconds);
-    Run.Cost.CpuNs = CpuNs; // the measurer stamps the timing fields
+    Run.CpuNs = CpuNs; // the measurer stamps the CPU clock
 
     if (!TelemetryPath.empty()) {
       std::ofstream Out(TelemetryPath);

@@ -65,15 +65,6 @@ void seminal::fillRunReport(obs::RunReport &R, const SeminalReport &Report,
   R.SlicePrunedCalls = Report.SlicePrunedCalls;
   R.WallSeconds = WallSeconds;
   R.Accel = Report.Accel;
-  // Ledger: logical fields mirror the report by construction; the
-  // timing fields (CpuNs, WallNs) are stamped by whoever measured the
-  // run (Session::check, seminal_cli) after this returns.
-  R.Cost.OracleCalls = Report.OracleCalls;
-  R.Cost.InferenceRuns = Report.InferenceRuns;
-  R.Cost.ArenaNodes = Report.Accel.ArenaNodes;
-  R.Cost.ArenaBytes = Report.Accel.ArenaBytes;
-  R.Cost.VerdictCacheHits = Report.Accel.CacheHits;
-  R.Cost.WallNs = uint64_t(WallSeconds * 1e9);
   if (Telemetry)
     R.Layers = Telemetry->layerStats();
   if (Report.Trace)

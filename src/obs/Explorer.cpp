@@ -433,9 +433,12 @@ const inflSet = new Set(R.slice.influence_paths);
     t.appendChild(el("div", "k", k));
     tiles.appendChild(t);
   };
+  // A family's tile sums its series (seminal_warm_hits_total has one
+  // per kind).
   const counterVal = (n) => {
     const f = ops[n];
-    return f && f.values.length ? f.values[0].value : null;
+    return f && f.values.length
+        ? f.values.reduce((sum, v) => sum + v.value, 0) : null;
   };
   for (const [name, label] of [["seminal_requests_total", "requests"],
                                ["seminal_checks_total", "checks"],

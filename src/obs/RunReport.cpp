@@ -174,15 +174,17 @@ void RunReport::writeJson(std::ostream &OS, bool Pretty) const {
   J.field("arena_nodes", Accel.ArenaNodes);
   J.field("arena_hits", Accel.ArenaHits);
   J.field("arena_bytes", Accel.ArenaBytes);
+  // The cost ledger (schema v2) repeats fields above, in the layout the
+  // daemon's check replies share.
   J.key("cost");
   J.beginObject();
-  J.field("cpu_ns", Cost.CpuNs);
-  J.field("wall_ns", Cost.WallNs);
-  J.field("oracle_calls", Cost.OracleCalls);
-  J.field("inference_runs", Cost.InferenceRuns);
-  J.field("arena_nodes", Cost.ArenaNodes);
-  J.field("arena_bytes", Cost.ArenaBytes);
-  J.field("verdict_cache_hits", Cost.VerdictCacheHits);
+  J.field("cpu_ns", CpuNs);
+  J.field("wall_ns", uint64_t(WallSeconds * 1e9));
+  J.field("oracle_calls", OracleCalls);
+  J.field("inference_runs", InferenceRuns);
+  J.field("arena_nodes", Accel.ArenaNodes);
+  J.field("arena_bytes", Accel.ArenaBytes);
+  J.field("verdict_cache_hits", Accel.CacheHits);
   J.endObject();
   J.key("layers");
   J.beginObject();

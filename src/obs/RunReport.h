@@ -113,10 +113,10 @@ struct RunReport {
   uint64_t InferenceRuns = 0;
   uint64_t SlicePrunedCalls = 0;
   double WallSeconds = 0.0;
-  /// The request cost ledger (schema v2). The timing fields are
-  /// hardware-dependent and never gated; the logical fields mirror
-  /// Accel / OracleCalls by construction.
-  RequestCost Cost;
+  /// Thread CPU the run consumed, stamped by whoever measured it
+  /// (Session::check, seminal_cli); 0 when nobody did. Hardware-dependent
+  /// and never gated.
+  uint64_t CpuNs = 0;
   /// Acceleration-layer counters for the run (memo hits, checkpoint
   /// reuse, arena occupancy).
   AccelCounters Accel;

@@ -22,41 +22,6 @@
 using namespace seminal;
 using namespace seminal::server;
 
-std::string ServerStats::renderJsonMembers() const {
-  std::ostringstream OS;
-  OS << ",\"requests\":" << Requests << ",\"checks\":" << Checks
-     << ",\"resets\":" << Resets << ",\"pings\":" << Pings
-     << ",\"malformed\":" << Malformed
-     << ",\"sessions_created\":" << SessionsCreated
-     << ",\"evictions\":" << Evictions << ",\"replays\":" << Replays
-     << ",\"oracle_calls\":" << OracleCalls
-     << ",\"inference_runs\":" << InferenceRuns
-     << ",\"cache_hits\":" << Accel.CacheHits
-     << ",\"cache_misses\":" << Accel.CacheMisses
-     << ",\"warm\":{\"prefix_hits\":" << Accel.SessionPrefixHits
-     << ",\"seed_adoptions\":" << Accel.SessionSeedAdoptions
-     << ",\"conv_memo_hits\":" << Accel.SessionConvMemoHits << "}";
-  // The cost-ledger rollup, same field names as the RunReport's "cost"
-  // object so the reconciliation tooling compares them directly.
-  OS << ",\"cost\":{\"cpu_ns\":" << Cost.CpuNs
-     << ",\"wall_ns\":" << Cost.WallNs
-     << ",\"oracle_calls\":" << Cost.OracleCalls
-     << ",\"inference_runs\":" << Cost.InferenceRuns
-     << ",\"arena_nodes\":" << Cost.ArenaNodes
-     << ",\"arena_bytes\":" << Cost.ArenaBytes
-     << ",\"verdict_cache_hits\":" << Cost.VerdictCacheHits << "}";
-  OS << ",\"shards\":[";
-  for (size_t I = 0; I < Shards.size(); ++I) {
-    if (I)
-      OS << ",";
-    OS << "{\"shard\":" << I << ",\"requests\":" << Shards[I].Requests
-       << ",\"queue_depth\":" << Shards[I].QueueDepth
-       << ",\"busy_seconds\":" << Shards[I].BusySeconds << "}";
-  }
-  OS << "]";
-  return OS.str();
-}
-
 std::string server::renderCheckResponse(const std::string &Id,
                                         const CheckOutcome &O) {
   std::ostringstream M;
@@ -80,7 +45,7 @@ std::string server::renderCheckResponse(const std::string &Id,
     M << "]";
   }
   // The counters and the ledger ride on every check reply, a syntax
-  // error's included, so the replies sum to the stats rollup.
+  // error's included, so the replies sum to the engine's counters.
   M << ",\"oracle_calls\":" << O.OracleCalls
     << ",\"inference_runs\":" << O.InferenceRuns
     << ",\"warm\":{\"prefix_hits\":" << O.Accel.SessionPrefixHits
@@ -88,13 +53,13 @@ std::string server::renderCheckResponse(const std::string &Id,
     << ",\"conv_memo_hits\":" << O.Accel.SessionConvMemoHits
     << ",\"replayed\":" << (O.Replayed ? "true" : "false")
     << "},\"wall_seconds\":" << O.WallSeconds
-    << ",\"cost\":{\"cpu_ns\":" << O.Cost.CpuNs
-    << ",\"wall_ns\":" << O.Cost.WallNs
-    << ",\"oracle_calls\":" << O.Cost.OracleCalls
-    << ",\"inference_runs\":" << O.Cost.InferenceRuns
-    << ",\"arena_nodes\":" << O.Cost.ArenaNodes
-    << ",\"arena_bytes\":" << O.Cost.ArenaBytes
-    << ",\"verdict_cache_hits\":" << O.Cost.VerdictCacheHits
+    << ",\"cost\":{\"cpu_ns\":" << O.CpuNs
+    << ",\"wall_ns\":" << O.wallNs()
+    << ",\"oracle_calls\":" << O.OracleCalls
+    << ",\"inference_runs\":" << O.InferenceRuns
+    << ",\"arena_nodes\":" << O.Accel.ArenaNodes
+    << ",\"arena_bytes\":" << O.Accel.ArenaBytes
+    << ",\"verdict_cache_hits\":" << O.Accel.CacheHits
     << "},\"evicted\":" << (O.Evicted ? "true" : "false");
   if (!O.SlowTracePath.empty())
     M << ",\"slow_trace\":\"" << jsonEscape(O.SlowTracePath) << "\"";
@@ -191,9 +156,13 @@ ServerEngine::ServerEngine(const ServerOptions &Opts)
                                       "Logical oracle calls across checks");
   Ops.InferenceRuns = &Registry.counter("seminal_inference_runs_total",
                                         "Full inference runs across checks");
-  Ops.WarmHits = &Registry.counter(
-      "seminal_warm_hits_total",
-      "Session warm-state reuses (prefix + seed + memo)");
+  Ops.WarmPrefixHits = &Registry.counter(
+      "seminal_warm_hits_total", "Session warm-state reuses, by kind",
+      {{"kind", "prefix_hits"}});
+  Ops.WarmSeedAdoptions = &Registry.counter("seminal_warm_hits_total", "",
+                                            {{"kind", "seed_adoptions"}});
+  Ops.WarmConvMemoHits = &Registry.counter("seminal_warm_hits_total", "",
+                                           {{"kind", "conv_memo_hits"}});
   Ops.SlowTraces = &Registry.counter("seminal_slow_traces_total",
                                      "Requests that exported a slow trace");
   Ops.Sessions = &Registry.gauge("seminal_sessions", "Live sessions");
@@ -205,12 +174,6 @@ ServerEngine::ServerEngine(const ServerOptions &Opts)
   Ops.CostWallUs = &Registry.counter(
       "seminal_cost_wall_us_total",
       "Ledger: request wall microseconds across checks");
-  Ops.CostOracleCalls = &Registry.counter(
-      "seminal_cost_oracle_calls_total",
-      "Ledger: logical oracle calls across checks");
-  Ops.CostInferenceRuns = &Registry.counter(
-      "seminal_cost_inference_runs_total",
-      "Ledger: inference runs across checks");
   Ops.CostVerdictHits = &Registry.counter(
       "seminal_cost_verdict_cache_hits_total",
       "Ledger: conventional-verdict memo hits across checks");
@@ -265,8 +228,8 @@ ServerEngine::ServerEngine(const ServerOptions &Opts)
 }
 
 ServerEngine::~ServerEngine() {
-  // Posted handlers reference the engine (stats rollup) and sessions;
-  // run them all down before any member dies.
+  // Posted handlers reference the engine (instruments, arena shares)
+  // and sessions; run them all down before any member dies.
   Pool->drainPosted();
   Pool.reset();
 }
@@ -284,7 +247,6 @@ std::shared_ptr<Session> ServerEngine::sessionFor(const std::string &Name) {
     return It->second;
   auto S = std::make_shared<Session>(Name, Opts.Session);
   Sessions.emplace(Name, S);
-  ++Stats.SessionsCreated;
   Ops.SessionsCreated->inc();
   Ops.Sessions->set(int64_t(Sessions.size()));
   return S;
@@ -306,15 +268,6 @@ void ServerEngine::finishCheck(const std::string &Id,
   bool NewSlowest = false;
   {
     sync::MutexLock Lock(Mutex);
-    ++Stats.Checks;
-    Stats.OracleCalls += Out.OracleCalls;
-    Stats.InferenceRuns += Out.InferenceRuns;
-    Stats.Accel += Out.Accel;
-    Stats.Cost += Out.Cost;
-    if (Out.Evicted)
-      ++Stats.Evictions;
-    if (Out.Replayed)
-      ++Stats.Replays;
     setArenaShare(SessionName, Out.ArenaBytes);
     if (LatencyUs > SlowestLatencyUs) {
       SlowestLatencyUs = LatencyUs;
@@ -334,20 +287,19 @@ void ServerEngine::finishCheck(const std::string &Id,
   Ops.Checks->inc();
   Ops.OracleCalls->inc(Out.OracleCalls);
   Ops.InferenceRuns->inc(Out.InferenceRuns);
-  // Ledger rollups: same numbers as Stats.Cost above, so the scrape and
-  // the stats verb reconcile by construction. Counters are in
-  // microseconds (ns counters overflow dashboards' rate() windows).
-  Ops.CostCpuUs->inc(Out.Cost.CpuNs / 1000);
-  Ops.CostWallUs->inc(Out.Cost.WallNs / 1000);
-  Ops.CostOracleCalls->inc(Out.Cost.OracleCalls);
-  Ops.CostInferenceRuns->inc(Out.Cost.InferenceRuns);
-  Ops.CostVerdictHits->inc(Out.Cost.VerdictCacheHits);
-  Ops.CostArenaNodes->set(int64_t(Out.Cost.ArenaNodes));
-  Ops.CostArenaBytes->set(int64_t(Out.Cost.ArenaBytes));
-  Ops.Shards[Shard].CpuUs->inc(Out.Cost.CpuNs / 1000);
-  uint64_t Warm = warmTotal(Out.Accel);
-  if (Warm)
-    Ops.WarmHits->inc(Warm);
+  // Ledger time counters are in microseconds, floored per check (ns
+  // counters overflow dashboards' rate() windows).
+  uint64_t CpuUs = Out.CpuNs / 1000;
+  Ops.CostCpuUs->inc(CpuUs);
+  Ops.CostWallUs->inc(Out.wallNs() / 1000);
+  Ops.CostVerdictHits->inc(Out.Accel.CacheHits);
+  Ops.CostArenaNodes->set(int64_t(Out.Accel.ArenaNodes));
+  Ops.CostArenaBytes->set(int64_t(Out.Accel.ArenaBytes));
+  Ops.Shards[Shard].CpuUs->inc(CpuUs);
+  Ops.WarmPrefixHits->inc(Out.Accel.SessionPrefixHits);
+  Ops.WarmSeedAdoptions->inc(Out.Accel.SessionSeedAdoptions);
+  Ops.WarmConvMemoHits->inc(Out.Accel.SessionConvMemoHits);
+  bool Warm = warmTotal(Out.Accel) > 0;
   if (Out.Evicted)
     Ops.Evictions->inc();
   if (Out.Replayed)
@@ -357,7 +309,7 @@ void ServerEngine::finishCheck(const std::string &Id,
   // A replay reuses the whole previous answer: the warmest check there is.
   (Warm || Out.Replayed ? Ops.LatencyWarm : Ops.LatencyCold)
       ->record(LatencyUs);
-  Ops.RequestCpuUs->record(Out.Cost.CpuNs / 1000);
+  Ops.RequestCpuUs->record(CpuUs);
   Ops.OracleCallsPerRequest->record(Out.OracleCalls);
 }
 
@@ -371,7 +323,7 @@ void ServerEngine::logCheck(const std::string &Id,
       .str("session", SessionName)
       .num("shard", uint64_t(Shard))
       .real("latency_ms", double(LatencyUs) / 1000.0)
-      .real("cpu_ms", double(Out.Cost.CpuNs) / 1e6)
+      .real("cpu_ms", double(Out.CpuNs) / 1e6)
       .num("oracle_calls", Out.OracleCalls)
       .num("inference_runs", Out.InferenceRuns)
       .num("warm_hits", warmTotal(Out.Accel))
@@ -387,18 +339,10 @@ void ServerEngine::logCheck(const std::string &Id,
 
 void ServerEngine::submit(const std::string &Line, ReplyFn Reply) {
   auto Submitted = std::chrono::steady_clock::now();
-  {
-    sync::MutexLock Lock(Mutex);
-    ++Stats.Requests;
-  }
   Ops.Requests->inc();
   Request R = parseRequest(Line);
   switch (R.TheMethod) {
   case Request::Method::Invalid: {
-    {
-      sync::MutexLock Lock(Mutex);
-      ++Stats.Malformed;
-    }
     Ops.Malformed->inc();
     if (Opts.Log && Opts.Log->enabled(obs::LogLevel::Warn))
       Opts.Log->warn(
@@ -407,10 +351,6 @@ void ServerEngine::submit(const std::string &Line, ReplyFn Reply) {
     return;
   }
   case Request::Method::Ping: {
-    {
-      sync::MutexLock Lock(Mutex);
-      ++Stats.Pings;
-    }
     Ops.Pings->inc();
     if (Opts.Log && Opts.Log->enabled(obs::LogLevel::Debug))
       Opts.Log->debug(obs::LogEvent("ping").str("id", R.Id));
@@ -418,17 +358,9 @@ void ServerEngine::submit(const std::string &Line, ReplyFn Reply) {
     return;
   }
   case Request::Method::Stats: {
-    ServerStats Snapshot = stats();
-    std::ostringstream Extra;
-    Extra << Snapshot.renderJsonMembers();
-    {
-      sync::MutexLock Lock(Mutex);
-      Extra << ",\"sessions\":" << Sessions.size();
-    }
-    Extra << ",\"shard_count\":" << shards();
     if (Opts.Log && Opts.Log->enabled(obs::LogLevel::Debug))
       Opts.Log->debug(obs::LogEvent("stats").str("id", R.Id));
-    Reply(okResponse(R.Id, Extra.str()));
+    Reply(okResponse(R.Id, renderStats()));
     return;
   }
   case Request::Method::Metrics: {
@@ -487,7 +419,6 @@ void ServerEngine::submit(const std::string &Line, ReplyFn Reply) {
       uint64_t ArenaBytes = S->arenaBytes();
       {
         sync::MutexLock Lock(Mutex);
-        ++Stats.Resets;
         setArenaShare(S->name(), ArenaBytes);
       }
       Ops.Resets->inc();
@@ -557,22 +488,41 @@ std::string ServerEngine::handle(const std::string &Line) {
 
 void ServerEngine::drain() { Pool->drainPosted(); }
 
-ServerStats ServerEngine::stats() const {
-  ServerStats Out;
-  {
-    sync::MutexLock Lock(Mutex);
-    Out = Stats;
-  }
-  // The shard breakdown reads the registry instruments directly -- the
-  // same atomics /metrics scrapes -- so both views always agree.
-  Out.Shards.resize(Ops.Shards.size());
+std::string ServerEngine::renderStats() const {
+  // Each member is read from its instrument, one at a time: exact when
+  // the engine is idle, and at most the requests in flight apart when
+  // it is not (DESIGN.md section 14).
+  std::ostringstream OS;
+  OS << ",\"requests\":" << Ops.Requests->value()
+     << ",\"checks\":" << Ops.Checks->value()
+     << ",\"resets\":" << Ops.Resets->value()
+     << ",\"pings\":" << Ops.Pings->value()
+     << ",\"malformed\":" << Ops.Malformed->value()
+     << ",\"sessions_created\":" << Ops.SessionsCreated->value()
+     << ",\"evictions\":" << Ops.Evictions->value()
+     << ",\"replays\":" << Ops.Replays->value()
+     << ",\"oracle_calls\":" << Ops.OracleCalls->value()
+     << ",\"inference_runs\":" << Ops.InferenceRuns->value()
+     << ",\"cache_hits\":" << Ops.CostVerdictHits->value()
+     << ",\"warm\":{\"prefix_hits\":" << Ops.WarmPrefixHits->value()
+     << ",\"seed_adoptions\":" << Ops.WarmSeedAdoptions->value()
+     << ",\"conv_memo_hits\":" << Ops.WarmConvMemoHits->value()
+     << "},\"cost\":{\"cpu_us\":" << Ops.CostCpuUs->value()
+     << ",\"wall_us\":" << Ops.CostWallUs->value()
+     << ",\"arena_nodes\":" << Ops.CostArenaNodes->value()
+     << ",\"arena_bytes\":" << Ops.CostArenaBytes->value()
+     << "},\"shards\":[";
   for (size_t S = 0; S < Ops.Shards.size(); ++S) {
-    Out.Shards[S].Requests = Ops.Shards[S].Requests->value();
-    Out.Shards[S].QueueDepth = Ops.Shards[S].QueueDepth->value();
-    Out.Shards[S].BusySeconds =
-        double(Ops.Shards[S].BusyUs->value()) / 1e6;
+    const ShardInstruments &SI = Ops.Shards[S];
+    if (S)
+      OS << ",";
+    OS << "{\"shard\":" << S << ",\"requests\":" << SI.Requests->value()
+       << ",\"queue_depth\":" << SI.QueueDepth->value()
+       << ",\"busy_seconds\":" << double(SI.BusyUs->value()) / 1e6 << "}";
   }
-  return Out;
+  OS << "],\"sessions\":" << Ops.Sessions->value()
+     << ",\"shard_count\":" << shards();
+  return OS.str();
 }
 
 obs::SloTracker::Burn ServerEngine::tickSlo() {
@@ -711,6 +661,8 @@ void UnixSocketServer::stop() {
       ::shutdown(Fd, SHUT_RDWR);
     Threads.swap(ConnThreads);
   }
+  // The acceptor may be joining threads it reaped; they are done when
+  // it is.
   if (Acceptor.joinable())
     Acceptor.join();
   for (std::thread &T : Threads)
@@ -728,6 +680,16 @@ void UnixSocketServer::acceptLoop() {
         continue;
       return;
     }
+    // An exited thread keeps its stack until it is joined. Finished
+    // threads have left connectionLoop, so the joins return at once, and
+    // the next thread can reuse what they held.
+    std::vector<std::thread> Reaped;
+    {
+      sync::MutexLock Lock(ConnMutex);
+      Reaped = takeFinished();
+    }
+    for (std::thread &T : Reaped)
+      T.join();
     sync::MutexLock Lock(ConnMutex);
     if (Stopping.load()) {
       ::close(Fd);
@@ -738,6 +700,21 @@ void UnixSocketServer::acceptLoop() {
   }
 }
 
+std::vector<std::thread> UnixSocketServer::takeFinished() {
+  std::vector<std::thread> Reaped;
+  for (auto It = ConnThreads.begin(); It != ConnThreads.end();) {
+    if (std::find(Finished.begin(), Finished.end(), It->get_id()) !=
+        Finished.end()) {
+      Reaped.push_back(std::move(*It));
+      It = ConnThreads.erase(It);
+    } else {
+      ++It;
+    }
+  }
+  Finished.clear();
+  return Reaped;
+}
+
 void UnixSocketServer::connectionLoop(int Fd) {
   // Replies may arrive from pool workers after this reader exits (the
   // client disconnected mid-request); ConnWriter's Alive-under-WriteLock
@@ -746,6 +723,9 @@ void UnixSocketServer::connectionLoop(int Fd) {
   auto Writer = std::make_shared<ConnWriter>(Fd);
   auto Reply = [Writer](const std::string &Line) { Writer->sendLine(Line); };
 
+  // Buf holds the unfinished line. Only the bytes a read appends can
+  // end it, so a line is scanned once however many reads it spans, and
+  // the lines a read completes leave Buf in one erase.
   std::string Buf;
   char Chunk[4096];
   bool SawShutdown = false;
@@ -753,11 +733,13 @@ void UnixSocketServer::connectionLoop(int Fd) {
     ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
     if (N <= 0)
       break;
+    size_t Scan = Buf.size();
     Buf.append(Chunk, size_t(N));
+    size_t LineStart = 0;
     size_t Pos;
-    while ((Pos = Buf.find('\n')) != std::string::npos) {
-      std::string Line = Buf.substr(0, Pos);
-      Buf.erase(0, Pos + 1);
+    while ((Pos = Buf.find('\n', Scan)) != std::string::npos) {
+      std::string Line = Buf.substr(LineStart, Pos - LineStart);
+      LineStart = Scan = Pos + 1;
       if (!Line.empty() && Line.back() == '\r')
         Line.pop_back();
       if (!Line.empty())
@@ -767,6 +749,7 @@ void UnixSocketServer::connectionLoop(int Fd) {
         break;
       }
     }
+    Buf.erase(0, LineStart);
   }
   // Let in-flight requests of this connection deliver their replies
   // before the fd goes away; other connections' work is drained too,
@@ -781,6 +764,7 @@ void UnixSocketServer::connectionLoop(int Fd) {
     sync::MutexLock Lock(ConnMutex);
     LiveFds.erase(std::remove(LiveFds.begin(), LiveFds.end(), Fd),
                   LiveFds.end());
+    Finished.push_back(std::this_thread::get_id());
   }
   ::close(Fd);
 }

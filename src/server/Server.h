@@ -15,13 +15,17 @@
 ///     run concurrently, so Session needs no locks and warm-state reuse
 ///     is deterministic; requests of different sessions proceed in
 ///     parallel without contention.
-///   * ping/stats/shutdown are answered inline (they only read the
-///     rollup or flip the shutdown flag).
+///   * ping/stats/shutdown are answered inline (they only read the ops
+///     registry or flip the shutdown flag).
 ///
 /// Replies are delivered through a callback, possibly on a pool worker;
 /// transports serialize writes themselves. The engine never drops a
 /// request silently: malformed lines get an error reply and are counted
-/// in ServerStats::Malformed.
+/// in seminal_malformed_total.
+///
+/// The engine's OpsRegistry is the only store of its counters: the
+/// stats verb renders each member from the instrument /metrics serves
+/// (DESIGN.md section 14).
 ///
 /// Transports: serveStdio() pumps one istream/ostream pair (the
 /// daemon's --stdio mode and the socketpair-driven tests);
@@ -79,44 +83,6 @@ struct ServerOptions {
   obs::SloConfig Slo;
 };
 
-/// Server-wide rollup, updated after every request and served by the
-/// "stats" method. All counters are totals since the engine started.
-struct ServerStats {
-  uint64_t Requests = 0;
-  uint64_t Checks = 0;
-  uint64_t Resets = 0;
-  uint64_t Pings = 0;
-  uint64_t Malformed = 0;
-  uint64_t SessionsCreated = 0;
-  uint64_t Evictions = 0;
-  /// Checks answered by replaying the session's previous answer.
-  uint64_t Replays = 0;
-  uint64_t OracleCalls = 0;
-  uint64_t InferenceRuns = 0;
-  /// Acceleration counters accumulated across every check of every
-  /// session (per-request counters are scoped by runSeminalWithOracle;
-  /// this is their sum, the satellite's "ServerStats rollup").
-  AccelCounters Accel;
-  /// Cost-ledger rollup: the sum of every check's RequestCost, i.e. the
-  /// same numbers the seminal_cost_* instrument families carry (the
-  /// reconciliation CI gate pins scrape == stats == per-request sums).
-  RequestCost Cost;
-
-  /// Per-shard breakdown, read from the same OpsRegistry instruments
-  /// the /metrics exposition serves, so the two views reconcile by
-  /// construction.
-  struct ShardStats {
-    uint64_t Requests = 0;   ///< check+reset requests served here.
-    int64_t QueueDepth = 0;  ///< Posted but not yet started.
-    double BusySeconds = 0.0;
-  };
-  std::vector<ShardStats> Shards;
-
-  /// Members of the stats response, pre-rendered as ',"k":v' JSON text
-  /// (includes the "shards" array).
-  std::string renderJsonMembers() const;
-};
-
 class ServerEngine {
 public:
   explicit ServerEngine(const ServerOptions &Opts = {});
@@ -136,9 +102,6 @@ public:
   /// Blocks until every posted request has been served.
   void drain();
 
-  /// Snapshot of the rollup.
-  ServerStats stats() const;
-
   /// A shutdown request was received; transports should stop accepting
   /// input, drain and exit.
   bool shutdownRequested() const { return Shutdown.load(); }
@@ -147,8 +110,9 @@ public:
   /// The shard a session name pins to (exposed for tests).
   size_t shardOf(const std::string &SessionName) const;
 
-  /// The live instrument registry (the "metrics" verb, the HTTP
-  /// endpoint and tests read it; the engine updates it per request).
+  /// The live instrument registry (the "metrics" and "stats" verbs, the
+  /// HTTP endpoint and tests read it; the engine updates it per
+  /// request).
   obs::OpsRegistry &registry() { return Registry; }
   /// Prometheus text exposition of the registry. Ticks the SLO tracker
   /// first, so scraped burn-rate gauges are current as of the scrape.
@@ -189,16 +153,18 @@ private:
     obs::OpsCounter *Replays = nullptr;
     obs::OpsCounter *OracleCalls = nullptr;
     obs::OpsCounter *InferenceRuns = nullptr;
-    obs::OpsCounter *WarmHits = nullptr;
+    /// seminal_warm_hits_total by kind: the reply's "warm" counters.
+    obs::OpsCounter *WarmPrefixHits = nullptr;
+    obs::OpsCounter *WarmSeedAdoptions = nullptr;
+    obs::OpsCounter *WarmConvMemoHits = nullptr;
     obs::OpsCounter *SlowTraces = nullptr;
     obs::OpsGauge *Sessions = nullptr;
     obs::OpsGauge *ArenaBytes = nullptr;
     // Cost-ledger families (DESIGN.md section 16). Counters are flows
-    // summed across checks; the arena pair are levels (gauges).
+    // summed across checks; the arena pair are levels (gauges). The
+    // ledger's oracle calls and inference runs are the counters above.
     obs::OpsCounter *CostCpuUs = nullptr;
     obs::OpsCounter *CostWallUs = nullptr;
-    obs::OpsCounter *CostOracleCalls = nullptr;
-    obs::OpsCounter *CostInferenceRuns = nullptr;
     obs::OpsCounter *CostVerdictHits = nullptr;
     obs::OpsGauge *CostArenaNodes = nullptr;
     obs::OpsGauge *CostArenaBytes = nullptr;
@@ -226,10 +192,13 @@ private:
                    size_t Shard, uint64_t LatencyUs, const CheckOutcome &Out);
   void logCheck(const std::string &Id, const std::string &SessionName,
                 size_t Shard, uint64_t LatencyUs, const CheckOutcome &Out);
+  /// The stats reply's members after "ok", read from the instruments.
+  std::string renderStats() const;
 
   /// Immutable after construction (Opts, Pool, Registry, the cached
   /// instrument pointers in Ops); the instruments themselves are
-  /// lock-free atomics.
+  /// lock-free atomics. Mutex guards the session table, the arena
+  /// shares and the slowest-request exemplar, and no counter.
   ServerOptions Opts;
   std::unique_ptr<ThreadPool> Pool;
   obs::OpsRegistry Registry;
@@ -246,7 +215,6 @@ private:
   /// High-water latency for the slowest-request exemplar; the gauge and
   /// info labels are republished only when a check beats this.
   uint64_t SlowestLatencyUs SEMINAL_GUARDED_BY(Mutex) = 0;
-  ServerStats Stats SEMINAL_GUARDED_BY(Mutex);
   std::atomic<bool> Shutdown{false};
 };
 
@@ -263,7 +231,10 @@ void serveStdio(ServerEngine &Engine, std::istream &In, std::ostream &Out);
 /// Unix-domain-socket transport. start() binds, listens and spawns the
 /// accept thread; stop() (and the destructor) closes every connection
 /// and joins. Connections are independent JSONL streams into the shared
-/// engine, so two editors can address the same session by name.
+/// engine, so two editors can address the same session by name. The
+/// accept thread joins the threads of finished connections before it
+/// starts the next one, so threads stay bounded by the connections
+/// open at once, not the connections served.
 class UnixSocketServer {
 public:
   UnixSocketServer(ServerEngine &Engine, std::string Path);
@@ -276,6 +247,9 @@ public:
 private:
   void acceptLoop();
   void connectionLoop(int Fd);
+  /// Moves the threads of finished connections out of ConnThreads for
+  /// the caller to join.
+  std::vector<std::thread> takeFinished() SEMINAL_REQUIRES(ConnMutex);
 
   ServerEngine &Engine;
   std::string Path;
@@ -286,6 +260,8 @@ private:
   std::thread Acceptor;
   sync::Mutex ConnMutex{sync::LockRank::ServerConn, "server.conn"};
   std::vector<std::thread> ConnThreads SEMINAL_GUARDED_BY(ConnMutex);
+  /// Connection threads that have left connectionLoop, not yet joined.
+  std::vector<std::thread::id> Finished SEMINAL_GUARDED_BY(ConnMutex);
   std::vector<int> LiveFds SEMINAL_GUARDED_BY(ConnMutex);
 };
 

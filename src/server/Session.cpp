@@ -49,7 +49,6 @@ void Session::rebuildOracle() {
 }
 
 void Session::reset() {
-  ++Requests;
   Previous.reset();
   rebuildOracle();
 }
@@ -63,8 +62,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// The part of an outcome that depends on the request alone: what a
-/// replay serves again. Counters, the ledger and the report are the
-/// searched request's own.
+/// replay serves again. Counters, clocks and the report are the searched
+/// request's own.
 CheckOutcome answerOf(const CheckOutcome &O) {
   CheckOutcome A;
   A.SyntaxError = O.SyntaxError;
@@ -83,8 +82,7 @@ void stampClocks(CheckOutcome &Out, Clock::time_point Start,
                  uint64_t CpuStart) {
   Out.WallSeconds =
       std::chrono::duration<double>(Clock::now() - Start).count();
-  Out.Cost.CpuNs = prof::threadCpuNs() - CpuStart;
-  Out.Cost.WallNs = uint64_t(Out.WallSeconds * 1e9);
+  Out.CpuNs = prof::threadCpuNs() - CpuStart;
 }
 
 } // namespace
@@ -93,7 +91,6 @@ CheckOutcome Session::check(const std::string &Source,
                             const CheckOptions &Opts) {
   auto Start = Clock::now();
   uint64_t CpuStart = prof::threadCpuNs();
-  ++Requests;
   ++Checks;
 
   // A replay or a syntax error runs no search: its bill is its own
@@ -102,11 +99,10 @@ CheckOutcome Session::check(const std::string &Source,
     stampClocks(Out, Start, CpuStart);
     if (Oracle->arena()) {
       const caml::AstArena::Stats &A = Oracle->arena()->stats();
-      Out.Cost.ArenaNodes = A.Nodes;
-      Out.Cost.ArenaBytes = A.Bytes;
+      Out.Accel.ArenaNodes = A.Nodes;
+      Out.Accel.ArenaBytes = A.Bytes;
     }
-    Out.ArenaBytes = Out.Cost.ArenaBytes;
-    AccumulatedCost += Out.Cost;
+    Out.ArenaBytes = Out.Accel.ArenaBytes;
   };
   auto Remember = [&](const CheckOutcome &Out) {
     Previous = PreviousCheck{Source, Opts.MaxSuggestions, Opts.MaxOracleCalls,
@@ -182,37 +178,25 @@ CheckOutcome Session::check(const std::string &Source,
   Out.InferenceRuns = R.InferenceRuns;
   Out.Accel = R.Accel;
 
-  // Ledger: measured here, where both clocks were stamped, so the
-  // RunReport, the outcome (-> protocol response, engine rollups) and
-  // the session total all carry the same numbers.
+  // Clocks: stamped here, so the RunReport and the outcome (-> protocol
+  // response, engine counters) carry the same numbers.
   stampClocks(Out, Start, CpuStart);
-  Out.Cost.OracleCalls = R.OracleCalls;
-  Out.Cost.InferenceRuns = R.InferenceRuns;
-  Out.Cost.ArenaNodes = R.Accel.ArenaNodes;
-  Out.Cost.ArenaBytes = R.Accel.ArenaBytes;
-  Out.Cost.VerdictCacheHits = R.Accel.CacheHits;
 
   if (Opts.WantReport) {
     obs::RunReport Run;
     Run.ProgramId = Name + "#" + std::to_string(Checks);
     Run.SourceHash = caml::hashProgram(*PR.Prog);
     fillRunReport(Run, R, /*Telemetry=*/nullptr, Out.WallSeconds);
-    Run.Cost = Out.Cost; // same ledger everywhere, by construction
+    Run.CpuNs = Out.CpuNs;
     std::ostringstream OS;
     Run.writeJson(OS);
     Out.ReportJson = OS.str();
   }
 
-  Accumulated += R.Accel;
-  AccumulatedCost += Out.Cost;
-  TotalOracleCalls += R.OracleCalls;
-  TotalInferenceRuns += R.InferenceRuns;
-
   // Eviction check: the arena holds only the retained prefix's ids, which
   // rebuildOracle drops along with the oracle.
   if (arenaBytes() > Config.ArenaEvictBytes) {
     rebuildOracle();
-    ++Evictions;
     Out.Evicted = true;
   }
   Out.ArenaBytes = arenaBytes();

@@ -15,12 +15,12 @@
 /// the previous answer without searching at all.
 ///
 /// Scoping rules (DESIGN.md section 13): AccelCounters are per-request
-/// -- runSeminalWithOracle resets them at entry and the Session folds
-/// each request's counters into its own rollup; the arena is
-/// per-session and persists across requests until the eviction
-/// watermark. A Session is single-threaded by construction: the server
-/// pins it to one ThreadPool shard and its requests run FIFO there, so
-/// no member needs a lock.
+/// -- runSeminalWithOracle resets them at entry, and the server's ops
+/// registry, not the Session, sums them; the arena is per-session and
+/// persists across requests until the eviction watermark. A Session is
+/// single-threaded by construction: the server pins it to one
+/// ThreadPool shard and its requests run FIFO there, so no member needs
+/// a lock.
 ///
 /// Eviction: interned arena nodes are immortal, so a session that keeps
 /// submitting different programs grows its arena without bound. When
@@ -96,17 +96,21 @@ struct CheckOutcome {
   };
   std::vector<RenderedSuggestion> Suggestions;
 
+  // The request's cost ledger (DESIGN.md section 16) is these fields;
+  // the reply's "cost" object and the engine's counters read them.
   uint64_t OracleCalls = 0;
   uint64_t InferenceRuns = 0;
   /// Per-request acceleration counters (includes the Session* warm-reuse
-  /// fields that the protocol surfaces as "warm").
+  /// fields that the protocol surfaces as "warm"). The arena fields are
+  /// the session's levels after the check, also when it ran no search.
   AccelCounters Accel;
   double WallSeconds = 0.0;
-  /// The request's cost ledger (DESIGN.md section 16). CpuNs is exact:
-  /// the session runs confined to one shard worker, so a thread-CPU
-  /// clock delta around the check is the request's CPU. The logical
-  /// fields mirror Accel / OracleCalls by construction.
-  RequestCost Cost;
+  /// Thread CPU the check consumed. Exact: the session runs confined to
+  /// one shard worker, so a thread-CPU clock delta around the check is
+  /// the request's CPU.
+  uint64_t CpuNs = 0;
+  /// WallSeconds in the ledger's unit.
+  uint64_t wallNs() const { return uint64_t(WallSeconds * 1e9); }
   /// Compact RunReport JSON (empty unless CheckOptions::WantReport).
   std::string ReportJson;
   /// The arena watermark was crossed and the session went cold.
@@ -136,21 +140,14 @@ public:
 
   /// Drops all warm state (retained checkpoints, memos,
   /// arena contents, the replayable answer). The session identity and
-  /// rollup counters survive.
+  /// its check count survive.
   void reset();
 
   /// Retained arena bytes right now.
   uint64_t arenaBytes() const;
 
-  // Rollup (read by the server's stats method) -------------------------
-  const AccelCounters &accumulated() const { return Accumulated; }
-  /// Sum of every check's ledger (operator+= keeps arena levels latest).
-  const RequestCost &accumulatedCost() const { return AccumulatedCost; }
-  uint64_t requests() const { return Requests; }
+  /// Checks served so far; names the RunReport ("session#N").
   uint64_t checks() const { return Checks; }
-  uint64_t evictions() const { return Evictions; }
-  uint64_t totalOracleCalls() const { return TotalOracleCalls; }
-  uint64_t totalInferenceRuns() const { return TotalInferenceRuns; }
 
 private:
   /// (Re)creates the oracle, reusing the arena storage when this session
@@ -173,13 +170,7 @@ private:
   };
   std::optional<PreviousCheck> Previous;
 
-  AccelCounters Accumulated;
-  RequestCost AccumulatedCost;
-  uint64_t Requests = 0;
   uint64_t Checks = 0;
-  uint64_t Evictions = 0;
-  uint64_t TotalOracleCalls = 0;
-  uint64_t TotalInferenceRuns = 0;
 };
 
 } // namespace server

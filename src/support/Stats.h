@@ -77,43 +77,6 @@ struct AccelCounters {
   std::string render() const;
 };
 
-/// The per-request cost ledger (DESIGN.md section 16): what one check
-/// actually consumed, stamped by the session that ran it and threaded
-/// unchanged through ServerEngine rollups and the RunReport. The
-/// logical-effort fields mirror AccelCounters / the search report by
-/// construction (pinned by the ledger reconciliation tests), so the
-/// scrape, the stats verb and the RunReport can never disagree about
-/// what a request cost.
-struct RequestCost {
-  /// Thread CPU consumed by the request (CLOCK_THREAD_CPUTIME_ID delta;
-  /// exact, because a session runs confined to one shard worker).
-  uint64_t CpuNs = 0;
-  uint64_t WallNs = 0;
-  /// Logical oracle questions (SeminalReport::OracleCalls).
-  uint64_t OracleCalls = 0;
-  /// Inference actually performed (AccelCounters::inferenceRuns()).
-  uint64_t InferenceRuns = 0;
-  /// Arena occupancy after the request (AccelCounters::Arena*).
-  uint64_t ArenaNodes = 0;
-  uint64_t ArenaBytes = 0;
-  /// Verdicts served by the conventional-verdict memo
-  /// (AccelCounters::CacheHits).
-  uint64_t VerdictCacheHits = 0;
-
-  RequestCost &operator+=(const RequestCost &Other) {
-    CpuNs += Other.CpuNs;
-    WallNs += Other.WallNs;
-    OracleCalls += Other.OracleCalls;
-    InferenceRuns += Other.InferenceRuns;
-    // Arena occupancy is a level, not a flow: accumulation keeps the
-    // latest observation rather than a meaningless sum.
-    ArenaNodes = Other.ArenaNodes;
-    ArenaBytes = Other.ArenaBytes;
-    VerdictCacheHits += Other.VerdictCacheHits;
-    return *this;
-  }
-};
-
 /// An accumulating sample set with percentile/CDF queries.
 class Samples {
 public:

@@ -39,6 +39,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -224,16 +225,28 @@ TEST(ServerSessionTest, WarmResubmitIsByteIdenticalAndCounted) {
 }
 
 TEST(ServerSessionTest, CountersAreScopedPerRequest) {
-  Session S("t", SessionConfig());
-  CheckOutcome First = S.check(BaseSource, CheckOptions());
-  CheckOutcome Second = S.check(EditedSource, CheckOptions());
-  // Per-request scoping: the second outcome's counters describe only
-  // the second request (no bleed from the first), while the session
-  // rollup accumulates both.
-  EXPECT_EQ(S.totalInferenceRuns(), First.InferenceRuns + Second.InferenceRuns);
-  EXPECT_EQ(S.totalOracleCalls(), First.OracleCalls + Second.OracleCalls);
-  EXPECT_EQ(S.accumulated().SessionPrefixHits,
-            First.Accel.SessionPrefixHits + Second.Accel.SessionPrefixHits);
+  ServerEngine Engine;
+  json::Value First = parseReply(Engine.handle(checkLine(1, "t", BaseSource)));
+  json::Value Second =
+      parseReply(Engine.handle(checkLine(2, "t", EditedSource)));
+  // Per-request scoping: the second reply's counters describe only the
+  // second request (no bleed from the first, which did more inference),
+  // while the per-server scope, the engine's registry, sums both.
+  EXPECT_LT(Second.getInt("inference_runs", -1),
+            First.getInt("inference_runs", -1));
+  obs::OpsRegistry &R = Engine.registry();
+  EXPECT_EQ(R.counter("seminal_inference_runs_total").value(),
+            uint64_t(First.getInt("inference_runs", -1) +
+                     Second.getInt("inference_runs", -1)));
+  EXPECT_EQ(R.counter("seminal_oracle_calls_total").value(),
+            uint64_t(First.getInt("oracle_calls", -1) +
+                     Second.getInt("oracle_calls", -1)));
+  ASSERT_TRUE(First.member("warm") && Second.member("warm"));
+  EXPECT_EQ(
+      R.counter("seminal_warm_hits_total", "", {{"kind", "prefix_hits"}})
+          .value(),
+      uint64_t(First.member("warm")->getInt("prefix_hits", -1) +
+               Second.member("warm")->getInt("prefix_hits", -1)));
 }
 
 TEST(ServerSessionTest, SyntaxErrorLeavesWarmStateIntact) {
@@ -264,7 +277,7 @@ TEST(ServerSessionTest, EvictionGoesColdButStaysCorrect) {
   CheckOutcome Second = S.check(EditedSource, CheckOptions());
   EXPECT_EQ(warmTotal(Second.Accel), 0u) << "evicted sessions run cold";
   EXPECT_EQ(outcomeMessages(Second), Expected);
-  EXPECT_EQ(S.evictions(), 2u);
+  EXPECT_TRUE(Second.Evicted);
 }
 
 //===----------------------------------------------------------------------===//
@@ -342,9 +355,9 @@ TEST(ServerReplayTest, CorpusResubmitsReplayTheColdAnswer) {
     expectColdAnswer(First, Source);
     expectColdAnswer(Second, Source);
   }
-  ServerStats S = Engine.stats();
-  EXPECT_EQ(S.Checks, 2 * C.Analyzed.size());
-  EXPECT_EQ(S.Replays, C.Analyzed.size());
+  obs::OpsRegistry &R = Engine.registry();
+  EXPECT_EQ(R.counter("seminal_checks_total").value(), 2 * C.Analyzed.size());
+  EXPECT_EQ(R.counter("seminal_replays_total").value(), C.Analyzed.size());
 }
 
 TEST(ServerReplayTest, SyntaxErrorReplays) {
@@ -419,7 +432,6 @@ TEST(ServerReplayTest, EvictionKeepsTheAnswer) {
   EXPECT_FALSE(Second.Evicted);
   expectSameAnswer(Second, First);
   EXPECT_EQ(outcomeMessages(Second), oneShotMessages(BaseSource, nullptr));
-  EXPECT_EQ(S.evictions(), 1u);
 }
 
 TEST(ServerReplayTest, ReplayBillsItsOwnClocksAndNoSearch) {
@@ -430,23 +442,15 @@ TEST(ServerReplayTest, ReplayBillsItsOwnClocksAndNoSearch) {
   EXPECT_EQ(Replay.OracleCalls, 0u);
   EXPECT_EQ(Replay.InferenceRuns, 0u);
   EXPECT_EQ(warmTotal(Replay.Accel), 0u);
-  EXPECT_EQ(Replay.Cost.OracleCalls, 0u);
-  EXPECT_EQ(Replay.Cost.InferenceRuns, 0u);
-  EXPECT_EQ(Replay.Cost.VerdictCacheHits, 0u);
-  EXPECT_GT(Replay.Cost.WallNs, 0u);
+  EXPECT_EQ(Replay.Accel.CacheHits, 0u);
+  EXPECT_GT(Replay.wallNs(), 0u);
   EXPECT_TRUE(Replay.ReportJson.empty());
   EXPECT_TRUE(Replay.SlowTracePath.empty());
   // The arena levels are the session's current ones.
   EXPECT_GT(First.ArenaBytes, 0u);
   EXPECT_EQ(Replay.ArenaBytes, First.ArenaBytes);
-  EXPECT_EQ(Replay.Cost.ArenaBytes, First.ArenaBytes);
-  EXPECT_EQ(Replay.Cost.ArenaNodes, First.Cost.ArenaNodes);
-  // The session's ledger bills the replay; its search totals do not move.
-  EXPECT_EQ(S.accumulatedCost().CpuNs, First.Cost.CpuNs + Replay.Cost.CpuNs);
-  EXPECT_EQ(S.accumulatedCost().WallNs,
-            First.Cost.WallNs + Replay.Cost.WallNs);
-  EXPECT_EQ(S.totalOracleCalls(), First.OracleCalls);
-  EXPECT_EQ(S.totalInferenceRuns(), First.InferenceRuns);
+  EXPECT_EQ(Replay.Accel.ArenaBytes, First.ArenaBytes);
+  EXPECT_EQ(Replay.Accel.ArenaNodes, First.Accel.ArenaNodes);
   EXPECT_EQ(S.checks(), 2u);
 }
 
@@ -476,7 +480,6 @@ TEST(ServerReplayTest, EngineLogsAndCountsReplaysAndTracesNone) {
 
   obs::OpsRegistry &R = Engine.registry();
   EXPECT_EQ(R.counter("seminal_replays_total").value(), 1u);
-  EXPECT_EQ(Engine.stats().Replays, 1u);
   json::Value Stats =
       parseReply(Engine.handle("{\"method\":\"stats\",\"id\":3}"));
   EXPECT_EQ(Stats.getInt("replays", -1), 1);
@@ -542,10 +545,13 @@ TEST(ServerEngineTest, WarmCountersRiseInResponses) {
   EXPECT_EQ(W->getInt("conv_memo_hits", -1), 0);
   EXPECT_EQ(W->member("verdict_reuses"), nullptr);
 
-  // The server-wide rollup accumulated both requests' counters.
-  ServerStats Stats = Engine.stats();
-  EXPECT_EQ(Stats.Checks, 2u);
-  EXPECT_GT(Stats.Accel.SessionPrefixHits, 0u);
+  // The engine's counters summed both requests.
+  obs::OpsRegistry &R = Engine.registry();
+  EXPECT_EQ(R.counter("seminal_checks_total").value(), 2u);
+  EXPECT_GT(
+      R.counter("seminal_warm_hits_total", "", {{"kind", "prefix_hits"}})
+          .value(),
+      0u);
 }
 
 TEST(ServerEngineTest, MalformedLineGetsErrorReplyAndSessionSurvives) {
@@ -571,7 +577,7 @@ TEST(ServerEngineTest, MalformedLineGetsErrorReplyAndSessionSurvives) {
   ASSERT_TRUE(Warm.member("warm"));
   EXPECT_GT(Warm.member("warm")->getInt("prefix_hits", 0), 0)
       << "malformed lines in between must not disturb the session";
-  EXPECT_EQ(Engine.stats().Malformed, 2u);
+  EXPECT_EQ(Engine.registry().counter("seminal_malformed_total").value(), 2u);
 }
 
 TEST(ServerEngineTest, OversizedIntegerLiteralGetsSyntaxErrorReply) {
@@ -597,7 +603,7 @@ TEST(ServerEngineTest, OversizedIntegerLiteralGetsSyntaxErrorReply) {
   ASSERT_EQ(Suggestions->arrayValue().size(), Expected.size());
   for (size_t I = 0; I < Expected.size(); ++I)
     EXPECT_EQ(Suggestions->arrayValue()[I].getString("message"), Expected[I]);
-  EXPECT_EQ(Engine.stats().Checks, 2u);
+  EXPECT_EQ(Engine.registry().counter("seminal_checks_total").value(), 2u);
 }
 
 TEST(ServerEngineTest, SessionsShardDeterministically) {
@@ -662,11 +668,12 @@ public:
   }
   ~SocketClient() { close(); }
 
-  bool send(const std::string &Line) {
-    std::string Out = Line + "\n";
+  bool send(const std::string &Line) { return sendRaw(Line + "\n"); }
+
+  bool sendRaw(const std::string &Bytes) {
     size_t Off = 0;
-    while (Off < Out.size()) {
-      ssize_t N = ::send(Fd, Out.data() + Off, Out.size() - Off, 0);
+    while (Off < Bytes.size()) {
+      ssize_t N = ::send(Fd, Bytes.data() + Off, Bytes.size() - Off, 0);
       if (N <= 0)
         return false;
       Off += size_t(N);
@@ -685,6 +692,15 @@ public:
     return Buf;
   }
 
+  /// Ends the request stream and waits until the server has closed its
+  /// end, that is, until the connection's reader has finished.
+  void finish() {
+    ::shutdown(Fd, SHUT_WR);
+    char C;
+    while (::recv(Fd, &C, 1, 0) > 0) {
+    }
+  }
+
   void close() {
     if (Fd >= 0)
       ::close(Fd);
@@ -701,6 +717,7 @@ TEST(ServerSocketTest, MidStreamDisconnectLeavesSessionIntact) {
   std::string Path =
       "/tmp/seminal_servertest_" + std::to_string(::getpid()) + ".sock";
   ServerEngine Engine;
+  obs::OpsCounter &Checks = Engine.registry().counter("seminal_checks_total");
   UnixSocketServer Socket(Engine, Path);
   std::string Error;
   ASSERT_TRUE(Socket.start(Error)) << Error;
@@ -719,9 +736,9 @@ TEST(ServerSocketTest, MidStreamDisconnectLeavesSessionIntact) {
   }
   // drain() only waits for work already posted, and client 1's connection
   // thread may not have read its line yet; wait until its check finished.
-  for (int Tries = 0; Tries < 5000 && Engine.stats().Checks == 0; ++Tries)
+  for (int Tries = 0; Tries < 5000 && Checks.value() == 0; ++Tries)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_EQ(Engine.stats().Checks, 1u) << "client 1's check never ran";
+  ASSERT_EQ(Checks.value(), 1u) << "client 1's check never ran";
   Engine.drain();
 
   // Client 2 reconnects to the same session: the work client 1 paid for
@@ -741,7 +758,7 @@ TEST(ServerSocketTest, MidStreamDisconnectLeavesSessionIntact) {
   C2.close();
 
   Socket.stop();
-  EXPECT_EQ(Engine.stats().Checks, 2u);
+  EXPECT_EQ(Checks.value(), 2u);
 }
 
 TEST(ServerSocketTest, SecondDaemonOnSameSocketFailsCleanly) {
@@ -787,6 +804,129 @@ TEST(ServerSocketTest, SecondDaemonOnSameSocketFailsCleanly) {
   ::unlink(Path.c_str());
 }
 
+/// A check reply with its clock values zeroed, for comparing two runs
+/// of the same check.
+std::string withoutClocks(std::string Reply) {
+  for (std::string Key :
+       {"\"wall_seconds\":", "\"cpu_ns\":", "\"wall_ns\":"}) {
+    size_t At = Reply.find(Key);
+    if (At == std::string::npos)
+      continue;
+    At += Key.size();
+    Reply.replace(At, Reply.find_first_of(",}", At) - At, "0");
+  }
+  return Reply;
+}
+
+TEST(ServerSocketTest, ThreeLinesInOneSendGetThreeReplies) {
+  std::string Path =
+      "/tmp/seminal_lines_" + std::to_string(::getpid()) + ".sock";
+  ServerEngine Engine;
+  UnixSocketServer Socket(Engine, Path);
+  std::string Error;
+  ASSERT_TRUE(Socket.start(Error)) << Error;
+
+  SocketClient C(Path);
+  ASSERT_TRUE(C.Connected);
+  ASSERT_TRUE(C.sendRaw("{\"method\":\"ping\",\"id\":1}\n"
+                        "{\"method\":\"ping\",\"id\":2}\r\n"
+                        "{\"method\":\"stats\",\"id\":3}\n"));
+  // Inline methods reply in order.
+  json::Value First = parseReply(C.recvLine());
+  json::Value Second = parseReply(C.recvLine());
+  json::Value Third = parseReply(C.recvLine());
+  EXPECT_EQ(First.getInt("id", -1), 1);
+  EXPECT_TRUE(First.getBool("pong", false));
+  EXPECT_EQ(Second.getInt("id", -1), 2);
+  EXPECT_TRUE(Second.getBool("pong", false));
+  EXPECT_EQ(Third.getInt("id", -1), 3);
+  EXPECT_EQ(Third.getInt("pings", -1), 2);
+  C.close();
+  Socket.stop();
+}
+
+TEST(ServerSocketTest, LineSplitAcrossSendsGetsOneReply) {
+  std::string Path =
+      "/tmp/seminal_split_" + std::to_string(::getpid()) + ".sock";
+  ServerEngine Engine;
+  UnixSocketServer Socket(Engine, Path);
+  std::string Error;
+  ASSERT_TRUE(Socket.start(Error)) << Error;
+
+  std::string Line = checkLine(1, "split", BaseSource);
+  SocketClient C(Path);
+  ASSERT_TRUE(C.Connected);
+  std::string Bytes = Line + "\n";
+  for (size_t Off = 0; Off < Bytes.size(); Off += 3) {
+    ASSERT_TRUE(C.sendRaw(Bytes.substr(Off, 3)));
+    // Pause now and then so the reader sees the line in pieces.
+    if (Off % 48 == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::string Reply = C.recvLine();
+  C.close();
+  Socket.stop();
+  EXPECT_EQ(Engine.registry().counter("seminal_requests_total").value(), 1u);
+
+  ServerEngine Fresh;
+  EXPECT_EQ(withoutClocks(Reply), withoutClocks(Fresh.handle(Line)));
+}
+
+/// This process's virtual memory in KiB (VmSize in /proc/self/status).
+int64_t vmSizeKb() {
+  std::ifstream In("/proc/self/status");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind("VmSize:", 0) == 0)
+      return std::stoll(Line.substr(7));
+  return -1;
+}
+
+/// The stack a new std::thread gets, in KiB.
+int64_t threadStackKb() {
+  size_t Bytes = 0;
+  std::thread([&Bytes] {
+    pthread_attr_t A;
+    if (pthread_getattr_np(pthread_self(), &A) == 0) {
+      pthread_attr_getstacksize(&A, &Bytes);
+      pthread_attr_destroy(&A);
+    }
+  }).join();
+  return int64_t(Bytes / 1024);
+}
+
+TEST(ServerSocketTest, FinishedConnectionThreadsAreReaped) {
+  // An exited thread keeps its stack mapped until it is joined, so a
+  // daemon that joined connection threads only at stop() grew by one
+  // stack per connection it ever served.
+  std::string Path =
+      "/tmp/seminal_reap_" + std::to_string(::getpid()) + ".sock";
+  ServerEngine Engine;
+  UnixSocketServer Socket(Engine, Path);
+  std::string Error;
+  ASSERT_TRUE(Socket.start(Error)) << Error;
+  auto PingOnce = [&Path] {
+    SocketClient C(Path);
+    ASSERT_TRUE(C.Connected);
+    ASSERT_TRUE(C.send("{\"method\":\"ping\",\"id\":1}"));
+    EXPECT_TRUE(parseReply(C.recvLine()).getBool("pong", false));
+    C.finish();
+  };
+  int64_t StackKb = threadStackKb();
+  ASSERT_GT(StackKb, 0);
+  PingOnce(); // one-time costs of the first connection
+  int64_t Before = vmSizeKb();
+  ASSERT_GT(Before, 0) << "no VmSize in /proc/self/status";
+  for (int I = 0; I < 32; ++I)
+    PingOnce();
+  int64_t Grown = vmSizeKb() - Before;
+  EXPECT_LT(Grown, 4 * StackKb)
+      << "32 sequential connections grew VmSize by " << Grown
+      << " KiB; one thread stack is " << StackKb << " KiB";
+  Socket.stop();
+  EXPECT_EQ(Engine.registry().counter("seminal_pings_total").value(), 33u);
+}
+
 //===----------------------------------------------------------------------===//
 // Observability: metrics verb, per-shard stats, slow traces, HTTP scrape
 //===----------------------------------------------------------------------===//
@@ -801,51 +941,97 @@ TEST(ServerObsTest, MetricsReconcileExactlyWithStats) {
   Engine.handle(checkLine(3, "beta", BaseSource));
   Engine.handle("{\"method\":\"ping\",\"id\":4}");
   Engine.handle("{\"method\":\"reset\",\"id\":5,\"session\":\"beta\"}");
+  Engine.handle("{\"method\":\"frobnicate\",\"id\":7}"); // malformed
   Engine.drain();
 
-  // The stats rollup and the registry are updated at the same code
-  // sites; every shared total must agree exactly.
-  ServerStats S = Engine.stats();
+  // The stats verb renders each member from its registry instrument, so
+  // on an idle engine every member equals the instrument /metrics serves.
+  json::Value Stats =
+      parseReply(Engine.handle("{\"method\":\"stats\",\"id\":8}"));
   obs::OpsRegistry &R = Engine.registry();
-  EXPECT_EQ(S.Checks, 4u);
-  EXPECT_EQ(S.Replays, 1u);
-  EXPECT_EQ(R.counter("seminal_requests_total").value(), S.Requests);
-  EXPECT_EQ(R.counter("seminal_checks_total").value(), S.Checks);
-  EXPECT_EQ(R.counter("seminal_resets_total").value(), S.Resets);
-  EXPECT_EQ(R.counter("seminal_pings_total").value(), S.Pings);
-  EXPECT_EQ(R.counter("seminal_oracle_calls_total").value(), S.OracleCalls);
-  EXPECT_EQ(R.counter("seminal_inference_runs_total").value(),
-            S.InferenceRuns);
-  EXPECT_EQ(R.counter("seminal_sessions_created_total").value(),
-            S.SessionsCreated);
-  EXPECT_EQ(R.counter("seminal_evictions_total").value(), S.Evictions);
-  EXPECT_EQ(R.counter("seminal_replays_total").value(), S.Replays);
-  uint64_t Warm = S.Accel.SessionPrefixHits + S.Accel.SessionSeedAdoptions +
-                  S.Accel.SessionConvMemoHits;
-  EXPECT_EQ(R.counter("seminal_warm_hits_total").value(), Warm);
-  EXPECT_GT(Warm, 0u) << "the alpha resubmit must have run warm";
+  auto Counter = [&R](const char *Name, const obs::OpsLabels &L = {}) {
+    return int64_t(R.counter(Name, "", L).value());
+  };
+  auto Gauge = [&R](const char *Name, const obs::OpsLabels &L = {}) {
+    return R.gauge(Name, "", L).value();
+  };
+  const std::pair<const char *, const char *> Counters[] = {
+      {"requests", "seminal_requests_total"},
+      {"checks", "seminal_checks_total"},
+      {"resets", "seminal_resets_total"},
+      {"pings", "seminal_pings_total"},
+      {"malformed", "seminal_malformed_total"},
+      {"sessions_created", "seminal_sessions_created_total"},
+      {"evictions", "seminal_evictions_total"},
+      {"replays", "seminal_replays_total"},
+      {"oracle_calls", "seminal_oracle_calls_total"},
+      {"inference_runs", "seminal_inference_runs_total"},
+      {"cache_hits", "seminal_cost_verdict_cache_hits_total"},
+  };
+  for (const auto &[Member, Family] : Counters)
+    EXPECT_EQ(Stats.getInt(Member, -1), Counter(Family)) << Member;
+  EXPECT_EQ(Stats.getInt("sessions", -1), Gauge("seminal_sessions"));
+  EXPECT_EQ(Stats.getInt("shard_count", -1), int64_t(Engine.shards()));
+  EXPECT_FALSE(Stats.member("cache_misses"));
+
+  const json::Value *Warm = Stats.member("warm");
+  ASSERT_TRUE(Warm && Warm->isObject());
+  for (const char *Kind : {"prefix_hits", "seed_adoptions", "conv_memo_hits"})
+    EXPECT_EQ(Warm->getInt(Kind, -1),
+              Counter("seminal_warm_hits_total", {{"kind", Kind}}))
+        << Kind;
+  EXPECT_GT(Warm->getInt("prefix_hits", 0), 0)
+      << "the alpha resubmit must have run warm";
+
+  const json::Value *Cost = Stats.member("cost");
+  ASSERT_TRUE(Cost && Cost->isObject());
+  EXPECT_EQ(Cost->objectValue().size(), 4u);
+  EXPECT_EQ(Cost->getInt("cpu_us", -1), Counter("seminal_cost_cpu_us_total"));
+  EXPECT_EQ(Cost->getInt("wall_us", -1), Counter("seminal_cost_wall_us_total"));
+  EXPECT_EQ(Cost->getInt("arena_nodes", -1), Gauge("seminal_cost_arena_nodes"));
+  EXPECT_EQ(Cost->getInt("arena_bytes", -1), Gauge("seminal_cost_arena_bytes"));
+
+  const json::Value *Shards = Stats.member("shards");
+  ASSERT_TRUE(Shards && Shards->isArray());
+  ASSERT_EQ(Shards->arrayValue().size(), size_t(Engine.shards()));
+  int64_t ShardRequests = 0;
+  for (size_t I = 0; I < Shards->arrayValue().size(); ++I) {
+    const json::Value &Sh = Shards->arrayValue()[I];
+    obs::OpsLabels L{{"shard", std::to_string(I)}};
+    EXPECT_EQ(Sh.getInt("requests", -1),
+              Counter("seminal_shard_requests_total", L));
+    EXPECT_EQ(Sh.getInt("queue_depth", -1),
+              Gauge("seminal_shard_queue_depth", L));
+    EXPECT_EQ(Gauge("seminal_shard_queue_depth", L), 0)
+        << "drained engine must have empty queues";
+    const json::Value *Busy = Sh.member("busy_seconds");
+    ASSERT_TRUE(Busy && Busy->isNumber());
+    double BusySeconds =
+        double(Counter("seminal_shard_busy_us_total", L)) / 1e6;
+    EXPECT_NEAR(Busy->numberValue(), BusySeconds, 1e-5 * BusySeconds);
+    ShardRequests += Sh.getInt("requests", 0);
+  }
+
+  // What was driven, counted once.
+  EXPECT_EQ(Stats.getInt("requests", -1), 8);
+  EXPECT_EQ(Stats.getInt("checks", -1), 4);
+  EXPECT_EQ(Stats.getInt("replays", -1), 1);
+  EXPECT_EQ(Stats.getInt("resets", -1), 1);
+  EXPECT_EQ(Stats.getInt("pings", -1), 1);
+  EXPECT_EQ(Stats.getInt("malformed", -1), 1);
+  EXPECT_EQ(Stats.getInt("sessions_created", -1), 2);
+  // The per-shard breakdown covers every routed request.
+  EXPECT_EQ(ShardRequests,
+            Stats.getInt("checks", -1) + Stats.getInt("resets", -1));
 
   // Every check records into exactly one latency series.
   LogHistogram &Cold =
       R.histogram("seminal_request_latency_us", "", {{"state", "cold"}});
   LogHistogram &WarmH =
       R.histogram("seminal_request_latency_us", "", {{"state", "warm"}});
-  EXPECT_EQ(Cold.count() + WarmH.count(), S.Checks);
   EXPECT_EQ(Cold.count(), 2u);
   EXPECT_EQ(WarmH.count(), 2u) << "the warm edit and the replay";
-  EXPECT_EQ(R.histogram("seminal_oracle_calls_per_request").count(),
-            S.Checks);
-
-  // The per-shard breakdown covers every routed request and is idle
-  // after a drain.
-  ASSERT_EQ(S.Shards.size(), size_t(Engine.shards()));
-  uint64_t ShardRequests = 0;
-  for (const ServerStats::ShardStats &Sh : S.Shards) {
-    ShardRequests += Sh.Requests;
-    EXPECT_EQ(Sh.QueueDepth, 0) << "drained engine must have empty queues";
-    EXPECT_GE(Sh.BusySeconds, 0.0);
-  }
-  EXPECT_EQ(ShardRequests, S.Checks + S.Resets);
+  EXPECT_EQ(R.histogram("seminal_oracle_calls_per_request").count(), 4u);
 }
 
 TEST(ServerObsTest, MetricsVerbServesJsonAndPrometheus) {
@@ -1032,47 +1218,40 @@ TEST(ServerObsTest, HttpEndpointServesMetricsAndHealth) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cost ledger: response == stats == scrape, by construction
+// Cost ledger: replies sum to the engine's counters
 //===----------------------------------------------------------------------===//
 
-/// Reads the per-request "cost" object out of a check reply into a
-/// RequestCost (asserting the object and every field are present).
-RequestCost costOf(const json::Value &Reply) {
-  RequestCost C;
+/// The members of a check reply's "cost" object.
+const char *const CostMembers[] = {"cpu_ns",         "wall_ns",
+                                   "oracle_calls",   "inference_runs",
+                                   "arena_nodes",    "arena_bytes",
+                                   "verdict_cache_hits"};
+
+/// One member of a check reply's "cost" object (asserting it is there).
+uint64_t costField(const json::Value &Reply, const char *Member) {
   const json::Value *Cost = Reply.member("cost");
   EXPECT_TRUE(Cost && Cost->isObject());
-  if (!Cost || !Cost->isObject())
-    return C;
-  C.CpuNs = uint64_t(Cost->getInt("cpu_ns", -1));
-  C.WallNs = uint64_t(Cost->getInt("wall_ns", -1));
-  C.OracleCalls = uint64_t(Cost->getInt("oracle_calls", -1));
-  C.InferenceRuns = uint64_t(Cost->getInt("inference_runs", -1));
-  C.ArenaNodes = uint64_t(Cost->getInt("arena_nodes", -1));
-  C.ArenaBytes = uint64_t(Cost->getInt("arena_bytes", -1));
-  C.VerdictCacheHits = uint64_t(Cost->getInt("verdict_cache_hits", -1));
-  return C;
+  int64_t V = Cost && Cost->isObject() ? Cost->getInt(Member, -1) : -1;
+  EXPECT_GE(V, 0) << Member;
+  return uint64_t(V);
 }
 
 TEST(ServerLedgerTest, SessionStampsTheLedgerFromTheRunItself) {
-  // One measurement site: the ledger fields must equal the run's own
-  // counters, not a parallel tally that could drift.
+  // One measurement site: the reply's cost object is rendered from the
+  // outcome's own counters and clocks, not from a parallel tally.
   Session S("t", SessionConfig());
   CheckOutcome Out = S.check(BaseSource, CheckOptions());
-  EXPECT_EQ(Out.Cost.OracleCalls, uint64_t(Out.OracleCalls));
-  EXPECT_EQ(Out.Cost.InferenceRuns, uint64_t(Out.InferenceRuns));
-  EXPECT_EQ(Out.Cost.ArenaNodes, Out.Accel.ArenaNodes);
-  EXPECT_EQ(Out.Cost.ArenaBytes, Out.Accel.ArenaBytes);
-  EXPECT_EQ(Out.Cost.VerdictCacheHits, Out.Accel.CacheHits);
-  EXPECT_GT(Out.Cost.CpuNs, 0u) << "a real check must consume CPU";
-  EXPECT_GT(Out.Cost.WallNs, 0u);
-
-  // The session rollup sums the flows across requests.
-  CheckOutcome Out2 = S.check(EditedSource, CheckOptions());
-  EXPECT_EQ(S.accumulatedCost().CpuNs, Out.Cost.CpuNs + Out2.Cost.CpuNs);
-  EXPECT_EQ(S.accumulatedCost().OracleCalls,
-            Out.Cost.OracleCalls + Out2.Cost.OracleCalls);
-  EXPECT_EQ(S.accumulatedCost().InferenceRuns,
-            Out.Cost.InferenceRuns + Out2.Cost.InferenceRuns);
+  EXPECT_GT(Out.CpuNs, 0u) << "a real check must consume CPU";
+  EXPECT_GT(Out.wallNs(), 0u);
+  json::Value Reply = parseReply(renderCheckResponse("1", Out));
+  EXPECT_EQ(costField(Reply, "cpu_ns"), Out.CpuNs);
+  EXPECT_EQ(costField(Reply, "wall_ns"), Out.wallNs());
+  EXPECT_EQ(costField(Reply, "oracle_calls"), Out.OracleCalls);
+  EXPECT_EQ(costField(Reply, "inference_runs"), Out.InferenceRuns);
+  EXPECT_EQ(costField(Reply, "arena_nodes"), Out.Accel.ArenaNodes);
+  EXPECT_EQ(costField(Reply, "arena_bytes"), Out.Accel.ArenaBytes);
+  EXPECT_EQ(costField(Reply, "verdict_cache_hits"), Out.Accel.CacheHits);
+  EXPECT_GT(Out.Accel.ArenaNodes, 0u) << "a session check interns its prefix";
 }
 
 TEST(ServerLedgerTest, ResponsesStatsAndScrapeReconcile) {
@@ -1081,65 +1260,64 @@ TEST(ServerLedgerTest, ResponsesStatsAndScrapeReconcile) {
   ServerEngine Engine(Opts);
   constexpr uint64_t Searched = 6;
   constexpr uint64_t Checks = Searched + 1;
-  RequestCost Sum;
-  auto Add = [&Sum](const RequestCost &C) {
-    Sum.CpuNs += C.CpuNs;
-    Sum.WallNs += C.WallNs;
-    Sum.OracleCalls += C.OracleCalls;
-    Sum.InferenceRuns += C.InferenceRuns;
-    Sum.VerdictCacheHits += C.VerdictCacheHits;
+  struct {
+    uint64_t CpuNs = 0, WallNs = 0, OracleCalls = 0, InferenceRuns = 0,
+             VerdictCacheHits = 0;
+  } Sum;
+  auto Add = [&Sum](const json::Value &Reply) {
+    Sum.CpuNs += costField(Reply, "cpu_ns");
+    Sum.WallNs += costField(Reply, "wall_ns");
+    Sum.OracleCalls += costField(Reply, "oracle_calls");
+    Sum.InferenceRuns += costField(Reply, "inference_runs");
+    Sum.VerdictCacheHits += costField(Reply, "verdict_cache_hits");
   };
   for (int I = 1; I <= int(Searched); ++I) {
     const char *Src = (I % 2) ? BaseSource : EditedSource;
     const char *Sess = (I <= 3) ? "ledger_a" : "ledger_b";
     json::Value Reply = parseReply(Engine.handle(checkLine(I, Sess, Src)));
-    RequestCost C = costOf(Reply);
-    EXPECT_GT(C.CpuNs, 0u);
-    EXPECT_GT(C.WallNs, 0u);
-    EXPECT_GT(C.OracleCalls, 0u);
-    Add(C);
+    EXPECT_GT(costField(Reply, "cpu_ns"), 0u);
+    EXPECT_GT(costField(Reply, "wall_ns"), 0u);
+    EXPECT_GT(costField(Reply, "oracle_calls"), 0u);
+    Add(Reply);
   }
   // A replayed check bills its own clocks and no oracle work.
   json::Value Replayed = parseReply(
       Engine.handle(checkLine(int(Checks), "ledger_b", EditedSource)));
   ASSERT_TRUE(Replayed.member("warm"));
   EXPECT_TRUE(Replayed.member("warm")->getBool("replayed", false));
-  RequestCost C = costOf(Replayed);
-  EXPECT_GT(C.WallNs, 0u);
-  EXPECT_EQ(C.OracleCalls, 0u);
-  EXPECT_EQ(C.InferenceRuns, 0u);
-  Add(C);
+  EXPECT_GT(costField(Replayed, "wall_ns"), 0u);
+  EXPECT_EQ(costField(Replayed, "oracle_calls"), 0u);
+  EXPECT_EQ(costField(Replayed, "inference_runs"), 0u);
+  Add(Replayed);
   Engine.drain();
 
-  // The stats verb's rollup is the sum of the per-response ledgers --
-  // same numbers flow to both sinks from the one measurement site.
-  json::Value Stats =
-      parseReply(Engine.handle("{\"method\":\"stats\",\"id\":99}"));
-  const json::Value *SC = Stats.member("cost");
-  ASSERT_TRUE(SC && SC->isObject());
-  EXPECT_EQ(uint64_t(SC->getInt("cpu_ns", -1)), Sum.CpuNs);
-  EXPECT_EQ(uint64_t(SC->getInt("wall_ns", -1)), Sum.WallNs);
-  EXPECT_EQ(uint64_t(SC->getInt("oracle_calls", -1)), Sum.OracleCalls);
-  EXPECT_EQ(uint64_t(SC->getInt("inference_runs", -1)), Sum.InferenceRuns);
-  EXPECT_EQ(uint64_t(SC->getInt("verdict_cache_hits", -1)),
-            Sum.VerdictCacheHits);
-
-  // Scrape counters count microseconds, floored per request: they sit
-  // within `Checks` microseconds of the exact nanosecond sums.
+  // The registry sums the replies' ledgers. Discrete flows carry no
+  // rounding: they reconcile exactly.
   obs::OpsRegistry &R = Engine.registry();
+  EXPECT_EQ(R.counter("seminal_oracle_calls_total").value(), Sum.OracleCalls);
+  EXPECT_EQ(R.counter("seminal_inference_runs_total").value(),
+            Sum.InferenceRuns);
+  EXPECT_EQ(R.counter("seminal_cost_verdict_cache_hits_total").value(),
+            Sum.VerdictCacheHits);
+  // Time counters count microseconds, floored per request: they sit
+  // within `Checks` microseconds of the exact nanosecond sums.
   uint64_t CpuUs = R.counter("seminal_cost_cpu_us_total").value();
   EXPECT_LE(CpuUs, Sum.CpuNs / 1000);
   EXPECT_GE(CpuUs + Checks, Sum.CpuNs / 1000);
   uint64_t WallUs = R.counter("seminal_cost_wall_us_total").value();
   EXPECT_LE(WallUs, Sum.WallNs / 1000);
   EXPECT_GE(WallUs + Checks, Sum.WallNs / 1000);
-  // Discrete flows carry no rounding: they reconcile exactly.
-  EXPECT_EQ(R.counter("seminal_cost_oracle_calls_total").value(),
-            Sum.OracleCalls);
-  EXPECT_EQ(R.counter("seminal_cost_inference_runs_total").value(),
-            Sum.InferenceRuns);
-  EXPECT_EQ(R.counter("seminal_cost_verdict_cache_hits_total").value(),
-            Sum.VerdictCacheHits);
+
+  // The stats verb serves the same instruments.
+  json::Value Stats =
+      parseReply(Engine.handle("{\"method\":\"stats\",\"id\":99}"));
+  EXPECT_EQ(uint64_t(Stats.getInt("oracle_calls", -1)), Sum.OracleCalls);
+  EXPECT_EQ(uint64_t(Stats.getInt("inference_runs", -1)), Sum.InferenceRuns);
+  EXPECT_EQ(uint64_t(Stats.getInt("cache_hits", -1)), Sum.VerdictCacheHits);
+  const json::Value *SC = Stats.member("cost");
+  ASSERT_TRUE(SC && SC->isObject());
+  EXPECT_EQ(uint64_t(SC->getInt("cpu_us", -1)), CpuUs);
+  EXPECT_EQ(uint64_t(SC->getInt("wall_us", -1)), WallUs);
 
   // Every check lands one sample in the per-request CPU histogram, and
   // the per-shard CPU split covers the whole total.
@@ -1163,14 +1341,13 @@ TEST(ServerLedgerTest, SyntaxErrorsCarryTheirCostAndTheArenaLevel) {
   std::string Bad = std::string(BaseSource) + "let broken = ";
   CheckOutcome Syntax = S.check(Bad, CheckOptions());
   ASSERT_FALSE(Syntax.SyntaxError.empty());
-  EXPECT_GT(Syntax.Cost.CpuNs, 0u) << "parsing three declarations costs CPU";
-  EXPECT_GT(Syntax.Cost.WallNs, 0u);
-  EXPECT_EQ(Syntax.Cost.OracleCalls, 0u);
+  EXPECT_GT(Syntax.CpuNs, 0u) << "parsing three declarations costs CPU";
+  EXPECT_GT(Syntax.wallNs(), 0u);
+  EXPECT_EQ(Syntax.OracleCalls, 0u);
   EXPECT_EQ(Syntax.ArenaBytes, Good.ArenaBytes)
       << "a syntax error leaves the arena as it was";
-  EXPECT_EQ(Syntax.Cost.ArenaBytes, Good.ArenaBytes);
-  EXPECT_EQ(Syntax.Cost.ArenaNodes, Good.Cost.ArenaNodes);
-  EXPECT_EQ(S.accumulatedCost().CpuNs, Good.Cost.CpuNs + Syntax.Cost.CpuNs);
+  EXPECT_EQ(Syntax.Accel.ArenaBytes, Good.ArenaBytes);
+  EXPECT_EQ(Syntax.Accel.ArenaNodes, Good.Accel.ArenaNodes);
 }
 
 TEST(ServerLedgerTest, ArenaGaugeSurvivesSyntaxErrors) {
@@ -1186,13 +1363,16 @@ TEST(ServerLedgerTest, ArenaGaugeSurvivesSyntaxErrors) {
   json::Value Bad = parseReply(Engine.handle(
       checkLine(2, "g", std::string(BaseSource) + "let broken = ")));
   ASSERT_FALSE(Bad.getString("syntax_error").empty());
-  RequestCost BadCost = costOf(Bad);
-  EXPECT_GT(BadCost.WallNs, 0u);
-  EXPECT_EQ(BadCost.ArenaBytes, uint64_t(Bytes));
+  EXPECT_GT(costField(Bad, "wall_ns"), 0u);
+  EXPECT_EQ(costField(Bad, "arena_bytes"), uint64_t(Bytes));
   EXPECT_EQ(Gauge.value(), Bytes);
-  ServerStats Stats = Engine.stats();
-  EXPECT_EQ(Stats.Cost.CpuNs, costOf(Good).CpuNs + BadCost.CpuNs);
-  EXPECT_EQ(Stats.Cost.WallNs, costOf(Good).WallNs + BadCost.WallNs);
+  // Both bills reached the engine's time counters, floored per check.
+  obs::OpsRegistry &R = Engine.registry();
+  EXPECT_EQ(R.counter("seminal_cost_cpu_us_total").value(),
+            costField(Good, "cpu_ns") / 1000 + costField(Bad, "cpu_ns") / 1000);
+  EXPECT_EQ(R.counter("seminal_cost_wall_us_total").value(),
+            costField(Good, "wall_ns") / 1000 +
+                costField(Bad, "wall_ns") / 1000);
 }
 
 TEST(ServerLedgerTest, ArenaGaugeFollowsResets) {
@@ -1220,22 +1400,16 @@ TEST(ServerLedgerTest, RunReportEmbedsTheSameLedger) {
   Line += jsonEscape(BaseSource);
   Line += "\"}";
   json::Value Reply = parseReply(Engine.handle(Line));
-  RequestCost Outer = costOf(Reply);
   const json::Value *Report = Reply.member("report");
   ASSERT_TRUE(Report && Report->isObject());
   const json::Value *Effort = Report->member("effort");
   ASSERT_TRUE(Effort && Effort->isObject());
   const json::Value *RC = Effort->member("cost");
   ASSERT_TRUE(RC && RC->isObject()) << "schema v2 makes the cost mandatory";
-  EXPECT_EQ(uint64_t(RC->getInt("cpu_ns", -1)), Outer.CpuNs);
-  EXPECT_EQ(uint64_t(RC->getInt("wall_ns", -1)), Outer.WallNs);
-  EXPECT_EQ(uint64_t(RC->getInt("oracle_calls", -1)), Outer.OracleCalls);
-  EXPECT_EQ(uint64_t(RC->getInt("inference_runs", -1)),
-            Outer.InferenceRuns);
-  EXPECT_EQ(uint64_t(RC->getInt("arena_nodes", -1)), Outer.ArenaNodes);
-  EXPECT_EQ(uint64_t(RC->getInt("arena_bytes", -1)), Outer.ArenaBytes);
-  EXPECT_EQ(uint64_t(RC->getInt("verdict_cache_hits", -1)),
-            Outer.VerdictCacheHits);
+  EXPECT_EQ(RC->objectValue().size(), std::size(CostMembers));
+  for (const char *Member : CostMembers)
+    EXPECT_EQ(uint64_t(RC->getInt(Member, -1)), costField(Reply, Member))
+        << Member;
 }
 
 TEST(ServerLedgerTest, HostileRequestIdsAreSanitizedInTheExemplar) {
