@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "core/CheckpointedOracle.h"
 #include "core/Oracle.h"
 #include "core/Seminal.h"
 #include "corpus/Generator.h"
@@ -161,11 +162,14 @@ BENCHMARK(BM_MutateProgram);
 // inference, candidate construction, suggestion capture and ranking all
 // count. The total is deterministic for a given libstdc++ and gated by
 // scripts/check_bench_regression.py with a tolerance, so per-candidate
-// clone or intern traffic that creeps back shows up here.
+// clone or intern traffic that creeps back shows up here. A second
+// scenario isolates the per-candidate oracle call, whose inference
+// allocates nothing once the inferencer's buffers are sized.
 
 struct AllocScenario {
   const char *Name;
-  AllocReport R;
+  double Allocs; ///< Per search, or per call for the per-call scenario.
+  uint64_t PeakBytes;
 };
 
 AllocReport runSearchScenario() {
@@ -183,21 +187,59 @@ AllocReport runSearchScenario() {
   return Scope.finish();
 }
 
+/// The search's per-candidate path: oracle calls after seedPrefix on the
+/// Figure 2 program, alternating the failing declaration (which does not
+/// type-check) with its fix (which does), as the searcher swaps
+/// candidates into its working program. The first rounds size the
+/// inferencer's trail and buffers and are not measured.
+AllocReport runCheckpointCallScenario(uint64_t &Calls) {
+  ParseResult Prefix = parseProgram(
+      "let map2 f aList bList =\n"
+      "  List.map (fun (a, b) -> f a b) (List.combine aList bList)\n"
+      "let lst = map2 (fun (x, y) -> x + y) [1;2;3] [4;5;6]\n");
+  ParseResult Fixed =
+      parseProgram("let lst = map2 (fun x y -> x + y) [1;2;3] [4;5;6]\n");
+  Program Work = std::move(*Prefix.Prog);
+  DeclPtr Other = std::move(Fixed.Prog->Decls[0]);
+  CheckpointedOracle Oracle;
+  Oracle.seedPrefix(Work, 1);
+  auto Round = [&] {
+    bool Failing = Oracle.typechecks(Work);
+    std::swap(Work.Decls[1], Other);
+    bool Passing = Oracle.typechecks(Work);
+    std::swap(Work.Decls[1], Other);
+    if (Failing || !Passing)
+      std::fprintf(stderr, "checkpoint scenario: unexpected verdicts\n");
+  };
+  for (int I = 0; I < 8; ++I)
+    Round();
+  constexpr int Rounds = 500;
+  AllocScope Scope;
+  for (int I = 0; I < Rounds; ++I)
+    Round();
+  Calls = 2 * Rounds;
+  return Scope.finish();
+}
+
 int runAllocReport(const DriverOptions &Driver) {
   if (!allocCountingActive()) {
     std::fprintf(stderr, "allocation interposer not linked?\n");
     return 1;
   }
   std::vector<AllocScenario> Rows;
-  Rows.push_back({"search-figure2", runSearchScenario()});
+  AllocReport Search = runSearchScenario();
+  Rows.push_back({"search-figure2", double(Search.Allocs), Search.PeakBytes});
+  uint64_t Calls = 0;
+  AllocReport PerCall = runCheckpointCallScenario(Calls);
+  Rows.push_back({"checkpoint-call-figure2",
+                  double(PerCall.Allocs) / double(Calls), PerCall.PeakBytes});
 
-  header("Allocation report: one end-to-end search");
+  header("Allocation report: one end-to-end search, one candidate call");
   std::printf("%-28s %12s %14s\n", "scenario", "allocs", "peak bytes");
   rule();
   for (const AllocScenario &Row : Rows)
-    std::printf("%-28s %12llu %14llu\n", Row.Name,
-                (unsigned long long)Row.R.Allocs,
-                (unsigned long long)Row.R.PeakBytes);
+    std::printf("%-28s %12g %14llu\n", Row.Name, Row.Allocs,
+                (unsigned long long)Row.PeakBytes);
   rule();
 
   if (!Driver.JsonPath.empty()) {
@@ -212,10 +254,10 @@ int runAllocReport(const DriverOptions &Driver) {
     std::fprintf(F, "  \"scenarios\": [\n");
     for (size_t I = 0; I < Rows.size(); ++I)
       std::fprintf(F,
-                   "    {\"name\": \"%s\", \"allocs\": %llu, "
+                   "    {\"name\": \"%s\", \"allocs\": %g, "
                    "\"peak_bytes\": %llu}%s\n",
-                   Rows[I].Name, (unsigned long long)Rows[I].R.Allocs,
-                   (unsigned long long)Rows[I].R.PeakBytes,
+                   Rows[I].Name, Rows[I].Allocs,
+                   (unsigned long long)Rows[I].PeakBytes,
                    I + 1 < Rows.size() ? "," : "");
     std::fprintf(F, "  ]\n}\n");
     std::fclose(F);

@@ -175,9 +175,9 @@ private:
       return;
     }
     E.Cons.push_back(T);
-    if (T->Name != "->" && T->Name != "*")
+    if (!T->isArrow() && !T->isCon(caml::tyname::Tuple))
       ConNames.emplace(T, T->Name);
-    for (caml::Type *Arg : T->Args)
+    for (caml::Type *Arg : T->args())
       flattenRec(Arg, E);
   }
 

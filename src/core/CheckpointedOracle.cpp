@@ -129,6 +129,10 @@ void CheckpointedOracle::seedPrefix(const Program &Prog, unsigned EditedDecl) {
   clearPrefix();
   if (EditedDecl >= Prog.Decls.size())
     return;
+  // The memo's whole-program clone can match no call from here on: every
+  // search call is seed-shaped, and typeOfNode never consults it.
+  ConvClone = Program();
+  HasConvMemo = false;
   Seeded = true;
   EditedIndex = EditedDecl;
   PrefixIdentity.reserve(EditedDecl);
@@ -379,7 +383,7 @@ bool CheckpointedOracle::inferEditedDecl(const Decl &D,
     if (MetricsOut)
       MetricsOut->observe(metric::CheckpointReuseDepth,
                           double(Checkpoint->prefixLength()));
-    TypecheckResult R = Checkpoint->checkDecl(D);
+    TypecheckResult R = Checkpoint->queryDecl(D);
     Counters.TypesAllocated += R.TypesAllocated;
     return R.ok();
   }
@@ -427,9 +431,7 @@ CheckpointedOracle::typeOfNodeImpl(const Program &Prog, const Expr *Node) {
     if (MetricsOut)
       MetricsOut->observe(metric::CheckpointReuseDepth,
                           double(Checkpoint->prefixLength()));
-    TypecheckOptions Opts;
-    Opts.QueryNode = Node;
-    TypecheckResult R = Checkpoint->checkDecl(*Prog.Decls[EditedIndex], Opts);
+    TypecheckResult R = Checkpoint->queryDecl(*Prog.Decls[EditedIndex], Node);
     Counters.TypesAllocated += R.TypesAllocated;
     if (!R.ok())
       return std::nullopt;

@@ -17,7 +17,7 @@
 ///     reused; each call re-infers only the edited declaration, rolling
 ///     back unification side effects through a TypeTrail. This is the one
 ///     candidate-evaluation path: a seeded call goes from matchesSeed()
-///     straight to InferenceCheckpoint::checkDecl(), with no memo lookup
+///     straight to InferenceCheckpoint::queryDecl(), with no memo lookup
 ///     and no interning in between (keying a verdict cache cost more than
 ///     the inference it saved).
 ///   * Prefix growth -- the calls issued *before* seedPrefix() come from
@@ -158,7 +158,8 @@ private:
   std::unique_ptr<caml::InferenceCheckpoint> Growth;
   std::vector<caml::DeclPtr> GrowthClones;
   /// Memo of the last conventionalError() verdict; serves the searcher's
-  /// initial whole-program check without a second inference run.
+  /// initial whole-program check without a second inference run. Dropped
+  /// at seedPrefix, after which no call can match it.
   caml::Program ConvClone;
   bool HasConvMemo = false;
   bool ConvOk = false;

@@ -9,7 +9,10 @@
 #include "minicaml/Unify.h"
 
 #include <cassert>
+#include <deque>
 #include <map>
+#include <string_view>
+#include <tuple>
 #include <unordered_map>
 
 using namespace seminal;
@@ -52,9 +55,15 @@ struct RecordInfo {
 /// its own tables hold only what the program declares, and lookups fall
 /// back to the base after them, so a program binding shadows a stdlib one
 /// exactly as if both lived in one environment.
+///
+/// Inference allocates nothing per type: types come from the arena, the
+/// trail and the substitution buffer are the instance's own and keep
+/// their capacity from query to query, and constructors under
+/// construction collect their arguments on the Pending stack.
 class Inferencer {
 public:
-  Inferencer() : Base(&base()), Arena(Base->Arena.mark().NextVarId) {}
+  Inferencer()
+      : Base(&base()), Arena(Base->Arena.mark().NextVarId) {}
 
   TypecheckResult run(const Program &Prog, const TypecheckOptions &RunOpts);
 
@@ -64,9 +73,11 @@ public:
 
   /// Type-checks \p D on top of the current environment, then rolls back
   /// every side effect (environment entries, arena allocations,
-  /// unification links, level adjustments).
+  /// unification links, level adjustments). Without \p Render a failure
+  /// is reported by kind and span alone: no message is rendered.
   TypecheckResult checkAdditionalDecl(const Decl &D,
-                                      const TypecheckOptions &RunOpts);
+                                      const TypecheckOptions &RunOpts,
+                                      bool Render);
 
   /// Commit-or-rollback: processes \p D permanently if it type-checks,
   /// restores the environment if it does not. \returns success; \p
@@ -97,8 +108,18 @@ private:
   // Environment -----------------------------------------------------------
   size_t envMark() const { return Env.size(); }
   void envRestore(size_t Mark) { Env.resize(Mark); }
-  void bind(const std::string &Name, Type *T) { Env.emplace_back(Name, T); }
-  Type *lookup(const std::string &Name) const {
+  /// Binds \p Name, which views the program's syntax tree: bindings that
+  /// outlive the declaration being inferred are re-pointed at the
+  /// instance's own copies by ownBindings.
+  void bind(std::string_view Name, Type *T) { Env.emplace_back(Name, T); }
+  /// Copies the names of the bindings from \p Mark on into OwnedNames,
+  /// so a committed environment aliases nothing of the program it was
+  /// inferred from.
+  void ownBindings(size_t Mark) {
+    for (size_t I = Mark; I < Env.size(); ++I)
+      Env[I].first = OwnedNames.emplace_back(Env[I].first);
+  }
+  Type *lookup(std::string_view Name) const {
     for (auto It = Env.rbegin(); It != Env.rend(); ++It)
       if (It->first == Name)
         return It->second;
@@ -126,90 +147,117 @@ private:
     T = prune(T);
     if (T->isVar()) {
       if (T->Level > CurrentLevel) {
-        if (TypeTrail *Trail = activeTypeTrail())
-          Trail->recordLevel(T, T->Level);
+        if (TypeTrail *Active = activeTypeTrail())
+          Active->recordLevel(T, T->Level);
         T->Level = GenericLevel;
       }
       return;
     }
-    for (Type *Arg : T->Args)
+    for (Type *Arg : T->args())
       generalize(Arg);
   }
 
-  /// Copies \p T replacing generic variables with fresh ones (shared
-  /// through \p Subst so one instantiation is consistent across parts).
-  Type *instantiate(Type *T, std::map<Type *, Type *> &Subst) {
+  /// One instantiation's generic-to-fresh substitution: the entries of
+  /// the substitution buffer from the group's base on. Groups nest like
+  /// the inference that opens them (an inner group's entries are dropped
+  /// before the outer one adds more), so the outer group's entries stay
+  /// contiguous, and instantiations sharing a group are consistent.
+  class SubstGroup {
+  public:
+    explicit SubstGroup(Inferencer &Inf)
+        : Inf(Inf), Base(Inf.Subst.size()) {}
+    ~SubstGroup() { Inf.Subst.resize(Base); }
+    SubstGroup(const SubstGroup &) = delete;
+    SubstGroup &operator=(const SubstGroup &) = delete;
+
+    Type *instantiate(Type *T) { return Inf.instantiate(T, Base); }
+
+  private:
+    Inferencer &Inf;
+    size_t Base;
+  };
+
+  /// Copies \p T replacing generic variables with fresh ones, consistent
+  /// with the substitutions from \p Group on.
+  Type *instantiate(Type *T, size_t Group) {
     T = prune(T);
     if (T->isVar()) {
       if (T->Level != GenericLevel)
         return T;
-      auto It = Subst.find(T);
-      if (It != Subst.end())
-        return It->second;
+      for (size_t I = Group; I < Subst.size(); ++I)
+        if (Subst[I].first == T)
+          return Subst[I].second;
       Type *Fresh = Arena.freshVar(CurrentLevel);
-      Subst.emplace(T, Fresh);
+      Subst.emplace_back(T, Fresh);
       // The generic variable and its per-use copy are distinct objects;
       // without this edge the slicer could not connect a use site's clash
       // back to the constraints of the definition it instantiates.
       analysis::hookCopy(T, Fresh);
       return Fresh;
     }
-    if (T->Args.empty())
+    if (T->NumArgs == 0)
       return T;
-    std::vector<Type *> Args;
-    Args.reserve(T->Args.size());
-    for (Type *Arg : T->Args)
-      Args.push_back(instantiate(Arg, Subst));
-    return Arena.con(T->Name, std::move(Args));
+    const size_t Top = Pending.size();
+    for (Type *Arg : T->args())
+      Pending.push_back(instantiate(Arg, Group));
+    return conFromPending(T->Name, Top);
   }
-  Type *instantiate(Type *T) {
-    std::map<Type *, Type *> Subst;
-    return instantiate(T, Subst);
+  Type *instantiate(Type *T) { return SubstGroup(*this).instantiate(T); }
+
+  /// A constructor whose arguments are the Pending entries from \p Top
+  /// on, which it pops.
+  Type *conFromPending(TypeName Name, size_t Top) {
+    Type *T = Arena.con(Name, std::span<Type *const>(Pending).subspan(Top));
+    Pending.resize(Top);
+    return T;
   }
 
   // Error reporting ---------------------------------------------------------
   bool hasError() const { return ErrorOut.has_value(); }
 
-  void reportMismatch(const SourceSpan &Span, Type *Actual, Type *Expected) {
+  /// Records the first error's kind and span. \returns the error to fill
+  /// in when messages are rendered, else null.
+  TypeError *fail(TypeError::Kind K, const SourceSpan &Span) {
     if (hasError())
-      return;
-    TypeError E;
-    E.TheKind = TypeError::Kind::Mismatch;
+      return nullptr;
+    TypeError &E = ErrorOut.emplace();
+    E.TheKind = K;
     E.Span = Span;
-    auto [A, B] = typesToStrings(Actual, Expected);
-    E.ActualType = A;
-    E.ExpectedType = B;
-    E.Message = "This expression has type " + A +
-                " but is here used with type " + B;
-    ErrorOut = std::move(E);
+    return RenderMessages ? &E : nullptr;
+  }
+
+  void reportMismatch(const SourceSpan &Span, Type *Actual, Type *Expected) {
+    TypeError *E = fail(TypeError::Kind::Mismatch, Span);
+    if (!E)
+      return;
+    std::tie(E->ActualType, E->ExpectedType) =
+        typesToStrings(Actual, Expected);
+    E->Message = "This expression has type " + E->ActualType +
+                 " but is here used with type " + E->ExpectedType;
   }
 
   void reportPatternMismatch(const SourceSpan &Span, Type *Actual,
                              Type *Expected) {
-    if (hasError())
+    TypeError *E = fail(TypeError::Kind::PatternMismatch, Span);
+    if (!E)
       return;
-    TypeError E;
-    E.TheKind = TypeError::Kind::PatternMismatch;
-    E.Span = Span;
-    auto [A, B] = typesToStrings(Actual, Expected);
-    E.ActualType = A;
-    E.ExpectedType = B;
-    E.Message = "This pattern matches values of type " + A +
-                " but a pattern was expected which matches values of type " +
-                B;
-    ErrorOut = std::move(E);
+    std::tie(E->ActualType, E->ExpectedType) =
+        typesToStrings(Actual, Expected);
+    E->Message = "This pattern matches values of type " + E->ActualType +
+                 " but a pattern was expected which matches values of type " +
+                 E->ExpectedType;
   }
 
+  /// Reports an error whose message \p RenderMessage builds, if messages
+  /// are rendered at all.
+  template <typename MessageFn>
   void report(TypeError::Kind K, const SourceSpan &Span,
-              const std::string &Message, const std::string &Name = "") {
-    if (hasError())
-      return;
-    TypeError E;
-    E.TheKind = K;
-    E.Span = Span;
-    E.Message = Message;
-    E.Name = Name;
-    ErrorOut = std::move(E);
+              MessageFn &&RenderMessage,
+              const std::string &Name = std::string()) {
+    if (TypeError *E = fail(K, Span)) {
+      E->Message = RenderMessage();
+      E->Name = Name;
+    }
   }
 
   /// Runs unify() but rolls back the partial bindings of a failed attempt
@@ -218,8 +266,8 @@ private:
   /// failure" sharp edge documented in Unify.h: unifying `'a * string`
   /// with `int * bool` must not leave `'a := int` behind in the message).
   /// With an enclosing trail the failed entries are popped off it; without
-  /// one a local trail captures just this attempt. Successful bindings are
-  /// kept either way.
+  /// one (a one-shot run) the instance's own trail captures just this
+  /// attempt. Successful bindings are kept either way.
   UnifyResult unifyRollbackOnFailure(Type *Actual, Type *Expected) {
     if (TypeTrail *Outer = activeTypeTrail()) {
       const TypeTrail::Mark M = Outer->mark();
@@ -228,14 +276,16 @@ private:
         Outer->undoTo(M);
       return R;
     }
-    TypeTrail Local;
+    assert(Trail.empty() && "the inferencer's trail is in use");
     UnifyResult R;
     {
-      TypeTrailScope Scope(Local);
+      TypeTrailScope Scope(Trail);
       R = unify(Actual, Expected);
     }
-    if (!R.Ok)
-      Local.undoAll();
+    if (R.Ok)
+      Trail.clear();
+    else
+      Trail.undoAll();
     return R;
   }
 
@@ -248,7 +298,7 @@ private:
       return true;
     if (R.OccursCheckFailure) {
       report(TypeError::Kind::Cyclic, Span,
-             "This expression has a cyclic type");
+             [] { return std::string("This expression has a cyclic type"); });
       return false;
     }
     reportMismatch(Span, Actual, Expected);
@@ -263,7 +313,8 @@ private:
   // Declarations -------------------------------------------------------------
   /// Fills this instance's tables with the stdlib; runs once, for base().
   void loadStdlib();
-  void processDecl(const Decl &D);
+  /// \returns the type a Let declaration binds, else null.
+  Type *processDecl(const Decl &D);
   void processTypeDecl(const Decl &D);
   void processExceptionDecl(const Decl &D);
   void processLetDecl(bool IsRec, const Pattern &Binding,
@@ -279,16 +330,28 @@ private:
   // State ---------------------------------------------------------------------
   const TypecheckOptions *Opts = nullptr; ///< Options of the current run.
   const Inferencer *Base = nullptr; ///< The stdlib; null only in base().
+  /// Constructor names this instance declares.
+  TypeNames Names;
   TypeArena Arena;
-  std::vector<std::pair<std::string, Type *>> Env;
+  std::vector<std::pair<std::string_view, Type *>> Env;
+  /// Copies of the committed bindings' names (see ownBindings).
+  std::deque<std::string> OwnedNames;
   std::unordered_map<std::string, int> TypeArity;
   std::unordered_map<std::string, ConstrInfo> Constructors;
   std::unordered_map<std::string, std::string> FieldOwner;
   std::unordered_map<std::string, RecordInfo> Records;
   int CurrentLevel = 0;
   std::optional<TypeError> ErrorOut;
+  /// False while answering a verdict-only query (see fail()).
+  bool RenderMessages = true;
   Type *QueriedTy = nullptr;
-  std::vector<std::pair<std::string, Type *>> TopLevel;
+  /// Records a checkpoint query's or extension's writes for rollback, and
+  /// a one-shot run's failed unifications (unifyRollbackOnFailure).
+  TypeTrail Trail;
+  /// Generic-to-fresh pairs of the open instantiations (SubstGroup).
+  std::vector<std::pair<Type *, Type *>> Subst;
+  /// Arguments of the constructors being built, innermost last.
+  std::vector<Type *> Pending;
 };
 
 //===----------------------------------------------------------------------===//
@@ -302,7 +365,7 @@ void Inferencer::loadStdlib() {
 
   // The option type and its constructors.
   Type *OptParam = Arena.freshVar(GenericLevel);
-  Type *OptType = Arena.con("option", {OptParam});
+  Type *OptType = Arena.con(tyname::Option, {OptParam});
   Constructors["None"] = ConstrInfo{"option", OptType, nullptr};
   Constructors["Some"] = ConstrInfo{"option", OptType, OptParam};
 
@@ -331,6 +394,8 @@ void Inferencer::loadStdlib() {
     }
     Constructors[E.Name] = std::move(Info);
   }
+  // The base outlives the static tables the names come from.
+  ownBindings(0);
 }
 
 Type *Inferencer::convertTypeExpr(const TypeExpr &TE,
@@ -344,8 +409,9 @@ Type *Inferencer::convertTypeExpr(const TypeExpr &TE,
     if (It != VarMap.end())
       return It->second;
     if (!AutoBindVars) {
-      report(TypeError::Kind::Unbound, Span,
-             "Unbound type parameter '" + TE.Name, TE.Name);
+      report(
+          TypeError::Kind::Unbound, Span,
+          [&] { return "Unbound type parameter '" + TE.Name; }, TE.Name);
       return Arena.freshVar(CurrentLevel);
     }
     Type *Fresh = Arena.freshVar(GenericLevel);
@@ -355,21 +421,25 @@ Type *Inferencer::convertTypeExpr(const TypeExpr &TE,
   case TypeExpr::Kind::Name: {
     const int *Arity = findTypeArity(TE.Name);
     if (!Arity) {
-      report(TypeError::Kind::Unbound, Span,
-             "Unbound type constructor " + TE.Name, TE.Name);
+      report(
+          TypeError::Kind::Unbound, Span,
+          [&] { return "Unbound type constructor " + TE.Name; }, TE.Name);
       return Arena.freshVar(CurrentLevel);
     }
     if (int(TE.Args.size()) != *Arity) {
-      report(TypeError::Kind::ConstructorArity, Span,
-             "The type constructor " + TE.Name + " expects " +
-                 std::to_string(*Arity) + " argument(s)",
-             TE.Name);
+      report(
+          TypeError::Kind::ConstructorArity, Span,
+          [&] {
+            return "The type constructor " + TE.Name + " expects " +
+                   std::to_string(*Arity) + " argument(s)";
+          },
+          TE.Name);
       return Arena.freshVar(CurrentLevel);
     }
-    std::vector<Type *> Args;
+    const size_t Top = Pending.size();
     for (const auto &Arg : TE.Args)
-      Args.push_back(convertTypeExpr(*Arg, VarMap, AutoBindVars, Span));
-    return Arena.con(TE.Name, std::move(Args));
+      Pending.push_back(convertTypeExpr(*Arg, VarMap, AutoBindVars, Span));
+    return conFromPending(Names.intern(TE.Name), Top);
   }
   case TypeExpr::Kind::Arrow: {
     Type *From = convertTypeExpr(*TE.Args[0], VarMap, AutoBindVars, Span);
@@ -377,10 +447,11 @@ Type *Inferencer::convertTypeExpr(const TypeExpr &TE,
     return Arena.arrow(From, To);
   }
   case TypeExpr::Kind::Tuple: {
-    std::vector<Type *> Elems;
+    const size_t Top = Pending.size();
     for (const auto &Arg : TE.Args)
-      Elems.push_back(convertTypeExpr(*Arg, VarMap, AutoBindVars, Span));
-    return Arena.tuple(std::move(Elems));
+      Pending.push_back(convertTypeExpr(*Arg, VarMap, AutoBindVars, Span));
+    assert(TE.Args.size() >= 2 && "tuple type needs at least two components");
+    return conFromPending(tyname::Tuple, Top);
   }
   }
   return Arena.freshVar(CurrentLevel);
@@ -395,13 +466,13 @@ void Inferencer::processTypeDecl(const Decl &D) {
   TypeArity[D.TypeName] = int(D.TypeParams.size());
 
   std::map<std::string, Type *> VarMap;
-  std::vector<Type *> ParamVars;
+  const size_t Top = Pending.size();
   for (const std::string &Param : D.TypeParams) {
     Type *V = Arena.freshVar(GenericLevel);
     VarMap.emplace(Param, V);
-    ParamVars.push_back(V);
+    Pending.push_back(V);
   }
-  Type *Self = Arena.con(D.TypeName, ParamVars);
+  Type *Self = conFromPending(Names.intern(D.TypeName), Top);
 
   if (D.IsRecord) {
     RecordInfo Info;
@@ -457,14 +528,20 @@ void Inferencer::processLetDecl(bool IsRec, const Pattern &Binding,
       FnVar = Arena.freshVar(CurrentLevel);
       bind(Binding.Name, FnVar);
     }
-    std::vector<Type *> ParamTypes;
+    // The parameter types wait on the Pending stack (checkPattern leaves
+    // it as it found it) until the body type closes the chain.
+    const size_t Top = Pending.size();
     for (const auto &Param : Params) {
       Type *A = Arena.freshVar(CurrentLevel);
       checkPattern(*Param, A);
-      ParamTypes.push_back(A);
+      Pending.push_back(A);
     }
     Type *BodyType = Arena.freshVar(CurrentLevel);
-    Type *FnType = Arena.arrowChain(ParamTypes, BodyType);
+    Type *FnType = BodyType;
+    while (Pending.size() > Top) {
+      FnType = Arena.arrow(Pending.back(), FnType);
+      Pending.pop_back();
+    }
     if (FnVar)
       unifyOrMismatch(Span, FnVar, FnType);
     checkExpr(Rhs, BodyType);
@@ -494,23 +571,22 @@ void Inferencer::processLetDecl(bool IsRec, const Pattern &Binding,
   *OutType = RhsType;
 }
 
-void Inferencer::processDecl(const Decl &D) {
+Type *Inferencer::processDecl(const Decl &D) {
   analysis::ProvenanceNodeScope PNode(&D, analysis::ProvenanceNodeKind::Decl);
   switch (D.kind()) {
   case Decl::Kind::Type:
     processTypeDecl(D);
-    return;
+    return nullptr;
   case Decl::Kind::Exception:
     processExceptionDecl(D);
-    return;
+    return nullptr;
   case Decl::Kind::Let: {
     Type *T = nullptr;
     processLetDecl(D.IsRec, *D.Binding, D.Params, *D.Rhs, D.Span, &T);
-    if (D.Binding->kind() == Pattern::Kind::Var && T)
-      TopLevel.emplace_back(D.Binding->Name, T);
-    return;
+    return T;
   }
   }
+  return nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -552,17 +628,17 @@ void Inferencer::checkPattern(const Pattern &P, Type *Expected) {
     return;
   }
   case Pattern::Kind::Tuple: {
-    std::vector<Type *> Elems;
+    const size_t Top = Pending.size();
     for (size_t I = 0; I < P.Elems.size(); ++I)
-      Elems.push_back(Arena.freshVar(CurrentLevel));
-    Type *TupleTy = Arena.tuple(Elems);
+      Pending.push_back(Arena.freshVar(CurrentLevel));
+    Type *TupleTy = conFromPending(tyname::Tuple, Top);
     UnifyResult R = unify(TupleTy, Expected);
     if (!R.Ok) {
       reportPatternMismatch(P.Span, TupleTy, Expected);
       return;
     }
     for (size_t I = 0; I < P.Elems.size(); ++I)
-      checkPattern(*P.Elems[I], Elems[I]);
+      checkPattern(*P.Elems[I], TupleTy->arg(I));
     return;
   }
   case Pattern::Kind::List: {
@@ -592,19 +668,23 @@ void Inferencer::checkPattern(const Pattern &P, Type *Expected) {
   case Pattern::Kind::Constr: {
     const ConstrInfo *Info = findConstructor(P.Name);
     if (!Info) {
-      report(TypeError::Kind::Unbound, P.Span,
-             "Unbound constructor " + P.Name, P.Name);
+      report(
+          TypeError::Kind::Unbound, P.Span,
+          [&] { return "Unbound constructor " + P.Name; }, P.Name);
       return;
     }
-    std::map<Type *, Type *> Subst;
-    Type *Result = instantiate(Info->Result, Subst);
-    Type *Arg = Info->Arg ? instantiate(Info->Arg, Subst) : nullptr;
+    SubstGroup Group(*this);
+    Type *Result = Group.instantiate(Info->Result);
+    Type *Arg = Info->Arg ? Group.instantiate(Info->Arg) : nullptr;
     if ((P.Arg != nullptr) != (Arg != nullptr)) {
-      report(TypeError::Kind::ConstructorArity, P.Span,
-             "The constructor " + P.Name + " expects " +
-                 (Arg ? "1 argument" : "0 arguments") +
-                 ", but is applied here to " + (P.Arg ? "1" : "0"),
-             P.Name);
+      report(
+          TypeError::Kind::ConstructorArity, P.Span,
+          [&] {
+            return "The constructor " + P.Name + " expects " +
+                   (Arg ? "1 argument" : "0 arguments") +
+                   ", but is applied here to " + (P.Arg ? "1" : "0");
+          },
+          P.Name);
       return;
     }
     // Rollback-on-failure: an instantiated constructor type can mix
@@ -627,27 +707,28 @@ void Inferencer::checkPattern(const Pattern &P, Type *Expected) {
 //===----------------------------------------------------------------------===//
 
 Type *Inferencer::binOpType(const std::string &Op) {
+  // Every operator's type has the shape a -> b -> result.
+  auto Binary = [&](Type *A, Type *B, Type *Result) {
+    return Arena.arrow(A, Arena.arrow(B, Result));
+  };
   if (Op == "+" || Op == "-" || Op == "*" || Op == "/")
-    return Arena.arrowChain({Arena.intType(), Arena.intType()},
-                            Arena.intType());
+    return Binary(Arena.intType(), Arena.intType(), Arena.intType());
   if (Op == "=" || Op == "==" || Op == "<>" || Op == "<" || Op == ">" ||
       Op == "<=" || Op == ">=") {
     Type *A = Arena.freshVar(CurrentLevel);
-    return Arena.arrowChain({A, A}, Arena.boolType());
+    return Binary(A, A, Arena.boolType());
   }
   if (Op == "^")
-    return Arena.arrowChain({Arena.stringType(), Arena.stringType()},
-                            Arena.stringType());
+    return Binary(Arena.stringType(), Arena.stringType(), Arena.stringType());
   if (Op == "@") {
     Type *L = Arena.listOf(Arena.freshVar(CurrentLevel));
-    return Arena.arrowChain({L, L}, L);
+    return Binary(L, L, L);
   }
   if (Op == "&&" || Op == "||")
-    return Arena.arrowChain({Arena.boolType(), Arena.boolType()},
-                            Arena.boolType());
+    return Binary(Arena.boolType(), Arena.boolType(), Arena.boolType());
   if (Op == ":=") {
     Type *A = Arena.freshVar(CurrentLevel);
-    return Arena.arrowChain({Arena.refOf(A), A}, Arena.unitType());
+    return Binary(Arena.refOf(A), A, Arena.unitType());
   }
   assert(false && "unknown binary operator");
   return Arena.freshVar(CurrentLevel);
@@ -686,8 +767,9 @@ void Inferencer::checkExpr(const Expr &E, Type *Expected) {
   case Expr::Kind::Var: {
     Type *T = lookup(E.Name);
     if (!T) {
-      report(TypeError::Kind::Unbound, E.Span, "Unbound value " + E.Name,
-             E.Name);
+      report(
+          TypeError::Kind::Unbound, E.Span,
+          [&] { return "Unbound value " + E.Name; }, E.Name);
       break;
     }
     unifyOrMismatch(E.Span, instantiate(T), Expected);
@@ -706,7 +788,6 @@ void Inferencer::checkExpr(const Expr &E, Type *Expected) {
     size_t Mark = envMark();
     Type *Cur = Expected;
     bool Bad = false;
-    std::vector<Type *> ParamTypes;
     for (const auto &Param : E.Params) {
       Type *A = Arena.freshVar(CurrentLevel);
       Type *B = Arena.freshVar(CurrentLevel);
@@ -719,7 +800,6 @@ void Inferencer::checkExpr(const Expr &E, Type *Expected) {
         break;
       }
       checkPattern(*Param, A);
-      ParamTypes.push_back(A);
       Cur = B;
     }
     if (!Bad)
@@ -736,18 +816,17 @@ void Inferencer::checkExpr(const Expr &E, Type *Expected) {
       Type *B = Arena.freshVar(CurrentLevel);
       UnifyResult R = unify(FT, Arena.arrow(A, B));
       if (!R.Ok) {
-        if (I == 1) {
-          auto [FS, _] = typesToStrings(FT, FT);
-          report(TypeError::Kind::NotFunction, Callee.Span,
-                 "This expression has type " + FS +
-                     "; it is not a function and cannot be applied");
-        } else {
-          auto [FS, _] = typesToStrings(FT, FT);
-          report(TypeError::Kind::TooManyArgs, E.Span,
-                 "This function is applied to too many arguments; its type "
-                 "is " +
-                     FS);
-        }
+        if (I == 1)
+          report(TypeError::Kind::NotFunction, Callee.Span, [&] {
+            return "This expression has type " + typesToStrings(FT, FT).first +
+                   "; it is not a function and cannot be applied";
+          });
+        else
+          report(TypeError::Kind::TooManyArgs, E.Span, [&] {
+            return "This function is applied to too many arguments; its "
+                   "type is " +
+                   typesToStrings(FT, FT).first;
+          });
         return;
       }
       checkExpr(*E.child(I), A);
@@ -781,26 +860,29 @@ void Inferencer::checkExpr(const Expr &E, Type *Expected) {
   }
   case Expr::Kind::Tuple: {
     Type *P = prune(Expected);
-    if (P->isCon("*") && P->Args.size() == E.Children.size()) {
+    if (P->isCon(tyname::Tuple) && P->NumArgs == E.Children.size()) {
       for (unsigned I = 0; I < E.numChildren(); ++I)
-        checkExpr(*E.child(I), P->Args[I]);
+        checkExpr(*E.child(I), P->arg(I));
       break;
     }
-    std::vector<Type *> Elems;
+    const size_t Top = Pending.size();
     for (unsigned I = 0; I < E.numChildren(); ++I) {
       Type *T = Arena.freshVar(CurrentLevel);
       checkExpr(*E.child(I), T);
-      Elems.push_back(T);
+      Pending.push_back(T);
     }
-    if (!hasError())
-      unifyOrMismatch(E.Span, Arena.tuple(std::move(Elems)), Expected);
+    if (hasError()) {
+      Pending.resize(Top);
+      break;
+    }
+    unifyOrMismatch(E.Span, conFromPending(tyname::Tuple, Top), Expected);
     break;
   }
   case Expr::Kind::List: {
     Type *P = prune(Expected);
     Type *Elem = nullptr;
-    if (P->isCon("list"))
-      Elem = P->Args[0];
+    if (P->isCon(tyname::List))
+      Elem = P->arg(0);
     else {
       Elem = Arena.freshVar(CurrentLevel);
       if (!unifyOrMismatch(E.Span, Arena.listOf(Elem), Expected))
@@ -822,13 +904,13 @@ void Inferencer::checkExpr(const Expr &E, Type *Expected) {
   case Expr::Kind::BinOp: {
     Type *FT = binOpType(E.Name);
     // Shape: a -> b -> result. Check both operands against the domains.
-    Type *ArgA = prune(FT)->Args[0];
-    Type *Rest = prune(FT)->Args[1];
+    Type *ArgA = prune(FT)->arg(0);
+    Type *Rest = prune(FT)->arg(1);
     checkExpr(*E.child(0), ArgA);
     if (hasError())
       break;
-    Type *ArgB = prune(Rest)->Args[0];
-    Type *Result = prune(Rest)->Args[1];
+    Type *ArgB = prune(Rest)->arg(0);
+    Type *Result = prune(Rest)->arg(1);
     checkExpr(*E.child(1), ArgB);
     if (hasError())
       break;
@@ -837,10 +919,10 @@ void Inferencer::checkExpr(const Expr &E, Type *Expected) {
   }
   case Expr::Kind::UnaryOp: {
     Type *FT = unaryOpType(E.Name);
-    checkExpr(*E.child(0), prune(FT)->Args[0]);
+    checkExpr(*E.child(0), prune(FT)->arg(0));
     if (hasError())
       break;
-    unifyOrMismatch(E.Span, prune(FT)->Args[1], Expected);
+    unifyOrMismatch(E.Span, prune(FT)->arg(1), Expected);
     break;
   }
   case Expr::Kind::Match: {
@@ -858,20 +940,24 @@ void Inferencer::checkExpr(const Expr &E, Type *Expected) {
   case Expr::Kind::Constr: {
     const ConstrInfo *Info = findConstructor(E.Name);
     if (!Info) {
-      report(TypeError::Kind::Unbound, E.Span,
-             "Unbound constructor " + E.Name, E.Name);
+      report(
+          TypeError::Kind::Unbound, E.Span,
+          [&] { return "Unbound constructor " + E.Name; }, E.Name);
       break;
     }
-    std::map<Type *, Type *> Subst;
-    Type *Result = instantiate(Info->Result, Subst);
-    Type *Arg = Info->Arg ? instantiate(Info->Arg, Subst) : nullptr;
+    SubstGroup Group(*this);
+    Type *Result = Group.instantiate(Info->Result);
+    Type *Arg = Info->Arg ? Group.instantiate(Info->Arg) : nullptr;
     bool HasArg = !E.Children.empty();
     if (HasArg != (Arg != nullptr)) {
-      report(TypeError::Kind::ConstructorArity, E.Span,
-             "The constructor " + E.Name + " expects " +
-                 (Arg ? "1 argument" : "0 arguments") +
-                 ", but is applied here to " + (HasArg ? "1" : "0"),
-             E.Name);
+      report(
+          TypeError::Kind::ConstructorArity, E.Span,
+          [&] {
+            return "The constructor " + E.Name + " expects " +
+                   (Arg ? "1 argument" : "0 arguments") +
+                   ", but is applied here to " + (HasArg ? "1" : "0");
+          },
+          E.Name);
       break;
     }
     if (HasArg)
@@ -894,14 +980,15 @@ void Inferencer::checkExpr(const Expr &E, Type *Expected) {
   case Expr::Kind::Field: {
     auto It = FieldOwner.find(E.Name);
     if (It == FieldOwner.end()) {
-      report(TypeError::Kind::Unbound, E.Span,
-             "Unbound record field " + E.Name, E.Name);
+      report(
+          TypeError::Kind::Unbound, E.Span,
+          [&] { return "Unbound record field " + E.Name; }, E.Name);
       break;
     }
     const RecordInfo &Info = Records[It->second];
-    std::map<Type *, Type *> Subst;
-    Type *RecTy = instantiate(Info.RecordType, Subst);
-    Type *FieldTy = instantiate(Info.findField(E.Name)->Ty, Subst);
+    SubstGroup Group(*this);
+    Type *RecTy = Group.instantiate(Info.RecordType);
+    Type *FieldTy = Group.instantiate(Info.findField(E.Name)->Ty);
     checkExpr(*E.child(0), RecTy);
     if (!hasError())
       unifyOrMismatch(E.Span, FieldTy, Expected);
@@ -910,20 +997,23 @@ void Inferencer::checkExpr(const Expr &E, Type *Expected) {
   case Expr::Kind::SetField: {
     auto It = FieldOwner.find(E.Name);
     if (It == FieldOwner.end()) {
-      report(TypeError::Kind::Unbound, E.Span,
-             "Unbound record field " + E.Name, E.Name);
+      report(
+          TypeError::Kind::Unbound, E.Span,
+          [&] { return "Unbound record field " + E.Name; }, E.Name);
       break;
     }
     const RecordInfo &Info = Records[It->second];
     const RecordInfo::Field *Field = Info.findField(E.Name);
     if (!Field->IsMutable) {
-      report(TypeError::Kind::NotMutable, E.Span,
-             "The record field " + E.Name + " is not mutable", E.Name);
+      report(
+          TypeError::Kind::NotMutable, E.Span,
+          [&] { return "The record field " + E.Name + " is not mutable"; },
+          E.Name);
       break;
     }
-    std::map<Type *, Type *> Subst;
-    Type *RecTy = instantiate(Info.RecordType, Subst);
-    Type *FieldTy = instantiate(Field->Ty, Subst);
+    SubstGroup Group(*this);
+    Type *RecTy = Group.instantiate(Info.RecordType);
+    Type *FieldTy = Group.instantiate(Field->Ty);
     checkExpr(*E.child(0), RecTy);
     checkExpr(*E.child(1), FieldTy);
     if (!hasError())
@@ -934,24 +1024,31 @@ void Inferencer::checkExpr(const Expr &E, Type *Expected) {
     assert(!E.FieldNames.empty() && "empty record literal");
     auto OwnerIt = FieldOwner.find(E.FieldNames[0]);
     if (OwnerIt == FieldOwner.end()) {
-      report(TypeError::Kind::Unbound, E.Span,
-             "Unbound record field " + E.FieldNames[0], E.FieldNames[0]);
+      report(
+          TypeError::Kind::Unbound, E.Span,
+          [&] { return "Unbound record field " + E.FieldNames[0]; },
+          E.FieldNames[0]);
       break;
     }
     const RecordInfo &Info = Records[OwnerIt->second];
-    std::map<Type *, Type *> Subst;
-    Type *RecTy = instantiate(Info.RecordType, Subst);
+    // The field checks below open their own groups, each closed before
+    // this one instantiates the next field type.
+    SubstGroup Group(*this);
+    Type *RecTy = Group.instantiate(Info.RecordType);
     // Every given field must belong; every declared field must be given.
     for (unsigned I = 0; I < E.numChildren() && !hasError(); ++I) {
       const RecordInfo::Field *Field = Info.findField(E.FieldNames[I]);
       if (!Field) {
-        report(TypeError::Kind::RecordShape, E.Span,
-               "The record field " + E.FieldNames[I] +
-                   " does not belong to type " + OwnerIt->second,
-               E.FieldNames[I]);
+        report(
+            TypeError::Kind::RecordShape, E.Span,
+            [&] {
+              return "The record field " + E.FieldNames[I] +
+                     " does not belong to type " + OwnerIt->second;
+            },
+            E.FieldNames[I]);
         break;
       }
-      checkExpr(*E.child(I), instantiate(Field->Ty, Subst));
+      checkExpr(*E.child(I), Group.instantiate(Field->Ty));
     }
     if (hasError())
       break;
@@ -961,9 +1058,10 @@ void Inferencer::checkExpr(const Expr &E, Type *Expected) {
         if (Name == Field.Name)
           Given = true;
       if (!Given) {
-        report(TypeError::Kind::RecordShape, E.Span,
-               "Some record fields are undefined: " + Field.Name,
-               Field.Name);
+        report(
+            TypeError::Kind::RecordShape, E.Span,
+            [&] { return "Some record fields are undefined: " + Field.Name; },
+            Field.Name);
         return;
       }
     }
@@ -984,19 +1082,24 @@ TypecheckResult Inferencer::run(const Program &Prog,
                                 const TypecheckOptions &RunOpts) {
   Opts = &RunOpts;
   std::optional<unsigned> FailedAt;
+  // The program outlives the run, so its binding names need no copies.
+  std::vector<std::pair<const std::string *, Type *>> TopLevel;
   for (unsigned I = 0; I < Prog.Decls.size() && I < RunOpts.DeclLimit; ++I) {
-    processDecl(*Prog.Decls[I]);
+    const Decl &D = *Prog.Decls[I];
+    Type *T = processDecl(D);
     if (hasError()) {
       FailedAt = I;
       break;
     }
+    if (T && D.Binding->kind() == Pattern::Kind::Var)
+      TopLevel.emplace_back(&D.Binding->Name, T);
   }
   TypecheckResult Result;
   Result.Error = std::move(ErrorOut);
   Result.ErrorDeclIndex = FailedAt;
   if (Result.ok()) {
     for (const auto &[Name, T] : TopLevel)
-      Result.TopLevelTypes.emplace_back(Name, typeToString(T));
+      Result.TopLevelTypes.emplace_back(*Name, typeToString(T));
     if (QueriedTy)
       Result.QueriedType = typeToString(QueriedTy);
   }
@@ -1009,25 +1112,30 @@ bool Inferencer::runPrefix(const Program &Prog, unsigned Count) {
   assert(Count <= Prog.Decls.size() && "prefix longer than the program");
   TypecheckOptions None;
   Opts = &None;
-  for (unsigned I = 0; I < Count && !hasError(); ++I)
+  RenderMessages = false; // A failed prefix is only ever discarded.
+  for (unsigned I = 0; I < Count && !hasError(); ++I) {
+    const size_t Mark = envMark();
     processDecl(*Prog.Decls[I]);
+    ownBindings(Mark);
+  }
+  RenderMessages = true;
   Opts = nullptr;
   return !hasError();
 }
 
 TypecheckResult Inferencer::checkAdditionalDecl(const Decl &D,
-                                                const TypecheckOptions &RunOpts) {
+                                                const TypecheckOptions &RunOpts,
+                                                bool Render) {
   assert(D.kind() == Decl::Kind::Let &&
          "only let declarations can be checked incrementally");
   assert(!hasError() && "checkpointed environment must be error-free");
+  assert(Trail.empty() && "a query started with writes on the trail");
 
   const size_t EnvMark = Env.size();
-  const size_t TopMark = TopLevel.size();
   const TypeArena::Mark AMark = Arena.mark();
   const int LevelMark = CurrentLevel;
 
   TypecheckResult Result;
-  TypeTrail Trail;
   {
     // Every link/level write inside this scope lands on the trail, so the
     // rollback below restores the shared environment exactly -- including
@@ -1035,6 +1143,7 @@ TypecheckResult Inferencer::checkAdditionalDecl(const Decl &D,
     // query's unifications may have specialized.
     TypeTrailScope Scope(Trail);
     Opts = &RunOpts;
+    RenderMessages = Render;
     QueriedTy = nullptr;
     processDecl(D);
     Result.Error = std::move(ErrorOut);
@@ -1043,45 +1152,49 @@ TypecheckResult Inferencer::checkAdditionalDecl(const Decl &D,
       Result.QueriedType = typeToString(QueriedTy);
     Result.TypesAllocated = Arena.numAllocated() - AMark.Nodes;
     Opts = nullptr;
+    RenderMessages = true;
     QueriedTy = nullptr;
     ErrorOut.reset();
   }
+  assert(Subst.empty() && Pending.empty() && "an inference stack leaked");
 
   Trail.undoAll();
   Env.resize(EnvMark);
-  TopLevel.resize(TopMark);
   Arena.rewindTo(AMark);
   CurrentLevel = LevelMark;
   return Result;
 }
 
 bool Inferencer::extendDecl(const Decl &D, size_t *TypesAllocated) {
+  assert(Trail.empty() && "an extension started with writes on the trail");
   const size_t EnvMark = Env.size();
-  const size_t TopMark = TopLevel.size();
   const TypeArena::Mark AMark = Arena.mark();
   const int LevelMark = CurrentLevel;
 
   TypecheckOptions None;
-  TypeTrail Trail;
   bool Succeeded;
   {
     TypeTrailScope Scope(Trail);
     Opts = &None;
+    RenderMessages = false; // The caller reads the verdict only.
     QueriedTy = nullptr;
     processDecl(D);
     Succeeded = !hasError();
     if (TypesAllocated)
       *TypesAllocated = Arena.numAllocated() - AMark.Nodes;
     Opts = nullptr;
+    RenderMessages = true;
     QueriedTy = nullptr;
     ErrorOut.reset();
   }
-  if (Succeeded)
+  if (Succeeded) {
     // Commit: keep the bindings and links; the trail records are dropped.
+    Trail.clear();
+    ownBindings(EnvMark);
     return true;
+  }
   Trail.undoAll();
   Env.resize(EnvMark);
-  TopLevel.resize(TopMark);
   Arena.rewindTo(AMark);
   CurrentLevel = LevelMark;
   return false;
@@ -1121,7 +1234,14 @@ InferenceCheckpoint::create(const Program &Prog, unsigned PrefixLen) {
 
 TypecheckResult InferenceCheckpoint::checkDecl(const Decl &D,
                                                const TypecheckOptions &Opts) {
-  return TheImpl->Inf.checkAdditionalDecl(D, Opts);
+  return TheImpl->Inf.checkAdditionalDecl(D, Opts, /*Render=*/true);
+}
+
+TypecheckResult InferenceCheckpoint::queryDecl(const Decl &D,
+                                               const Expr *QueryNode) {
+  TypecheckOptions Opts;
+  Opts.QueryNode = QueryNode;
+  return TheImpl->Inf.checkAdditionalDecl(D, Opts, /*Render=*/false);
 }
 
 bool InferenceCheckpoint::extendWith(const Decl &D, size_t *TypesAllocated) {

@@ -132,6 +132,12 @@ public:
   /// TypesAllocated reports only this query's allocations.
   TypecheckResult checkDecl(const Decl &D, const TypecheckOptions &Opts = {});
 
+  /// The oracle's question: checkDecl's inference, with the same verdict,
+  /// TypesAllocated and rendered type of \p QueryNode, but a failure's
+  /// Error carries only its kind and span -- no message or type is
+  /// rendered for a caller that reads the verdict alone.
+  TypecheckResult queryDecl(const Decl &D, const Expr *QueryNode = nullptr);
+
   /// Permanently extends the prefix with \p D (any declaration kind).
   /// On success the declaration's bindings are committed and
   /// prefixLength() grows by one; on failure every unification side

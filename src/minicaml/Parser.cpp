@@ -5,6 +5,7 @@
 #include "minicaml/Lexer.h"
 
 #include <cassert>
+#include <string>
 
 using namespace seminal;
 using namespace seminal::caml;
@@ -57,6 +58,36 @@ private:
     Error = ParseError{peek().Loc, Message};
   }
 
+  /// Levels of nesting a production has entered; they are released when
+  /// it returns. Every recursive production and every round of a
+  /// left-associative operator loop enters one, so Depth bounds both the
+  /// parser's own recursion and the depth of the tree it builds. So does
+  /// every parameter of a function and argument of an application after
+  /// the first: each is one more arrow in a type that inference walks
+  /// recursively.
+  class Nesting {
+  public:
+    explicit Nesting(ParserImpl &P) : P(P) {}
+    ~Nesting() { P.Depth -= Levels; }
+    Nesting(const Nesting &) = delete;
+    Nesting &operator=(const Nesting &) = delete;
+
+    /// Enters one more level. \returns false, with a syntax error, past
+    /// MaxNestingDepth.
+    bool deeper() {
+      ++Levels;
+      if (++P.Depth <= MaxNestingDepth)
+        return true;
+      P.fail("nesting deeper than " + std::to_string(MaxNestingDepth) +
+             " levels");
+      return false;
+    }
+
+  private:
+    ParserImpl &P;
+    unsigned Levels = 0;
+  };
+
   void setSpan(Expr *E, SourceLoc Start) {
     E->Span = SourceSpan(Start, prevEnd());
   }
@@ -103,6 +134,7 @@ private:
 
   std::vector<Token> Tokens;
   size_t Index = 0;
+  unsigned Depth = 0; ///< Nesting levels entered (see Nesting).
   bool Failed = false;
   ParseError Error{SourceLoc(), ""};
 };
@@ -282,8 +314,11 @@ DeclPtr ParserImpl::parseLetDecl() {
   if (Failed)
     return nullptr;
   // Function sugar: let f p1 ... pn = rhs.
+  Nesting Levels(*this);
   if (D->Binding->kind() == Pattern::Kind::Var) {
     while (!check(TK::Eq) && !Failed) {
+      if (!D->Params.empty() && !Levels.deeper())
+        return nullptr;
       D->Params.push_back(parseAtomPattern());
       if (Failed)
         return nullptr;
@@ -326,6 +361,9 @@ ExprPtr ParserImpl::parseExpr() {
   if (!check(TK::Semi))
     return First;
   advance();
+  Nesting Level(*this);
+  if (!Level.deeper())
+    return nullptr;
   ExprPtr Rest = parseExpr();
   if (Failed)
     return nullptr;
@@ -335,7 +373,10 @@ ExprPtr ParserImpl::parseExpr() {
 }
 
 ExprPtr ParserImpl::parseTupleExpr() {
-  if (Failed)
+  // Every nested expression (parenthesized, bracketed, a record field, a
+  // branch or body of a keyword form) is parsed from here.
+  Nesting Level(*this);
+  if (Failed || !Level.deeper())
     return nullptr;
   SourceLoc Start = peek().Loc;
   ExprPtr First = parseAssignExpr();
@@ -360,7 +401,10 @@ ExprPtr ParserImpl::parseAssignExpr() {
   ExprPtr Lhs = parseOrExpr();
   if (Failed)
     return nullptr;
+  Nesting Level(*this);
   if (accept(TK::Assign)) {
+    if (!Level.deeper())
+      return nullptr;
     ExprPtr Rhs = parseAssignExpr();
     if (Failed)
       return nullptr;
@@ -374,6 +418,8 @@ ExprPtr ParserImpl::parseAssignExpr() {
       return nullptr;
     }
     advance();
+    if (!Level.deeper())
+      return nullptr;
     ExprPtr Rhs = parseAssignExpr();
     if (Failed)
       return nullptr;
@@ -392,7 +438,10 @@ ExprPtr ParserImpl::parseOrExpr() {
     return nullptr;
   SourceLoc Start = peek().Loc;
   ExprPtr Lhs = parseAndExpr();
+  Nesting Levels(*this);
   while (!Failed && accept(TK::OrOr)) {
+    if (!Levels.deeper())
+      return nullptr;
     ExprPtr Rhs = parseAndExpr();
     if (Failed)
       return nullptr;
@@ -407,7 +456,10 @@ ExprPtr ParserImpl::parseAndExpr() {
     return nullptr;
   SourceLoc Start = peek().Loc;
   ExprPtr Lhs = parseCmpExpr();
+  Nesting Levels(*this);
   while (!Failed && accept(TK::AndAnd)) {
+    if (!Levels.deeper())
+      return nullptr;
     ExprPtr Rhs = parseCmpExpr();
     if (Failed)
       return nullptr;
@@ -422,6 +474,7 @@ ExprPtr ParserImpl::parseCmpExpr() {
     return nullptr;
   SourceLoc Start = peek().Loc;
   ExprPtr Lhs = parseConcatExpr();
+  Nesting Levels(*this);
   while (!Failed) {
     std::string Op;
     if (check(TK::Eq))
@@ -441,6 +494,8 @@ ExprPtr ParserImpl::parseCmpExpr() {
     else
       break;
     advance();
+    if (!Levels.deeper())
+      return nullptr;
     ExprPtr Rhs = parseConcatExpr();
     if (Failed)
       return nullptr;
@@ -465,6 +520,9 @@ ExprPtr ParserImpl::parseConcatExpr() {
   else
     return Lhs;
   advance();
+  Nesting Level(*this);
+  if (!Level.deeper())
+    return nullptr;
   ExprPtr Rhs = parseConcatExpr(); // right associative
   if (Failed)
     return nullptr;
@@ -481,6 +539,9 @@ ExprPtr ParserImpl::parseConsExpr() {
   if (Failed || !check(TK::ColonColon))
     return Head;
   advance();
+  Nesting Level(*this);
+  if (!Level.deeper())
+    return nullptr;
   ExprPtr Tail = parseConsExpr(); // right associative
   if (Failed)
     return nullptr;
@@ -494,6 +555,7 @@ ExprPtr ParserImpl::parseAddExpr() {
     return nullptr;
   SourceLoc Start = peek().Loc;
   ExprPtr Lhs = parseMulExpr();
+  Nesting Levels(*this);
   while (!Failed) {
     std::string Op;
     if (check(TK::Plus))
@@ -503,6 +565,8 @@ ExprPtr ParserImpl::parseAddExpr() {
     else
       break;
     advance();
+    if (!Levels.deeper())
+      return nullptr;
     ExprPtr Rhs = parseMulExpr();
     if (Failed)
       return nullptr;
@@ -517,6 +581,7 @@ ExprPtr ParserImpl::parseMulExpr() {
     return nullptr;
   SourceLoc Start = peek().Loc;
   ExprPtr Lhs = parseUnaryExpr();
+  Nesting Levels(*this);
   while (!Failed) {
     std::string Op;
     if (check(TK::Star))
@@ -526,6 +591,8 @@ ExprPtr ParserImpl::parseMulExpr() {
     else
       break;
     advance();
+    if (!Levels.deeper())
+      return nullptr;
     ExprPtr Rhs = parseUnaryExpr();
     if (Failed)
       return nullptr;
@@ -539,6 +606,10 @@ ExprPtr ParserImpl::parseUnaryExpr() {
   if (Failed)
     return nullptr;
   SourceLoc Start = peek().Loc;
+  Nesting Level(*this);
+  if ((check(TK::Minus) || check(TK::KwNot) || check(TK::Bang)) &&
+      !Level.deeper())
+    return nullptr;
   if (accept(TK::Minus)) {
     ExprPtr Operand = parseUnaryExpr();
     if (Failed)
@@ -588,7 +659,10 @@ ExprPtr ParserImpl::parseAppExpr() {
     return E;
   }
   std::vector<ExprPtr> Args;
+  Nesting Levels(*this);
   while (startsAtom() && !Failed) {
+    if (!Args.empty() && !Levels.deeper())
+      return nullptr;
     Args.push_back(parsePostfixExpr());
     if (Failed)
       return nullptr;
@@ -603,7 +677,10 @@ ExprPtr ParserImpl::parsePostfixExpr() {
     return nullptr;
   SourceLoc Start = peek().Loc;
   ExprPtr E = parseAtomExpr();
+  Nesting Levels(*this);
   while (!Failed && check(TK::Dot)) {
+    if (!Levels.deeper())
+      return nullptr;
     advance();
     if (!check(TK::LowerIdent)) {
       fail("expected a field name after '.'");
@@ -620,8 +697,12 @@ ExprPtr ParserImpl::parseKeywordForm() {
   SourceLoc Start = peek().Loc;
   if (accept(TK::KwFun)) {
     std::vector<PatternPtr> Params;
-    while (!check(TK::Arrow) && !Failed)
+    Nesting Levels(*this);
+    while (!check(TK::Arrow) && !Failed) {
+      if (!Params.empty() && !Levels.deeper())
+        return nullptr;
       Params.push_back(parseAtomPattern());
+    }
     if (Params.empty())
       fail("'fun' requires at least one parameter");
     expect(TK::Arrow, "'->' after fun parameters");
@@ -673,9 +754,13 @@ ExprPtr ParserImpl::parseKeywordForm() {
     if (Failed)
       return nullptr;
     std::vector<PatternPtr> Params;
+    Nesting Levels(*this);
     if (Binding->kind() == Pattern::Kind::Var) {
-      while (!check(TK::Eq) && !Failed)
+      while (!check(TK::Eq) && !Failed) {
+        if (!Params.empty() && !Levels.deeper())
+          return nullptr;
         Params.push_back(parseAtomPattern());
+      }
     }
     expect(TK::Eq, "'=' in let binding");
     ExprPtr Rhs = parseExpr();
@@ -689,6 +774,10 @@ ExprPtr ParserImpl::parseKeywordForm() {
     return E;
   }
   if (accept(TK::KwRaise)) {
+    // The operand is an atom, which may itself be a keyword form.
+    Nesting Level(*this);
+    if (!Level.deeper())
+      return nullptr;
     ExprPtr Operand = parsePostfixExpr();
     if (Failed)
       return nullptr;
@@ -829,7 +918,9 @@ ExprPtr ParserImpl::parseAtomExpr() {
 //===----------------------------------------------------------------------===//
 
 PatternPtr ParserImpl::parsePattern() {
-  if (Failed)
+  // Every parenthesized pattern is parsed from here.
+  Nesting Level(*this);
+  if (Failed || !Level.deeper())
     return nullptr;
   SourceLoc Start = peek().Loc;
   PatternPtr First = parseConsPattern();
@@ -855,6 +946,9 @@ PatternPtr ParserImpl::parseConsPattern() {
   if (Failed || !check(TK::ColonColon))
     return Head;
   advance();
+  Nesting Level(*this);
+  if (!Level.deeper())
+    return nullptr;
   PatternPtr Tail = parseConsPattern(); // right associative
   if (Failed)
     return nullptr;
@@ -944,6 +1038,9 @@ PatternPtr ParserImpl::parseAtomPattern() {
   }
   case TK::LBracket: {
     advance();
+    Nesting Level(*this);
+    if (!Level.deeper())
+      return nullptr;
     std::vector<PatternPtr> Elems;
     if (!check(TK::RBracket)) {
       while (!Failed) {
@@ -970,7 +1067,9 @@ PatternPtr ParserImpl::parseAtomPattern() {
 //===----------------------------------------------------------------------===//
 
 TypeExprPtr ParserImpl::parseTypeExpr() {
-  if (Failed)
+  // Parenthesized types and arrow results are parsed from here.
+  Nesting Level(*this);
+  if (Failed || !Level.deeper())
     return nullptr;
   TypeExprPtr From = parseTupleTypeExpr();
   if (Failed || !check(TK::Arrow))
@@ -1003,7 +1102,10 @@ TypeExprPtr ParserImpl::parsePostfixTypeExpr() {
     return nullptr;
   TypeExprPtr T = parseAtomTypeExpr();
   // Postfix constructor application: int list, 'a list ref.
+  Nesting Levels(*this);
   while (!Failed && check(TK::LowerIdent)) {
+    if (!Levels.deeper())
+      return nullptr;
     std::string Name = advance().Text;
     std::vector<TypeExprPtr> Args;
     Args.push_back(std::move(T));

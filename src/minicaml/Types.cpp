@@ -5,15 +5,54 @@
 #include "analysis/Provenance.h"
 #include "support/StrUtil.h"
 
+#include <algorithm>
 #include <map>
-#include <sstream>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define SEMINAL_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SEMINAL_ASAN 1
+#endif
+#endif
+#ifdef SEMINAL_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 using namespace seminal;
 using namespace seminal::caml;
 
 namespace {
 thread_local TypeTrail *ActiveTrail = nullptr;
+
+constexpr TypeName BuiltinNames[] = {
+    tyname::Arrow, tyname::Tuple, tyname::Int,  tyname::Bool,
+    tyname::String, tyname::Unit, tyname::Exn,  tyname::List,
+    tyname::Ref,   tyname::Option,
+};
+
+/// The first chunk holds a few dozen nodes, so a small checkpoint stays
+/// small; later chunks double up to the cap.
+constexpr size_t FirstChunkBytes = 1024;
+constexpr size_t MaxChunkBytes = 64 * 1024;
+
+static_assert(alignof(Type) == alignof(Type *),
+              "a node and its arguments share one alignment");
 } // namespace
+
+TypeName TypeNames::find(const std::string &Name) const {
+  for (TypeName B : BuiltinNames)
+    if (Name == B)
+      return B;
+  auto It = Own.find(Name);
+  return It == Own.end() ? nullptr : It->c_str();
+}
+
+TypeName TypeNames::intern(const std::string &Name) {
+  if (TypeName N = find(Name))
+    return N;
+  return Own.insert(Name).first->c_str();
+}
 
 TypeTrail *caml::activeTypeTrail() { return ActiveTrail; }
 
@@ -38,38 +77,92 @@ void TypeTrail::undoTo(const Mark &M) {
   }
 }
 
+TypeArena::~TypeArena() {
+  // Hand the chunks back to the allocator the way it gave them out.
+  for (Chunk &C : Chunks)
+    unpoison(C.Mem.get(), C.Size);
+}
+
+void TypeArena::poison(std::byte *P, size_t Bytes) {
+#ifdef SEMINAL_ASAN
+  ASAN_POISON_MEMORY_REGION(P, Bytes);
+#else
+  (void)P;
+  (void)Bytes;
+#endif
+}
+
+void TypeArena::unpoison(std::byte *P, size_t Bytes) {
+#ifdef SEMINAL_ASAN
+  ASAN_UNPOISON_MEMORY_REGION(P, Bytes);
+#else
+  (void)P;
+  (void)Bytes;
+#endif
+}
+
+void TypeArena::nextChunk(size_t Bytes) {
+  const size_t Next = Chunks.empty() ? 0 : Cur + 1;
+  if (Next >= Chunks.size() || Chunks[Next].Size < Bytes) {
+    size_t Size = Chunks.empty()
+                      ? FirstChunkBytes
+                      : std::min(Chunks[Cur].Size * 2, MaxChunkBytes);
+    Size = std::max(Size, Bytes);
+    Chunk C;
+    C.Mem.reset(new std::byte[Size]);
+    C.Size = Size;
+    poison(C.Mem.get(), Size);
+    Chunks.insert(Chunks.begin() + ptrdiff_t(Next), std::move(C));
+  }
+  Cur = Next;
+  Used = 0;
+}
+
 void TypeArena::rewindTo(const Mark &M) {
-  assert(M.Nodes <= Nodes.size() && "rewind past the end of the arena");
-  while (Nodes.size() > M.Nodes)
-    Nodes.pop_back();
+  assert(M.Nodes <= Nodes && "rewind past the end of the arena");
+  assert((M.Chunk < Cur || (M.Chunk == Cur && M.Used <= Used) ||
+          Chunks.empty()) &&
+         "rewind to a mark ahead of the cursor");
+  if (!Chunks.empty()) {
+    // Everything between the mark and the cursor becomes unaddressable
+    // until it is handed out again.
+    for (size_t I = M.Chunk; I <= Cur; ++I) {
+      const size_t From = I == M.Chunk ? M.Used : 0;
+      poison(Chunks[I].Mem.get() + From, Chunks[I].Size - From);
+    }
+    Cur = M.Chunk;
+    Used = M.Used;
+  }
+  Nodes = M.Nodes;
   NextVarId = M.NextVarId;
 }
 
 Type *TypeArena::freshVar(int Level) {
-  Nodes.emplace_back();
-  Type &T = Nodes.back();
-  T.TheKind = Type::Kind::Var;
-  T.VarId = NextVarId++;
-  T.Level = Level;
-  analysis::hookAlloc(&T);
-  return &T;
+  Type *T = new (allocate(sizeof(Type))) Type();
+  T->TheKind = Type::Kind::Var;
+  T->VarId = NextVarId++;
+  T->Level = Level;
+  ++Nodes;
+  analysis::hookAlloc(T);
+  return T;
 }
 
-Type *TypeArena::con(const std::string &Name, std::vector<Type *> Args) {
-  Nodes.emplace_back();
-  Type &T = Nodes.back();
-  T.TheKind = Type::Kind::Con;
-  T.Name = Name;
-  T.Args = std::move(Args);
-  analysis::hookAlloc(&T);
-  return &T;
-}
-
-Type *TypeArena::arrowChain(const std::vector<Type *> &Froms, Type *To) {
-  Type *Result = To;
-  for (auto It = Froms.rbegin(); It != Froms.rend(); ++It)
-    Result = arrow(*It, Result);
-  return Result;
+Type *TypeArena::con(TypeName Name, std::span<Type *const> Args) {
+  assert(Name && "constructor without a name");
+  // The node and its arguments are one allocation, the arguments right
+  // after the node (where Type::args() finds them).
+  static_assert(sizeof(Type) % alignof(Type *) == 0);
+  std::byte *P = static_cast<std::byte *>(
+      allocate(sizeof(Type) + Args.size() * sizeof(Type *)));
+  Type *T = new (P) Type();
+  T->TheKind = Type::Kind::Con;
+  T->Name = Name;
+  T->NumArgs = uint32_t(Args.size());
+  std::copy(Args.begin(), Args.end(),
+            reinterpret_cast<Type **>(P + sizeof(Type)));
+  ++Nodes;
+  analysis::hookAlloc(T);
+  return T;
 }
 
 Type *caml::prune(Type *T) {
@@ -100,7 +193,7 @@ bool caml::occursAndAdjust(Type *Var, Type *T) {
     }
     return false;
   }
-  for (Type *Arg : T->Args)
+  for (Type *Arg : T->args())
     if (occursAndAdjust(Var, Arg))
       return true;
   return false;
@@ -127,22 +220,22 @@ private:
     }
     if (T->isArrow()) {
       std::string Text =
-          printPrec(T->Args[0], 1) + " -> " + printPrec(T->Args[1], 0);
+          printPrec(T->arg(0), 1) + " -> " + printPrec(T->arg(1), 0);
       return MinPrec > 0 ? "(" + Text + ")" : Text;
     }
-    if (T->isCon("*")) {
+    if (T->isCon(tyname::Tuple)) {
       std::vector<std::string> Parts;
-      for (Type *Arg : T->Args)
+      for (Type *Arg : T->args())
         Parts.push_back(printPrec(Arg, 2));
       std::string Text = join(Parts, " * ");
       return MinPrec > 1 ? "(" + Text + ")" : Text;
     }
-    if (T->Args.empty())
+    if (T->NumArgs == 0)
       return T->Name;
-    if (T->Args.size() == 1)
-      return printPrec(T->Args[0], 2) + " " + T->Name;
+    if (T->NumArgs == 1)
+      return printPrec(T->arg(0), 2) + " " + T->Name;
     std::vector<std::string> Parts;
-    for (Type *Arg : T->Args)
+    for (Type *Arg : T->args())
       Parts.push_back(printPrec(Arg, 0));
     return "(" + join(Parts, ", ") + ") " + T->Name;
   }

@@ -10,11 +10,16 @@
 /// let-generalization, following Remy) or a constructor application. All
 /// structural types are constructor applications with reserved names:
 /// "->" (arity 2), "*" (tuples, arity >= 2), plus "int", "bool", "string",
-/// "unit", "exn", "list", "ref", and user-declared names.
+/// "unit", "exn", "list", "ref", "option", and user-declared names.
 ///
-/// Types are arena-allocated; each oracle call runs inference in a fresh
-/// arena. The one type graph shared across type-check invocations is the
-/// standard-library environment (Infer.cpp), which no run ever writes.
+/// A type is a small, trivially destructible node carved from a
+/// TypeArena: its constructor name is interned (TypeNames), so names
+/// compare by pointer, and its arguments are a span in the same arena's
+/// storage. Building, unifying and rolling back types allocates nothing
+/// per type; an arena's chunks outlive rewindTo and are reused by the
+/// next allocations. The one type graph shared across type-check
+/// invocations is the standard-library environment (Infer.cpp), which no
+/// run ever writes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,9 +27,15 @@
 #define SEMINAL_MINICAML_TYPES_H
 
 #include <cassert>
-#include <deque>
+#include <cstddef>
+#include <cstdint>
+#include <initializer_list>
 #include <limits>
+#include <memory>
+#include <span>
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace seminal {
@@ -33,12 +44,59 @@ namespace caml {
 /// Level marking a variable as generalized (quantified).
 constexpr int GenericLevel = std::numeric_limits<int>::max();
 
-/// A semantic type node. Mutable on purpose: unification links variables
-/// in place (union-find with path compression in prune()).
-struct Type {
-  enum class Kind { Var, Con };
+/// An interned type-constructor name. Within one environment (a run on
+/// top of the standard-library base) every constructor carrying a given
+/// name points at the same characters, so two names are equal iff the
+/// pointers are.
+using TypeName = const char *;
 
-  Kind TheKind;
+/// The builtin constructor names, shared by every environment. Inline
+/// variables have one address program-wide, which is what makes pointer
+/// comparison against them valid.
+namespace tyname {
+inline constexpr char Arrow[] = "->";
+inline constexpr char Tuple[] = "*";
+inline constexpr char Int[] = "int";
+inline constexpr char Bool[] = "bool";
+inline constexpr char String[] = "string";
+inline constexpr char Unit[] = "unit";
+inline constexpr char Exn[] = "exn";
+inline constexpr char List[] = "list";
+inline constexpr char Ref[] = "ref";
+inline constexpr char Option[] = "option";
+} // namespace tyname
+
+/// Interns the constructor names an environment declares. Lookups try
+/// the builtins, then this table's own names, so a program redeclaring a
+/// builtin type name (`type list = ...`) gets the builtin's pointer, as
+/// string comparison would have had it. The standard library declares
+/// builtin types only, so every run starts with an empty table.
+class TypeNames {
+public:
+  TypeNames() = default;
+  TypeNames(const TypeNames &) = delete;
+  TypeNames &operator=(const TypeNames &) = delete;
+
+  /// The interned copy of \p Name, added to this table if no table
+  /// holds it yet.
+  TypeName intern(const std::string &Name);
+
+private:
+  TypeName find(const std::string &Name) const;
+
+  /// Node-based, so the characters of an entry never move.
+  std::unordered_set<std::string> Own;
+};
+
+/// A semantic type node. Mutable on purpose: unification links variables
+/// in place (union-find with path compression in prune()). A constructor's
+/// NumArgs argument pointers follow the node in its arena (TypeArena::con
+/// allocates them together), so a node is 32 bytes whatever its arity.
+struct Type {
+  enum class Kind : uint8_t { Var, Con };
+
+  Kind TheKind = Kind::Var;
+  uint32_t NumArgs = 0; ///< Con: the number of arguments.
 
   // Var payload.
   int VarId = 0;
@@ -46,14 +104,21 @@ struct Type {
   Type *Link = nullptr; ///< Non-null once the variable is bound.
 
   // Con payload.
-  std::string Name;
-  std::vector<Type *> Args;
+  TypeName Name = nullptr;
+
+  std::span<Type *const> args() const {
+    return {reinterpret_cast<Type *const *>(
+                reinterpret_cast<const std::byte *>(this) + sizeof(Type)),
+            NumArgs};
+  }
+  Type *arg(size_t I) const {
+    assert(I < NumArgs && "type argument out of range");
+    return args()[I];
+  }
 
   bool isVar() const { return TheKind == Kind::Var; }
-  bool isCon(const std::string &N) const {
-    return TheKind == Kind::Con && Name == N;
-  }
-  bool isArrow() const { return isCon("->"); }
+  bool isCon(TypeName N) const { return TheKind == Kind::Con && Name == N; }
+  bool isArrow() const { return isCon(tyname::Arrow); }
 };
 
 /// Undo log for in-place type mutations. While a trail is installed (see
@@ -64,6 +129,8 @@ struct Type {
 /// across thousands of oracle calls: each call's unifications against the
 /// shared prefix environment are rolled back instead of rebuilding the
 /// environment from scratch.
+/// Each inferencer owns one trail and reuses its capacity from query to
+/// query.
 class TypeTrail {
 public:
   void recordLink(Type *V, Type *Old) { Links.emplace_back(V, Old); }
@@ -83,6 +150,13 @@ public:
   /// trail back to \p M. Lets a caller undo one failed unification without
   /// disturbing the enclosing checkpoint's rollback log.
   void undoTo(const Mark &M);
+
+  /// Forgets every record without restoring anything: the writes are
+  /// committed.
+  void clear() {
+    Links.clear();
+    Levels.clear();
+  }
 
   bool empty() const { return Links.empty() && Levels.empty(); }
 
@@ -107,23 +181,31 @@ private:
 /// The trail currently recording this thread's type mutations, or null.
 TypeTrail *activeTypeTrail();
 
-/// Bump allocator for Type nodes; owns everything it creates.
+/// Bump allocator for Type nodes and their argument spans; owns
+/// everything it creates. Storage is a list of chunks, each twice the
+/// size of the one before up to a cap; rewindTo moves the allocation
+/// cursor back and keeps the chunks, so the next allocations reuse them.
+/// Rewound space is poisoned in AddressSanitizer builds, so reading a
+/// type a rewind freed is reported as it would be for freed heap memory.
 class TypeArena {
 public:
   TypeArena() = default;
   /// An arena whose variable ids start at \p FirstVarId, after those of
   /// an arena whose types it is used alongside.
   explicit TypeArena(int FirstVarId) : NextVarId(FirstVarId) {}
+  ~TypeArena();
   TypeArena(const TypeArena &) = delete;
   TypeArena &operator=(const TypeArena &) = delete;
 
   /// A position in the arena's allocation sequence.
   struct Mark {
+    size_t Chunk = 0; ///< Chunk holding the cursor.
+    size_t Used = 0;  ///< Bytes of that chunk in use.
     size_t Nodes = 0;
     int NextVarId = 0;
   };
 
-  Mark mark() const { return {Nodes.size(), NextVarId}; }
+  Mark mark() const { return {Cur, Used, Nodes, NextVarId}; }
 
   /// Frees every node allocated after \p M. The caller must guarantee no
   /// surviving type references the freed nodes (a TypeTrail rollback of
@@ -133,29 +215,51 @@ public:
   /// Fresh unification variable at \p Level.
   Type *freshVar(int Level);
 
-  /// Constructor application.
-  Type *con(const std::string &Name, std::vector<Type *> Args = {});
+  /// Constructor application; \p Args are copied into the arena.
+  Type *con(TypeName Name, std::span<Type *const> Args);
+  Type *con(TypeName Name, std::initializer_list<Type *> Args = {}) {
+    return con(Name, std::span<Type *const>(Args.begin(), Args.size()));
+  }
 
   // Shorthands for the pervasive builtins.
-  Type *intType() { return con("int"); }
-  Type *boolType() { return con("bool"); }
-  Type *stringType() { return con("string"); }
-  Type *unitType() { return con("unit"); }
-  Type *exnType() { return con("exn"); }
-  Type *listOf(Type *Elem) { return con("list", {Elem}); }
-  Type *refOf(Type *Elem) { return con("ref", {Elem}); }
-  Type *arrow(Type *From, Type *To) { return con("->", {From, To}); }
-  Type *tuple(std::vector<Type *> Elems) {
-    assert(Elems.size() >= 2 && "tuple type needs at least two components");
-    return con("*", std::move(Elems));
-  }
-  /// Builds From1 -> ... -> FromN -> To.
-  Type *arrowChain(const std::vector<Type *> &Froms, Type *To);
+  Type *intType() { return con(tyname::Int); }
+  Type *boolType() { return con(tyname::Bool); }
+  Type *stringType() { return con(tyname::String); }
+  Type *unitType() { return con(tyname::Unit); }
+  Type *exnType() { return con(tyname::Exn); }
+  Type *listOf(Type *Elem) { return con(tyname::List, {Elem}); }
+  Type *refOf(Type *Elem) { return con(tyname::Ref, {Elem}); }
+  Type *arrow(Type *From, Type *To) { return con(tyname::Arrow, {From, To}); }
 
-  size_t numAllocated() const { return Nodes.size(); }
+  /// Nodes allocated and not rewound.
+  size_t numAllocated() const { return Nodes; }
 
 private:
-  std::deque<Type> Nodes;
+  struct Chunk {
+    std::unique_ptr<std::byte[]> Mem;
+    size_t Size = 0;
+  };
+
+  /// \p Bytes (a multiple of the node alignment) of fresh storage.
+  void *allocate(size_t Bytes) {
+    if (Cur >= Chunks.size() || Used + Bytes > Chunks[Cur].Size)
+      nextChunk(Bytes);
+    std::byte *P = Chunks[Cur].Mem.get() + Used;
+    Used += Bytes;
+    unpoison(P, Bytes);
+    return P;
+  }
+  /// Moves the cursor to the start of a chunk of at least \p Bytes: the
+  /// one after the cursor if a rewind kept it and it is large enough,
+  /// else a new one, twice the size of the cursor's up to the cap.
+  void nextChunk(size_t Bytes);
+  static void poison(std::byte *P, size_t Bytes);
+  static void unpoison(std::byte *P, size_t Bytes);
+
+  std::vector<Chunk> Chunks;
+  size_t Cur = 0;  ///< Chunk holding the cursor (Chunks.size() if none).
+  size_t Used = 0; ///< Bytes of Chunks[Cur] in use.
+  size_t Nodes = 0;
   int NextVarId = 0;
 };
 

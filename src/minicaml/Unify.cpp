@@ -27,13 +27,13 @@ static UnifyResult unifyRec(Type *A, Type *B) {
   if (B->isVar())
     return unifyRec(B, A);
 
-  // Both constructors.
-  if (A->Name != B->Name || A->Args.size() != B->Args.size()) {
+  // Both constructors. Names are interned, so equal names are one pointer.
+  if (A->Name != B->Name || A->NumArgs != B->NumArgs) {
     analysis::hookClash(A, B, /*Cyclic=*/false);
     return UnifyResult::clash(A, B);
   }
-  for (size_t I = 0; I < A->Args.size(); ++I) {
-    UnifyResult Result = unifyRec(A->Args[I], B->Args[I]);
+  for (uint32_t I = 0; I < A->NumArgs; ++I) {
+    UnifyResult Result = unifyRec(A->arg(I), B->arg(I));
     if (!Result.Ok)
       return Result;
   }

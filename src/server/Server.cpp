@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -337,6 +338,16 @@ void ServerEngine::logCheck(const std::string &Id,
   Opts.Log->info(E);
 }
 
+void ServerEngine::rejectOverlongLine(const ReplyFn &Reply) {
+  Ops.Requests->inc();
+  Ops.Malformed->inc();
+  const std::string Error = "malformed request: line longer than " +
+                            std::to_string(MaxRequestLineBytes) + " bytes";
+  if (Opts.Log && Opts.Log->enabled(obs::LogLevel::Warn))
+    Opts.Log->warn(obs::LogEvent("malformed").str("error", Error));
+  Reply(errorResponse("null", Error));
+}
+
 void ServerEngine::submit(const std::string &Line, ReplyFn Reply) {
   auto Submitted = std::chrono::steady_clock::now();
   Ops.Requests->inc();
@@ -566,6 +577,34 @@ std::string ServerEngine::profileJson(unsigned Seconds) {
   return OS.str();
 }
 
+namespace {
+
+/// Reads the next line of \p In into \p Line. A line longer than
+/// MaxRequestLineBytes is read only until that is known: \p TooLong is
+/// set and the rest of the line stays in \p In. \returns false at the
+/// end of input.
+bool readBoundedLine(std::istream &In, std::string &Line, bool &TooLong) {
+  Line.clear();
+  TooLong = false;
+  std::streambuf *Src = In.rdbuf();
+  bool Any = false;
+  for (int C = Src->sbumpc(); C != std::char_traits<char>::eof();
+       C = Src->sbumpc()) {
+    Any = true;
+    if (C == '\n')
+      return true;
+    if (Line.size() == MaxRequestLineBytes) {
+      TooLong = true;
+      return true;
+    }
+    Line.push_back(char(C));
+  }
+  In.setstate(std::ios::eofbit);
+  return Any;
+}
+
+} // namespace
+
 void server::serveStdio(ServerEngine &Engine, std::istream &In,
                         std::ostream &Out) {
   // One mutex serializes reply lines; responses from different sessions
@@ -579,7 +618,14 @@ void server::serveStdio(ServerEngine &Engine, std::istream &In,
     Out.flush();
   };
   std::string Line;
-  while (!Engine.shutdownRequested() && std::getline(In, Line)) {
+  bool TooLong = false;
+  while (!Engine.shutdownRequested() && readBoundedLine(In, Line, TooLong)) {
+    if (TooLong) {
+      // Answered before the rest of the line arrives; then dropped.
+      Engine.rejectOverlongLine(Reply);
+      In.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      continue;
+    }
     if (!Line.empty() && Line.back() == '\r')
       Line.pop_back();
     if (Line.empty())
@@ -725,8 +771,12 @@ void UnixSocketServer::connectionLoop(int Fd) {
 
   // Buf holds the unfinished line. Only the bytes a read appends can
   // end it, so a line is scanned once however many reads it spans, and
-  // the lines a read completes leave Buf in one erase.
+  // the lines a read completes leave Buf in one erase. A line longer than
+  // MaxRequestLineBytes is answered with an error as soon as it is known
+  // to be too long, and its bytes are dropped through its newline
+  // (Discarding), so Buf never holds more than the cap plus one read.
   std::string Buf;
+  bool Discarding = false;
   char Chunk[4096];
   bool SawShutdown = false;
   while (!SawShutdown) {
@@ -738,8 +788,17 @@ void UnixSocketServer::connectionLoop(int Fd) {
     size_t LineStart = 0;
     size_t Pos;
     while ((Pos = Buf.find('\n', Scan)) != std::string::npos) {
-      std::string Line = Buf.substr(LineStart, Pos - LineStart);
+      const size_t Begin = LineStart, Length = Pos - LineStart;
       LineStart = Scan = Pos + 1;
+      if (Discarding) {
+        Discarding = false; // The rejected line ends here.
+        continue;
+      }
+      if (Length > MaxRequestLineBytes) {
+        Engine.rejectOverlongLine(Reply);
+        continue;
+      }
+      std::string Line = Buf.substr(Begin, Length);
       if (!Line.empty() && Line.back() == '\r')
         Line.pop_back();
       if (!Line.empty())
@@ -750,6 +809,12 @@ void UnixSocketServer::connectionLoop(int Fd) {
       }
     }
     Buf.erase(0, LineStart);
+    if (!Discarding && Buf.size() > MaxRequestLineBytes) {
+      Engine.rejectOverlongLine(Reply);
+      Discarding = true;
+    }
+    if (Discarding)
+      Buf.clear();
   }
   // Let in-flight requests of this connection deliver their replies
   // before the fd goes away; other connections' work is drained too,

@@ -83,6 +83,13 @@ struct ServerOptions {
   obs::SloConfig Slo;
 };
 
+/// The longest request line a transport reads, in bytes. A longer line
+/// is answered with a malformed-request error and its bytes are dropped
+/// up to the next newline, so no client can grow a connection's buffer
+/// past the cap plus one read. Sources from editors and the corpus are
+/// thousands of times smaller.
+constexpr size_t MaxRequestLineBytes = size_t(8) << 20;
+
 class ServerEngine {
 public:
   explicit ServerEngine(const ServerOptions &Opts = {});
@@ -94,6 +101,11 @@ public:
 
   /// Routes one request line (see file comment).
   void submit(const std::string &Line, ReplyFn Reply);
+
+  /// Answers a line the transport dropped for exceeding
+  /// MaxRequestLineBytes: a malformed-request error, counted with the
+  /// other malformed requests.
+  void rejectOverlongLine(const ReplyFn &Reply);
 
   /// Synchronous convenience for tests and simple clients: submits,
   /// waits for every in-flight request to finish, returns the reply.

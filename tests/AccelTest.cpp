@@ -214,6 +214,39 @@ TEST(CheckpointTest, QueryNodeTypeMatchesFullInference) {
   EXPECT_EQ(Inc.QueriedType, Full.QueriedType);
 }
 
+TEST(CheckpointTest, QueryDeclAnswersLikeCheckDeclWithoutAMessage) {
+  Program P = parse("let one = 1\nlet f x = x + one\nlet g = f \"s\"");
+  auto CP = InferenceCheckpoint::create(P, 2);
+  ASSERT_NE(CP, nullptr);
+
+  // A failure keeps its kind and span; nothing is rendered for it.
+  TypecheckResult Full = CP->checkDecl(*P.Decls[2]);
+  TypecheckResult Quiet = CP->queryDecl(*P.Decls[2]);
+  ASSERT_FALSE(Full.ok());
+  ASSERT_FALSE(Quiet.ok());
+  EXPECT_FALSE(Full.Error->Message.empty());
+  EXPECT_EQ(Quiet.Error->TheKind, Full.Error->TheKind);
+  EXPECT_EQ(Quiet.Error->Span.Begin.Offset, Full.Error->Span.Begin.Offset);
+  EXPECT_TRUE(Quiet.Error->Message.empty());
+  EXPECT_TRUE(Quiet.Error->ActualType.empty());
+  EXPECT_EQ(Quiet.TypesAllocated, Full.TypesAllocated);
+
+  // A success still renders the queried node's type.
+  const Expr *Node = P.Decls[1]->Rhs.get();
+  auto Prefix = InferenceCheckpoint::create(P, 1);
+  ASSERT_NE(Prefix, nullptr);
+  TypecheckOptions Opts;
+  Opts.QueryNode = Node;
+  TypecheckResult WithType = Prefix->checkDecl(*P.Decls[1], Opts);
+  TypecheckResult Queried = Prefix->queryDecl(*P.Decls[1], Node);
+  ASSERT_TRUE(Queried.ok());
+  EXPECT_EQ(Queried.QueriedType, WithType.QueriedType);
+  EXPECT_EQ(Queried.TypesAllocated, WithType.TypesAllocated);
+
+  // The rendering query after the quiet one still gets its message.
+  EXPECT_EQ(CP->checkDecl(*P.Decls[2]).Error->Message, Full.Error->Message);
+}
+
 //===----------------------------------------------------------------------===//
 // CheckpointedOracle: accounting
 //===----------------------------------------------------------------------===//
@@ -246,6 +279,13 @@ TEST(CheckpointedOracleTest, CacheHitsKeepLogicalCallsButSkipInference) {
   EXPECT_EQ(O.counters().CacheHits, 4u);
   EXPECT_EQ(O.counters().IncrementalInferences, 2u);
   EXPECT_EQ(O.inferenceRuns(), 3u);
+
+  // Seeding released the memo's program clone: once the seed is cleared,
+  // the same whole-program question runs inference again.
+  O.clearPrefix();
+  EXPECT_FALSE(O.typechecks(P));
+  EXPECT_EQ(O.counters().CacheHits, 4u);
+  EXPECT_EQ(O.inferenceRuns(), 4u);
 
   // With the memo off the opening probe re-infers.
   OracleAccelOptions NoMemo;

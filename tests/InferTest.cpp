@@ -9,8 +9,17 @@
 
 #include "minicaml/Infer.h"
 #include "minicaml/Parser.h"
+#include "minicaml/Types.h"
 
 #include <gtest/gtest.h>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define INFER_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define INFER_TEST_ASAN 1
+#endif
+#endif
 
 using namespace seminal;
 using namespace seminal::caml;
@@ -43,6 +52,92 @@ std::string typeOf(const TypecheckResult &R, const std::string &Name) {
       return T;
   return "<missing>";
 }
+
+//===----------------------------------------------------------------------===//
+// Type storage
+//===----------------------------------------------------------------------===//
+
+TEST(TypeArenaTest, ConstructorArgumentsFollowTheNode) {
+  TypeArena Arena;
+  Type *A = Arena.freshVar(0);
+  Type *Pair = Arena.con(tyname::Tuple, {A, Arena.intType()});
+  ASSERT_EQ(Pair->NumArgs, 2u);
+  EXPECT_EQ(Pair->arg(0), A);
+  EXPECT_TRUE(Pair->arg(1)->isCon(tyname::Int));
+  EXPECT_EQ(reinterpret_cast<const void *>(Pair->args().data()),
+            reinterpret_cast<const void *>(Pair + 1));
+  EXPECT_EQ(Arena.numAllocated(), 3u);
+  EXPECT_EQ(typeToString(Arena.arrow(Pair, A)), "'a * int -> 'a");
+}
+
+TEST(TypeArenaTest, RewindKeepsItsChunksForTheNextAllocations) {
+  TypeArena Arena;
+  Arena.intType();
+  const TypeArena::Mark M = Arena.mark();
+  std::vector<Type *> First;
+  for (int I = 0; I < 500; ++I)
+    First.push_back(Arena.listOf(Arena.freshVar(0)));
+  EXPECT_EQ(Arena.numAllocated(), 1001u);
+
+  // Replaying the same allocations after a rewind lands on the same
+  // addresses, across every chunk the first pass filled.
+  for (int Round = 0; Round < 3; ++Round) {
+    Arena.rewindTo(M);
+    EXPECT_EQ(Arena.numAllocated(), 1u);
+    for (int I = 0; I < 500; ++I) {
+      Type *V = Arena.freshVar(0);
+      EXPECT_EQ(V->VarId, I) << "variable ids rewind with the arena";
+      EXPECT_EQ(Arena.listOf(V), First[size_t(I)]);
+    }
+  }
+}
+
+TEST(TypeArenaTest, ArgumentListsLargerThanAChunkFit) {
+  TypeArena Arena;
+  std::vector<Type *> Elems(5000, Arena.intType());
+  const TypeArena::Mark M = Arena.mark();
+  Type *Wide = Arena.con(tyname::Tuple, Elems);
+  ASSERT_EQ(Wide->NumArgs, 5000u);
+  EXPECT_EQ(Wide->arg(4999), Elems.back());
+  Arena.rewindTo(M);
+  EXPECT_EQ(Arena.numAllocated(), 1u);
+  EXPECT_TRUE(Arena.con(tyname::Tuple, Elems)->arg(0)->isCon(tyname::Int));
+}
+
+TEST(TypeNamesTest, NamesInternOncePerEnvironment) {
+  TypeNames Run;
+  EXPECT_EQ(Run.intern("int"), tyname::Int);
+  EXPECT_EQ(Run.intern("option"), tyname::Option);
+  const std::string Tree = "tree";
+  TypeName Own = Run.intern(Tree);
+  EXPECT_NE(Own, Tree.c_str());
+  EXPECT_STREQ(Own, "tree");
+  EXPECT_EQ(Run.intern(std::string("tr") + "ee"), Own);
+
+  // Builtins are shared by every table; declared names are not.
+  TypeNames Other;
+  EXPECT_EQ(Other.intern("list"), tyname::List);
+  EXPECT_NE(Other.intern("tree"), Own) << "each run interns its own names";
+}
+
+#ifdef INFER_TEST_ASAN
+// Rewound arena space is poisoned in ASan builds only, so the test exists
+// only there.
+TEST(TypeArenaDeathTest, ReadingRewoundSpaceIsReported) {
+  // Chunks outlive a rewind, so without poisoning a stale type would read
+  // as whatever the next allocation left there.
+  EXPECT_DEATH(
+      {
+        TypeArena Arena;
+        const TypeArena::Mark M = Arena.mark();
+        Type *Stale = Arena.listOf(Arena.intType());
+        Arena.rewindTo(M);
+        volatile uint32_t Arity = Stale->NumArgs;
+        (void)Arity;
+      },
+      "use-after-poison");
+}
+#endif
 
 //===----------------------------------------------------------------------===//
 // Well-typed programs

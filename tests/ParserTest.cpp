@@ -337,4 +337,103 @@ TEST(ParserProgramTest, BadPathResolvesToNull) {
   EXPECT_EQ(resolvePath(P, Far), nullptr);
 }
 
+//===----------------------------------------------------------------------===//
+// Nesting bound
+//===----------------------------------------------------------------------===//
+
+std::string repeat(const std::string &Text, unsigned Times) {
+  std::string Out;
+  Out.reserve(Text.size() * Times);
+  for (unsigned I = 0; I < Times; ++I)
+    Out += Text;
+  return Out;
+}
+
+/// Expressions nested \p Levels deep, one per way of nesting: the whole
+/// expression is the first level, and each construct around the
+/// innermost atom adds one.
+std::vector<std::string> nestedExpressions(unsigned Levels) {
+  const unsigned K = Levels - 1;
+  return {
+      repeat("(", K) + "1" + repeat(")", K),
+      repeat("[", K) + "1" + repeat("]", K),
+      repeat("1 + ", K) + "1",
+      repeat("1 * ", K) + "1",
+      repeat("true && ", K) + "true",
+      repeat("1 < ", K) + "1",
+      repeat("1 :: ", K) + "[]",
+      repeat("\"a\" ^ ", K) + "\"a\"",
+      repeat("r := ", K) + "1",
+      repeat("- ", K) + "1",
+      repeat("1; ", K) + "1",
+      repeat("if c then ", K) + "1" + repeat(" else 1", K),
+      repeat("fun a -> ", K) + "a",
+      repeat("let a = 1 in ", K) + "a",
+      repeat("match 1 with _ -> ", K) + "1",
+      repeat("raise ", K) + "Exit",
+      "r" + repeat(".f", K),
+      "f 1" + repeat(" 1", K),
+      "fun a" + repeat(" a", K - 1) + " -> a",
+  };
+}
+
+TEST(ParserNestingTest, TheBoundIsAcceptedAndOneLevelMoreIsNot) {
+  const std::vector<std::string> AtBound = nestedExpressions(MaxNestingDepth);
+  const std::vector<std::string> Over = nestedExpressions(MaxNestingDepth + 1);
+  for (size_t I = 0; I < AtBound.size(); ++I) {
+    const std::string Head = AtBound[I].substr(0, 24);
+    EXPECT_TRUE(parseExpression(AtBound[I]).ok()) << Head;
+    ParseExprResult R = parseExpression(Over[I]);
+    ASSERT_FALSE(R.ok()) << Head;
+    EXPECT_EQ(R.Error->Message, "nesting deeper than " +
+                                    std::to_string(MaxNestingDepth) +
+                                    " levels")
+        << Head;
+  }
+}
+
+TEST(ParserNestingTest, PatternsAndTypesShareTheBound) {
+  // A parameter pattern is one level per parenthesis; a constructor's
+  // argument type is one level, and each parenthesis inside it one more.
+  auto Pattern = [](unsigned Levels) {
+    return "let f " + repeat("(", Levels) + "x" + repeat(")", Levels) +
+           " = x";
+  };
+  auto Type = [](unsigned Levels) {
+    return "type t = A of " + repeat("(", Levels - 1) + "int" +
+           repeat(")", Levels - 1);
+  };
+  EXPECT_TRUE(parseProgram(Pattern(MaxNestingDepth)).ok());
+  EXPECT_FALSE(parseProgram(Pattern(MaxNestingDepth + 1)).ok());
+  EXPECT_TRUE(parseProgram(Type(MaxNestingDepth)).ok());
+  EXPECT_FALSE(parseProgram(Type(MaxNestingDepth + 1)).ok());
+  // An arm's pattern sits one level inside the right-hand side, and each
+  // `::` adds one.
+  EXPECT_TRUE(parseProgram("let g x = match x with " +
+                           repeat("_ :: ", MaxNestingDepth - 2) + "_ -> 1")
+                  .ok());
+  EXPECT_FALSE(parseProgram("let g x = match x with " +
+                            repeat("_ :: ", MaxNestingDepth - 1) + "_ -> 1")
+                   .ok());
+}
+
+TEST(ParserNestingTest, InputsThatOverflowedTheStackAreSyntaxErrors) {
+  // Each used to end the process with a stack overflow: the first and
+  // the third in the parser's recursion, the second in the passes over
+  // the left-nested tree the parser built in a loop, the last in
+  // generalizing its 100000-arrow type.
+  for (const std::string &Source :
+       {"let x = " + repeat("(", 5000) + "1" + repeat(")", 5000),
+        "let x = " + repeat("1 + ", 100000) + "1",
+        "let x = " + repeat("raise ", 100000) + "Exit",
+        "let f" + repeat(" a", 100000) + " = a"}) {
+    ParseResult R = parseProgram(Source);
+    ASSERT_FALSE(R.ok());
+    EXPECT_NE(R.Error->Message.find("nesting deeper than"), std::string::npos)
+        << R.Error->str();
+  }
+  // Sequences of declarations are not nesting.
+  EXPECT_TRUE(parseProgram(repeat("let x = 1\n", 5000)).ok());
+}
+
 } // namespace

@@ -20,6 +20,7 @@
 #include "core/Message.h"
 #include "core/Seminal.h"
 #include "corpus/Generator.h"
+#include "minicaml/Parser.h"
 #include "obs/Log.h"
 #include "obs/SlowTraceRing.h"
 #include "support/Json.h"
@@ -28,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -606,6 +608,67 @@ TEST(ServerEngineTest, OversizedIntegerLiteralGetsSyntaxErrorReply) {
   EXPECT_EQ(Engine.registry().counter("seminal_checks_total").value(), 2u);
 }
 
+std::string repeat(const std::string &Text, unsigned Times) {
+  std::string Out;
+  for (unsigned I = 0; I < Times; ++I)
+    Out += Text;
+  return Out;
+}
+
+TEST(ServerEngineTest, TooDeeplyNestedSourcesGetSyntaxErrorReplies) {
+  // Each used to overflow the stack of the shard worker that parsed it,
+  // taking the daemon and every session down.
+  ServerEngine Engine;
+  int Id = 1;
+  for (const std::string &Source :
+       {"let x = " + repeat("(", 5000) + "1" + repeat(")", 5000),
+        "let x = " + repeat("1 + ", 100000) + "1",
+        "let x = " + repeat("raise ", 100000) + "Exit",
+        "let f" + repeat(" a", 100000) + " = a"}) {
+    json::Value Bad =
+        parseReply(Engine.handle(checkLine(Id++, "deep", Source)));
+    EXPECT_TRUE(Bad.getBool("ok", false));
+    EXPECT_NE(Bad.getString("syntax_error").find("nesting deeper than"),
+              std::string::npos)
+        << Bad.getString("syntax_error");
+  }
+
+  // The same session keeps answering.
+  std::string Conventional;
+  std::vector<std::string> Expected =
+      oneShotMessages(BaseSource, &Conventional);
+  json::Value Next =
+      parseReply(Engine.handle(checkLine(Id++, "deep", BaseSource)));
+  EXPECT_TRUE(Next.getBool("ok", false));
+  EXPECT_EQ(Next.getString("conventional"), Conventional);
+  const json::Value *Suggestions = Next.member("suggestions");
+  ASSERT_TRUE(Suggestions && Suggestions->isArray());
+  EXPECT_EQ(Suggestions->arrayValue().size(), Expected.size());
+}
+
+TEST(ServerEngineTest, SourcesNestedToTheBoundAreSearchedOnAShard) {
+  // A shard worker has a default thread stack; a declaration nested as
+  // deeply as the parser allows must still be inferred, searched and
+  // rendered there.
+  ServerEngine Engine;
+  const unsigned K = caml::MaxNestingDepth - 1;
+  int Id = 1;
+  for (const std::string &Source :
+       {"let x = " + repeat("1 + ", K) + "\"s\"",
+        "let x = " + repeat("(", K) + "succ \"s\"" + repeat(")", K),
+        "let x = " + repeat("- ", K) + "\"s\"",
+        "let x = " + repeat("raise ", K) + "\"s\"",
+        "let f a" + repeat(" a", K - 1) + " = a + \"s\""}) {
+    json::Value Reply =
+        parseReply(Engine.handle(checkLine(Id++, "d", Source)));
+    EXPECT_TRUE(Reply.getBool("ok", false));
+    EXPECT_EQ(Reply.getString("syntax_error"), "");
+    const json::Value *Suggestions = Reply.member("suggestions");
+    ASSERT_TRUE(Suggestions && Suggestions->isArray());
+    EXPECT_FALSE(Suggestions->arrayValue().empty()) << Source.substr(0, 32);
+  }
+}
+
 TEST(ServerEngineTest, SessionsShardDeterministically) {
   ServerEngine Engine;
   EXPECT_EQ(Engine.shardOf("alpha"), Engine.shardOf("alpha"));
@@ -654,6 +717,71 @@ TEST(ServerStdioTest, ServesJsonlStreams) {
   EXPECT_EQ(Replies, 3u) << "every line gets exactly one reply";
   EXPECT_TRUE(SawError);
   EXPECT_TRUE(SawCheck);
+}
+
+/// Input of one line, \p LineBytes long, then \p Tail, served 4 KiB at
+/// a time. Notes whether \p Out held anything when the reader first
+/// asked for more after reading past MaxRequestLineBytes.
+class OverlongLineSource : public std::streambuf {
+public:
+  OverlongLineSource(size_t LineBytes, std::string Tail,
+                     const std::ostringstream &Out)
+      : LineBytes(LineBytes), Tail(std::move(Tail)), Out(Out) {}
+
+  bool RepliedBeforeReadingOn = false;
+
+protected:
+  int_type underflow() override {
+    if (Served > MaxRequestLineBytes && !Checked) {
+      Checked = true;
+      RepliedBeforeReadingOn = !Out.str().empty();
+    }
+    if (Served < LineBytes) {
+      const size_t N = std::min(Block.size(), LineBytes - Served);
+      Served += N;
+      setg(Block.data(), Block.data(), Block.data() + N);
+      return traits_type::to_int_type(Block[0]);
+    }
+    if (TailServed)
+      return traits_type::eof();
+    TailServed = true;
+    setg(Tail.data(), Tail.data(), Tail.data() + Tail.size());
+    return traits_type::to_int_type(Tail[0]);
+  }
+
+private:
+  const size_t LineBytes;
+  std::string Tail;
+  const std::ostringstream &Out;
+  std::string Block = std::string(4096, 'x');
+  size_t Served = 0;
+  bool Checked = false;
+  bool TailServed = false;
+};
+
+TEST(ServerStdioTest, OverlongLineGetsAnErrorAndTheStreamGoesOn) {
+  ServerEngine Engine;
+  std::ostringstream Out;
+  // The line runs on for twice the cap after it is known to be too long;
+  // the reply must not wait for its end.
+  OverlongLineSource Source(3 * MaxRequestLineBytes,
+                            "\n{\"method\":\"ping\",\"id\":2}\n", Out);
+  std::istream In(&Source);
+  serveStdio(Engine, In, Out);
+  EXPECT_TRUE(Source.RepliedBeforeReadingOn);
+
+  std::istringstream Lines(Out.str());
+  std::string Line;
+  ASSERT_TRUE(std::getline(Lines, Line));
+  json::Value Err = parseReply(Line);
+  EXPECT_FALSE(Err.getBool("ok", true));
+  EXPECT_EQ(Err.getString("error"),
+            "malformed request: line longer than " +
+                std::to_string(MaxRequestLineBytes) + " bytes");
+  ASSERT_TRUE(std::getline(Lines, Line));
+  EXPECT_TRUE(parseReply(Line).getBool("pong", false));
+  EXPECT_FALSE(std::getline(Lines, Line));
+  EXPECT_EQ(Engine.registry().counter("seminal_malformed_total").value(), 1u);
 }
 
 class SocketClient {
@@ -870,6 +998,46 @@ TEST(ServerSocketTest, LineSplitAcrossSendsGetsOneReply) {
 
   ServerEngine Fresh;
   EXPECT_EQ(withoutClocks(Reply), withoutClocks(Fresh.handle(Line)));
+}
+
+TEST(ServerSocketTest, OverlongLineIsRejectedBeforeItEnds) {
+  std::string Path =
+      "/tmp/seminal_overlong_" + std::to_string(::getpid()) + ".sock";
+  ServerEngine Engine;
+  UnixSocketServer Socket(Engine, Path);
+  std::string Error;
+  ASSERT_TRUE(Socket.start(Error)) << Error;
+
+  SocketClient C(Path);
+  ASSERT_TRUE(C.Connected);
+  // One byte past the cap, and no newline: the reply must come now, so
+  // the reader decided with at most the cap plus one read of the line in
+  // its buffer instead of waiting for (and holding) the whole line.
+  const std::string Block(64 * 1024, 'x');
+  size_t Sent = 0;
+  while (Sent <= MaxRequestLineBytes) {
+    size_t N = std::min(Block.size(), MaxRequestLineBytes + 1 - Sent);
+    ASSERT_TRUE(C.sendRaw(Block.substr(0, N)));
+    Sent += N;
+  }
+  json::Value Err = parseReply(C.recvLine());
+  EXPECT_FALSE(Err.getBool("ok", true));
+  EXPECT_EQ(Err.getString("error"),
+            "malformed request: line longer than " +
+                std::to_string(MaxRequestLineBytes) + " bytes");
+
+  // The rest of the line, twice the cap again, is dropped through its
+  // newline; the connection then serves the next request.
+  for (size_t More = 0; More < 2 * MaxRequestLineBytes; More += Block.size())
+    ASSERT_TRUE(C.sendRaw(Block));
+  ASSERT_TRUE(C.sendRaw("\n{\"method\":\"ping\",\"id\":7}\n"));
+  json::Value Pong = parseReply(C.recvLine());
+  EXPECT_EQ(Pong.getInt("id", -1), 7);
+  EXPECT_TRUE(Pong.getBool("pong", false));
+  C.close();
+  Socket.stop();
+  EXPECT_EQ(Engine.registry().counter("seminal_malformed_total").value(), 1u);
+  EXPECT_EQ(Engine.registry().counter("seminal_requests_total").value(), 2u);
 }
 
 /// This process's virtual memory in KiB (VmSize in /proc/self/status).

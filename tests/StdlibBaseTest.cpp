@@ -196,14 +196,23 @@ TEST(StdlibBaseTest, NoInferenceWritesTheBase) {
 }
 
 TEST(StdlibBaseTest, ConcurrentRunsMatchSingleThreaded) {
-  const std::vector<Program> Cohort = corpusCohort(0.3);
+  std::vector<Program> Cohort = corpusCohort(0.3);
   ASSERT_FALSE(Cohort.empty());
+  // Programs declaring their own types and exceptions, some reusing
+  // builtin and stdlib names: their runs intern constructor names into
+  // their own tables while the other threads read the shared builtin
+  // names and stdlib types.
+  for (const char *Source : DeclPrograms) {
+    ParseResult P = parseProgram(Source);
+    ASSERT_TRUE(P.ok()) << Source;
+    Cohort.push_back(std::move(*P.Prog));
+  }
   std::vector<std::string> Expected;
   for (const Program &P : Cohort)
     Expected.push_back(exercise(P));
 
   // Four threads run the whole cohort at once, so every shared stdlib
-  // type is read concurrently by several inferences.
+  // type and name is read concurrently by several inferences.
   constexpr int Threads = 4;
   std::vector<std::vector<std::string>> Got(Threads);
   std::vector<std::thread> Pool;
