@@ -137,7 +137,9 @@ BENCHMARK(BM_SearchWithVsWithoutTriage)->Arg(0)->Arg(1);
 void BM_CloneAssignment(benchmark::State &State) {
   ParseResult R = parseProgram(assignmentTemplates()[3].Source);
   for (auto _ : State) {
-    Program P = R.Prog->clone();
+    Program P;
+    for (const DeclPtr &D : R.Prog->Decls)
+      P.Decls.push_back(D->clone());
     benchmark::DoNotOptimize(P);
   }
 }
@@ -164,7 +166,9 @@ BENCHMARK(BM_MutateProgram);
 // scripts/check_bench_regression.py with a tolerance, so per-candidate
 // clone or intern traffic that creeps back shows up here. A second
 // scenario isolates the per-candidate oracle call, whose inference
-// allocates nothing once the inferencer's buffers are sized.
+// allocates nothing once the inferencer's buffers are sized. A third
+// averages one-shot checks over a whole corpus cohort, so copies of the
+// unedited declarations, which grow with the file, show up too.
 
 struct AllocScenario {
   const char *Name;
@@ -221,6 +225,26 @@ AllocReport runCheckpointCallScenario(uint64_t &Calls) {
   return Scope.finish();
 }
 
+/// One one-shot check, as seminal_cli runs it, per file of the first
+/// cohort of perfbench's Figure 7 corpus: seed 20070611 at scale 1.5,
+/// 239 files, whatever --scale and --seed say, so the row stays
+/// comparable with perfbench's oneshot-corpus workload. The corpus is
+/// generated before the scope opens.
+AllocReport runCorpusCheckScenario(uint64_t &Checks) {
+  CorpusOptions Opts;
+  Opts.Seed = 20070611;
+  Opts.Scale = 1.5;
+  Corpus C = generateCorpus(Opts);
+  benchmark::DoNotOptimize(runSeminalOnSource(C.Analyzed.front().Source));
+  AllocScope Scope;
+  for (const CorpusFile &F : C.Analyzed) {
+    SeminalReport R = runSeminalOnSource(F.Source);
+    benchmark::DoNotOptimize(R);
+  }
+  Checks = C.Analyzed.size();
+  return Scope.finish();
+}
+
 int runAllocReport(const DriverOptions &Driver) {
   if (!allocCountingActive()) {
     std::fprintf(stderr, "allocation interposer not linked?\n");
@@ -233,8 +257,13 @@ int runAllocReport(const DriverOptions &Driver) {
   AllocReport PerCall = runCheckpointCallScenario(Calls);
   Rows.push_back({"checkpoint-call-figure2",
                   double(PerCall.Allocs) / double(Calls), PerCall.PeakBytes});
+  uint64_t Checks = 0;
+  AllocReport PerCheck = runCorpusCheckScenario(Checks);
+  Rows.push_back({"oneshot-check-corpus",
+                  double(PerCheck.Allocs) / double(Checks), PerCheck.PeakBytes});
 
-  header("Allocation report: one end-to-end search, one candidate call");
+  header("Allocation report: one end-to-end search, one candidate call, "
+         "one corpus check");
   std::printf("%-28s %12s %14s\n", "scenario", "allocs", "peak bytes");
   rule();
   for (const AllocScenario &Row : Rows)

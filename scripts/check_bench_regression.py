@@ -17,12 +17,14 @@ oracle_calls_accel (bench_oracle_calls):
     regressed.
 
 micro_allocs (bench_micro --json):
-  * The end-to-end search scenario's allocation count (measured by the
-    counting operator-new interposer) is deterministic for a given
-    libstdc++, but not across toolchains, so it is gated with a 1.25x
-    tolerance rather than exact equality: enough slack for container
-    implementation drift, tight enough to catch reintroduced
-    per-candidate clone or intern traffic.
+  * Each scenario's allocation count (measured by the counting
+    operator-new interposer) is deterministic for a given libstdc++, but
+    not across toolchains, so it is gated with a 1.25x tolerance rather
+    than exact equality: enough slack for container implementation
+    drift, tight enough to catch reintroduced per-candidate clone or
+    intern traffic (search-figure2, one search) or copies of the unedited
+    declarations (oneshot-check-corpus, the mean one-shot check over a
+    corpus cohort).
 
 slice_ablation (bench_slice_ablation):
   * slice-guided must have produced byte-identical suggestion lists to

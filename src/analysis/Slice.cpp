@@ -202,9 +202,8 @@ void minimizeCore(ErrorSlice &S, const Program &Prog, unsigned FocusDecl,
   if (!CP)
     return; // Prefix refuses to check; leave Core == Influence.
 
-  Program Work;
-  for (unsigned I = 0; I <= FocusDecl; ++I)
-    Work.Decls.push_back(Prog.Decls[I]->clone());
+  // The checkpoint holds the prefix; only the focus declaration is edited.
+  std::shared_ptr<Decl> Work = Prog.Decls[FocusDecl]->clone();
 
   // Deepest-first, preorder-stable within a depth.
   std::vector<size_t> Order(S.Influence.size());
@@ -230,13 +229,13 @@ void minimizeCore(ErrorSlice &S, const Program &Prog, unsigned FocusDecl,
       Decided[Idx] = 1;
       continue;
     }
-    ExprPtr Old = replaceAtPath(Work, P, caml::makeWildcard());
+    ExprPtr Old = replaceAtPath(*Work, P, caml::makeWildcard());
     ++S.MinimizeChecks;
-    TypecheckResult R = CP->checkDecl(*Work.Decls[FocusDecl]);
+    TypecheckResult R = CP->checkDecl(*Work);
     if (!R.ok()) {
       Dropped[Idx] = 1; // Clash survives without it: leave the wildcard.
     } else {
-      replaceAtPath(Work, P, std::move(Old));
+      replaceAtPath(*Work, P, std::move(Old));
     }
     Decided[Idx] = 1;
   }
@@ -303,15 +302,13 @@ void verifyCoreWitness(ErrorSlice &S, const Program &Prog,
   auto CP = InferenceCheckpoint::create(Prog, FocusDecl);
   if (!CP)
     return;
-  Program Work;
-  for (unsigned I = 0; I <= FocusDecl; ++I)
-    Work.Decls.push_back(Prog.Decls[I]->clone());
+  std::shared_ptr<Decl> Work = Prog.Decls[FocusDecl]->clone();
   // Carve points are pairwise disjoint, so installing one never shifts
   // the path of another.
   for (const NodePath &P : CarvePoints)
-    replaceAtPath(Work, P, caml::makeWildcard());
+    replaceAtPath(*Work, P, caml::makeWildcard());
   ++S.MinimizeChecks;
-  S.CoreWitnessOk = !CP->checkDecl(*Work.Decls[FocusDecl]).ok();
+  S.CoreWitnessOk = !CP->checkDecl(*Work).ok();
 }
 
 /// Finds the deepest expression whose span encloses \p Target; ties are

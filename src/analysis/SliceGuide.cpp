@@ -44,12 +44,12 @@ bool headEquals(const Expr &A, const Expr &B) {
 
 } // namespace
 
-SliceGuide::SliceGuide(Program &Prog, const ErrorSlice &Slice) {
+SliceGuide::SliceGuide(const Program &Prog, const ErrorSlice &Slice) {
   for (const NodePath &P : Slice.Influence)
-    if (Expr *E = resolvePath(Prog, P))
+    if (const Expr *E = resolvePath(Prog, P))
       InfluenceExprs.insert(E);
   for (const NodePath &P : Slice.Core) {
-    Expr *E = resolvePath(Prog, P);
+    const Expr *E = resolvePath(Prog, P);
     if (!E)
       continue;
     CoreExprs.insert(E);
@@ -57,7 +57,7 @@ SliceGuide::SliceGuide(Program &Prog, const ErrorSlice &Slice) {
     // Ancestors: resolve every proper prefix of the core path.
     NodePath Prefix(P.DeclIndex);
     for (size_t I = 0; I < P.Steps.size(); ++I) {
-      if (Expr *A = resolvePath(Prog, Prefix))
+      if (const Expr *A = resolvePath(Prog, Prefix))
         CoreClosureExprs.insert(A);
       Prefix = Prefix.descend(P.Steps[I]);
     }

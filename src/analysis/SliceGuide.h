@@ -36,7 +36,7 @@ public:
   /// edits -- it must be the program the slice was computed on; pointer
   /// identity is used for membership). The guide holds no ownership; both
   /// arguments must outlive it.
-  SliceGuide(caml::Program &Prog, const ErrorSlice &Slice);
+  SliceGuide(const caml::Program &Prog, const ErrorSlice &Slice);
 
   /// True when the removal probe `[[...]]` at \p Root is guaranteed to
   /// fail, and with it every change rooted in the subtree (Section 2.1's

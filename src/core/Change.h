@@ -28,40 +28,6 @@
 
 namespace seminal {
 
-/// A whole program held as a shared, unedited declaration prefix plus
-/// one owned edited declaration, assembled into a Program on first
-/// access. Suggestions carry their modified program this way so that
-/// confirming a candidate costs one clone of the edited declaration, not
-/// of the whole program: the prefix is cloned once per search and shared
-/// by every suggestion. The captured trees are owned here, so a
-/// LazyProgram stays readable after the search, its oracle and its input
-/// are gone. Converts implicitly to const Program&, so consumers are
-/// oblivious to the representation.
-class LazyProgram {
-public:
-  LazyProgram() = default;
-  LazyProgram(std::shared_ptr<const caml::Program> Prefix, caml::DeclPtr Edited)
-      : Prefix(std::move(Prefix)), Edited(std::move(Edited)) {}
-  LazyProgram(LazyProgram &&) = default;
-  LazyProgram &operator=(LazyProgram &&) = default;
-
-  operator const caml::Program &() const { return get(); }
-
-  const caml::Program &get() const {
-    if (Edited) {
-      Cache = Prefix->clone();
-      Cache.Decls.push_back(std::move(Edited));
-      Prefix.reset();
-    }
-    return Cache;
-  }
-
-private:
-  mutable std::shared_ptr<const caml::Program> Prefix;
-  mutable caml::DeclPtr Edited;
-  mutable caml::Program Cache;
-};
-
 /// Classification of a successful change, in the ranker's preference
 /// order: Constructive > Adaptation > Removal (Sections 2.1-2.3);
 /// pattern fixes arise only inside triage phases (Section 2.4).
@@ -157,8 +123,10 @@ struct Suggestion {
   bool InSlice = false;
 
   /// The whole modified program (for triage: includes sibling wildcards,
-  /// so it need not type-check by itself). Assembled only when read.
-  LazyProgram Modified;
+  /// so it need not type-check by itself). It shares the input's
+  /// unedited declarations and owns a snapshot of the edited one, so it
+  /// stays readable after the search, its oracle and its input are gone.
+  caml::Program Modified;
 
   Suggestion() = default;
   Suggestion(Suggestion &&) = default;

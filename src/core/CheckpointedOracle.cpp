@@ -41,7 +41,7 @@ void CheckpointedOracle::resetSession() {
   SeedFailingId = AstArena::InvalidId;
   WalkIds.clear();
   resetGrowth();
-  ConvClone = Program();
+  ConvProg = Program();
   HasConvMemo = false;
   ConvOk = false;
 }
@@ -63,7 +63,7 @@ bool CheckpointedOracle::convMemoApplies(const Program &Prog) const {
   // bit-identical to a fresh inference run.
   for (unsigned I = 0; I <= M.ErrIdx; ++I) {
     const Decl &A = *Prog.Decls[I];
-    const Decl &B = *M.Clones[I];
+    const Decl &B = *M.Decls[I];
     if (A.Span.Begin.Offset != B.Span.Begin.Offset ||
         A.Span.EndOffset != B.Span.EndOffset || !A.equals(B))
       return false;
@@ -80,9 +80,13 @@ CheckpointedOracle::conventionalError(const Program &Prog) {
   if (SessionRetention && SessionConv.Valid && HaveCurrentSource &&
       convMemoApplies(Prog)) {
     ++Counters.SessionConvMemoHits;
+    // The error region is structurally identical: hold this request's
+    // declarations, the ones the rest of the session state references.
+    SessionConv.Decls.assign(Prog.Decls.begin(),
+                             Prog.Decls.begin() + SessionConv.ErrIdx + 1);
     if (Accel.VerdictCache) {
       // The searcher's opening whole-program probe still gets its memo.
-      ConvClone = Prog.clone();
+      ConvProg = Prog;
       ConvOk = false;
       HasConvMemo = true;
     }
@@ -96,7 +100,7 @@ CheckpointedOracle::conventionalError(const Program &Prog) {
   if (Accel.VerdictCache) {
     // The searcher's first oracle call asks the boolean version of this
     // exact question; remember the verdict so it need not re-infer.
-    ConvClone = Prog.clone();
+    ConvProg = Prog;
     ConvOk = R.ok();
     HasConvMemo = true;
   }
@@ -115,9 +119,8 @@ CheckpointedOracle::conventionalError(const Program &Prog) {
       SessionConv.Source = CurrentSource;
       SessionConv.PrefixEnd = PrefixEnd;
       SessionConv.ErrIdx = ErrIdx;
-      SessionConv.Clones.reserve(ErrIdx + 1);
-      for (unsigned I = 0; I <= ErrIdx; ++I)
-        SessionConv.Clones.push_back(Prog.Decls[I]->clone());
+      SessionConv.Decls.assign(Prog.Decls.begin(),
+                               Prog.Decls.begin() + ErrIdx + 1);
       SessionConv.Error = R.Error;
     }
   }
@@ -129,15 +132,13 @@ void CheckpointedOracle::seedPrefix(const Program &Prog, unsigned EditedDecl) {
   clearPrefix();
   if (EditedDecl >= Prog.Decls.size())
     return;
-  // The memo's whole-program clone can match no call from here on: every
+  // The memo's whole program can match no call from here on: every
   // search call is seed-shaped, and typeOfNode never consults it.
-  ConvClone = Program();
+  ConvProg = Program();
   HasConvMemo = false;
   Seeded = true;
   EditedIndex = EditedDecl;
-  PrefixIdentity.reserve(EditedDecl);
-  for (unsigned I = 0; I < EditedDecl; ++I)
-    PrefixIdentity.push_back(Prog.Decls[I].get());
+  PrefixDecls.assign(Prog.Decls.begin(), Prog.Decls.begin() + EditedDecl);
 
   // Session mode: intern the seed's identity once. The ids key this
   // request's eventual stash, and matching them against the retained ids
@@ -156,16 +157,15 @@ void CheckpointedOracle::seedPrefix(const Program &Prog, unsigned EditedDecl) {
   // prefix, adopt it -- seeding costs nothing. Structural equality is the
   // validity condition; on any mismatch fall through to a fresh snapshot.
   if (Accel.Checkpoint && Growth && Growth->prefixLength() == EditedDecl &&
-      GrowthClones.size() == EditedDecl) {
+      GrowthDecls.size() == EditedDecl) {
     bool Match = true;
     for (unsigned I = 0; I < EditedDecl; ++I)
-      if (!Prog.Decls[I]->equals(*GrowthClones[I])) {
+      if (!Prog.Decls[I]->equals(*GrowthDecls[I])) {
         Match = false;
         break;
       }
     if (Match) {
       Checkpoint = std::move(Growth);
-      PrefixClone.Decls = std::move(GrowthClones);
       resetGrowth();
       ++Counters.CheckpointSeeds;
       // The walk grew this exact retained prefix -- normally from the
@@ -185,18 +185,12 @@ void CheckpointedOracle::seedPrefix(const Program &Prog, unsigned EditedDecl) {
   if (SessionMatch && Retained.Checkpoint &&
       Retained.Checkpoint->prefixLength() == EditedDecl) {
     Checkpoint = std::move(Retained.Checkpoint);
-    PrefixClone = std::move(Retained.PrefixClone);
     Retained = RetainedSeed();
     ++Counters.CheckpointSeeds;
     ++Counters.SessionSeedAdoptions;
     return;
   }
 
-  if (SessionRetention) {
-    PrefixClone.Decls.reserve(EditedDecl);
-    for (unsigned I = 0; I < EditedDecl; ++I)
-      PrefixClone.Decls.push_back(Prog.Decls[I]->clone());
-  }
   if (Accel.Checkpoint) {
     Checkpoint = InferenceCheckpoint::create(Prog, EditedDecl);
     if (Checkpoint)
@@ -215,7 +209,7 @@ void CheckpointedOracle::stashSessionState() {
   Retained.PrefixIds = std::move(SeedPrefixIds);
   Retained.FailingId = SeedFailingId;
   Retained.Checkpoint = std::move(Checkpoint);
-  Retained.PrefixClone = std::move(PrefixClone);
+  Retained.PrefixDecls = std::move(PrefixDecls);
 }
 
 void CheckpointedOracle::clearPrefix() {
@@ -223,8 +217,7 @@ void CheckpointedOracle::clearPrefix() {
     stashSessionState();
   Seeded = false;
   EditedIndex = 0;
-  PrefixIdentity.clear();
-  PrefixClone = Program();
+  PrefixDecls.clear();
   Checkpoint.reset();
   SeedPrefixIds.clear();
   SeedFailingId = AstArena::InvalidId;
@@ -233,10 +226,10 @@ void CheckpointedOracle::clearPrefix() {
 
 void CheckpointedOracle::resetGrowth() {
   Growth.reset();
-  GrowthClones.clear();
+  GrowthDecls.clear();
 }
 
-bool CheckpointedOracle::growthExtend(const Decl &D, bool &Verdict) {
+bool CheckpointedOracle::growthExtend(const DeclPtr &D, bool &Verdict) {
   // Committing the declaration performs exactly the inference a full run
   // would perform on it -- but skips re-inferring everything before it.
   ++Counters.IncrementalInferences;
@@ -246,11 +239,11 @@ bool CheckpointedOracle::growthExtend(const Decl &D, bool &Verdict) {
     MetricsOut->observe(metric::CheckpointReuseDepth,
                         double(Growth->prefixLength()));
   size_t Allocated = 0;
-  Verdict = Growth->extendWith(D, &Allocated);
+  Verdict = Growth->extendWith(*D, &Allocated);
   Counters.TypesAllocated += Allocated;
   if (Verdict)
-    GrowthClones.push_back(D.clone());
-  else if (D.kind() != Decl::Kind::Let)
+    GrowthDecls.push_back(D);
+  else if (D->kind() != Decl::Kind::Let)
     // A failed type/exception declaration may leave partial constructor
     // table entries behind; the environment can no longer be trusted.
     resetGrowth();
@@ -313,9 +306,9 @@ bool CheckpointedOracle::trySessionProbe(const Program &Prog, bool &Verdict) {
     // growth environment directly (if the edited declaration still fails,
     // seedPrefix adopts it back as this request's seed).
     Growth = std::move(Retained.Checkpoint);
-    GrowthClones = std::move(Retained.PrefixClone.Decls);
-    Retained.PrefixClone = Program();
-    return growthExtend(*Prog.Decls[N - 1], Verdict);
+    GrowthDecls = std::move(Retained.PrefixDecls);
+    Retained.PrefixDecls.clear();
+    return growthExtend(Prog.Decls[N - 1], Verdict);
   }
   // Prefix edit: the declarations before the divergence are known good,
   // so snapshot them in one pass and grow from there. (Cold behavior
@@ -324,11 +317,8 @@ bool CheckpointedOracle::trySessionProbe(const Program &Prog, bool &Verdict) {
   if (!Rebuilt)
     return false;
   Growth = std::move(Rebuilt);
-  GrowthClones.clear();
-  GrowthClones.reserve(N - 1);
-  for (size_t I = 0; I + 1 < N; ++I)
-    GrowthClones.push_back(Prog.Decls[I]->clone());
-  return growthExtend(*Prog.Decls[N - 1], Verdict);
+  GrowthDecls.assign(Prog.Decls.begin(), Prog.Decls.begin() + (N - 1));
+  return growthExtend(Prog.Decls[N - 1], Verdict);
 }
 
 bool CheckpointedOracle::tryGrowthPath(const Program &Prog, bool &Verdict) {
@@ -337,15 +327,15 @@ bool CheckpointedOracle::tryGrowthPath(const Program &Prog, bool &Verdict) {
   const size_t N = Prog.Decls.size();
   // The grown prefix plus exactly one new declaration? (The localization
   // loop asks precisely this, one declaration longer per call.)
-  if (Growth && N == GrowthClones.size() + 1) {
+  if (Growth && N == GrowthDecls.size() + 1) {
     bool Match = true;
     for (size_t I = 0; I + 1 < N; ++I)
-      if (!Prog.Decls[I]->equals(*GrowthClones[I])) {
+      if (!Prog.Decls[I]->equals(*GrowthDecls[I])) {
         Match = false;
         break;
       }
     if (Match)
-      return growthExtend(*Prog.Decls[N - 1], Verdict);
+      return growthExtend(Prog.Decls[N - 1], Verdict);
   }
   if (N == 1) {
     // A fresh localization walk starts here: snapshot the bare standard
@@ -354,7 +344,7 @@ bool CheckpointedOracle::tryGrowthPath(const Program &Prog, bool &Verdict) {
     Growth = InferenceCheckpoint::create(Prog, 0);
     if (!Growth)
       return false;
-    return growthExtend(*Prog.Decls[0], Verdict);
+    return growthExtend(Prog.Decls[0], Verdict);
   }
   return false;
 }
@@ -362,12 +352,13 @@ bool CheckpointedOracle::tryGrowthPath(const Program &Prog, bool &Verdict) {
 bool CheckpointedOracle::matchesSeed(const Program &Prog) const {
   if (!Seeded || Prog.Decls.size() != size_t(EditedIndex) + 1)
     return false;
-  // The searcher edits Work in place, so the unedited prefix keeps its
-  // Decl identities; pointer comparison makes the match O(prefix) with no
-  // tree walk. A caller holding different (even structurally equal) prefix
-  // objects simply falls back to full inference -- never wrong, only slow.
+  // The searcher shares the prefix declarations and edits only its own
+  // clone of the last one, so pointer comparison makes the match
+  // O(prefix) with no tree walk. A caller holding different (even
+  // structurally equal) prefix objects simply falls back to full
+  // inference -- never wrong, only slow.
   for (unsigned I = 0; I < EditedIndex; ++I)
-    if (Prog.Decls[I].get() != PrefixIdentity[I])
+    if (Prog.Decls[I] != PrefixDecls[I])
       return false;
   // Only Let declarations may be replayed against a checkpoint (type and
   // exception declarations mutate untrailed global tables).
@@ -401,8 +392,8 @@ bool CheckpointedOracle::typecheckImpl(const Program &Prog) {
   // Asked about the same program conventionalError() just inferred? (The
   // searcher's opening "does the input type-check at all" probe, and the
   // final localization round when the last declaration fails.)
-  if (HasConvMemo && Prog.Decls.size() == ConvClone.Decls.size() &&
-      Prog.equals(ConvClone)) {
+  if (HasConvMemo && Prog.Decls.size() == ConvProg.Decls.size() &&
+      Prog.equals(ConvProg)) {
     ++Counters.CacheHits;
     LastServedBy = "conv-memo";
     LastCacheHit = true;

@@ -29,8 +29,14 @@
 ///     the seed checkpoint, making seeding free.
 ///   * Conventional-verdict memo (OracleAccelOptions::VerdictCache) -- the
 ///     initial whole-program check reuses the conventionalError() verdict
-///     (confirmed by deep equality) instead of running inference twice on
-///     the same program.
+///     (confirmed by structural equality, which is one pointer compare
+///     per declaration when the searcher passes the same program)
+///     instead of running inference twice on the same program.
+///
+/// The oracle keeps references to the declarations it was asked about,
+/// not clones: a program's declarations are shared and immutable (the
+/// searcher edits only its own clone of the failing one, and no oracle
+/// state refers to that), so a reference is as good as a snapshot.
 ///
 /// Every layer toggles independently via OracleAccelOptions so the
 /// ablation benches can attribute savings.
@@ -128,7 +134,7 @@ private:
   /// serves the verdict by extending the growth environment. \returns true
   /// with \p Verdict filled when the call was handled.
   bool tryGrowthPath(const caml::Program &Prog, bool &Verdict);
-  bool growthExtend(const caml::Decl &D, bool &Verdict);
+  bool growthExtend(const caml::DeclPtr &D, bool &Verdict);
   void resetGrowth();
 
   /// Serves a localization probe from the previous request's retained
@@ -138,9 +144,9 @@ private:
   /// the retained checkpoint into a growth environment so the rest of
   /// the walk runs incrementally. \returns true when handled.
   bool trySessionProbe(const caml::Program &Prog, bool &Verdict);
-  /// Moves the live seed state (checkpoint, prefix clone) into Retained,
-  /// keyed on the seed's interned prefix ids; called from clearPrefix in
-  /// session mode.
+  /// Moves the live seed state (checkpoint, prefix declarations) into
+  /// Retained, keyed on the seed's interned prefix ids; called from
+  /// clearPrefix in session mode.
   void stashSessionState();
   /// True when the retained conventional-error memo provably applies to
   /// the program the current source text parsed to.
@@ -153,26 +159,26 @@ private:
   // Pre-seed state ----------------------------------------------------------
   /// Environment grown one committed declaration at a time while the
   /// searcher localizes the failing declaration; matched structurally
-  /// (owned clones, so stale state can never alias freed declarations)
-  /// and adopted by seedPrefix when it covers exactly the seed prefix.
+  /// against the committed declarations (held by reference, so they can
+  /// never be freed under the match) and adopted by seedPrefix when it
+  /// covers exactly the seed prefix.
   std::unique_ptr<caml::InferenceCheckpoint> Growth;
-  std::vector<caml::DeclPtr> GrowthClones;
+  std::vector<caml::DeclPtr> GrowthDecls;
   /// Memo of the last conventionalError() verdict; serves the searcher's
   /// initial whole-program check without a second inference run. Dropped
   /// at seedPrefix, after which no call can match it.
-  caml::Program ConvClone;
+  caml::Program ConvProg;
   bool HasConvMemo = false;
   bool ConvOk = false;
 
   // Seed state (valid between seedPrefix and clearPrefix) -------------------
   bool Seeded = false;
   unsigned EditedIndex = 0;
-  std::vector<const caml::Decl *> PrefixIdentity; ///< Fast-path pointers.
-  /// Clones of the prefix declarations (the adopted growth environment's,
-  /// or built at seedPrefix in session mode only): a retained checkpoint
-  /// turned back into a growth environment needs them to match later
-  /// localization probes structurally.
-  caml::Program PrefixClone;
+  /// The seeded program's prefix declarations. matchesSeed compares
+  /// pointers against them; in session mode they are stashed with the
+  /// checkpoint, which a later request may turn back into a growth
+  /// environment that matches localization probes structurally.
+  std::vector<caml::DeclPtr> PrefixDecls;
   std::unique_ptr<caml::InferenceCheckpoint> Checkpoint;
 
   // Session retention state (server mode) ------------------------------
@@ -186,7 +192,7 @@ private:
     std::vector<caml::AstArena::DeclId> PrefixIds;
     caml::AstArena::DeclId FailingId = caml::AstArena::InvalidId;
     std::unique_ptr<caml::InferenceCheckpoint> Checkpoint;
-    caml::Program PrefixClone;
+    std::vector<caml::DeclPtr> PrefixDecls;
   };
   RetainedSeed Retained;
 
@@ -194,7 +200,7 @@ private:
   /// is byte-identical on [0, PrefixEnd) -- PrefixEnd is the start of
   /// the declaration after the failure (or the whole file when the
   /// failure was in the last declaration) -- and the re-parse of decls
-  /// 0..ErrIdx is span- and structure-identical to Clones. The checker
+  /// 0..ErrIdx is span- and structure-identical to Decls. The checker
   /// aborts at the first error, so nothing past PrefixEnd can change the
   /// diagnostic (Infer.h's ErrorDeclIndex contract).
   struct RetainedConv {
@@ -202,7 +208,7 @@ private:
     std::string Source;
     size_t PrefixEnd = 0;
     unsigned ErrIdx = 0;
-    std::vector<caml::DeclPtr> Clones;
+    std::vector<caml::DeclPtr> Decls;
     std::optional<caml::TypeError> Error;
   };
   RetainedConv SessionConv;

@@ -630,14 +630,14 @@ std::vector<DeclChange> seminal::enumerateDeclChanges(const Decl &D) {
     return Out;
 
   {
-    DeclPtr Toggled = D.clone();
+    std::shared_ptr<Decl> Toggled = D.clone();
     Toggled->IsRec = !D.IsRec;
     Out.push_back(DeclChange{std::move(Toggled),
                              D.IsRec ? "remove 'rec' from the binding"
                                      : "make the function recursive"});
   }
   if (D.Params.size() == 1 && D.Params[0]->kind() == Pattern::Kind::Tuple) {
-    DeclPtr Curried = D.clone();
+    std::shared_ptr<Decl> Curried = D.clone();
     std::vector<PatternPtr> Params;
     for (const auto &Elem : D.Params[0]->Elems)
       Params.push_back(Elem->clone());
@@ -646,7 +646,7 @@ std::vector<DeclChange> seminal::enumerateDeclChanges(const Decl &D) {
                              "take curried arguments instead of a tuple"});
   }
   if (D.Params.size() >= 2) {
-    DeclPtr Tupled = D.clone();
+    std::shared_ptr<Decl> Tupled = D.clone();
     std::vector<PatternPtr> Elems;
     for (const auto &Param : D.Params)
       Elems.push_back(Param->clone());

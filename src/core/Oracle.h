@@ -53,8 +53,9 @@ struct OracleAccelOptions {
   /// (DESIGN.md section 7). The memo itself does not measurably pay
   /// either: over the seed-20070611 corpus at scale 0.5 (41 interleaved
   /// rounds, RelWithDebInfo, 4-core Xeon) the checkpoint alone took a
-  /// median 37.05 ms and checkpoint + memo 37.64 ms. It stays because a
-  /// daemon session replays the opening probe through it.
+  /// median 33.06 ms and checkpoint + memo 32.81 ms, both within the
+  /// other's interquartile range. It stays because a daemon session
+  /// replays the opening probe through it.
   bool VerdictCache = true;
 
   /// Give the oracle a hash-consing arena (minicaml/Arena.h). Session

@@ -35,22 +35,17 @@ void Searcher::note(const char *Layer, const char *Kind,
   Opts.Telemetry->record(std::move(O));
 }
 
-LazyProgram Searcher::captureModified() {
+Program Searcher::captureModified() const {
   assert(Work.Decls.size() == FocusDecl + 1u && "Work ends at the focus");
-  if (!CapturedPrefix) {
-    auto Prefix = std::make_shared<Program>();
-    Prefix->Decls.reserve(FocusDecl);
-    for (unsigned I = 0; I < FocusDecl; ++I)
-      Prefix->Decls.push_back(Work.Decls[I]->clone());
-    CapturedPrefix = std::move(Prefix);
-  }
-  return LazyProgram(CapturedPrefix, Work.Decls[FocusDecl]->clone());
+  Program Modified = Work;
+  Modified.Decls[FocusDecl] = Work.Decls[FocusDecl]->clone();
+  return Modified;
 }
 
 bool Searcher::testWith(const NodePath &Path, ExprPtr &Replacement) {
-  ExprPtr Old = replaceAtPath(Work, Path, std::move(Replacement));
+  ExprPtr Old = replaceAtPath(*Focus, Path, std::move(Replacement));
   bool Ok = oracleSays();
-  Replacement = replaceAtPath(Work, Path, std::move(Old));
+  Replacement = replaceAtPath(*Focus, Path, std::move(Old));
   return Ok;
 }
 
@@ -64,7 +59,7 @@ void Searcher::addSuggestion(ChangeKind Kind, const NodePath &Path,
   S.ViaTriage = TriageDepth > 0;
   S.TriageRemovals = TriageDepth > 0 ? TriageRemovalCount : 0;
   S.Path = Path;
-  Expr *Node = resolvePath(Work, Path);
+  Expr *Node = resolvePath(*Focus, Path);
   assert(Node && "suggestion path must resolve");
   S.Original = Node->clone();
   S.OriginalSize = Node->size();
@@ -78,14 +73,14 @@ void Searcher::addSuggestion(ChangeKind Kind, const NodePath &Path,
   // Install the replacement to render context, capture the modified
   // program, and query the replacement's type.
   const Expr *Installed = Replacement.get();
-  ExprPtr Old = replaceAtPath(Work, Path, std::move(Replacement));
-  S.ContextAfter = printDecl(*Work.Decls[Path.DeclIndex]);
+  ExprPtr Old = replaceAtPath(*Focus, Path, std::move(Replacement));
+  S.ContextAfter = printDecl(*Focus);
   S.Modified = captureModified();
   {
     TraceLayerScope Layer("type-query");
     S.ReplacementType = TheOracle.typeOfNode(Work, Installed);
   }
-  Replacement = replaceAtPath(Work, Path, std::move(Old));
+  Replacement = replaceAtPath(*Focus, Path, std::move(Old));
   S.Replacement = std::move(Replacement);
 
   Suggestions.push_back(std::move(S));
@@ -94,7 +89,7 @@ void Searcher::addSuggestion(ChangeKind Kind, const NodePath &Path,
 bool Searcher::tryCandidates(const NodePath &Path,
                              std::vector<CandidateChange> Cands) {
   TraceLayerScope Layer("constructive");
-  const Expr *Node = guideActive() ? resolvePath(Work, Path) : nullptr;
+  const Expr *Node = guideActive() ? resolvePath(*Focus, Path) : nullptr;
   // With an arena the per-candidate diff walks interned ids (shared
   // subtrees compare as integers); the node is interned once and reused
   // for every candidate.
@@ -166,7 +161,8 @@ bool Searcher::tryDeclChanges(unsigned DeclIndex) {
       S.Path = NodePath(DeclIndex);
       S.Description = DC.Description;
       S.ContextAfter = printDecl(*Work.Decls[DeclIndex]);
-      S.Modified = captureModified();
+      // The replacement is a fresh declaration nothing edits: share it.
+      S.Modified = Work;
       S.OriginalSize = 1; // a declaration-header tweak is a tiny change
       S.ReplacementSize = 1;
       Suggestions.push_back(std::move(S));
@@ -180,7 +176,7 @@ bool Searcher::tryDeclChanges(unsigned DeclIndex) {
 bool Searcher::searchExpr(const NodePath &Path) {
   if (OutOfBudget)
     return false;
-  Expr *Node = resolvePath(Work, Path);
+  Expr *Node = resolvePath(*Focus, Path);
   assert(Node && "search path must resolve");
   if (Node->isWildcard())
     return false;
@@ -274,7 +270,7 @@ bool Searcher::searchExpr(const NodePath &Path) {
 //===----------------------------------------------------------------------===//
 
 bool Searcher::triage(const NodePath &Path) {
-  Expr *Node = resolvePath(Work, Path);
+  Expr *Node = resolvePath(*Focus, Path);
   TraceSpan Span(Opts.Trace, SpanKind::Triage, "searcher.triage");
   if (Span.enabled()) {
     Span.attr("path", Path.str());
@@ -287,7 +283,7 @@ bool Searcher::triage(const NodePath &Path) {
 }
 
 bool Searcher::triageGeneric(const NodePath &Path) {
-  Expr *Node = resolvePath(Work, Path);
+  Expr *Node = resolvePath(*Focus, Path);
   unsigned N = Node->numChildren();
   if (N < 2)
     return false;
@@ -356,7 +352,7 @@ bool Searcher::triageGeneric(const NodePath &Path) {
 }
 
 bool Searcher::triageMatch(const NodePath &Path) {
-  Expr *Node = resolvePath(Work, Path);
+  Expr *Node = resolvePath(*Focus, Path);
   unsigned NumArms = Node->numChildren() - 1;
 
   // Phase 1: the scrutinee, with patterns and bodies out of the picture:
@@ -367,7 +363,7 @@ bool Searcher::triageMatch(const NodePath &Path) {
     std::vector<MatchArm> OneArm;
     OneArm.push_back(MatchArm{makeWildPattern(), makeWildcard()});
     ExprPtr Reduced = makeMatch(Node->child(0)->clone(), std::move(OneArm));
-    ExprPtr Old = replaceAtPath(Work, Path, std::move(Reduced));
+    ExprPtr Old = replaceAtPath(*Focus, Path, std::move(Reduced));
     bool ScrutineeOk = oracleSays();
     if (!ScrutineeOk) {
       // The problem is (at least) in the scrutinee: search it here and
@@ -379,10 +375,10 @@ bool Searcher::triageMatch(const NodePath &Path) {
       bool Found = Suggestions.size() > Before;
       TriageRemovalCount -= int(NumArms);
       --TriageDepth;
-      replaceAtPath(Work, Path, std::move(Old));
+      replaceAtPath(*Focus, Path, std::move(Old));
       return Found;
     }
-    replaceAtPath(Work, Path, std::move(Old));
+    replaceAtPath(*Focus, Path, std::move(Old));
   }
 
   // Phase 2: the patterns, with bodies wildcarded.
@@ -453,7 +449,7 @@ bool Searcher::triageMatch(const NodePath &Path) {
 }
 
 bool Searcher::triageMatchPatterns(const NodePath &Path) {
-  Expr *Node = resolvePath(Work, Path);
+  Expr *Node = resolvePath(*Focus, Path);
   unsigned NumArms = Node->numChildren() - 1;
   bool Found = false;
 
@@ -512,7 +508,7 @@ void collectPatternSlots(PatternPtr &P, std::vector<PatternPtr *> &Out) {
 
 bool Searcher::searchPatternFix(const NodePath &MatchPath,
                                 unsigned ArmIndex) {
-  Expr *Node = resolvePath(Work, MatchPath);
+  Expr *Node = resolvePath(*Focus, MatchPath);
   TraceSpan Span(Opts.Trace, SpanKind::PatternFix, "searcher.pattern_fix");
   if (Span.enabled()) {
     Span.attr("path", MatchPath.str());
@@ -560,7 +556,7 @@ bool Searcher::searchPatternFix(const NodePath &MatchPath,
 
   PatternPtr Old = std::move(*Best);
   *Best = makeWildPattern();
-  S.ContextAfter = printDecl(*Work.Decls[MatchPath.DeclIndex]);
+  S.ContextAfter = printDecl(*Focus);
   S.Modified = captureModified();
   *Best = std::move(Old);
 
@@ -610,7 +606,6 @@ void Searcher::prepareSlice() {
 SearchOutput Searcher::run(const Program &Input) {
   SearchOutput Out;
   Suggestions.clear();
-  CapturedPrefix.reset();
   OutOfBudget = false;
   SliceResult.reset();
   Guide.reset();
@@ -621,6 +616,7 @@ SearchOutput Searcher::run(const Program &Input) {
 
   // Files that type-check bypass the system entirely (Figure 1).
   Work.Decls.clear();
+  Focus.reset();
   {
     TraceLayerScope Layer("initial-check");
     if (TheOracle.typechecks(Input)) {
@@ -642,8 +638,8 @@ SearchOutput Searcher::run(const Program &Input) {
     TypecheckResult R = typecheckProgram(Input);
     if (!R.ok() && R.ErrorDeclIndex) {
       Failing = *R.ErrorDeclIndex;
-      for (unsigned I = 0; I <= *Failing; ++I)
-        Work.Decls.push_back(Input.Decls[I]->clone());
+      Work.Decls.assign(Input.Decls.begin(),
+                        Input.Decls.begin() + *Failing + 1);
       LocalizationsSkipped = size_t(*Failing) + 1;
       for (size_t P = 0; P < LocalizationsSkipped && Opts.Telemetry; ++P)
         note("localize", "probe", "prefix pinned by internal inference", "",
@@ -656,7 +652,7 @@ SearchOutput Searcher::run(const Program &Input) {
                            "searcher.localize");
     TraceLayerScope Layer("localize");
     for (unsigned I = 0; I < Input.Decls.size(); ++I) {
-      Work.Decls.push_back(Input.Decls[I]->clone());
+      Work.Decls.push_back(Input.Decls[I]);
       bool Ok = oracleSays();
       note("localize", "probe", "prefix through declaration", "", Ok,
            /*Probe=*/true);
@@ -677,13 +673,15 @@ SearchOutput Searcher::run(const Program &Input) {
   Out.FailingDecl = *Failing;
   FocusDecl = *Failing;
 
-  const Decl &D = *Work.Decls[FocusDecl];
+  const Decl &D = *Input.Decls[FocusDecl];
   if (D.kind() == Decl::Kind::Let && D.Rhs) {
-    // Every oracle call from here on asks about Work = unchanged prefix +
-    // edited FocusDecl; let accelerated oracles snapshot the prefix. The
-    // prefix declarations are never mutated during the search (edits swap
-    // nodes inside the focus declaration only), which is the seed's
-    // validity requirement.
+    // Edits swap nodes inside the focus declaration only, so it alone is
+    // cloned; the prefix stays shared with the input and is never
+    // mutated, which is the seed's validity requirement. Every oracle
+    // call from here on asks about Work = unchanged prefix + edited
+    // FocusDecl; let accelerated oracles snapshot the prefix.
+    Focus = D.clone();
+    Work.Decls[FocusDecl] = Focus;
     TheOracle.seedPrefix(Work, FocusDecl);
     prepareSlice();
     tryDeclChanges(FocusDecl);

@@ -21,8 +21,10 @@
 ///      dedicated phases for binding constructs (match: scrutinee, then
 ///      patterns, then bodies).
 ///
-/// All edits are applied destructively to a working copy and undone after
-/// each oracle call; suggestions capture clones.
+/// The working program shares the input's declarations except the one
+/// under scrutiny, which is a private clone: edits are applied to it in
+/// place and undone after each oracle call. A suggestion shares the
+/// input's other declarations and snapshots the edited one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -196,19 +198,19 @@ private:
                      const std::string &Description,
                      bool LikelyUnbound = false, int Priority = 0);
 
-  /// Captures Work for a Suggestion: a clone of the focus declaration
-  /// over CapturedPrefix, which is cloned once per run on first use.
-  LazyProgram captureModified();
+  /// Captures Work for a Suggestion: the shared prefix plus a snapshot
+  /// of the edited focus declaration.
+  caml::Program captureModified() const;
 
   Oracle &TheOracle;
   SearchOptions Opts;
   std::shared_ptr<caml::AstArena> Arena;
 
-  caml::Program Work;      ///< Prefix clone being edited in place.
-  unsigned FocusDecl = 0;  ///< Declaration under scrutiny.
-  /// Clones of Work's declarations before FocusDecl, shared by every
-  /// suggestion of the run (the prefix is never edited while seeded).
-  std::shared_ptr<const caml::Program> CapturedPrefix;
+  /// The input's declarations through FocusDecl. The prefix is shared
+  /// with the input; Work.Decls[FocusDecl] is Focus.
+  caml::Program Work;
+  unsigned FocusDecl = 0;            ///< Declaration under scrutiny.
+  std::shared_ptr<caml::Decl> Focus; ///< Private clone, edited in place.
   bool OutOfBudget = false;
 
   /// Computes the slice of Work's focus declaration and (in guided mode)

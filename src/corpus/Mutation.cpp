@@ -48,14 +48,14 @@ std::string seminal::mutationKindName(MutationKind Kind) {
 namespace {
 
 /// Preorder walk over every expression with its path.
-void walkExprs(Program &Prog,
-               const std::function<void(const NodePath &, Expr *)> &Fn) {
+void walkExprs(const Program &Prog,
+               const std::function<void(const NodePath &, const Expr *)> &Fn) {
   for (unsigned D = 0; D < Prog.Decls.size(); ++D) {
-    Decl *TheDecl = Prog.Decls[D].get();
+    const Decl *TheDecl = Prog.Decls[D].get();
     if (TheDecl->kind() != Decl::Kind::Let || !TheDecl->Rhs)
       continue;
-    std::function<void(const NodePath &, Expr *)> Rec =
-        [&](const NodePath &Path, Expr *Node) {
+    std::function<void(const NodePath &, const Expr *)> Rec =
+        [&](const NodePath &Path, const Expr *Node) {
           Fn(Path, Node);
           for (unsigned I = 0; I < Node->numChildren(); ++I)
             Rec(Path.descend(I), Node->child(I));
@@ -65,10 +65,10 @@ void walkExprs(Program &Prog,
 }
 
 /// Collects paths of every expression satisfying \p Pred.
-std::vector<NodePath> findSites(Program &Prog,
-                                const std::function<bool(Expr *)> &Pred) {
+std::vector<NodePath> findSites(const Program &Prog,
+                                const std::function<bool(const Expr *)> &Pred) {
   std::vector<NodePath> Sites;
-  walkExprs(Prog, [&](const NodePath &Path, Expr *Node) {
+  walkExprs(Prog, [&](const NodePath &Path, const Expr *Node) {
     if (Pred(Node))
       Sites.push_back(Path);
   });
@@ -93,14 +93,16 @@ bool disjointFromAll(const NodePath &Path,
   return true;
 }
 
-/// Applies \p Kind at a random admissible site of \p Prog (in place).
+/// Applies \p Kind at a random admissible site of \p Prog. The mutated
+/// declaration becomes a private clone; the others stay shared.
 /// \returns the ground truth, or nullopt when no site exists.
 std::optional<GroundTruth>
 applyAt(Program &Prog, MutationKind Kind, Rng &R,
         const std::vector<GroundTruth> &Existing,
         std::optional<unsigned> DeclFilter) {
   auto PickSite =
-      [&](const std::function<bool(Expr *)> &Pred) -> std::optional<NodePath> {
+      [&](const std::function<bool(const Expr *)> &Pred)
+      -> std::optional<NodePath> {
     std::vector<NodePath> Sites = findSites(Prog, Pred);
     std::vector<NodePath> Ok;
     for (auto &S : Sites) {
@@ -119,12 +121,12 @@ applyAt(Program &Prog, MutationKind Kind, Rng &R,
 
   switch (Kind) {
   case MutationKind::SwapCallArgs: {
-    auto Site = PickSite([](Expr *E) {
+    auto Site = PickSite([](const Expr *E) {
       return E->kind() == Expr::Kind::App && E->numChildren() >= 3;
     });
     if (!Site)
       return std::nullopt;
-    Expr *Node = resolvePath(Prog, *Site);
+    Expr *Node = resolvePath(editDecl(Prog, Site->DeclIndex), *Site);
     Truth.Before = printExpr(*Node);
     unsigned NumArgs = Node->numChildren() - 1;
     unsigned I = unsigned(R.range(1, NumArgs - 1));
@@ -134,12 +136,12 @@ applyAt(Program &Prog, MutationKind Kind, Rng &R,
     return Truth;
   }
   case MutationKind::TupleCurriedFun: {
-    auto Site = PickSite([](Expr *E) {
+    auto Site = PickSite([](const Expr *E) {
       return E->kind() == Expr::Kind::Fun && E->Params.size() >= 2;
     });
     if (!Site)
       return std::nullopt;
-    Expr *Node = resolvePath(Prog, *Site);
+    Expr *Node = resolvePath(editDecl(Prog, Site->DeclIndex), *Site);
     Truth.Before = printExpr(*Node);
     std::vector<PatternPtr> Elems;
     for (auto &Param : Node->Params)
@@ -151,13 +153,13 @@ applyAt(Program &Prog, MutationKind Kind, Rng &R,
     return Truth;
   }
   case MutationKind::CurryTupledFun: {
-    auto Site = PickSite([](Expr *E) {
+    auto Site = PickSite([](const Expr *E) {
       return E->kind() == Expr::Kind::Fun && E->Params.size() == 1 &&
              E->Params[0]->kind() == Pattern::Kind::Tuple;
     });
     if (!Site)
       return std::nullopt;
-    Expr *Node = resolvePath(Prog, *Site);
+    Expr *Node = resolvePath(editDecl(Prog, Site->DeclIndex), *Site);
     Truth.Before = printExpr(*Node);
     std::vector<PatternPtr> Params;
     for (auto &Elem : Node->Params[0]->Elems)
@@ -168,12 +170,12 @@ applyAt(Program &Prog, MutationKind Kind, Rng &R,
     return Truth;
   }
   case MutationKind::CallWithTuple: {
-    auto Site = PickSite([](Expr *E) {
+    auto Site = PickSite([](const Expr *E) {
       return E->kind() == Expr::Kind::App && E->numChildren() >= 3;
     });
     if (!Site)
       return std::nullopt;
-    Expr *Node = resolvePath(Prog, *Site);
+    Expr *Node = resolvePath(editDecl(Prog, Site->DeclIndex), *Site);
     Truth.Before = printExpr(*Node);
     std::vector<ExprPtr> Args;
     for (unsigned I = 1; I < Node->numChildren(); ++I)
@@ -185,12 +187,12 @@ applyAt(Program &Prog, MutationKind Kind, Rng &R,
     return Truth;
   }
   case MutationKind::DropCallArg: {
-    auto Site = PickSite([](Expr *E) {
+    auto Site = PickSite([](const Expr *E) {
       return E->kind() == Expr::Kind::App && E->numChildren() >= 3;
     });
     if (!Site)
       return std::nullopt;
-    Expr *Node = resolvePath(Prog, *Site);
+    Expr *Node = resolvePath(editDecl(Prog, Site->DeclIndex), *Site);
     Truth.Before = printExpr(*Node);
     // Drop the last argument: the partial-application mistake.
     Node->Children.pop_back();
@@ -199,12 +201,12 @@ applyAt(Program &Prog, MutationKind Kind, Rng &R,
     return Truth;
   }
   case MutationKind::ExtraCallArg: {
-    auto Site = PickSite([](Expr *E) {
+    auto Site = PickSite([](const Expr *E) {
       return E->kind() == Expr::Kind::App && E->numChildren() >= 2;
     });
     if (!Site)
       return std::nullopt;
-    Expr *Node = resolvePath(Prog, *Site);
+    Expr *Node = resolvePath(editDecl(Prog, Site->DeclIndex), *Site);
     Truth.Before = printExpr(*Node);
     Node->Children.push_back(Node->Children.back()->clone());
     Truth.After = printExpr(*Node);
@@ -212,13 +214,13 @@ applyAt(Program &Prog, MutationKind Kind, Rng &R,
     return Truth;
   }
   case MutationKind::MisspellVar: {
-    auto Site = PickSite([](Expr *E) {
+    auto Site = PickSite([](const Expr *E) {
       return E->kind() == Expr::Kind::Var && E->Name.size() >= 3 &&
              E->Name.find('.') == std::string::npos;
     });
     if (!Site)
       return std::nullopt;
-    Expr *Node = resolvePath(Prog, *Site);
+    Expr *Node = resolvePath(editDecl(Prog, Site->DeclIndex), *Site);
     Truth.Before = printExpr(*Node);
     Node->Name.pop_back(); // drop the final character
     Truth.After = printExpr(*Node);
@@ -226,12 +228,12 @@ applyAt(Program &Prog, MutationKind Kind, Rng &R,
     return Truth;
   }
   case MutationKind::PlusOnStrings: {
-    auto Site = PickSite([](Expr *E) {
+    auto Site = PickSite([](const Expr *E) {
       return E->kind() == Expr::Kind::BinOp && E->Name == "^";
     });
     if (!Site)
       return std::nullopt;
-    Expr *Node = resolvePath(Prog, *Site);
+    Expr *Node = resolvePath(editDecl(Prog, Site->DeclIndex), *Site);
     Truth.Before = printExpr(*Node);
     Node->Name = "+";
     Truth.After = printExpr(*Node);
@@ -239,12 +241,12 @@ applyAt(Program &Prog, MutationKind Kind, Rng &R,
     return Truth;
   }
   case MutationKind::CommaList: {
-    auto Site = PickSite([](Expr *E) {
+    auto Site = PickSite([](const Expr *E) {
       return E->kind() == Expr::Kind::List && E->numChildren() >= 2;
     });
     if (!Site)
       return std::nullopt;
-    Expr *Node = resolvePath(Prog, *Site);
+    Expr *Node = resolvePath(editDecl(Prog, Site->DeclIndex), *Site);
     Truth.Before = printExpr(*Node);
     std::vector<ExprPtr> Elems;
     for (auto &Child : Node->Children)
@@ -261,7 +263,7 @@ applyAt(Program &Prog, MutationKind Kind, Rng &R,
     for (unsigned D = 0; D < Prog.Decls.size(); ++D)
       if (Prog.Decls[D]->kind() == Decl::Kind::Let && Prog.Decls[D]->IsRec)
         Sites.push_back(NodePath(D));
-    walkExprs(Prog, [&](const NodePath &Path, Expr *Node) {
+    walkExprs(Prog, [&](const NodePath &Path, const Expr *Node) {
       if (Node->kind() == Expr::Kind::Let && Node->IsRec)
         Sites.push_back(Path);
     });
@@ -275,15 +277,15 @@ applyAt(Program &Prog, MutationKind Kind, Rng &R,
     if (Ok.empty())
       return std::nullopt;
     NodePath Site = Ok[size_t(R.range(0, int64_t(Ok.size()) - 1))];
-    if (Site.Steps.empty() && Prog.Decls[Site.DeclIndex]->IsRec) {
-      Decl *D = Prog.Decls[Site.DeclIndex].get();
-      Truth.Before = printDecl(*D);
-      D->IsRec = false;
-      Truth.After = printDecl(*D);
+    Decl &Edited = editDecl(Prog, Site.DeclIndex);
+    if (Site.Steps.empty() && Edited.IsRec) {
+      Truth.Before = printDecl(Edited);
+      Edited.IsRec = false;
+      Truth.After = printDecl(Edited);
       Truth.Path = Site;
       return Truth;
     }
-    Expr *Node = resolvePath(Prog, Site);
+    Expr *Node = resolvePath(Edited, Site);
     if (!Node || Node->kind() != Expr::Kind::Let)
       return std::nullopt;
     Truth.Before = printExpr(*Node);
@@ -294,55 +296,57 @@ applyAt(Program &Prog, MutationKind Kind, Rng &R,
   }
   case MutationKind::IntForString: {
     auto Site = PickSite(
-        [](Expr *E) { return E->kind() == Expr::Kind::StringLit; });
+        [](const Expr *E) { return E->kind() == Expr::Kind::StringLit; });
     if (!Site)
       return std::nullopt;
-    Expr *Node = resolvePath(Prog, *Site);
-    Truth.Before = printExpr(*Node);
-    replaceAtPath(Prog, *Site, makeIntLit(0));
+    Decl &Edited = editDecl(Prog, Site->DeclIndex);
+    Truth.Before = printExpr(*resolvePath(Edited, *Site));
+    replaceAtPath(Edited, *Site, makeIntLit(0));
     Truth.After = "0";
     Truth.Path = *Site;
     return Truth;
   }
   case MutationKind::CondNotBool: {
     auto Site =
-        PickSite([](Expr *E) { return E->kind() == Expr::Kind::If; });
+        PickSite([](const Expr *E) { return E->kind() == Expr::Kind::If; });
     if (!Site)
       return std::nullopt;
     NodePath CondPath = Site->descend(0);
-    Expr *Cond = resolvePath(Prog, CondPath);
-    Truth.Before = printExpr(*Cond);
-    replaceAtPath(Prog, CondPath, makeIntLit(1));
+    Decl &Edited = editDecl(Prog, CondPath.DeclIndex);
+    Truth.Before = printExpr(*resolvePath(Edited, CondPath));
+    replaceAtPath(Edited, CondPath, makeIntLit(1));
     Truth.After = "1";
     Truth.Path = CondPath;
     return Truth;
   }
   case MutationKind::ConsForAppend: {
-    auto Site = PickSite([](Expr *E) {
+    auto Site = PickSite([](const Expr *E) {
       return E->kind() == Expr::Kind::BinOp && E->Name == "@";
     });
     if (!Site)
       return std::nullopt;
-    Expr *Node = resolvePath(Prog, *Site);
+    Decl &Edited = editDecl(Prog, Site->DeclIndex);
+    Expr *Node = resolvePath(Edited, *Site);
     Truth.Before = printExpr(*Node);
     ExprPtr New = makeCons(Node->Children[0]->clone(),
                            Node->Children[1]->clone());
-    replaceAtPath(Prog, *Site, std::move(New));
-    Truth.After = printExpr(*resolvePath(Prog, *Site));
+    replaceAtPath(Edited, *Site, std::move(New));
+    Truth.After = printExpr(*resolvePath(Edited, *Site));
     Truth.Path = *Site;
     return Truth;
   }
   case MutationKind::MissingDeref: {
-    auto Site = PickSite([](Expr *E) {
+    auto Site = PickSite([](const Expr *E) {
       return E->kind() == Expr::Kind::UnaryOp && E->Name == "!";
     });
     if (!Site)
       return std::nullopt;
-    Expr *Node = resolvePath(Prog, *Site);
+    Decl &Edited = editDecl(Prog, Site->DeclIndex);
+    Expr *Node = resolvePath(Edited, *Site);
     Truth.Before = printExpr(*Node);
     ExprPtr Inner = Node->Children[0]->clone();
-    replaceAtPath(Prog, *Site, std::move(Inner));
-    Truth.After = printExpr(*resolvePath(Prog, *Site));
+    replaceAtPath(Edited, *Site, std::move(Inner));
+    Truth.After = printExpr(*resolvePath(Edited, *Site));
     Truth.Path = *Site;
     return Truth;
   }
@@ -356,7 +360,7 @@ std::optional<MutationResult>
 seminal::applyOneMutation(const Program &Template, MutationKind Kind,
                           Rng &R) {
   MutationResult Result;
-  Result.Mutated = Template.clone();
+  Result.Mutated = Template;
   auto Truth = applyAt(Result.Mutated, Kind, R, {}, std::nullopt);
   if (!Truth)
     return std::nullopt;
@@ -408,7 +412,7 @@ seminal::mutateProgram(const Program &Template, unsigned Count, Rng &R) {
   // Try a few times to build a mutant that actually fails to type-check.
   for (int Attempt = 0; Attempt < 16; ++Attempt) {
     MutationResult Result;
-    Result.Mutated = Template.clone();
+    Result.Mutated = Template;
     unsigned Applied = 0;
     // Independent errors cluster in the declaration the programmer is
     // actively writing: once the first mutation lands, later ones go to

@@ -73,8 +73,8 @@ struct MutationResult {
 };
 
 /// Applies \p Count mutations (best effort -- fewer if the program lacks
-/// applicable sites) to a clone of \p Template, ensuring the result does
-/// NOT type-check. \returns nullopt if no failing mutant could be built
+/// applicable sites) to a copy of \p Template, ensuring the result does
+/// NOT type-check. The copy shares \p Template's unmutated declarations. \returns nullopt if no failing mutant could be built
 /// (rare; caller resamples).
 std::optional<MutationResult> mutateProgram(const caml::Program &Template,
                                             unsigned Count, Rng &R);

@@ -33,16 +33,16 @@ std::optional<unsigned> seminal::pathDistance(const NodePath &A,
   return unsigned(Long.size() - Short.size());
 }
 
-std::optional<NodePath> seminal::pathAtOffset(Program &Prog,
+std::optional<NodePath> seminal::pathAtOffset(const Program &Prog,
                                               uint32_t Offset) {
   std::optional<NodePath> Best;
   unsigned BestDepth = 0;
   for (unsigned D = 0; D < Prog.Decls.size(); ++D) {
-    Decl *TheDecl = Prog.Decls[D].get();
+    const Decl *TheDecl = Prog.Decls[D].get();
     if (TheDecl->kind() != Decl::Kind::Let || !TheDecl->Rhs)
       continue;
-    std::function<void(const NodePath &, Expr *, unsigned)> Rec =
-        [&](const NodePath &Path, Expr *Node, unsigned Depth) {
+    std::function<void(const NodePath &, const Expr *, unsigned)> Rec =
+        [&](const NodePath &Path, const Expr *Node, unsigned Depth) {
           if (Node->Span.isValid() && Node->Span.contains(Offset)) {
             if (!Best || Depth >= BestDepth) {
               Best = Path;
@@ -120,7 +120,7 @@ int seminal::rankOfTrueFix(const SeminalReport &Report,
   return 0;
 }
 
-Quality seminal::judgeChecker(Program &Prog,
+Quality seminal::judgeChecker(const Program &Prog,
                               const std::optional<TypeError> &Error,
                               const std::vector<GroundTruth> &Truths) {
   if (!Error || !Error->Span.isValid())
@@ -165,33 +165,31 @@ Quality seminal::judgeChecker(Program &Prog,
     }
   }
 
-  // Temporarily wildcard every unmatched truth site.
-  std::vector<std::pair<caml::NodePath, ExprPtr>> Masked;
-  std::vector<unsigned> RecFlipped;
+  // Probe a copy that wildcards every unmatched truth site. Its edited
+  // declarations are private clones, so Prog is left as it was.
+  Program Work = Prog;
   for (const auto &T : Truths) {
     if (&T == Matched)
       continue;
     if (T.Path.Steps.empty()) {
       // Declaration-level truth (missing rec): restore the flag.
-      Decl *D = Prog.Decls[T.Path.DeclIndex].get();
-      if (D->kind() == Decl::Kind::Let && !D->IsRec) {
-        D->IsRec = true;
-        RecFlipped.push_back(T.Path.DeclIndex);
-      }
+      const Decl &D = *Work.Decls[T.Path.DeclIndex];
+      if (D.kind() == Decl::Kind::Let && !D.IsRec)
+        editDecl(Work, T.Path.DeclIndex).IsRec = true;
       continue;
     }
-    if (resolvePath(Prog, T.Path))
-      Masked.emplace_back(T.Path,
-                          replaceAtPath(Prog, T.Path, makeWildcard()));
+    if (resolvePath(Work, T.Path))
+      replaceAtPath(editDecl(Work, T.Path.DeclIndex), T.Path,
+                    makeWildcard());
   }
 
-  Expr *Blamed = resolvePath(Prog, *Path);
   bool Useful = false;
-  if (Blamed) {
+  if (resolvePath(Work, *Path)) {
     CamlOracle O;
-    ExprPtr Old = replaceAtPath(Prog, *Path, makeWildcard());
-    Useful = O.typechecks(Prog);
-    replaceAtPath(Prog, *Path, std::move(Old));
+    Decl &Blamed = editDecl(Work, Path->DeclIndex);
+    ExprPtr Old = replaceAtPath(Blamed, *Path, makeWildcard());
+    Useful = O.typechecks(Work);
+    replaceAtPath(Blamed, *Path, std::move(Old));
     // The parent probe only extends to small enclosing expressions (an
     // operator application around the blamed operand); pointing inside a
     // large subtree whose wholesale replacement is the only fix is the
@@ -199,22 +197,15 @@ Quality seminal::judgeChecker(Program &Prog,
     if (!Useful && !Path->Steps.empty()) {
       NodePath Parent = *Path;
       Parent.Steps.pop_back();
-      Expr *ParentNode = resolvePath(Prog, Parent);
+      const Expr *ParentNode = resolvePath(Work, Parent);
       if (ParentNode && ParentNode->size() <= 6) {
-        ExprPtr OldParent = replaceAtPath(Prog, Parent, makeWildcard());
-        Useful = O.typechecks(Prog);
-        replaceAtPath(Prog, Parent, std::move(OldParent));
+        replaceAtPath(Blamed, Parent, makeWildcard());
+        Useful = O.typechecks(Work);
       }
     }
   } else if (Path->Steps.empty()) {
     Useful = true; // declaration-level blame
   }
-
-  // Undo the masking.
-  for (auto It = Masked.rbegin(); It != Masked.rend(); ++It)
-    replaceAtPath(Prog, It->first, std::move(It->second));
-  for (unsigned DeclIndex : RecFlipped)
-    Prog.Decls[DeclIndex]->IsRec = false;
 
   if (!Useful)
     return Quality::Poor;

@@ -52,7 +52,7 @@ std::optional<unsigned> pathDistance(const caml::NodePath &A,
                                      const caml::NodePath &B);
 
 /// Deepest expression whose span contains \p Offset, as a path.
-std::optional<caml::NodePath> pathAtOffset(caml::Program &Prog,
+std::optional<caml::NodePath> pathAtOffset(const caml::Program &Prog,
                                            uint32_t Offset);
 
 /// Judges one SEMINAL suggestion against the ground truth (the per-item
@@ -72,7 +72,7 @@ int rankOfTrueFix(const SeminalReport &Report,
 
 /// Judges the conventional checker message against the ground truth.
 /// \p Prog must be parsed from the same source the error refers to.
-Quality judgeChecker(caml::Program &Prog,
+Quality judgeChecker(const caml::Program &Prog,
                      const std::optional<caml::TypeError> &Error,
                      const std::vector<GroundTruth> &Truths);
 

@@ -47,48 +47,6 @@ uint64_t AstArena::exprHashOf(Expr::Kind Kind, long IntValue, bool BoolValue,
 
 namespace {
 
-bool typeExprEquals(const TypeExpr &A, const TypeExpr &B) {
-  if (A.TheKind != B.TheKind || A.Name != B.Name ||
-      A.Args.size() != B.Args.size())
-    return false;
-  for (size_t I = 0; I < A.Args.size(); ++I)
-    if (!typeExprEquals(*A.Args[I], *B.Args[I]))
-      return false;
-  return true;
-}
-
-bool optTypeExprEquals(const TypeExprPtr &A, const TypeExprPtr &B) {
-  if ((A == nullptr) != (B == nullptr))
-    return false;
-  return !A || typeExprEquals(*A, *B);
-}
-
-/// Full structural equality for type/exception declarations. Decl::equals
-/// only compares names for these; the arena needs the real thing so that
-/// id equality stays structural equality (a session re-adopts a retained
-/// prefix environment on id equality alone).
-bool otherDeclEquals(const Decl &A, const Decl &B) {
-  if (A.kind() != B.kind())
-    return false;
-  if (A.kind() == Decl::Kind::Exception)
-    return A.ExcName == B.ExcName && optTypeExprEquals(A.ExcArgType,
-                                                       B.ExcArgType);
-  if (A.TypeName != B.TypeName || A.TypeParams != B.TypeParams ||
-      A.IsRecord != B.IsRecord || A.Cases.size() != B.Cases.size() ||
-      A.Fields.size() != B.Fields.size())
-    return false;
-  for (size_t I = 0; I < A.Cases.size(); ++I)
-    if (A.Cases[I].Name != B.Cases[I].Name ||
-        !optTypeExprEquals(A.Cases[I].ArgType, B.Cases[I].ArgType))
-      return false;
-  for (size_t I = 0; I < A.Fields.size(); ++I)
-    if (A.Fields[I].Name != B.Fields[I].Name ||
-        A.Fields[I].IsMutable != B.Fields[I].IsMutable ||
-        !optTypeExprEquals(A.Fields[I].Type, B.Fields[I].Type))
-      return false;
-  return true;
-}
-
 size_t stringsBytes(const std::vector<std::string> &V) {
   size_t N = 0;
   for (const std::string &S : V)
@@ -104,7 +62,9 @@ bool AstArena::sameDecl(const DeclNode &A, const DeclNode &B) const {
   if (A.Kind == Decl::Kind::Let)
     return A.IsRec == B.IsRec && A.Binding == B.Binding &&
            A.Params == B.Params && A.Rhs == B.Rhs;
-  return otherDeclEquals(*A.Other, *B.Other);
+  // Full structure, so id equality stays structural equality: a session
+  // re-adopts a retained prefix environment on id equality alone.
+  return A.Other->equals(*B.Other);
 }
 
 //===----------------------------------------------------------------------===//

@@ -489,6 +489,16 @@ TypeExprPtr TypeExpr::clone() const {
   return Copy;
 }
 
+bool TypeExpr::equals(const TypeExpr &Other) const {
+  if (TheKind != Other.TheKind || Name != Other.Name ||
+      Args.size() != Other.Args.size())
+    return false;
+  for (size_t I = 0; I < Args.size(); ++I)
+    if (!Args[I]->equals(*Other.Args[I]))
+      return false;
+  return true;
+}
+
 std::string TypeExpr::str() const {
   switch (TheKind) {
   case Kind::Var:
@@ -562,8 +572,8 @@ TypeExprPtr caml::makeTupleTypeExpr(std::vector<TypeExprPtr> Elems) {
 // Declarations and programs
 //===----------------------------------------------------------------------===//
 
-DeclPtr Decl::clone() const {
-  auto Copy = std::make_unique<Decl>(TheKind);
+std::shared_ptr<Decl> Decl::clone() const {
+  auto Copy = std::make_shared<Decl>(TheKind);
   Copy->Span = Span;
   Copy->IsRec = IsRec;
   if (Binding)
@@ -596,7 +606,22 @@ DeclPtr Decl::clone() const {
   return Copy;
 }
 
+namespace {
+
+bool optTypeExprEquals(const TypeExprPtr &A, const TypeExprPtr &B) {
+  if ((A == nullptr) != (B == nullptr))
+    return false;
+  return !A || A->equals(*B);
+}
+
+} // namespace
+
 bool Decl::equals(const Decl &Other) const {
+  // Programs share their declarations, so a program compared with a copy
+  // of itself (the oracle's memo and growth checks) settles each
+  // declaration with this one pointer compare.
+  if (this == &Other)
+    return true;
   if (TheKind != Other.TheKind)
     return false;
   switch (TheKind) {
@@ -611,11 +636,23 @@ bool Decl::equals(const Decl &Other) const {
     return Rhs->equals(*Other.Rhs);
   }
   case Kind::Type:
-    // Structural comparison of type declarations is only used by tests on
-    // let-mutations, so name equality suffices.
-    return TypeName == Other.TypeName;
+    if (TypeName != Other.TypeName || TypeParams != Other.TypeParams ||
+        IsRecord != Other.IsRecord || Cases.size() != Other.Cases.size() ||
+        Fields.size() != Other.Fields.size())
+      return false;
+    for (size_t I = 0; I < Cases.size(); ++I)
+      if (Cases[I].Name != Other.Cases[I].Name ||
+          !optTypeExprEquals(Cases[I].ArgType, Other.Cases[I].ArgType))
+        return false;
+    for (size_t I = 0; I < Fields.size(); ++I)
+      if (Fields[I].Name != Other.Fields[I].Name ||
+          Fields[I].IsMutable != Other.Fields[I].IsMutable ||
+          !optTypeExprEquals(Fields[I].Type, Other.Fields[I].Type))
+        return false;
+    return true;
   case Kind::Exception:
-    return ExcName == Other.ExcName;
+    return ExcName == Other.ExcName &&
+           optTypeExprEquals(ExcArgType, Other.ExcArgType);
   }
   return false;
 }
@@ -631,21 +668,15 @@ unsigned Decl::size() const {
   return N;
 }
 
-DeclPtr caml::makeLetDecl(bool IsRec, PatternPtr Binding,
-                          std::vector<PatternPtr> Params, ExprPtr Rhs) {
-  auto D = std::make_unique<Decl>(Decl::Kind::Let);
+std::shared_ptr<Decl> caml::makeLetDecl(bool IsRec, PatternPtr Binding,
+                                        std::vector<PatternPtr> Params,
+                                        ExprPtr Rhs) {
+  auto D = std::make_shared<Decl>(Decl::Kind::Let);
   D->IsRec = IsRec;
   D->Binding = std::move(Binding);
   D->Params = std::move(Params);
   D->Rhs = std::move(Rhs);
   return D;
-}
-
-Program Program::clone() const {
-  Program Copy;
-  for (const auto &D : Decls)
-    Copy.Decls.push_back(D->clone());
-  return Copy;
 }
 
 bool Program::equals(const Program &Other) const {
@@ -676,13 +707,13 @@ std::string NodePath::str() const {
   return OS.str();
 }
 
-Expr *caml::resolvePath(Program &Prog, const NodePath &Path) {
-  if (Path.DeclIndex >= Prog.Decls.size())
+namespace {
+
+/// Walks \p Path's steps down from \p D's initializer.
+Expr *resolveSteps(const Decl &D, const NodePath &Path) {
+  if (D.kind() != Decl::Kind::Let || !D.Rhs)
     return nullptr;
-  Decl *D = Prog.Decls[Path.DeclIndex].get();
-  if (D->kind() != Decl::Kind::Let || !D->Rhs)
-    return nullptr;
-  Expr *Node = D->Rhs.get();
+  Expr *Node = D.Rhs.get();
   for (unsigned Step : Path.Steps) {
     if (Step >= Node->numChildren())
       return nullptr;
@@ -691,20 +722,38 @@ Expr *caml::resolvePath(Program &Prog, const NodePath &Path) {
   return Node;
 }
 
-ExprPtr caml::replaceAtPath(Program &Prog, const NodePath &Path,
+} // namespace
+
+const Expr *caml::resolvePath(const Program &Prog, const NodePath &Path) {
+  if (Path.DeclIndex >= Prog.Decls.size())
+    return nullptr;
+  return resolveSteps(*Prog.Decls[Path.DeclIndex], Path);
+}
+
+Expr *caml::resolvePath(Decl &D, const NodePath &Path) {
+  return resolveSteps(D, Path);
+}
+
+ExprPtr caml::replaceAtPath(Decl &D, const NodePath &Path,
                             ExprPtr Replacement) {
-  assert(Path.DeclIndex < Prog.Decls.size() && "path decl out of range");
-  Decl *D = Prog.Decls[Path.DeclIndex].get();
-  assert(D->kind() == Decl::Kind::Let && D->Rhs && "path into non-let decl");
+  assert(D.kind() == Decl::Kind::Let && D.Rhs && "path into non-let decl");
   if (Path.Steps.empty()) {
-    ExprPtr Old = std::move(D->Rhs);
-    D->Rhs = std::move(Replacement);
+    ExprPtr Old = std::move(D.Rhs);
+    D.Rhs = std::move(Replacement);
     return Old;
   }
-  Expr *Parent = D->Rhs.get();
+  Expr *Parent = D.Rhs.get();
   for (size_t I = 0; I + 1 < Path.Steps.size(); ++I) {
     assert(Path.Steps[I] < Parent->numChildren() && "path step out of range");
     Parent = Parent->child(Path.Steps[I]);
   }
   return Parent->swapChild(Path.Steps.back(), std::move(Replacement));
+}
+
+Decl &caml::editDecl(Program &Prog, unsigned Index) {
+  assert(Index < Prog.Decls.size() && "decl index out of range");
+  std::shared_ptr<Decl> Copy = Prog.Decls[Index]->clone();
+  Decl &Edited = *Copy;
+  Prog.Decls[Index] = std::move(Copy);
+  return Edited;
 }

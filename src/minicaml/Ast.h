@@ -250,6 +250,7 @@ struct TypeExpr {
   std::vector<std::unique_ptr<TypeExpr>> Args;
 
   std::unique_ptr<TypeExpr> clone() const;
+  bool equals(const TypeExpr &Other) const;
   std::string str() const;
 };
 using TypeExprPtr = std::unique_ptr<TypeExpr>;
@@ -310,27 +311,31 @@ public:
   std::string ExcName;
   TypeExprPtr ExcArgType;
 
-  std::unique_ptr<Decl> clone() const;
+  /// A private deep copy, free to edit (allocated with make_shared, so
+  /// handing it to a Program costs no further allocation).
+  std::shared_ptr<Decl> clone() const;
+  /// Structural equality over every field but spans; true at once when
+  /// both sides are the same object.
   bool equals(const Decl &Other) const;
   unsigned size() const;
 
 private:
   Kind TheKind;
 };
-using DeclPtr = std::unique_ptr<Decl>;
 
-DeclPtr makeLetDecl(bool IsRec, PatternPtr Binding,
-                    std::vector<PatternPtr> Params, ExprPtr Rhs);
+/// A declaration as programs hold it: shared and immutable. Copying a
+/// Program shares its declarations; code that edits one first clones it
+/// (Decl::clone, editDecl) and edits the private copy.
+using DeclPtr = std::shared_ptr<const Decl>;
 
-/// A whole source file: an ordered list of structure items.
+std::shared_ptr<Decl> makeLetDecl(bool IsRec, PatternPtr Binding,
+                                  std::vector<PatternPtr> Params, ExprPtr Rhs);
+
+/// A whole source file: an ordered list of structure items. A copy shares
+/// the declarations, so it costs one reference per declaration.
 struct Program {
   std::vector<DeclPtr> Decls;
 
-  Program() = default;
-  Program(Program &&) = default;
-  Program &operator=(Program &&) = default;
-
-  Program clone() const;
   bool equals(const Program &Other) const;
   unsigned size() const;
 };
@@ -365,12 +370,21 @@ struct NodePath {
 
 /// Resolves \p Path inside \p Prog. \returns nullptr if the path does not
 /// exist (e.g. it was created against a differently-shaped tree).
-Expr *resolvePath(Program &Prog, const NodePath &Path);
+const Expr *resolvePath(const Program &Prog, const NodePath &Path);
 
-/// Replaces the node at \p Path with \p Replacement, returning the previous
-/// subtree. \p Path must resolve.
-ExprPtr replaceAtPath(Program &Prog, const NodePath &Path,
-                      ExprPtr Replacement);
+/// Resolves \p Path's steps inside \p D, a private declaration being
+/// edited in place of declaration Path.DeclIndex. \returns nullptr if the
+/// path does not exist.
+Expr *resolvePath(Decl &D, const NodePath &Path);
+
+/// Replaces the node at \p Path's steps inside \p D with \p Replacement,
+/// returning the previous subtree. The steps must resolve.
+ExprPtr replaceAtPath(Decl &D, const NodePath &Path, ExprPtr Replacement);
+
+/// Gives \p Prog a private clone of declaration \p Index and returns it
+/// for editing. The other declarations stay shared; copies of \p Prog
+/// made earlier keep the original.
+Decl &editDecl(Program &Prog, unsigned Index);
 
 } // namespace caml
 } // namespace seminal

@@ -118,9 +118,8 @@ uint64_t caml::hashDecl(const Decl &D) {
     H = mix(H, hashExpr(*D.Rhs));
     break;
   case Decl::Kind::Type:
-    // Type declarations hash their full structure even though
-    // Decl::equals only compares names: a finer hash never produces a
-    // false cache hit, because hits are confirmed with equals().
+    // The same fields Decl::equals compares, so equal declarations hash
+    // equal.
     H = hashString(H, D.TypeName);
     H = mix(H, D.IsRecord ? 2 : 1);
     for (const std::string &Param : D.TypeParams)

@@ -200,7 +200,7 @@ DeclPtr ParserImpl::parseDecl() {
 DeclPtr ParserImpl::parseTypeDecl() {
   SourceLoc Start = peek().Loc;
   expect(TK::KwType, "'type'");
-  auto D = std::make_unique<Decl>(Decl::Kind::Type);
+  auto D = std::make_shared<Decl>(Decl::Kind::Type);
 
   // Optional type parameters: 'a or ('a, 'b).
   if (accept(TK::Quote)) {
@@ -290,7 +290,7 @@ DeclPtr ParserImpl::parseTypeDecl() {
 DeclPtr ParserImpl::parseExceptionDecl() {
   SourceLoc Start = peek().Loc;
   expect(TK::KwException, "'exception'");
-  auto D = std::make_unique<Decl>(Decl::Kind::Exception);
+  auto D = std::make_shared<Decl>(Decl::Kind::Exception);
   if (!check(TK::UpperIdent)) {
     fail("expected an exception name");
     return nullptr;
@@ -308,7 +308,7 @@ DeclPtr ParserImpl::parseExceptionDecl() {
 DeclPtr ParserImpl::parseLetDecl() {
   SourceLoc Start = peek().Loc;
   expect(TK::KwLet, "'let'");
-  auto D = std::make_unique<Decl>(Decl::Kind::Let);
+  auto D = std::make_shared<Decl>(Decl::Kind::Let);
   D->IsRec = accept(TK::KwRec);
   D->Binding = parseSimplePattern();
   if (Failed)

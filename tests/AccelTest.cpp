@@ -263,8 +263,11 @@ TEST(CheckpointedOracleTest, CacheHitsKeepLogicalCallsButSkipInference) {
   EXPECT_EQ(O.callCount(), 3u); // Legacy alias agrees.
   EXPECT_EQ(O.counters().CacheHits, 3u);
   EXPECT_EQ(O.inferenceRuns(), 0u);
-  // A structurally equal copy hits too; a different program does not.
-  Program Copy = P.clone();
+  // A structurally equal deep copy hits too; a different program does
+  // not.
+  Program Copy;
+  for (const DeclPtr &D : P.Decls)
+    Copy.Decls.push_back(D->clone());
   EXPECT_FALSE(O.typechecks(Copy));
   EXPECT_EQ(O.counters().CacheHits, 4u);
   EXPECT_TRUE(O.typechecks(parse("let a = 1\nlet b = a + 1")));
@@ -280,7 +283,7 @@ TEST(CheckpointedOracleTest, CacheHitsKeepLogicalCallsButSkipInference) {
   EXPECT_EQ(O.counters().IncrementalInferences, 2u);
   EXPECT_EQ(O.inferenceRuns(), 3u);
 
-  // Seeding released the memo's program clone: once the seed is cleared,
+  // Seeding released the memo's program: once the seed is cleared,
   // the same whole-program question runs inference again.
   O.clearPrefix();
   EXPECT_FALSE(O.typechecks(P));

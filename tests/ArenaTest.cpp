@@ -6,7 +6,7 @@
 // and a full search with the arena enabled is byte-identical to one
 // without it -- and interns nothing. These tests pin each of those
 // properties, including on random programs, plus the suggestion capture
-// (LazyProgram).
+// (a shared prefix with one private declaration).
 //
 //===----------------------------------------------------------------------===//
 
@@ -170,28 +170,29 @@ TEST(ArenaTest, ExprChildrenFollowAstLayout) {
 }
 
 //===----------------------------------------------------------------------===//
-// LazyProgram: a shared prefix plus one edited declaration
+// Suggestion capture: a shared prefix plus one private declaration
 //===----------------------------------------------------------------------===//
 
-TEST(ArenaTest, LazyProgramMaterializesToEagerProgram) {
-  Program P = parse(SampleSources[0]);
-  auto Prefix = std::make_shared<Program>();
-  for (size_t I = 0; I + 1 < P.Decls.size(); ++I)
-    Prefix->Decls.push_back(P.Decls[I]->clone());
-  LazyProgram Lazy(Prefix, P.Decls.back()->clone());
-  LazyProgram Sibling(Prefix, P.Decls.back()->clone());
+TEST(ArenaTest, SharedCaptureMatchesDeepCopy) {
+  AstArena A;
+  for (const char *Src : SampleSources) {
+    Program P = parse(Src);
+    // What a suggestion captures: the prefix shared with the input, the
+    // last declaration a private clone.
+    Program Capture = P;
+    Capture.Decls.back() = P.Decls.back()->clone();
+    Program Deep;
+    for (const DeclPtr &D : P.Decls)
+      Deep.Decls.push_back(D->clone());
 
-  const Program &Got = Lazy;
-  EXPECT_TRUE(Got.equals(P));
-  EXPECT_EQ(printProgram(Got), printProgram(P));
-  EXPECT_EQ(hashProgram(Got), hashProgram(P));
-  // Assembled once; a second read returns the same program.
-  EXPECT_EQ(&Lazy.get(), &Got);
-  // A capture sharing the prefix is unaffected by the first one's reads.
-  EXPECT_EQ(Prefix->Decls.size(), P.Decls.size() - 1);
-  EXPECT_EQ(printProgram(Sibling), printProgram(Lazy));
-  // Default-constructed (no capture): an empty program.
-  EXPECT_TRUE(LazyProgram().get().Decls.empty());
+    EXPECT_TRUE(Capture.equals(Deep)) << Src;
+    EXPECT_EQ(printProgram(Capture), printProgram(Deep));
+    EXPECT_EQ(hashProgram(Capture), hashProgram(Deep));
+    for (size_t I = 0; I < P.Decls.size(); ++I) {
+      EXPECT_EQ(A.internDecl(*Capture.Decls[I]), A.internDecl(*Deep.Decls[I]));
+      EXPECT_EQ(Capture.Decls[I] == P.Decls[I], I + 1 < P.Decls.size());
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

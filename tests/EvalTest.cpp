@@ -53,7 +53,7 @@ TEST(PathAtOffsetTest, FindsDeepestNode) {
   uint32_t AOffset = uint32_t(Src.find('a'));
   auto Path = pathAtOffset(P, AOffset);
   ASSERT_TRUE(Path.has_value());
-  Expr *Node = resolvePath(P, *Path);
+  const Expr *Node = resolvePath(P, *Path);
   ASSERT_NE(Node, nullptr);
   EXPECT_EQ(Node->kind(), Expr::Kind::Var);
   EXPECT_EQ(Node->Name, "a");

@@ -52,7 +52,7 @@ Program minimizeProgram(Program P,
     // Move 1: drop declarations (later ones first -- they depend on
     // earlier ones, so they are more likely to be removable).
     for (size_t I = P.Decls.size(); I-- > 0 && Budget > 0;) {
-      Program Candidate = P.clone();
+      Program Candidate = P;
       Candidate.Decls.erase(Candidate.Decls.begin() + long(I));
       --Budget;
       if (!Candidate.Decls.empty() && StillFails(Candidate)) {
@@ -70,15 +70,14 @@ Program minimizeProgram(Program P,
       while (!Work.empty() && Budget > 0) {
         NodePath Path = Work.back();
         Work.pop_back();
-        Program &Cur = P;
-        Expr *Node = resolvePath(Cur, Path);
+        const Expr *Node = resolvePath(P, Path);
         if (!Node)
           continue;
         bool Replaced = false;
         for (unsigned C = 0; C < Node->numChildren() && Budget > 0; ++C) {
-          Program Candidate = P.clone();
-          ExprPtr Child = resolvePath(Candidate, Path)->child(C)->clone();
-          replaceAtPath(Candidate, Path, std::move(Child));
+          Program Candidate = P;
+          ExprPtr Child = Node->child(C)->clone();
+          replaceAtPath(editDecl(Candidate, D), Path, std::move(Child));
           --Budget;
           if (StillFails(Candidate)) {
             P = std::move(Candidate);
@@ -104,7 +103,7 @@ std::string fuzzFailure(uint64_t Seed, const Program &Original,
                         const std::function<bool(const Program &)> &StillFails) {
   std::string Out = "\n--- fuzz failure ---\nseed: " + std::to_string(Seed) +
                     "\noriginal program:\n" + printProgram(Original);
-  Program Min = minimizeProgram(Original.clone(), StillFails);
+  Program Min = minimizeProgram(Original, StillFails);
   Out += "minimized program (" + std::to_string(Min.Decls.size()) +
          " decls):\n" + printProgram(Min);
   Out += "--- end fuzz failure ---";
@@ -178,7 +177,9 @@ TEST_P(CheckerFuzz, CloneChecksIdentically) {
   Rng R(uint64_t(GetParam()) * 271 + 11);
   for (int I = 0; I < 60; ++I) {
     Program P = randomProgram(R, 3, 3);
-    Program Q = P.clone();
+    Program Q;
+    for (const DeclPtr &D : P.Decls)
+      Q.Decls.push_back(D->clone());
     EXPECT_EQ(typecheckProgram(P).ok(), typecheckProgram(Q).ok());
   }
 }

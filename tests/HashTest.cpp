@@ -43,7 +43,9 @@ TEST(HashTest, CloneHashesIdenticallyOnRandomPrograms) {
   for (uint64_t Seed = 0; Seed < 50; ++Seed) {
     Rng R(Seed);
     Program P = randomProgram(R, /*MaxDecls=*/5, /*MaxDepth=*/5);
-    Program C = P.clone();
+    Program C;
+    for (const DeclPtr &D : P.Decls)
+      C.Decls.push_back(D->clone());
     ASSERT_TRUE(P.equals(C));
     EXPECT_EQ(hashProgram(P), hashProgram(C)) << "seed " << Seed;
     for (size_t I = 0; I < P.Decls.size(); ++I)
@@ -142,7 +144,7 @@ int checkEditsPerturbHash(const Program &Prog, const EnumeratorOptions &Opts,
     while (!Stack.empty()) {
       NodePath P = std::move(Stack.back());
       Stack.pop_back();
-      const Expr *Node = resolvePath(const_cast<Program &>(Prog), P);
+      const Expr *Node = resolvePath(Prog, P);
       if (Node == nullptr) {
         ADD_FAILURE() << "unresolvable path " << P.str();
         return 0;
@@ -156,8 +158,9 @@ int checkEditsPerturbHash(const Program &Prog, const EnumeratorOptions &Opts,
   int Checked = 0;
   for (const Site &S : Sites) {
     for (CandidateChange &C : enumerateChanges(*S.Node, Opts)) {
-      Program V = Prog.clone();
-      replaceAtPath(V, S.Path, std::move(C.Replacement));
+      Program V = Prog;
+      replaceAtPath(editDecl(V, S.Path.DeclIndex), S.Path,
+                    std::move(C.Replacement));
       bool StructurallyEqual = V.equals(Prog);
       EXPECT_EQ(hashProgram(V) == BaseHash, StructurallyEqual)
           << "edit \"" << C.Description << "\" at " << S.Path.str();

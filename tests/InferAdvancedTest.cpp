@@ -224,7 +224,7 @@ TEST(InferAdvancedTest, WildcardNodeTypechecksEverywhere) {
     ParseResult R = parseProgram(Src);
     ASSERT_TRUE(R.ok());
     // Replace the whole right-hand side with a wildcard: always checks.
-    R.Prog->Decls[0]->Rhs = makeWildcard();
+    editDecl(*R.Prog, 0).Rhs = makeWildcard();
     EXPECT_TRUE(typecheckProgram(*R.Prog).ok()) << Src;
   }
 }
@@ -234,11 +234,11 @@ TEST(InferAdvancedTest, AdaptRequiresInnerWellTypedness) {
   ParseResult R = parseProgram("let a = 0");
   ASSERT_TRUE(R.ok());
   ParseExprResult Bad = parseExpression("1 + \"x\"");
-  R.Prog->Decls[0]->Rhs = makeAdapt(std::move(Bad.E));
+  editDecl(*R.Prog, 0).Rhs = makeAdapt(std::move(Bad.E));
   EXPECT_FALSE(typecheckProgram(*R.Prog).ok());
 
   ParseExprResult Good = parseExpression("1 + 2");
-  R.Prog->Decls[0]->Rhs = makeAdapt(std::move(Good.E));
+  editDecl(*R.Prog, 0).Rhs = makeAdapt(std::move(Good.E));
   EXPECT_TRUE(typecheckProgram(*R.Prog).ok());
 }
 

@@ -309,21 +309,45 @@ TEST(ParserProgramTest, Figure2ProgramParses) {
 
 TEST(ParserProgramTest, CloneAndEqualsRoundTrip) {
   Program P = program("let f x = x + 1\nlet y = f 2");
-  Program Q = P.clone();
+  Program Q = P;
   EXPECT_TRUE(P.equals(Q));
-  // Mutating the clone breaks equality.
-  Q.Decls[1]->Rhs = makeIntLit(0);
+  // Editing the copy's private clone of a declaration breaks equality
+  // and leaves the original's shared declaration as it was.
+  editDecl(Q, 1).Rhs = makeIntLit(0);
   EXPECT_FALSE(P.equals(Q));
+  EXPECT_EQ(P.Decls[0], Q.Decls[0]);
+  EXPECT_NE(P.Decls[1], Q.Decls[1]);
+  EXPECT_TRUE(P.equals(program("let f x = x + 1\nlet y = f 2")));
+}
+
+// Decl::equals backs the oracle's growth, seed and memo checks, so type
+// and exception declarations compare field by field, not by name.
+TEST(ParserProgramTest, TypeAndExceptionDeclsCompareFieldByField) {
+  Program P = program("type t = A | B of int\n"
+                      "type t = A | C of int\n"
+                      "type t = A | B of string\n"
+                      "type t = A | B of int\n"
+                      "exception E of int\n"
+                      "exception E of string\n"
+                      "type r = { x : int }\n"
+                      "type r = { mutable x : int }\n");
+  EXPECT_FALSE(P.Decls[0]->equals(*P.Decls[1])); // constructor name
+  EXPECT_FALSE(P.Decls[0]->equals(*P.Decls[2])); // constructor argument
+  EXPECT_TRUE(P.Decls[0]->equals(*P.Decls[3]));
+  EXPECT_FALSE(P.Decls[4]->equals(*P.Decls[5]));
+  EXPECT_FALSE(P.Decls[6]->equals(*P.Decls[7])); // field mutability
 }
 
 TEST(ParserProgramTest, PathResolutionRoundTrip) {
   Program P = program("let y = f (g 1) 2");
   NodePath Path(0);
   Path.Steps = {1}; // first argument of the application
-  Expr *Node = resolvePath(P, Path);
+  const Expr *Node = resolvePath(P, Path);
   ASSERT_NE(Node, nullptr);
   EXPECT_EQ(Node->kind(), Expr::Kind::App);
-  ExprPtr Old = replaceAtPath(P, Path, makeWildcard());
+  Decl &D = editDecl(P, 0);
+  EXPECT_EQ(resolvePath(D, Path)->kind(), Expr::Kind::App);
+  ExprPtr Old = replaceAtPath(D, Path, makeWildcard());
   EXPECT_EQ(Old->kind(), Expr::Kind::App);
   EXPECT_EQ(resolvePath(P, Path)->kind(), Expr::Kind::Wildcard);
 }

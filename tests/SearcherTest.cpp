@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 using namespace seminal;
@@ -306,9 +307,9 @@ INSTANTIATE_TEST_SUITE_P(
         "let f a b c = a + b + c\nlet x = f 1 2 + 3",
         "let x = (1, 2)\nlet y = fst x + snd x + x"));
 
-// Captured programs own their trees: every suggestion's Modified is read
-// only after the searcher, the oracle and the input are gone (the ASan
-// job turns a dangling capture into a failure here).
+// Captured programs keep their trees alive: every suggestion's Modified
+// is read only after the searcher, the oracle and the input are gone (the
+// ASan job turns a dangling capture into a failure here).
 TEST(SuggestionCaptureTest, ModifiedOutlivesSearcherOracleAndInput) {
   const std::string Source = "let one = 1\n"
                              "let add a b = a + b\n"
@@ -333,7 +334,8 @@ TEST(SuggestionCaptureTest, ModifiedOutlivesSearcherOracleAndInput) {
     ASSERT_EQ(Modified.Decls.size(), 3u) << Sugg.Description;
     if (Sugg.Replacement) {
       Program Expected = std::move(*parseProgram(Source).Prog);
-      replaceAtPath(Expected, Sugg.Path, Sugg.Replacement->clone());
+      replaceAtPath(editDecl(Expected, Sugg.Path.DeclIndex), Sugg.Path,
+                    Sugg.Replacement->clone());
       EXPECT_TRUE(Modified.equals(Expected)) << Sugg.Description;
       EXPECT_EQ(printProgram(Modified), printProgram(Expected));
       ++Checked;
@@ -343,6 +345,78 @@ TEST(SuggestionCaptureTest, ModifiedOutlivesSearcherOracleAndInput) {
     }
   }
   EXPECT_GT(Checked, 0u);
+}
+
+/// Inputs whose searches take every editing path: constructive and
+/// declaration-level changes, adaptation, removal, generic triage, and
+/// match triage with pattern fixes, behind let, type and exception
+/// declarations.
+const char *SharingSources[] = {
+    "type shape = Circle of int | Square of int\n"
+    "exception Bad of string\n"
+    "let one = 1\n"
+    "let add a b = a + b\n"
+    "let x = add one \"two\"\n",
+    "let f (x, y) = x + y\nlet z = f 1 2\n",
+    "let go y =\n"
+    "  let a = 3 + true in\n"
+    "  let b = 4 + \"hi\" in\n"
+    "  y + 1\n",
+    "let k = 2\n"
+    "let g x = match x with\n"
+    "    [] -> 0\n"
+    "  | 5 -> 1\n"
+    "  | h :: t -> h + \"s\"\n",
+};
+
+// The search edits a private clone of the failing declaration only: its
+// input keeps the same declaration objects, with the same structure.
+TEST(SuggestionCaptureTest, SearchLeavesInputUnchanged) {
+  for (const char *Source : SharingSources) {
+    Program Input = std::move(*parseProgram(Source).Prog);
+    std::vector<const Decl *> Before;
+    Program Deep;
+    for (const DeclPtr &D : Input.Decls) {
+      Before.push_back(D.get());
+      Deep.Decls.push_back(D->clone());
+    }
+    const std::string Printed = printProgram(Input);
+    CheckpointedOracle Oracle;
+    Searcher S(Oracle, SearchOptions(), Oracle.arena());
+    SearchOutput Out = S.run(Input);
+    ASSERT_FALSE(Out.Suggestions.empty()) << Source;
+    ASSERT_EQ(Input.Decls.size(), Before.size());
+    for (size_t I = 0; I < Before.size(); ++I)
+      EXPECT_EQ(Input.Decls[I].get(), Before[I]) << Source << " decl " << I;
+    EXPECT_TRUE(Input.equals(Deep)) << Source;
+    EXPECT_EQ(printProgram(Input), Printed);
+  }
+}
+
+// Each suggestion's Modified shares the input's prefix declarations and
+// owns its own snapshot of the edited one.
+TEST(SuggestionCaptureTest, ModifiedSharesPrefixAndOwnsFocus) {
+  for (const char *Source : SharingSources) {
+    Program Input = std::move(*parseProgram(Source).Prog);
+    CheckpointedOracle Oracle;
+    Searcher S(Oracle, SearchOptions(), Oracle.arena());
+    SearchOutput Out = S.run(Input);
+    ASSERT_TRUE(Out.FailingDecl.has_value()) << Source;
+    const unsigned Focus = *Out.FailingDecl;
+    ASSERT_FALSE(Out.Suggestions.empty()) << Source;
+    std::vector<const Decl *> Foci;
+    for (const Suggestion &Sugg : Out.Suggestions) {
+      const Program &M = Sugg.Modified;
+      ASSERT_EQ(M.Decls.size(), Focus + 1u) << Sugg.Description;
+      for (unsigned I = 0; I < Focus; ++I)
+        EXPECT_EQ(M.Decls[I], Input.Decls[I]) << Sugg.Description;
+      EXPECT_NE(M.Decls[Focus], Input.Decls[Focus]) << Sugg.Description;
+      Foci.push_back(M.Decls[Focus].get());
+    }
+    std::sort(Foci.begin(), Foci.end());
+    EXPECT_EQ(std::adjacent_find(Foci.begin(), Foci.end()), Foci.end())
+        << Source << ": two suggestions share a focus declaration";
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -260,7 +260,7 @@ TEST(SliceTest, GuideNeverDoomsInfluenceNodes) {
   SliceGuide G(P, S);
   EXPECT_GT(G.influenceSize(), 0u);
   for (const NodePath &Path : S.Influence) {
-    Expr *E = resolvePath(P, Path);
+    const Expr *E = resolvePath(P, Path);
     ASSERT_NE(E, nullptr);
     EXPECT_FALSE(G.subtreeDoomed(*E)) << Path.str();
   }
