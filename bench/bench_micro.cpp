@@ -15,6 +15,7 @@
 #include "core/Seminal.h"
 #include "corpus/Generator.h"
 #include "corpus/Programs.h"
+#include "minicaml/Lexer.h"
 #include "minicaml/Parser.h"
 
 #include <benchmark/benchmark.h>
@@ -42,14 +43,49 @@ std::string chainProgram(int N) {
   return OS.str();
 }
 
+/// The first cohort of perfbench's Figure 7 corpus: seed 20070611 at
+/// scale 1.5, 239 files, whatever --scale and --seed say, so its rows
+/// stay comparable with perfbench's oneshot-corpus workload.
+const Corpus &corpusCohort() {
+  static const Corpus C = [] {
+    CorpusOptions Opts;
+    Opts.Seed = 20070611;
+    Opts.Scale = 1.5;
+    return generateCorpus(Opts);
+  }();
+  return C;
+}
+
+int64_t corpusCohortBytes() {
+  int64_t Bytes = 0;
+  for (const CorpusFile &F : corpusCohort().Analyzed)
+    Bytes += int64_t(F.Source.size());
+  return Bytes;
+}
+
+// Tokenizing alone, one iteration per cohort.
 void BM_Lex(benchmark::State &State) {
-  std::string Source = assignmentTemplates()[1].Source;
-  for (auto _ : State) {
-    ParseResult R = parseProgram(Source);
-    benchmark::DoNotOptimize(R);
-  }
+  const Corpus &C = corpusCohort();
+  for (auto _ : State)
+    for (const CorpusFile &F : C.Analyzed) {
+      std::vector<Token> Tokens = Lexer(F.Source).tokenize();
+      benchmark::DoNotOptimize(Tokens.data());
+    }
+  State.SetBytesProcessed(State.iterations() * corpusCohortBytes());
 }
 BENCHMARK(BM_Lex);
+
+// parseProgram, tokenizing included, one iteration per cohort.
+void BM_Parse(benchmark::State &State) {
+  const Corpus &C = corpusCohort();
+  for (auto _ : State)
+    for (const CorpusFile &F : C.Analyzed) {
+      ParseResult R = parseProgram(F.Source);
+      benchmark::DoNotOptimize(R);
+    }
+  State.SetBytesProcessed(State.iterations() * corpusCohortBytes());
+}
+BENCHMARK(BM_Parse);
 
 void BM_TypecheckAssignment(benchmark::State &State) {
   std::string Source =
@@ -168,7 +204,9 @@ BENCHMARK(BM_MutateProgram);
 // scenario isolates the per-candidate oracle call, whose inference
 // allocates nothing once the inferencer's buffers are sized. A third
 // averages one-shot checks over a whole corpus cohort, so copies of the
-// unedited declarations, which grow with the file, show up too.
+// unedited declarations, which grow with the file, show up too. A fourth
+// parses the same cohort without checking it, so the front end's own
+// allocations (tokens, nodes, child vectors, names) are gated apart.
 
 struct AllocScenario {
   const char *Name;
@@ -225,16 +263,11 @@ AllocReport runCheckpointCallScenario(uint64_t &Calls) {
   return Scope.finish();
 }
 
-/// One one-shot check, as seminal_cli runs it, per file of the first
-/// cohort of perfbench's Figure 7 corpus: seed 20070611 at scale 1.5,
-/// 239 files, whatever --scale and --seed say, so the row stays
-/// comparable with perfbench's oneshot-corpus workload. The corpus is
-/// generated before the scope opens.
+/// One one-shot check, as seminal_cli runs it, per file of the corpus
+/// cohort (corpusCohort). The corpus is generated before the scope
+/// opens.
 AllocReport runCorpusCheckScenario(uint64_t &Checks) {
-  CorpusOptions Opts;
-  Opts.Seed = 20070611;
-  Opts.Scale = 1.5;
-  Corpus C = generateCorpus(Opts);
+  const Corpus &C = corpusCohort();
   benchmark::DoNotOptimize(runSeminalOnSource(C.Analyzed.front().Source));
   AllocScope Scope;
   for (const CorpusFile &F : C.Analyzed) {
@@ -242,6 +275,18 @@ AllocReport runCorpusCheckScenario(uint64_t &Checks) {
     benchmark::DoNotOptimize(R);
   }
   Checks = C.Analyzed.size();
+  return Scope.finish();
+}
+
+/// parseProgram alone, tokens and tree, per file of the same cohort.
+AllocReport runCorpusParseScenario(uint64_t &Files) {
+  const Corpus &C = corpusCohort();
+  AllocScope Scope;
+  for (const CorpusFile &F : C.Analyzed) {
+    ParseResult R = parseProgram(F.Source);
+    benchmark::DoNotOptimize(R);
+  }
+  Files = C.Analyzed.size();
   return Scope.finish();
 }
 
@@ -261,9 +306,13 @@ int runAllocReport(const DriverOptions &Driver) {
   AllocReport PerCheck = runCorpusCheckScenario(Checks);
   Rows.push_back({"oneshot-check-corpus",
                   double(PerCheck.Allocs) / double(Checks), PerCheck.PeakBytes});
+  uint64_t Files = 0;
+  AllocReport PerParse = runCorpusParseScenario(Files);
+  Rows.push_back({"parse-corpus", double(PerParse.Allocs) / double(Files),
+                  PerParse.PeakBytes});
 
   header("Allocation report: one end-to-end search, one candidate call, "
-         "one corpus check");
+         "one corpus check, one corpus parse");
   std::printf("%-28s %12s %14s\n", "scenario", "allocs", "peak bytes");
   rule();
   for (const AllocScenario &Row : Rows)

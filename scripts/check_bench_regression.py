@@ -22,9 +22,10 @@ micro_allocs (bench_micro --json):
     not across toolchains, so it is gated with a 1.25x tolerance rather
     than exact equality: enough slack for container implementation
     drift, tight enough to catch reintroduced per-candidate clone or
-    intern traffic (search-figure2, one search) or copies of the unedited
+    intern traffic (search-figure2, one search), copies of the unedited
     declarations (oneshot-check-corpus, the mean one-shot check over a
-    corpus cohort).
+    corpus cohort) or per-token and per-node copies in the front end
+    (parse-corpus, the mean parseProgram over the same cohort).
 
 slice_ablation (bench_slice_ablation):
   * slice-guided must have produced byte-identical suggestion lists to

@@ -2,8 +2,6 @@
 
 #include "minicaml/Ast.h"
 
-#include "support/StrUtil.h"
-
 #include <sstream>
 
 using namespace seminal;
@@ -20,6 +18,7 @@ PatternPtr Pattern::clone() const {
   Copy->IntValue = IntValue;
   Copy->BoolValue = BoolValue;
   Copy->StringValue = StringValue;
+  Copy->Elems.reserve(Elems.size());
   for (const auto &Elem : Elems)
     Copy->Elems.push_back(Elem->clone());
   if (Head)
@@ -102,51 +101,6 @@ void Pattern::boundVars(std::vector<std::string> &Out) const {
   }
 }
 
-std::string Pattern::str() const {
-  switch (TheKind) {
-  case Kind::Wild:
-    return "_";
-  case Kind::Var:
-    return Name;
-  case Kind::Int:
-    return std::to_string(IntValue);
-  case Kind::Bool:
-    return BoolValue ? "true" : "false";
-  case Kind::String:
-    return "\"" + escapeStringLiteral(StringValue) + "\"";
-  case Kind::Unit:
-    return "()";
-  case Kind::Tuple: {
-    std::vector<std::string> Parts;
-    for (const auto &Elem : Elems)
-      Parts.push_back(Elem->str());
-    return "(" + join(Parts, ", ") + ")";
-  }
-  case Kind::List: {
-    std::vector<std::string> Parts;
-    for (const auto &Elem : Elems)
-      Parts.push_back(Elem->str());
-    return "[" + join(Parts, "; ") + "]";
-  }
-  case Kind::Cons: {
-    std::string HeadStr = Head->str();
-    if (Head->kind() == Kind::Cons)
-      HeadStr = "(" + HeadStr + ")";
-    return HeadStr + " :: " + Tail->str();
-  }
-  case Kind::Constr: {
-    if (!Arg)
-      return Name;
-    std::string ArgStr = Arg->str();
-    bool NeedParens = Arg->kind() == Kind::Cons || Arg->kind() == Kind::Constr;
-    if (NeedParens)
-      ArgStr = "(" + ArgStr + ")";
-    return Name + " " + ArgStr;
-  }
-  }
-  return "<pattern>";
-}
-
 PatternPtr caml::makeWildPattern() {
   return std::make_unique<Pattern>(Pattern::Kind::Wild);
 }
@@ -227,10 +181,13 @@ ExprPtr Expr::clone() const {
   Copy->IsRec = IsRec;
   if (Binding)
     Copy->Binding = Binding->clone();
+  Copy->Params.reserve(Params.size());
   for (const auto &Param : Params)
     Copy->Params.push_back(Param->clone());
+  Copy->Children.reserve(Children.size());
   for (const auto &Child : Children)
     Copy->Children.push_back(Child->clone());
+  Copy->ArmPats.reserve(ArmPats.size());
   for (const auto &Pat : ArmPats)
     Copy->ArmPats.push_back(Pat->clone());
   Copy->FieldNames = FieldNames;
@@ -346,9 +303,9 @@ ExprPtr caml::makeFun(std::vector<PatternPtr> Params, ExprPtr Body) {
 ExprPtr caml::makeApp(ExprPtr Callee, std::vector<ExprPtr> Args) {
   assert(!Args.empty() && "application with no arguments");
   auto E = std::make_unique<Expr>(Expr::Kind::App);
-  E->Children.push_back(std::move(Callee));
-  for (auto &Arg : Args)
-    E->Children.push_back(std::move(Arg));
+  // The arguments' vector becomes the child vector, the callee in front.
+  Args.insert(Args.begin(), std::move(Callee));
+  E->Children = std::move(Args);
   return E;
 }
 
@@ -359,6 +316,7 @@ ExprPtr caml::makeLet(bool IsRec, PatternPtr Binding,
   E->IsRec = IsRec;
   E->Binding = std::move(Binding);
   E->Params = std::move(Params);
+  E->Children.reserve(2);
   E->Children.push_back(std::move(Rhs));
   E->Children.push_back(std::move(Body));
   return E;
@@ -366,6 +324,7 @@ ExprPtr caml::makeLet(bool IsRec, PatternPtr Binding,
 
 ExprPtr caml::makeIf(ExprPtr Cond, ExprPtr Then, ExprPtr Else) {
   auto E = std::make_unique<Expr>(Expr::Kind::If);
+  E->Children.reserve(Else ? 3 : 2);
   E->Children.push_back(std::move(Cond));
   E->Children.push_back(std::move(Then));
   if (Else)
@@ -388,6 +347,7 @@ ExprPtr caml::makeList(std::vector<ExprPtr> Elems) {
 
 ExprPtr caml::makeCons(ExprPtr Head, ExprPtr Tail) {
   auto E = std::make_unique<Expr>(Expr::Kind::Cons);
+  E->Children.reserve(2);
   E->Children.push_back(std::move(Head));
   E->Children.push_back(std::move(Tail));
   return E;
@@ -396,6 +356,7 @@ ExprPtr caml::makeCons(ExprPtr Head, ExprPtr Tail) {
 ExprPtr caml::makeBinOp(const std::string &Op, ExprPtr Lhs, ExprPtr Rhs) {
   auto E = std::make_unique<Expr>(Expr::Kind::BinOp);
   E->Name = Op;
+  E->Children.reserve(2);
   E->Children.push_back(std::move(Lhs));
   E->Children.push_back(std::move(Rhs));
   return E;
@@ -411,6 +372,8 @@ ExprPtr caml::makeUnaryOp(const std::string &Op, ExprPtr Operand) {
 ExprPtr caml::makeMatch(ExprPtr Scrutinee, std::vector<MatchArm> Arms) {
   assert(!Arms.empty() && "match with no arms");
   auto E = std::make_unique<Expr>(Expr::Kind::Match);
+  E->Children.reserve(1 + Arms.size());
+  E->ArmPats.reserve(Arms.size());
   E->Children.push_back(std::move(Scrutinee));
   for (auto &Arm : Arms) {
     E->ArmPats.push_back(std::move(Arm.Pat));
@@ -429,6 +392,7 @@ ExprPtr caml::makeConstr(const std::string &Name, ExprPtr Arg) {
 
 ExprPtr caml::makeSeq(ExprPtr First, ExprPtr Second) {
   auto E = std::make_unique<Expr>(Expr::Kind::Seq);
+  E->Children.reserve(2);
   E->Children.push_back(std::move(First));
   E->Children.push_back(std::move(Second));
   return E;
@@ -451,6 +415,7 @@ ExprPtr caml::makeSetField(ExprPtr Rec, const std::string &Field,
                            ExprPtr Value) {
   auto E = std::make_unique<Expr>(Expr::Kind::SetField);
   E->Name = Field;
+  E->Children.reserve(2);
   E->Children.push_back(std::move(Rec));
   E->Children.push_back(std::move(Value));
   return E;
@@ -459,6 +424,8 @@ ExprPtr caml::makeSetField(ExprPtr Rec, const std::string &Field,
 ExprPtr caml::makeRecord(std::vector<RecordField> Fields) {
   assert(!Fields.empty() && "record literal with no fields");
   auto E = std::make_unique<Expr>(Expr::Kind::Record);
+  E->FieldNames.reserve(Fields.size());
+  E->Children.reserve(Fields.size());
   for (auto &Field : Fields) {
     E->FieldNames.push_back(Field.Name);
     E->Children.push_back(std::move(Field.Value));
@@ -476,6 +443,30 @@ ExprPtr caml::makeAdapt(ExprPtr Inner) {
   return E;
 }
 
+const BinaryOperator *caml::findBinaryOperator(std::string_view Spelling) {
+  static constexpr BinaryOperator Operators[] = {
+      {":=", LevelAssign, true},   {"||", LevelOr, false},
+      {"&&", LevelAnd, false},     {"=", LevelCompare, false},
+      {"==", LevelCompare, false}, {"<>", LevelCompare, false},
+      {"<", LevelCompare, false},  {">", LevelCompare, false},
+      {"<=", LevelCompare, false}, {">=", LevelCompare, false},
+      {"^", LevelConcat, true},    {"@", LevelConcat, true},
+      {"::", LevelCons, true},     {"+", LevelAdd, false},
+      {"-", LevelAdd, false},      {"*", LevelMul, false},
+      {"/", LevelMul, false},
+  };
+  // Every operator is one or two characters and starts with one of these,
+  // so most other tokens are told apart without a scan.
+  if (Spelling.empty() || Spelling.size() > 2 ||
+      std::string_view(":|&=<>^@+-*/").find(Spelling[0]) ==
+          std::string_view::npos)
+    return nullptr;
+  for (const BinaryOperator &Op : Operators)
+    if (Op.Spelling == Spelling)
+      return &Op;
+  return nullptr;
+}
+
 //===----------------------------------------------------------------------===//
 // Type expressions
 //===----------------------------------------------------------------------===//
@@ -484,6 +475,7 @@ TypeExprPtr TypeExpr::clone() const {
   auto Copy = std::make_unique<TypeExpr>();
   Copy->TheKind = TheKind;
   Copy->Name = Name;
+  Copy->Args.reserve(Args.size());
   for (const auto &Arg : Args)
     Copy->Args.push_back(Arg->clone());
   return Copy;
@@ -497,44 +489,6 @@ bool TypeExpr::equals(const TypeExpr &Other) const {
     if (!Args[I]->equals(*Other.Args[I]))
       return false;
   return true;
-}
-
-std::string TypeExpr::str() const {
-  switch (TheKind) {
-  case Kind::Var:
-    return "'" + Name;
-  case Kind::Name: {
-    if (Args.empty())
-      return Name;
-    if (Args.size() == 1) {
-      std::string Arg = Args[0]->str();
-      if (Args[0]->TheKind == Kind::Arrow || Args[0]->TheKind == Kind::Tuple)
-        Arg = "(" + Arg + ")";
-      return Arg + " " + Name;
-    }
-    std::vector<std::string> Parts;
-    for (const auto &Arg : Args)
-      Parts.push_back(Arg->str());
-    return "(" + join(Parts, ", ") + ") " + Name;
-  }
-  case Kind::Arrow: {
-    std::string From = Args[0]->str();
-    if (Args[0]->TheKind == Kind::Arrow)
-      From = "(" + From + ")";
-    return From + " -> " + Args[1]->str();
-  }
-  case Kind::Tuple: {
-    std::vector<std::string> Parts;
-    for (const auto &Arg : Args) {
-      std::string Part = Arg->str();
-      if (Arg->TheKind == Kind::Arrow || Arg->TheKind == Kind::Tuple)
-        Part = "(" + Part + ")";
-      Parts.push_back(Part);
-    }
-    return join(Parts, " * ");
-  }
-  }
-  return "<type>";
 }
 
 TypeExprPtr caml::makeTypeVarExpr(const std::string &Name) {
@@ -556,6 +510,7 @@ TypeExprPtr caml::makeTypeNameExpr(const std::string &Name,
 TypeExprPtr caml::makeArrowTypeExpr(TypeExprPtr From, TypeExprPtr To) {
   auto T = std::make_unique<TypeExpr>();
   T->TheKind = TypeExpr::Kind::Arrow;
+  T->Args.reserve(2);
   T->Args.push_back(std::move(From));
   T->Args.push_back(std::move(To));
   return T;
@@ -578,6 +533,7 @@ std::shared_ptr<Decl> Decl::clone() const {
   Copy->IsRec = IsRec;
   if (Binding)
     Copy->Binding = Binding->clone();
+  Copy->Params.reserve(Params.size());
   for (const auto &Param : Params)
     Copy->Params.push_back(Param->clone());
   if (Rhs)
@@ -585,6 +541,7 @@ std::shared_ptr<Decl> Decl::clone() const {
   Copy->TypeName = TypeName;
   Copy->TypeParams = TypeParams;
   Copy->IsRecord = IsRecord;
+  Copy->Cases.reserve(Cases.size());
   for (const auto &Case : Cases) {
     VariantCase C;
     C.Name = Case.Name;
@@ -592,6 +549,7 @@ std::shared_ptr<Decl> Decl::clone() const {
       C.ArgType = Case.ArgType->clone();
     Copy->Cases.push_back(std::move(C));
   }
+  Copy->Fields.reserve(Fields.size());
   for (const auto &Field : Fields) {
     RecordFieldDecl F;
     F.Name = Field.Name;

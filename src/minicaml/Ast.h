@@ -29,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace seminal {
@@ -83,7 +84,8 @@ public:
   /// Collects all variable names bound by this pattern, in source order.
   void boundVars(std::vector<std::string> &Out) const;
 
-  /// Renders the pattern in concrete syntax (used by messages and tests).
+  /// Renders the pattern in concrete syntax (used by messages and tests),
+  /// with the printer's emitters (Printer.cpp).
   std::string str() const;
 
 private:
@@ -182,7 +184,13 @@ public:
   //   literals / Var / Wildcard: []
 
   unsigned numChildren() const { return unsigned(Children.size()); }
-  Expr *child(unsigned I) const {
+  Expr *child(unsigned I) {
+    assert(I < Children.size() && "child index out of range");
+    return Children[I].get();
+  }
+  /// A const node's children are const too: programs share their
+  /// declarations, so a tree reached through const may be another's.
+  const Expr *child(unsigned I) const {
     assert(I < Children.size() && "child index out of range");
     return Children[I].get();
   }
@@ -233,6 +241,31 @@ ExprPtr makeRecord(std::vector<RecordField> Fields);
 ExprPtr makeWildcard();
 ExprPtr makeAdapt(ExprPtr Inner);
 
+/// The binary operators' precedence levels, loosest first, as in OCaml.
+enum OperatorLevel : int {
+  LevelAssign,  // :=
+  LevelOr,      // ||
+  LevelAnd,     // &&
+  LevelCompare, // = == <> < > <= >=
+  LevelConcat,  // ^ @
+  LevelCons,    // ::
+  LevelAdd,     // + -
+  LevelMul,     // * /
+  NumOperatorLevels,
+};
+
+/// A binary operator: the parser reads its level and associativity by the
+/// token's spelling, the printer by a BinOp node's Name.
+struct BinaryOperator {
+  std::string_view Spelling;
+  OperatorLevel Level;
+  bool RightAssoc;
+};
+
+/// \returns the binary operator spelled \p Spelling, `::` and `:=`
+/// included, or null for any other spelling.
+const BinaryOperator *findBinaryOperator(std::string_view Spelling);
+
 //===----------------------------------------------------------------------===//
 // Type expressions (syntax only; semantic types live in Types.h)
 //===----------------------------------------------------------------------===//
@@ -251,6 +284,8 @@ struct TypeExpr {
 
   std::unique_ptr<TypeExpr> clone() const;
   bool equals(const TypeExpr &Other) const;
+  /// Renders the type in concrete syntax, with the printer's emitters
+  /// (Printer.cpp).
   std::string str() const;
 };
 using TypeExprPtr = std::unique_ptr<TypeExpr>;

@@ -72,6 +72,12 @@ private:
     Nesting(const Nesting &) = delete;
     Nesting &operator=(const Nesting &) = delete;
 
+    /// Leaves every level this object entered.
+    void release() {
+      P.Depth -= Levels;
+      Levels = 0;
+    }
+
     /// Enters one more level. \returns false, with a syntax error, past
     /// MaxNestingDepth.
     bool deeper() {
@@ -107,13 +113,8 @@ private:
   ExprPtr parseExpr();       // seq level: e1; e2
   ExprPtr parseTupleExpr();  // e1, e2, ...
   ExprPtr parseAssignExpr(); // := and <- (right associative)
-  ExprPtr parseOrExpr();
-  ExprPtr parseAndExpr();
-  ExprPtr parseCmpExpr();
-  ExprPtr parseConcatExpr(); // ^ and @ (right associative)
-  ExprPtr parseConsExpr();   // :: (right associative)
-  ExprPtr parseAddExpr();
-  ExprPtr parseMulExpr();
+  /// Binary operators of level \p MinLevel or tighter (OperatorLevel).
+  ExprPtr parseBinaryExpr(int MinLevel);
   ExprPtr parseUnaryExpr();
   ExprPtr parseAppExpr();
   ExprPtr parsePostfixExpr(); // field access
@@ -122,6 +123,10 @@ private:
   bool startsKeywordForm() const;
   bool startsAtom() const;
 
+  /// Parses a function's parameters up to \p End. Each after the first
+  /// enters a level of \p Levels, which the caller holds while the body
+  /// parses.
+  std::vector<PatternPtr> parseParams(TK End, Nesting &Levels);
   PatternPtr parsePattern();       // tuple level
   PatternPtr parseConsPattern();   // p :: p
   PatternPtr parseSimplePattern(); // atoms and constructor application
@@ -138,6 +143,12 @@ private:
   bool Failed = false;
   ParseError Error{SourceLoc(), ""};
 };
+
+/// \returns the binary operator \p T spells, or null. A string literal's
+/// Text is its contents, which may spell one.
+const BinaryOperator *binaryOperator(const Token &T) {
+  return T.is(TK::StringLit) ? nullptr : findBinaryOperator(T.Text);
+}
 
 bool isAtomStart(const Token &T) {
   switch (T.TheKind) {
@@ -167,7 +178,7 @@ ParseResult ParserImpl::parseProgram() {
   Program Prog;
   while (!check(TK::Eof) && !Failed) {
     if (check(TK::Error)) {
-      fail(peek().Text);
+      fail(std::string(peek().Text));
       break;
     }
     if (accept(TK::SemiSemi))
@@ -208,7 +219,7 @@ DeclPtr ParserImpl::parseTypeDecl() {
       fail("expected a type variable name after '");
       return nullptr;
     }
-    D->TypeParams.push_back(advance().Text);
+    D->TypeParams.emplace_back(advance().Text);
   } else if (check(TK::LParen) && peek(1).is(TK::Quote)) {
     advance(); // (
     while (true) {
@@ -219,7 +230,7 @@ DeclPtr ParserImpl::parseTypeDecl() {
         fail("expected a type variable name after '");
         return nullptr;
       }
-      D->TypeParams.push_back(advance().Text);
+      D->TypeParams.emplace_back(advance().Text);
       if (!accept(TK::Comma))
         break;
     }
@@ -315,15 +326,8 @@ DeclPtr ParserImpl::parseLetDecl() {
     return nullptr;
   // Function sugar: let f p1 ... pn = rhs.
   Nesting Levels(*this);
-  if (D->Binding->kind() == Pattern::Kind::Var) {
-    while (!check(TK::Eq) && !Failed) {
-      if (!D->Params.empty() && !Levels.deeper())
-        return nullptr;
-      D->Params.push_back(parseAtomPattern());
-      if (Failed)
-        return nullptr;
-    }
-  }
+  if (D->Binding->kind() == Pattern::Kind::Var)
+    D->Params = parseParams(TK::Eq, Levels);
   expect(TK::Eq, "'=' in let binding");
   D->Rhs = parseExpr();
   if (Failed)
@@ -398,7 +402,7 @@ ExprPtr ParserImpl::parseAssignExpr() {
   if (Failed)
     return nullptr;
   SourceLoc Start = peek().Loc;
-  ExprPtr Lhs = parseOrExpr();
+  ExprPtr Lhs = parseBinaryExpr(LevelOr);
   if (Failed)
     return nullptr;
   Nesting Level(*this);
@@ -433,170 +437,43 @@ ExprPtr ParserImpl::parseAssignExpr() {
   return Lhs;
 }
 
-ExprPtr ParserImpl::parseOrExpr() {
-  if (Failed)
-    return nullptr;
-  SourceLoc Start = peek().Loc;
-  ExprPtr Lhs = parseAndExpr();
-  Nesting Levels(*this);
-  while (!Failed && accept(TK::OrOr)) {
-    if (!Levels.deeper())
-      return nullptr;
-    ExprPtr Rhs = parseAndExpr();
-    if (Failed)
-      return nullptr;
-    Lhs = makeBinOp("||", std::move(Lhs), std::move(Rhs));
-    setSpan(Lhs.get(), Start);
-  }
-  return Lhs;
-}
-
-ExprPtr ParserImpl::parseAndExpr() {
-  if (Failed)
-    return nullptr;
-  SourceLoc Start = peek().Loc;
-  ExprPtr Lhs = parseCmpExpr();
-  Nesting Levels(*this);
-  while (!Failed && accept(TK::AndAnd)) {
-    if (!Levels.deeper())
-      return nullptr;
-    ExprPtr Rhs = parseCmpExpr();
-    if (Failed)
-      return nullptr;
-    Lhs = makeBinOp("&&", std::move(Lhs), std::move(Rhs));
-    setSpan(Lhs.get(), Start);
-  }
-  return Lhs;
-}
-
-ExprPtr ParserImpl::parseCmpExpr() {
-  if (Failed)
-    return nullptr;
-  SourceLoc Start = peek().Loc;
-  ExprPtr Lhs = parseConcatExpr();
-  Nesting Levels(*this);
-  while (!Failed) {
-    std::string Op;
-    if (check(TK::Eq))
-      Op = "=";
-    else if (check(TK::EqEq))
-      Op = "==";
-    else if (check(TK::NotEq))
-      Op = "<>";
-    else if (check(TK::Lt))
-      Op = "<";
-    else if (check(TK::Gt))
-      Op = ">";
-    else if (check(TK::Le))
-      Op = "<=";
-    else if (check(TK::Ge))
-      Op = ">=";
-    else
-      break;
-    advance();
-    if (!Levels.deeper())
-      return nullptr;
-    ExprPtr Rhs = parseConcatExpr();
-    if (Failed)
-      return nullptr;
-    Lhs = makeBinOp(Op, std::move(Lhs), std::move(Rhs));
-    setSpan(Lhs.get(), Start);
-  }
-  return Lhs;
-}
-
-ExprPtr ParserImpl::parseConcatExpr() {
-  if (Failed)
-    return nullptr;
-  SourceLoc Start = peek().Loc;
-  ExprPtr Lhs = parseConsExpr();
-  if (Failed)
-    return nullptr;
-  std::string Op;
-  if (check(TK::Caret))
-    Op = "^";
-  else if (check(TK::At))
-    Op = "@";
-  else
-    return Lhs;
-  advance();
-  Nesting Level(*this);
-  if (!Level.deeper())
-    return nullptr;
-  ExprPtr Rhs = parseConcatExpr(); // right associative
-  if (Failed)
-    return nullptr;
-  ExprPtr E = makeBinOp(Op, std::move(Lhs), std::move(Rhs));
-  setSpan(E.get(), Start);
-  return E;
-}
-
-ExprPtr ParserImpl::parseConsExpr() {
-  if (Failed)
-    return nullptr;
-  SourceLoc Start = peek().Loc;
-  ExprPtr Head = parseAddExpr();
-  if (Failed || !check(TK::ColonColon))
-    return Head;
-  advance();
-  Nesting Level(*this);
-  if (!Level.deeper())
-    return nullptr;
-  ExprPtr Tail = parseConsExpr(); // right associative
-  if (Failed)
-    return nullptr;
-  ExprPtr E = makeCons(std::move(Head), std::move(Tail));
-  setSpan(E.get(), Start);
-  return E;
-}
-
-ExprPtr ParserImpl::parseAddExpr() {
-  if (Failed)
-    return nullptr;
-  SourceLoc Start = peek().Loc;
-  ExprPtr Lhs = parseMulExpr();
-  Nesting Levels(*this);
-  while (!Failed) {
-    std::string Op;
-    if (check(TK::Plus))
-      Op = "+";
-    else if (check(TK::Minus))
-      Op = "-";
-    else
-      break;
-    advance();
-    if (!Levels.deeper())
-      return nullptr;
-    ExprPtr Rhs = parseMulExpr();
-    if (Failed)
-      return nullptr;
-    Lhs = makeBinOp(Op, std::move(Lhs), std::move(Rhs));
-    setSpan(Lhs.get(), Start);
-  }
-  return Lhs;
-}
-
-ExprPtr ParserImpl::parseMulExpr() {
+ExprPtr ParserImpl::parseBinaryExpr(int MinLevel) {
   if (Failed)
     return nullptr;
   SourceLoc Start = peek().Loc;
   ExprPtr Lhs = parseUnaryExpr();
-  Nesting Levels(*this);
+  // One call meets its operators loosest-last: a tighter one belongs to a
+  // right operand's call. Each operator round enters a level that is
+  // held while the chain's later operands parse, and a looser operator
+  // releases the tighter rounds before it, so the count is what a
+  // production per level, each holding its own rounds until it
+  // returned, would hold.
+  Nesting Rounds(*this);
+  int Current = NumOperatorLevels;
   while (!Failed) {
-    std::string Op;
-    if (check(TK::Star))
-      Op = "*";
-    else if (check(TK::Slash))
-      Op = "/";
-    else
+    const Token &Op = peek();
+    const BinaryOperator *Info = binaryOperator(Op);
+    // `:=`, the loosest, is parseAssignExpr's.
+    if (!Info || Info->Level < MinLevel)
       break;
+    const int Level = Info->Level;
     advance();
-    if (!Levels.deeper())
+    if (Level < Current) {
+      Rounds.release();
+      Current = Level;
+    }
+    if (!Rounds.deeper())
       return nullptr;
-    ExprPtr Rhs = parseUnaryExpr();
+    // A right-associative operator's right operand takes the rest of its
+    // chain; a left-associative one's stops at the next operator of its
+    // level.
+    ExprPtr Rhs = parseBinaryExpr(Info->RightAssoc ? Level : Level + 1);
     if (Failed)
       return nullptr;
-    Lhs = makeBinOp(Op, std::move(Lhs), std::move(Rhs));
+    if (Level == LevelCons)
+      Lhs = makeCons(std::move(Lhs), std::move(Rhs));
+    else
+      Lhs = makeBinOp(std::string(Op.Text), std::move(Lhs), std::move(Rhs));
     setSpan(Lhs.get(), Start);
   }
   return Lhs;
@@ -686,7 +563,7 @@ ExprPtr ParserImpl::parsePostfixExpr() {
       fail("expected a field name after '.'");
       return nullptr;
     }
-    std::string Field = advance().Text;
+    std::string Field(advance().Text);
     E = makeFieldAccess(std::move(E), Field);
     setSpan(E.get(), Start);
   }
@@ -696,13 +573,8 @@ ExprPtr ParserImpl::parsePostfixExpr() {
 ExprPtr ParserImpl::parseKeywordForm() {
   SourceLoc Start = peek().Loc;
   if (accept(TK::KwFun)) {
-    std::vector<PatternPtr> Params;
     Nesting Levels(*this);
-    while (!check(TK::Arrow) && !Failed) {
-      if (!Params.empty() && !Levels.deeper())
-        return nullptr;
-      Params.push_back(parseAtomPattern());
-    }
+    std::vector<PatternPtr> Params = parseParams(TK::Arrow, Levels);
     if (Params.empty())
       fail("'fun' requires at least one parameter");
     expect(TK::Arrow, "'->' after fun parameters");
@@ -755,13 +627,8 @@ ExprPtr ParserImpl::parseKeywordForm() {
       return nullptr;
     std::vector<PatternPtr> Params;
     Nesting Levels(*this);
-    if (Binding->kind() == Pattern::Kind::Var) {
-      while (!check(TK::Eq) && !Failed) {
-        if (!Params.empty() && !Levels.deeper())
-          return nullptr;
-        Params.push_back(parseAtomPattern());
-      }
-    }
+    if (Binding->kind() == Pattern::Kind::Var)
+      Params = parseParams(TK::Eq, Levels);
     expect(TK::Eq, "'=' in let binding");
     ExprPtr Rhs = parseExpr();
     expect(TK::KwIn, "'in' after let binding");
@@ -802,7 +669,7 @@ ExprPtr ParserImpl::parseAtomExpr() {
     return E;
   }
   case TK::StringLit: {
-    ExprPtr E = makeStringLit(advance().Text);
+    ExprPtr E = makeStringLit(decodeStringLiteral(advance().Text));
     setSpan(E.get(), Start);
     return E;
   }
@@ -813,7 +680,7 @@ ExprPtr ParserImpl::parseAtomExpr() {
     return E;
   }
   case TK::LowerIdent: {
-    std::string Name = advance().Text;
+    std::string Name(advance().Text);
     // Module paths: List.map lexes as ident-dot-ident but Name should be
     // the qualified form -- except our LowerIdent can't start a path in
     // mini-Caml (modules are capitalized), so plain variable.
@@ -822,11 +689,12 @@ ExprPtr ParserImpl::parseAtomExpr() {
     return E;
   }
   case TK::UpperIdent: {
-    std::string Name = advance().Text;
+    std::string Name(advance().Text);
     // Qualified name (module access): List.map, String.length.
     if (check(TK::Dot) && peek(1).is(TK::LowerIdent)) {
       advance(); // .
-      Name += "." + advance().Text;
+      Name += '.';
+      Name += advance().Text;
       ExprPtr E = makeVar(Name);
       setSpan(E.get(), Start);
       return E;
@@ -917,6 +785,16 @@ ExprPtr ParserImpl::parseAtomExpr() {
 // Patterns
 //===----------------------------------------------------------------------===//
 
+std::vector<PatternPtr> ParserImpl::parseParams(TK End, Nesting &Levels) {
+  std::vector<PatternPtr> Params;
+  while (!check(End) && !Failed) {
+    if (!Params.empty() && !Levels.deeper())
+      break;
+    Params.push_back(parseAtomPattern());
+  }
+  return Params;
+}
+
 PatternPtr ParserImpl::parsePattern() {
   // Every parenthesized pattern is parsed from here.
   Nesting Level(*this);
@@ -962,7 +840,7 @@ PatternPtr ParserImpl::parseSimplePattern() {
     return nullptr;
   SourceLoc Start = peek().Loc;
   if (check(TK::UpperIdent)) {
-    std::string Name = advance().Text;
+    std::string Name(advance().Text);
     PatternPtr Arg;
     if (isAtomStart(peek()) || check(TK::Underscore))
       Arg = parseAtomPattern();
@@ -987,12 +865,13 @@ PatternPtr ParserImpl::parseAtomPattern() {
     return P;
   }
   case TK::LowerIdent: {
-    PatternPtr P = makeVarPattern(advance().Text);
+    PatternPtr P = makeVarPattern(std::string(advance().Text));
     setSpan(P.get(), Start);
     return P;
   }
   case TK::UpperIdent: {
-    PatternPtr P = makeConstrPattern(advance().Text, nullptr);
+    PatternPtr P =
+        makeConstrPattern(std::string(advance().Text), nullptr);
     setSpan(P.get(), Start);
     return P;
   }
@@ -1012,7 +891,7 @@ PatternPtr ParserImpl::parseAtomPattern() {
     return P;
   }
   case TK::StringLit: {
-    PatternPtr P = makeStringPattern(advance().Text);
+    PatternPtr P = makeStringPattern(decodeStringLiteral(advance().Text));
     setSpan(P.get(), Start);
     return P;
   }
@@ -1106,7 +985,7 @@ TypeExprPtr ParserImpl::parsePostfixTypeExpr() {
   while (!Failed && check(TK::LowerIdent)) {
     if (!Levels.deeper())
       return nullptr;
-    std::string Name = advance().Text;
+    std::string Name(advance().Text);
     std::vector<TypeExprPtr> Args;
     Args.push_back(std::move(T));
     T = makeTypeNameExpr(Name, std::move(Args));
@@ -1122,10 +1001,10 @@ TypeExprPtr ParserImpl::parseAtomTypeExpr() {
       fail("expected a type variable name after '");
       return nullptr;
     }
-    return makeTypeVarExpr(advance().Text);
+    return makeTypeVarExpr(std::string(advance().Text));
   }
   if (check(TK::LowerIdent))
-    return makeTypeNameExpr(advance().Text, {});
+    return makeTypeNameExpr(std::string(advance().Text), {});
   if (accept(TK::LParen)) {
     TypeExprPtr First = parseTypeExpr();
     if (Failed)
@@ -1146,7 +1025,7 @@ TypeExprPtr ParserImpl::parseAtomTypeExpr() {
         fail("expected a type constructor after ')'");
         return nullptr;
       }
-      return makeTypeNameExpr(advance().Text, std::move(Args));
+      return makeTypeNameExpr(std::string(advance().Text), std::move(Args));
     }
     expect(TK::RParen, "')' in type");
     if (Failed)

@@ -31,14 +31,16 @@ namespace caml {
 /// (a parenthesized or bracketed expression, a keyword form's branch or
 /// body, a right-associative operator, a prefix operator or `raise`, a
 /// nested pattern or type), each round of a left-associative operator
-/// loop (`1 + 1 + ...`, field accesses) and each parameter of a function
-/// or argument of an application after the first (each an arrow in its
-/// type) is one level; deeper input is a syntax error. The bound keeps
-/// the parser's recursion, and the passes that walk the trees it builds
-/// and their types (inference, the search, destruction), within the
-/// 8 MiB stack of a daemon shard worker in the ASan+UBSan build, the one
-/// with the largest frames: there, nested parentheses overflow between
-/// 800 and 900 levels. Corpus programs nest fewer than 10.
+/// (`1 + 1 + ...`, field accesses), held until a looser operator ends
+/// its chain, and each parameter of a function or argument of an
+/// application after the first (each an arrow in its type) is one level;
+/// deeper input is a syntax error. The bound keeps the parser's
+/// recursion, and the passes that walk the trees it builds and their
+/// types (inference, the search, destruction), within the 8 MiB stack of
+/// a daemon shard worker in the ASan+UBSan build, the one with the
+/// largest frames. There the parser takes 7.5 KB of stack per
+/// parenthesis level, the deepest shape (DESIGN.md section 13). Corpus
+/// programs nest fewer than 10.
 constexpr unsigned MaxNestingDepth = 500;
 
 /// A fatal syntax error. The search procedure only runs on files that

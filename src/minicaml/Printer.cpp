@@ -4,277 +4,461 @@
 
 #include "support/StrUtil.h"
 
-#include <cassert>
-#include <sstream>
+#include <charconv>
 
 using namespace seminal;
 using namespace seminal::caml;
 
 namespace {
 
-/// Precedence levels, mirroring Parser.cpp. Higher binds tighter.
+/// Precedence levels. Higher binds tighter; a binary operator's is
+/// PrecBinary plus its OperatorLevel (Ast.h), which the parser reads too.
 enum Prec : int {
   PrecSeq = 0,
   PrecKeyword = 1, // fun/if/match/let-in/raise bodies extend right
   PrecTuple = 2,
-  PrecAssign = 3,
-  PrecOr = 4,
-  PrecAnd = 5,
-  PrecCmp = 6,
-  PrecConcat = 7,
-  PrecCons = 8,
-  PrecAdd = 9,
-  PrecMul = 10,
-  PrecUnary = 11,
-  PrecApp = 12,
-  PrecField = 13,
-  PrecAtom = 14,
+  PrecBinary = 3,
+  PrecAssign = PrecBinary + LevelAssign,
+  PrecCons = PrecBinary + LevelCons,
+  PrecUnary = PrecBinary + NumOperatorLevels,
+  PrecApp,
+  PrecField,
+  PrecAtom,
 };
 
-int binOpPrec(const std::string &Op) {
-  if (Op == ":=")
-    return PrecAssign;
-  if (Op == "||")
-    return PrecOr;
-  if (Op == "&&")
-    return PrecAnd;
-  if (Op == "=" || Op == "==" || Op == "<>" || Op == "<" || Op == ">" ||
-      Op == "<=" || Op == ">=")
-    return PrecCmp;
-  if (Op == "^" || Op == "@")
-    return PrecConcat;
-  if (Op == "+" || Op == "-")
-    return PrecAdd;
-  if (Op == "*" || Op == "/")
-    return PrecMul;
-  return PrecCmp;
-}
+/// The printer's emitters: each appends one node's concrete syntax to the
+/// one output string, so a whole declaration prints into one buffer.
+class Emitter {
+public:
+  explicit Emitter(std::string &Out) : Out(Out) {}
 
-/// Prints \p E; wraps in parentheses if its natural precedence is lower
-/// than \p MinPrec.
-std::string print(const Expr &E, int MinPrec);
+  /// Emits \p E, in parentheses if its own precedence is lower than
+  /// \p MinPrec.
+  void expr(const Expr &E, int MinPrec);
+  void pattern(const Pattern &P);
+  void type(const TypeExpr &T);
+  void decl(const Decl &D);
 
-std::string maybeParen(const std::string &Text, int Prec, int MinPrec) {
-  if (Prec < MinPrec)
-    return "(" + Text + ")";
-  return Text;
-}
-
-std::string printParams(const std::vector<PatternPtr> &Params) {
-  std::vector<std::string> Parts;
-  for (const auto &Param : Params) {
-    std::string Text = Param->str();
-    // Non-atomic parameter patterns need parens: fun (x, y) -> ...
-    bool Atomic = Param->kind() == Pattern::Kind::Wild ||
-                  Param->kind() == Pattern::Kind::Var ||
-                  Param->kind() == Pattern::Kind::Unit ||
-                  Param->kind() == Pattern::Kind::Int ||
-                  Param->kind() == Pattern::Kind::Bool ||
-                  Param->kind() == Pattern::Kind::String ||
-                  Param->kind() == Pattern::Kind::List ||
-                  Param->kind() == Pattern::Kind::Tuple; // str() adds parens
-  if (!Atomic)
-      Text = "(" + Text + ")";
-    Parts.push_back(Text);
+private:
+  void integer(long Value) {
+    char Buf[24];
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Value).ptr);
   }
-  return join(Parts, " ");
+  void stringLiteral(const std::string &Value) {
+    Out += '"';
+    Out += escapeStringLiteral(Value);
+    Out += '"';
+  }
+  /// Emits each element of \p List with \p Each, \p Sep between them.
+  template <typename Elements, typename Fn>
+  void joined(const Elements &List, const char *Sep, Fn Each) {
+    for (size_t I = 0; I < List.size(); ++I) {
+      if (I > 0)
+        Out += Sep;
+      Each(List[I]);
+    }
+  }
+  void params(const std::vector<PatternPtr> &Params);
+  /// Emits \p P in parentheses when \p Paren holds.
+  void pattern(const Pattern &P, bool Paren) {
+    if (Paren)
+      Out += '(';
+    pattern(P);
+    if (Paren)
+      Out += ')';
+  }
+  /// Emits \p T in parentheses when it is an arrow, or when \p TupleToo
+  /// holds and it is a tuple.
+  void typeOperand(const TypeExpr &T, bool TupleToo);
+
+  std::string &Out;
+};
+
+void Emitter::params(const std::vector<PatternPtr> &Params) {
+  joined(Params, " ", [this](const PatternPtr &Param) {
+    // Non-atomic parameter patterns need parens: fun (x, y) -> ...
+    // (tuples and lists bracket themselves).
+    Pattern::Kind K = Param->kind();
+    bool Atomic = K == Pattern::Kind::Wild || K == Pattern::Kind::Var ||
+                  K == Pattern::Kind::Unit || K == Pattern::Kind::Int ||
+                  K == Pattern::Kind::Bool || K == Pattern::Kind::String ||
+                  K == Pattern::Kind::List || K == Pattern::Kind::Tuple;
+    pattern(*Param, !Atomic);
+  });
 }
 
-std::string print(const Expr &E, int MinPrec) {
+void Emitter::expr(const Expr &E, int MinPrec) {
+  // The node's own precedence; atoms never need parentheses.
+  int Own = PrecAtom;
+  const BinaryOperator *Op = nullptr; // A BinOp's.
   switch (E.kind()) {
   case Expr::Kind::IntLit:
     if (E.IntValue < 0)
-      return maybeParen(std::to_string(E.IntValue), PrecUnary, MinPrec);
-    return std::to_string(E.IntValue);
-  case Expr::Kind::BoolLit:
-    return E.BoolValue ? "true" : "false";
-  case Expr::Kind::StringLit:
-    return "\"" + escapeStringLiteral(E.StringValue) + "\"";
-  case Expr::Kind::UnitLit:
-    return "()";
-  case Expr::Kind::Var:
-    return E.Name;
-  case Expr::Kind::Wildcard:
-    return "[[...]]";
+      Own = PrecUnary;
+    break;
   case Expr::Kind::Adapt:
-    return maybeParen("adapt " + print(*E.child(0), PrecField), PrecApp,
-                      MinPrec);
-  case Expr::Kind::Fun: {
-    std::string Text = "fun " + printParams(E.Params) + " -> " +
-                       print(*E.child(0), PrecKeyword);
-    return maybeParen(Text, PrecKeyword, MinPrec);
+  case Expr::Kind::App:
+  case Expr::Kind::Raise:
+    Own = PrecApp;
+    break;
+  case Expr::Kind::Constr:
+    if (!E.Children.empty())
+      Own = PrecApp;
+    break;
+  case Expr::Kind::Fun:
+  case Expr::Kind::Let:
+  case Expr::Kind::If:
+  case Expr::Kind::Match:
+    Own = PrecKeyword;
+    break;
+  case Expr::Kind::Cons:
+    Own = PrecCons;
+    break;
+  case Expr::Kind::BinOp:
+    Op = findBinaryOperator(E.Name);
+    Own = PrecBinary + int(Op ? Op->Level : LevelCompare);
+    break;
+  case Expr::Kind::UnaryOp:
+    Own = PrecUnary;
+    break;
+  case Expr::Kind::Seq:
+    Own = PrecSeq;
+    break;
+  case Expr::Kind::SetField:
+    Own = PrecAssign;
+    break;
+  default:
+    break;
   }
-  case Expr::Kind::App: {
-    std::vector<std::string> Parts;
-    Parts.push_back(print(*E.child(0), PrecField));
-    for (unsigned I = 1; I < E.numChildren(); ++I)
-      Parts.push_back(print(*E.child(I), PrecField));
-    return maybeParen(join(Parts, " "), PrecApp, MinPrec);
-  }
-  case Expr::Kind::Let: {
-    std::string Text = "let ";
-    if (E.IsRec)
-      Text += "rec ";
-    Text += E.Binding->str();
-    if (!E.Params.empty())
-      Text += " " + printParams(E.Params);
-    Text += " = " + print(*E.child(0), PrecKeyword);
-    Text += " in " + print(*E.child(1), PrecSeq);
-    return maybeParen(Text, PrecKeyword, MinPrec);
-  }
-  case Expr::Kind::If: {
-    std::string Text = "if " + print(*E.child(0), PrecKeyword) + " then " +
-                       print(*E.child(1), PrecTuple + 1);
-    if (E.numChildren() == 3)
-      Text += " else " + print(*E.child(2), PrecTuple + 1);
-    return maybeParen(Text, PrecKeyword, MinPrec);
-  }
-  case Expr::Kind::Tuple: {
-    std::vector<std::string> Parts;
-    for (const auto &Child : E.Children)
-      Parts.push_back(print(*Child, PrecAssign));
+  const bool Paren = Own < MinPrec;
+  if (Paren)
+    Out += '(';
+
+  switch (E.kind()) {
+  case Expr::Kind::IntLit:
+    integer(E.IntValue);
+    break;
+  case Expr::Kind::BoolLit:
+    Out += E.BoolValue ? "true" : "false";
+    break;
+  case Expr::Kind::StringLit:
+    stringLiteral(E.StringValue);
+    break;
+  case Expr::Kind::UnitLit:
+    Out += "()";
+    break;
+  case Expr::Kind::Var:
+    Out += E.Name;
+    break;
+  case Expr::Kind::Wildcard:
+    Out += "[[...]]";
+    break;
+  case Expr::Kind::Adapt:
+    Out += "adapt ";
+    expr(*E.child(0), PrecField);
+    break;
+  case Expr::Kind::Fun:
+    Out += "fun ";
+    params(E.Params);
+    Out += " -> ";
+    expr(*E.child(0), PrecKeyword);
+    break;
+  case Expr::Kind::App:
+    joined(E.Children, " ",
+           [this](const ExprPtr &C) { expr(*C, PrecField); });
+    break;
+  case Expr::Kind::Let:
+    Out += E.IsRec ? "let rec " : "let ";
+    pattern(*E.Binding);
+    if (!E.Params.empty()) {
+      Out += ' ';
+      params(E.Params);
+    }
+    Out += " = ";
+    expr(*E.child(0), PrecKeyword);
+    Out += " in ";
+    expr(*E.child(1), PrecSeq);
+    break;
+  case Expr::Kind::If:
+    Out += "if ";
+    expr(*E.child(0), PrecKeyword);
+    Out += " then ";
+    expr(*E.child(1), PrecTuple + 1);
+    if (E.numChildren() == 3) {
+      Out += " else ";
+      expr(*E.child(2), PrecTuple + 1);
+    }
+    break;
+  case Expr::Kind::Tuple:
     // Tuples are always printed with parentheses for readability; OCaml
     // programmers overwhelmingly write them that way.
-    return "(" + join(Parts, ", ") + ")";
-  }
-  case Expr::Kind::List: {
-    std::vector<std::string> Parts;
-    for (const auto &Child : E.Children)
-      Parts.push_back(print(*Child, PrecTuple));
-    return "[" + join(Parts, "; ") + "]";
-  }
-  case Expr::Kind::Cons: {
-    std::string Text = print(*E.child(0), PrecCons + 1) + " :: " +
-                       print(*E.child(1), PrecCons);
-    return maybeParen(Text, PrecCons, MinPrec);
-  }
+    Out += '(';
+    joined(E.Children, ", ",
+           [this](const ExprPtr &C) { expr(*C, PrecAssign); });
+    Out += ')';
+    break;
+  case Expr::Kind::List:
+    Out += '[';
+    joined(E.Children, "; ",
+           [this](const ExprPtr &C) { expr(*C, PrecTuple); });
+    Out += ']';
+    break;
+  case Expr::Kind::Cons:
+    expr(*E.child(0), PrecCons + 1);
+    Out += " :: ";
+    expr(*E.child(1), PrecCons);
+    break;
   case Expr::Kind::BinOp: {
-    int Prec = binOpPrec(E.Name);
-    bool RightAssoc = E.Name == ":=" || E.Name == "^" || E.Name == "@";
-    int LhsMin = RightAssoc ? Prec + 1 : Prec;
-    int RhsMin = RightAssoc ? Prec : Prec + 1;
-    std::string Text = print(*E.child(0), LhsMin) + " " + E.Name + " " +
-                       print(*E.child(1), RhsMin);
-    return maybeParen(Text, Prec, MinPrec);
+    const bool RightAssoc = Op && Op->RightAssoc;
+    expr(*E.child(0), RightAssoc ? Own + 1 : Own);
+    Out += ' ';
+    Out += E.Name;
+    Out += ' ';
+    expr(*E.child(1), RightAssoc ? Own : Own + 1);
+    break;
   }
-  case Expr::Kind::UnaryOp: {
-    std::string Text;
+  case Expr::Kind::UnaryOp:
+    Out += E.Name;
     if (E.Name == "not")
-      Text = "not " + print(*E.child(0), PrecUnary);
-    else
-      Text = E.Name + print(*E.child(0), PrecUnary);
-    return maybeParen(Text, PrecUnary, MinPrec);
-  }
-  case Expr::Kind::Match: {
-    std::ostringstream OS;
-    OS << "match " << print(*E.child(0), PrecKeyword) << " with ";
+      Out += ' ';
+    expr(*E.child(0), PrecUnary);
+    break;
+  case Expr::Kind::Match:
+    Out += "match ";
+    expr(*E.child(0), PrecKeyword);
+    Out += " with ";
     for (unsigned I = 1; I < E.numChildren(); ++I) {
       if (I > 1)
-        OS << " | ";
+        Out += " | ";
+      pattern(*E.ArmPats[I - 1]);
+      Out += " -> ";
       // A keyword form (match/fun/let/if) in a non-final arm body would
       // swallow the remaining arms when re-parsed; parenthesize it.
       bool LastArm = I + 1 == E.numChildren();
-      OS << E.ArmPats[I - 1]->str() << " -> "
-         << print(*E.child(I), LastArm ? PrecKeyword : PrecKeyword + 1);
+      expr(*E.child(I), LastArm ? PrecKeyword : PrecKeyword + 1);
     }
-    return maybeParen(OS.str(), PrecKeyword, MinPrec);
-  }
-  case Expr::Kind::Constr: {
-    if (E.Children.empty())
-      return E.Name;
-    std::string Text = E.Name + " " + print(*E.child(0), PrecField);
-    return maybeParen(Text, PrecApp, MinPrec);
-  }
-  case Expr::Kind::Seq: {
-    std::string Text =
-        print(*E.child(0), PrecTuple) + "; " + print(*E.child(1), PrecSeq);
-    return maybeParen(Text, PrecSeq, MinPrec);
-  }
-  case Expr::Kind::Raise: {
-    std::string Text = "raise " + print(*E.child(0), PrecField);
-    return maybeParen(Text, PrecApp, MinPrec);
-  }
+    break;
+  case Expr::Kind::Constr:
+    Out += E.Name;
+    if (!E.Children.empty()) {
+      Out += ' ';
+      expr(*E.child(0), PrecField);
+    }
+    break;
+  case Expr::Kind::Seq:
+    expr(*E.child(0), PrecTuple);
+    Out += "; ";
+    expr(*E.child(1), PrecSeq);
+    break;
+  case Expr::Kind::Raise:
+    Out += "raise ";
+    expr(*E.child(0), PrecField);
+    break;
   case Expr::Kind::Field:
-    return print(*E.child(0), PrecField) + "." + E.Name;
-  case Expr::Kind::SetField: {
-    std::string Text = print(*E.child(0), PrecField) + "." + E.Name + " <- " +
-                       print(*E.child(1), PrecAssign);
-    return maybeParen(Text, PrecAssign, MinPrec);
+    expr(*E.child(0), PrecField);
+    Out += '.';
+    Out += E.Name;
+    break;
+  case Expr::Kind::SetField:
+    expr(*E.child(0), PrecField);
+    Out += '.';
+    Out += E.Name;
+    Out += " <- ";
+    expr(*E.child(1), PrecAssign);
+    break;
+  case Expr::Kind::Record:
+    Out += "{ ";
+    for (unsigned I = 0; I < E.numChildren(); ++I) {
+      if (I > 0)
+        Out += "; ";
+      Out += E.FieldNames[I];
+      Out += " = ";
+      expr(*E.child(I), PrecTuple);
+    }
+    Out += " }";
+    break;
   }
-  case Expr::Kind::Record: {
-    std::vector<std::string> Parts;
-    for (unsigned I = 0; I < E.numChildren(); ++I)
-      Parts.push_back(E.FieldNames[I] + " = " + print(*E.child(I), PrecTuple));
-    return "{ " + join(Parts, "; ") + " }";
+
+  if (Paren)
+    Out += ')';
+}
+
+void Emitter::pattern(const Pattern &P) {
+  switch (P.kind()) {
+  case Pattern::Kind::Wild:
+    Out += '_';
+    return;
+  case Pattern::Kind::Var:
+    Out += P.Name;
+    return;
+  case Pattern::Kind::Int:
+    integer(P.IntValue);
+    return;
+  case Pattern::Kind::Bool:
+    Out += P.BoolValue ? "true" : "false";
+    return;
+  case Pattern::Kind::String:
+    stringLiteral(P.StringValue);
+    return;
+  case Pattern::Kind::Unit:
+    Out += "()";
+    return;
+  case Pattern::Kind::Tuple:
+  case Pattern::Kind::List: {
+    const bool Tuple = P.kind() == Pattern::Kind::Tuple;
+    Out += Tuple ? '(' : '[';
+    joined(P.Elems, Tuple ? ", " : "; ",
+           [this](const PatternPtr &Elem) { pattern(*Elem); });
+    Out += Tuple ? ')' : ']';
+    return;
   }
+  case Pattern::Kind::Cons:
+    pattern(*P.Head, P.Head->kind() == Pattern::Kind::Cons);
+    Out += " :: ";
+    pattern(*P.Tail);
+    return;
+  case Pattern::Kind::Constr:
+    Out += P.Name;
+    if (P.Arg) {
+      Out += ' ';
+      pattern(*P.Arg, P.Arg->kind() == Pattern::Kind::Cons ||
+                          P.Arg->kind() == Pattern::Kind::Constr);
+    }
+    return;
   }
-  return "<expr>";
+}
+
+void Emitter::typeOperand(const TypeExpr &T, bool TupleToo) {
+  bool Paren = T.TheKind == TypeExpr::Kind::Arrow ||
+               (TupleToo && T.TheKind == TypeExpr::Kind::Tuple);
+  if (Paren)
+    Out += '(';
+  type(T);
+  if (Paren)
+    Out += ')';
+}
+
+void Emitter::type(const TypeExpr &T) {
+  switch (T.TheKind) {
+  case TypeExpr::Kind::Var:
+    Out += '\'';
+    Out += T.Name;
+    return;
+  case TypeExpr::Kind::Name:
+    if (T.Args.size() == 1) {
+      typeOperand(*T.Args[0], /*TupleToo=*/true);
+      Out += ' ';
+    } else if (T.Args.size() > 1) {
+      Out += '(';
+      joined(T.Args, ", ", [this](const TypeExprPtr &Arg) { type(*Arg); });
+      Out += ") ";
+    }
+    Out += T.Name;
+    return;
+  case TypeExpr::Kind::Arrow:
+    typeOperand(*T.Args[0], /*TupleToo=*/false);
+    Out += " -> ";
+    type(*T.Args[1]);
+    return;
+  case TypeExpr::Kind::Tuple:
+    joined(T.Args, " * ", [this](const TypeExprPtr &Arg) {
+      typeOperand(*Arg, /*TupleToo=*/true);
+    });
+    return;
+  }
+}
+
+void Emitter::decl(const Decl &D) {
+  switch (D.kind()) {
+  case Decl::Kind::Let:
+    Out += D.IsRec ? "let rec " : "let ";
+    pattern(*D.Binding);
+    if (!D.Params.empty()) {
+      Out += ' ';
+      params(D.Params);
+    }
+    Out += " = ";
+    expr(*D.Rhs, PrecSeq);
+    return;
+  case Decl::Kind::Type:
+    Out += "type ";
+    if (D.TypeParams.size() == 1) {
+      Out += '\'';
+      Out += D.TypeParams[0];
+      Out += ' ';
+    } else if (D.TypeParams.size() > 1) {
+      Out += '(';
+      joined(D.TypeParams, ", ", [this](const std::string &Param) {
+        Out += '\'';
+        Out += Param;
+      });
+      Out += ") ";
+    }
+    Out += D.TypeName;
+    Out += " = ";
+    if (D.IsRecord) {
+      Out += "{ ";
+      joined(D.Fields, "; ", [this](const RecordFieldDecl &Field) {
+        if (Field.IsMutable)
+          Out += "mutable ";
+        Out += Field.Name;
+        Out += " : ";
+        type(*Field.Type);
+      });
+      Out += " }";
+    } else {
+      joined(D.Cases, " | ", [this](const VariantCase &Case) {
+        Out += Case.Name;
+        if (Case.ArgType) {
+          Out += " of ";
+          type(*Case.ArgType);
+        }
+      });
+    }
+    return;
+  case Decl::Kind::Exception:
+    Out += "exception ";
+    Out += D.ExcName;
+    if (D.ExcArgType) {
+      Out += " of ";
+      type(*D.ExcArgType);
+    }
+    return;
+  }
 }
 
 } // namespace
 
-std::string caml::printExpr(const Expr &E) { return print(E, PrecSeq); }
+std::string caml::printExpr(const Expr &E) {
+  std::string Out;
+  Emitter(Out).expr(E, PrecSeq);
+  return Out;
+}
 
 std::string caml::printDecl(const Decl &D) {
-  switch (D.kind()) {
-  case Decl::Kind::Let: {
-    std::string Text = "let ";
-    if (D.IsRec)
-      Text += "rec ";
-    Text += D.Binding->str();
-    if (!D.Params.empty())
-      Text += " " + printParams(D.Params);
-    Text += " = " + printExpr(*D.Rhs);
-    return Text;
-  }
-  case Decl::Kind::Type: {
-    std::string Text = "type ";
-    if (D.TypeParams.size() == 1) {
-      Text += "'" + D.TypeParams[0] + " ";
-    } else if (D.TypeParams.size() > 1) {
-      std::vector<std::string> Parts;
-      for (const auto &Param : D.TypeParams)
-        Parts.push_back("'" + Param);
-      Text += "(" + join(Parts, ", ") + ") ";
-    }
-    Text += D.TypeName + " = ";
-    if (D.IsRecord) {
-      std::vector<std::string> Parts;
-      for (const auto &Field : D.Fields) {
-        std::string FieldText;
-        if (Field.IsMutable)
-          FieldText += "mutable ";
-        FieldText += Field.Name + " : " + Field.Type->str();
-        Parts.push_back(FieldText);
-      }
-      Text += "{ " + join(Parts, "; ") + " }";
-    } else {
-      std::vector<std::string> Parts;
-      for (const auto &Case : D.Cases) {
-        std::string CaseText = Case.Name;
-        if (Case.ArgType)
-          CaseText += " of " + Case.ArgType->str();
-        Parts.push_back(CaseText);
-      }
-      Text += join(Parts, " | ");
-    }
-    return Text;
-  }
-  case Decl::Kind::Exception: {
-    std::string Text = "exception " + D.ExcName;
-    if (D.ExcArgType)
-      Text += " of " + D.ExcArgType->str();
-    return Text;
-  }
-  }
-  return "<decl>";
+  std::string Out;
+  Emitter(Out).decl(D);
+  return Out;
 }
 
 std::string caml::printProgram(const Program &Prog) {
-  std::string Result;
+  std::string Out;
+  Emitter Emit(Out);
   for (const auto &D : Prog.Decls) {
-    Result += printDecl(*D);
-    Result += "\n";
+    Emit.decl(*D);
+    Out += '\n';
   }
-  return Result;
+  return Out;
+}
+
+std::string Pattern::str() const {
+  std::string Out;
+  Emitter(Out).pattern(*this);
+  return Out;
+}
+
+std::string TypeExpr::str() const {
+  std::string Out;
+  Emitter(Out).type(*this);
+  return Out;
 }

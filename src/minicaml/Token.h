@@ -15,12 +15,15 @@
 #include "support/SourceLoc.h"
 
 #include <string>
+#include <string_view>
 
 namespace seminal {
 namespace caml {
 
 /// A lexical token. LowerIdent and UpperIdent are distinguished because
-/// capitalized names are variant constructors in Caml.
+/// capitalized names are variant constructors in Caml. A token views the
+/// source it was lexed from and owns nothing, so the source must outlive
+/// it; the parser copies what the AST keeps.
 struct Token {
   enum class Kind {
     Eof,
@@ -89,7 +92,11 @@ struct Token {
   Kind TheKind = Kind::Eof;
   SourceLoc Loc;
   uint32_t EndOffset = 0;
-  std::string Text;  ///< Identifier spelling / string literal contents.
+  /// The spelling, a view into the source: an identifier's name, an
+  /// operator's characters, a string literal's contents between the
+  /// quotes with its escapes as written (decodeStringLiteral in Lexer.h
+  /// decodes them). An Error token's message, which has static storage.
+  std::string_view Text;
   long IntValue = 0; ///< IntLit payload.
 
   bool is(Kind K) const { return TheKind == K; }

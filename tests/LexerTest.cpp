@@ -4,14 +4,30 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 using namespace seminal;
 using namespace seminal::caml;
 
 namespace {
 
-std::vector<Token> lex(const std::string &Source) {
-  Lexer L(Source);
-  return L.tokenize();
+/// Tokens together with the source they view. The source lives on the
+/// heap, so moving a Lexed leaves the viewed bytes in place (a short
+/// std::string keeps its bytes inside the object).
+struct Lexed {
+  std::unique_ptr<const std::string> Source;
+  std::vector<Token> Tokens;
+
+  size_t size() const { return Tokens.size(); }
+  const Token &operator[](size_t I) const { return Tokens[I]; }
+  auto begin() const { return Tokens.begin(); }
+  auto end() const { return Tokens.end(); }
+};
+
+Lexed lex(const std::string &Source) {
+  Lexed L{std::make_unique<const std::string>(Source), {}};
+  L.Tokens = Lexer(*L.Source).tokenize();
+  return L;
 }
 
 std::vector<Token::Kind> kinds(const std::string &Source) {
@@ -80,7 +96,50 @@ TEST(LexerTest, StringLiteralWithEscapes) {
   auto Tokens = lex(R"("a\n\"b\\")");
   ASSERT_GE(Tokens.size(), 1u);
   EXPECT_TRUE(Tokens[0].is(TK::StringLit));
-  EXPECT_EQ(Tokens[0].Text, "a\n\"b\\");
+  // The token views the contents as written; the parser decodes them.
+  EXPECT_EQ(Tokens[0].Text, R"(a\n\"b\\)");
+  EXPECT_EQ(decodeStringLiteral(Tokens[0].Text), "a\n\"b\\");
+  EXPECT_EQ(decodeStringLiteral(R"(\t\\n)"), "\t\\n");
+  EXPECT_EQ(decodeStringLiteral(""), "");
+}
+
+TEST(LexerTest, UnknownEscapeIsError) {
+  auto Tokens = lex(R"(x "a\qb")");
+  ASSERT_TRUE(Tokens[1].is(TK::Error));
+  EXPECT_EQ(Tokens[1].Text, "unknown escape sequence");
+  EXPECT_EQ(Tokens[1].Loc.Col, 3u);
+}
+
+TEST(LexerTest, TokensViewTheSource) {
+  auto Tokens = lex("let name = \"text\"");
+  const char *Base = Tokens.Source->data();
+  EXPECT_EQ(Tokens[1].Text.data(), Base + 4);
+  EXPECT_EQ(Tokens[3].Text.data(), Base + 12);
+  EXPECT_EQ(Tokens[3].Text, "text");
+}
+
+TEST(LexerTest, IdentifiersLongerThanAShortString) {
+  auto Tokens = lex("a_lower_identifier_of_32_bytes_x Upper_Constructor_Name "
+                    "primed_identifier_name''");
+  ASSERT_EQ(Tokens.size(), 4u);
+  EXPECT_TRUE(Tokens[0].is(TK::LowerIdent));
+  EXPECT_EQ(Tokens[0].Text, "a_lower_identifier_of_32_bytes_x");
+  EXPECT_TRUE(Tokens[1].is(TK::UpperIdent));
+  EXPECT_EQ(Tokens[1].Text, "Upper_Constructor_Name");
+  EXPECT_TRUE(Tokens[2].is(TK::LowerIdent));
+  EXPECT_EQ(Tokens[2].Text, "primed_identifier_name''");
+}
+
+TEST(LexerTest, KeywordPrefixesAreIdentifiers) {
+  EXPECT_EQ(kinds("letx in_ _x _ iff lets thenx rec' end0 Let"),
+            (std::vector<TK>{TK::LowerIdent, TK::LowerIdent, TK::LowerIdent,
+                             TK::Underscore, TK::LowerIdent, TK::LowerIdent,
+                             TK::LowerIdent, TK::LowerIdent, TK::LowerIdent,
+                             TK::UpperIdent, TK::Eof}));
+  auto Tokens = lex("letx in_ _x");
+  EXPECT_EQ(Tokens[0].Text, "letx");
+  EXPECT_EQ(Tokens[1].Text, "in_");
+  EXPECT_EQ(Tokens[2].Text, "_x");
 }
 
 TEST(LexerTest, UnterminatedStringIsError) {
@@ -137,6 +196,19 @@ TEST(LexerTest, SpansCoverTokenText) {
 TEST(LexerTest, LoneAmpersandIsError) {
   auto Tokens = lex("a & b");
   EXPECT_TRUE(Tokens[1].is(TK::Error));
+  EXPECT_EQ(Tokens[1].Text, "expected '&&'");
+}
+
+TEST(LexerTest, UnexpectedCharacterIsError) {
+  auto Tokens = lex("a $ b");
+  ASSERT_TRUE(Tokens[1].is(TK::Error));
+  EXPECT_EQ(Tokens[1].Text, "unexpected character '$'");
+  EXPECT_EQ(Tokens[1].describe(), "lexical error: unexpected character '$'");
+  // Every byte has its message, a non-ASCII one included.
+  auto High = lex("\xff");
+  ASSERT_TRUE(High[0].is(TK::Error));
+  EXPECT_EQ(High[0].Text, "unexpected character '\xff'");
+  ASSERT_TRUE(High[1].is(TK::Eof));
 }
 
 TEST(LexerTest, IntegerLiteralOutOfRangeIsError) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 using namespace seminal;
 using namespace seminal::caml;
 
@@ -248,6 +251,51 @@ TEST(ParserProgramTest, IntegerLiteralOutOfRangeIsSyntaxError) {
   EXPECT_EQ(P.Decls[0]->Rhs->IntValue, 9223372036854775807L);
 }
 
+// The exact text of a syntax error is part of the output: the CLI
+// prints it and the daemon replies with it.
+TEST(ParserProgramTest, SyntaxErrorsReadExactly) {
+  const std::pair<const char *, const char *> Cases[] = {
+      {"let s = \"abc", "line 1, column 9: expected an expression but found "
+                        "lexical error: unterminated string literal"},
+      {"let x = 1 (* oops", "line 1, column 18: unterminated comment"},
+      {"(* oops", "line 1, column 8: unterminated comment"},
+      {"let s = \"a\\qb\"",
+       "line 1, column 9: expected an expression but found lexical error: "
+       "unknown escape sequence"},
+      {"let b = x & y", "line 1, column 11: expected '&&'"},
+      {"let x = 1 $ 2", "line 1, column 11: unexpected character '$'"},
+      {"$", "line 1, column 1: unexpected character '$'"},
+      {"let x = 99999999999999999999999",
+       "line 1, column 9: expected an expression but found lexical error: "
+       "integer literal out of range"},
+      {"let x = (1 + 2",
+       "line 1, column 15: expected ')' but found end of input"},
+      {"let x = if true 1 else 2",
+       "line 1, column 19: expected 'then' but found 'else'"},
+      {"let x = let y = 1 y",
+       "line 1, column 20: expected 'in' after let binding but found end of "
+       "input"},
+      {"let f = fun x x",
+       "line 1, column 16: expected a pattern but found end of input"},
+      {"let f r = r <- 1",
+       "line 1, column 13: '<-' requires a field access on its left-hand side"},
+      {"let x = match y with 1 2",
+       "line 1, column 24: expected '->' after match pattern but found "
+       "integer literal 2"},
+      {"let x = 1\nlet y = (2",
+       "line 2, column 11: expected ')' but found end of input"},
+      // A string literal that spells an operator is no operator.
+      {"let x = Some 1 \"+\" 2",
+       "line 1, column 16: expected a declaration (let/type/exception) but "
+       "found string literal"},
+  };
+  for (const auto &[Source, Expected] : Cases) {
+    ParseResult R = parseProgram(Source);
+    ASSERT_FALSE(R.ok()) << Source;
+    EXPECT_EQ(R.Error->str(), Expected) << Source;
+  }
+}
+
 TEST(ParserProgramTest, MultipleDecls) {
   Program P = program("let x = 1\nlet y = x + 1\nlet z = y");
   EXPECT_EQ(P.Decls.size(), 3u);
@@ -352,6 +400,29 @@ TEST(ParserProgramTest, PathResolutionRoundTrip) {
   EXPECT_EQ(resolvePath(P, Path)->kind(), Expr::Kind::Wildcard);
 }
 
+// Programs share their declarations, so a node reached through const
+// hands out only const children.
+static_assert(std::is_same_v<decltype(std::declval<const Expr &>().child(0)),
+                             const Expr *>);
+static_assert(
+    std::is_same_v<decltype(std::declval<Expr &>().child(0)), Expr *>);
+
+TEST(ParserProgramTest, TheTreeOwnsItsStrings) {
+  // Tokens view the source; the tree must not, so it outlives the source.
+  ParseResult R = parseProgram(
+      std::string("let a_name_longer_than_a_short_string = "
+                  "(\"a literal longer than a short string\\n\", "
+                  "Some_constructor_name, List.fold_left)"));
+  ASSERT_TRUE(R.ok());
+  const Decl &D = *R.Prog->Decls[0];
+  EXPECT_EQ(D.Binding->Name, "a_name_longer_than_a_short_string");
+  ASSERT_EQ(D.Rhs->numChildren(), 3u);
+  EXPECT_EQ(D.Rhs->child(0)->StringValue,
+            "a literal longer than a short string\n");
+  EXPECT_EQ(D.Rhs->child(1)->Name, "Some_constructor_name");
+  EXPECT_EQ(D.Rhs->child(2)->Name, "List.fold_left");
+}
+
 TEST(ParserProgramTest, BadPathResolvesToNull) {
   Program P = program("let y = 1");
   NodePath Path(0);
@@ -413,6 +484,43 @@ TEST(ParserNestingTest, TheBoundIsAcceptedAndOneLevelMoreIsNot) {
                                     std::to_string(MaxNestingDepth) +
                                     " levels")
         << Head;
+  }
+}
+
+// Operators of different precedence share one count. A level's rounds
+// are held while its operands parse, the tighter levels' rounds inside
+// an operand are released when a looser operator follows it, and each
+// round of a right-associative operator is held until its chain ends.
+TEST(ParserNestingTest, MixedPrecedenceChainsCountEachLevelsRounds) {
+  struct Shape {
+    const char *Unit; ///< Repeated; a looser operator at its end.
+    const char *Last; ///< Closes the chain.
+    unsigned AtBound; ///< Most repeats that parse.
+  };
+  const unsigned D = MaxNestingDepth;
+  const Shape Shapes[] = {
+      // One `+` round per repeat, one `*` round inside the last operand.
+      {"1 * 1 + ", "1", D - 1},
+      // One `::` round per repeat, one `+` round inside the last head.
+      {"1 :: 1 + ", "1", D - 2},
+      // One `=` round per repeat, one `^` round inside the last operand.
+      {"a ^ b = ", "a", D - 1},
+      // Two `*` rounds inside the last operand.
+      {"1 * 2 * 3 + ", "1", D - 2},
+      // Two `||` rounds per repeat; the last operand holds a `&&`, a
+      // `<`, a `+` and a `*` round at once.
+      {"x || y && z < 1 + 2 * 3 || ", "x", (D - 4) / 2},
+  };
+  for (const Shape &S : Shapes) {
+    EXPECT_TRUE(parseExpression(repeat(S.Unit, S.AtBound) + S.Last).ok())
+        << S.Unit;
+    ParseExprResult Over = parseExpression(repeat(S.Unit, S.AtBound + 1) +
+                                           S.Last);
+    ASSERT_FALSE(Over.ok()) << S.Unit;
+    EXPECT_EQ(Over.Error->Message, "nesting deeper than " +
+                                       std::to_string(MaxNestingDepth) +
+                                       " levels")
+        << S.Unit;
   }
 }
 
