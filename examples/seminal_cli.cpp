@@ -15,7 +15,7 @@
 // Usage:
 //   seminal_cli [--no-triage] [--max-suggestions=N] [--quiet] [--json]
 //               [--trace=FILE] [--telemetry=FILE] [--explore=FILE.html]
-//               [--metrics] [--slice] [--slice-guided] FILE.ml
+//               [--metrics] [--slice] FILE.ml
 //   seminal_cli --expr 'let x = 1 + "two"'
 //   seminal_cli --connect=/tmp/seminal.sock --session=mybuf FILE.ml
 //
@@ -52,8 +52,7 @@ void usage(const char *Prog) {
   std::fprintf(stderr,
                "usage: %s [--no-triage] [--max-suggestions=N] [--quiet] "
                "[--json] [--trace=FILE] [--telemetry=FILE] "
-               "[--explore=FILE.html] [--metrics] [--slice] "
-               "[--slice-guided] FILE.ml\n"
+               "[--explore=FILE.html] [--metrics] [--slice] FILE.ml\n"
                "       %s --expr 'PROGRAM TEXT'\n"
                "  --json         print the run's RunReport as one JSON\n"
                "                 document on stdout instead of the\n"
@@ -76,9 +75,6 @@ void usage(const char *Prog) {
                "                 slice (the program points that jointly\n"
                "                 cause the failure); also boosts in-slice\n"
                "                 suggestions in the ranking\n"
-               "  --slice-guided like --slice, and additionally skip\n"
-               "                 oracle calls the slice proves futile;\n"
-               "                 suggestions are identical, just cheaper\n"
                "  --connect=PATH run the check in the seminal_serverd\n"
                "                 daemon listening on Unix socket PATH;\n"
                "                 repeated checks of the same --session\n"
@@ -356,9 +352,6 @@ int main(int Argc, char **Argv) {
     } else if (std::strcmp(Arg, "--slice") == 0) {
       WantSlice = true;
       Opts.Search.ComputeSlice = true;
-    } else if (std::strcmp(Arg, "--slice-guided") == 0) {
-      WantSlice = true;
-      Opts.Search.SliceGuided = true;
     } else if (std::strncmp(Arg, "--connect=", 10) == 0) {
       ConnectPath = Arg + 10;
       if (ConnectPath.empty()) {
@@ -616,13 +609,8 @@ int main(int Argc, char **Argv) {
         else
           std::printf("no error slice (failure not sliceable)\n\n");
       }
-      if (Report.SlicePrunedCalls)
-        std::printf("Suggestions (best first, %zu oracle calls, %zu "
-                    "pruned by the slice):\n\n",
-                    Report.OracleCalls, Report.SlicePrunedCalls);
-      else
-        std::printf("Suggestions (best first, %zu oracle calls):\n\n",
-                    Report.OracleCalls);
+      std::printf("Suggestions (best first, %zu oracle calls):\n\n",
+                  Report.OracleCalls);
     }
     if (Report.Suggestions.empty()) {
       std::printf("%s\n", Report.bestMessage().c_str());

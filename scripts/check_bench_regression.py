@@ -27,15 +27,6 @@ micro_allocs (bench_micro --json):
     corpus cohort) or per-token and per-node copies in the front end
     (parse-corpus, the mean parseProgram over the same cohort).
 
-slice_ablation (bench_slice_ablation):
-  * slice-guided must have produced byte-identical suggestion lists to
-    slice-ranked on every file (pruning soundness).
-  * All deterministic call counters (logical / issued / pruned per
-    configuration) must match the baseline exactly.
-  * The slice-guided oracle-call reduction must stay at or above the
-    driver's floor (min_reduction_pct, currently 25%): the slice has to
-    keep paying for itself.
-
 server (bench_server):
   * Warm responses must be byte-identical to cold one-shot runs
     (suggestion_mismatches pinned to zero) and every deterministic
@@ -128,27 +119,6 @@ def check_micro_allocs(base, fresh):
     return failures
 
 
-def check_slice_ablation(base, fresh):
-    failures = []
-    for name, b, f in config_rows(failures, base, fresh):
-        for key in ("logical_calls", "issued_calls", "pruned_calls",
-                    "files_sliced"):
-            check_exact(failures, f"[{name}] {key}", f[key], b[key],
-                        "slice or search behavior changed")
-        if f["suggestion_mismatches"] != 0:
-            failures.append(
-                f"[{name}] {f['suggestion_mismatches']} suggestion "
-                f"mismatches vs slice-ranked -- pruning is unsound")
-
-    floor = fresh.get("min_reduction_pct", base.get("min_reduction_pct",
-                                                    25.0))
-    reduction = fresh.get("reduction_pct", 0.0)
-    check_floor(failures, "slice-guided reduction_pct", reduction, floor)
-    print(f"baseline reduction {base.get('reduction_pct', 0.0):.1f}%, fresh "
-          f"{reduction:.1f}% (floor {floor:.0f}%)")
-    return failures
-
-
 SERVER_SPEEDUP_HARD_FLOOR = 10.0  # the daemon's warm-resubmit contract
 SERVER_SPEEDUP_FRACTION = 0.5     # warm p50 is sub-millisecond, so the
                                   # ratio jitters more than the others;
@@ -212,7 +182,6 @@ def check_obs(base, fresh):
 GATES = {
     "oracle_calls_accel": check_oracle_calls,
     "micro_allocs": check_micro_allocs,
-    "slice_ablation": check_slice_ablation,
     "server": check_server,
     "obs": check_obs,
 }
@@ -224,9 +193,8 @@ def main():
         epilog="examples:\n"
                "  check_bench_regression.py bench/BASELINE_oracle_calls.json"
                " BENCH_oracle_calls.json\n"
-               "  check_bench_regression.py "
-               "bench/BASELINE_slice_ablation.json "
-               "BENCH_slice_ablation.json\n")
+               "  check_bench_regression.py bench/BASELINE_server.json"
+               " BENCH_server.json\n")
     args = parser.parse_args()
 
     base = load_snapshot(args.baseline)

@@ -21,8 +21,8 @@ fields:
     p50/p95/max of its rank;
   * per-layer win counts (which search layer produced the top-ranked
     suggestion) and the no-suggestion count;
-  * search-effort totals: oracle calls, inference runs, slice-pruned
-    calls, cache hits, files sliced.
+  * search-effort totals: oracle calls, inference runs, cache hits,
+    files sliced.
 
 wall_seconds is carried in the snapshot for trend plots but never gated
 (it is the one hardware-dependent field). The "config" label is
@@ -55,7 +55,6 @@ EXACT_FIELDS = (
     "no_suggestion",
     "oracle_calls",
     "inference_runs",
-    "slice_pruned_calls",
     "cache_hits",
     "files_sliced",
 )

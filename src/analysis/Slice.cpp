@@ -286,29 +286,27 @@ void collectCarvePoints(const Expr &E, const NodePath &Path,
 
 /// Verifies the carved witness: the focus declaration with every maximal
 /// core-disjoint subtree wildcarded must still fail to type-check. One
-/// internal inference; grants ErrorSlice::CoreWitnessOk.
-void verifyCoreWitness(ErrorSlice &S, const Program &Prog,
-                       unsigned FocusDecl) {
+/// internal inference.
+bool coreWitnessFails(ErrorSlice &S, const Program &Prog,
+                      unsigned FocusDecl) {
   std::vector<NodePath> CarvePoints;
   collectCarvePoints(*Prog.Decls[FocusDecl]->Rhs, NodePath(FocusDecl),
                      S.Core, CarvePoints);
-  if (CarvePoints.empty()) {
-    // Nothing to carve: the witness is the original declaration, whose
-    // failure is already established.
-    S.CoreWitnessOk = true;
-    return;
-  }
+  // Nothing to carve: the witness is the original declaration, whose
+  // failure is already established.
+  if (CarvePoints.empty())
+    return true;
 
   auto CP = InferenceCheckpoint::create(Prog, FocusDecl);
   if (!CP)
-    return;
+    return false;
   std::shared_ptr<Decl> Work = Prog.Decls[FocusDecl]->clone();
   // Carve points are pairwise disjoint, so installing one never shifts
   // the path of another.
   for (const NodePath &P : CarvePoints)
     replaceAtPath(*Work, P, caml::makeWildcard());
   ++S.MinimizeChecks;
-  S.CoreWitnessOk = !CP->checkDecl(*Work).ok();
+  return !CP->checkDecl(*Work).ok();
 }
 
 /// Finds the deepest expression whose span encloses \p Target; ties are
@@ -326,10 +324,8 @@ void findAnchor(const Expr &E, const NodePath &Path, const SourceSpan &Target,
 /// Span-anchored fallback for non-unification failures: no constraint
 /// component exists, so anchor the core on the deepest node enclosing the
 /// checker's error span. The influence set is the anchor's subtree plus
-/// its ancestors -- exactly the core closure -- so the guide's influence
-/// rule coincides with the witness rule, and the carved witness
-/// verification is the single soundness argument: the slice is only
-/// valid when the witness (everything else wildcarded) still fails.
+/// its ancestors, and the slice is only valid when the carved witness
+/// (everything else wildcarded) still fails.
 void anchorSlice(ErrorSlice &S, const Program &Prog, unsigned FocusDecl,
                  const TypecheckResult &R) {
   if (!R.Error || !R.Error->Span.isValid())
@@ -348,8 +344,8 @@ void anchorSlice(ErrorSlice &S, const Program &Prog, unsigned FocusDecl,
   S.ClashSpan = R.Error->Span;
   S.Core.push_back(*Anchor);
   S.CoreSpans.push_back(AnchorSpan);
-  // Adaptation pruning reasons about the clash component, which does not
-  // exist here; mark the header as involved to disable it.
+  // No clash component exists to rule the header out, so report it as
+  // involved.
   S.DeclHeaderInfluence = true;
 
   // Influence := ancestors of the anchor + the anchor's subtree.
@@ -373,8 +369,7 @@ void anchorSlice(ErrorSlice &S, const Program &Prog, unsigned FocusDecl,
   W.walk(Rhs, NodePath(FocusDecl));
   S.DeclNodes = W.Nodes;
 
-  verifyCoreWitness(S, Prog, FocusDecl);
-  S.Valid = S.CoreWitnessOk;
+  S.Valid = coreWitnessFails(S, Prog, FocusDecl);
   if (!S.Valid) {
     // Witness refused: the guessed anchor does not explain the failure.
     // Report nothing rather than an unsound slice.
@@ -482,14 +477,12 @@ ErrorSlice analysis::computeErrorSlice(const Program &Prog,
 
   S.Valid = true;
 
-  if (Opts.Minimize && !S.Influence.empty())
+  if (!S.Influence.empty())
     minimizeCore(S, Prog, FocusDecl, Opts);
   if (S.Core.empty()) {
     S.Core = S.Influence;
     S.CoreSpans = S.InfluenceSpans;
   }
-  if (!S.Core.empty())
-    verifyCoreWitness(S, Prog, FocusDecl);
   return S;
 }
 

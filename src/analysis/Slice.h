@@ -11,16 +11,15 @@
 /// mapping that component back to AST nodes yields
 ///
 ///   * Influence -- every focus-declaration node whose constraints can
-///     reach the clash. The conservative set: a subtree disjoint from it
-///     provably cannot contain the fix, which is what lets the searcher
-///     skip oracle calls without changing any verdict.
+///     reach the clash: the conservative set, since a subtree disjoint
+///     from it cannot contain the fix.
 ///   * Core -- Influence greedily minimized by wildcard re-checks to the
 ///     antichain of nodes whose constraints are jointly unsatisfiable;
 ///     the presentation set ("these program points disagree") and the
 ///     ranker's boost set.
 ///
-/// The split matters: pruning must stay conservative to keep suggestion
-/// lists bit-identical, while presentation wants the smallest honest set.
+/// The slice explains an error; it never decides which oracle calls the
+/// search makes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,10 +36,6 @@ namespace analysis {
 
 /// Tuning knobs for computeErrorSlice.
 struct SliceOptions {
-  /// Run the greedy wildcard minimization that shrinks Influence to Core.
-  /// Off leaves Core == Influence (cheaper; pruning power is identical).
-  bool Minimize = true;
-
   /// Upper bound on internal re-inference runs spent minimizing. These
   /// are private typecheckProgram calls, never oracle calls.
   unsigned MaxMinimizeChecks = 48;
@@ -50,8 +45,8 @@ struct SliceOptions {
 struct ErrorSlice {
   /// False when no slice could be computed: the program type-checks, the
   /// failure is not a unification clash (unbound name, arity, record
-  /// shape), or the failing declaration has no expression body. Consumers
-  /// must fall back to unguided behavior.
+  /// shape) and no span-anchored slice verified, or the failing
+  /// declaration has no expression body.
   bool Valid = false;
 
   /// Declaration the clash was reported in.
@@ -81,8 +76,8 @@ struct ErrorSlice {
   std::vector<std::string> InvolvedTypes;
 
   /// Constraints attributed to prefix declarations or the focus
-  /// declaration's header (binding/params) connect to the clash. When set,
-  /// whole-subtree adaptation pruning is disabled (see SliceGuide).
+  /// declaration's header (binding/params) connect to the clash. A
+  /// span-anchored slice always reports the header.
   bool PrefixInfluence = false;
   bool DeclHeaderInfluence = false;
 
@@ -90,18 +85,10 @@ struct ErrorSlice {
   /// unification clash (unbound name, arity, record shape, ...), so no
   /// constraint component exists; instead the core is the deepest node
   /// enclosing the checker's error span, its subtree plus ancestors form
-  /// the influence set, and validity REQUIRES the carved witness to
-  /// verify -- the witness check is the sole soundness argument here.
+  /// the influence set, and the slice is valid only when the carved
+  /// witness -- the focus declaration with every maximal subtree disjoint
+  /// from the core replaced by a wildcard -- still fails to type-check.
   bool SpanAnchored = false;
-
-  /// True when the carved witness -- the focus declaration with every
-  /// maximal subtree disjoint from the core replaced by a wildcard -- was
-  /// re-checked internally and still fails. Since a wildcard is maximally
-  /// permissive (a syntactic value that imposes no constraints), any
-  /// removal probe at a core-disjoint node keeps a superset of the
-  /// witness's constraints and therefore must also fail; the guide's
-  /// stronger core-disjoint pruning rule is valid exactly when this holds.
-  bool CoreWitnessOk = false;
 
   /// Total expression nodes in the focus declaration (prune-ratio
   /// denominator) and bookkeeping for the stats report.

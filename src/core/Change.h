@@ -122,12 +122,6 @@ struct Suggestion {
   /// suggestions on otherwise-equal scores.
   bool InSlice = false;
 
-  /// The whole modified program (for triage: includes sibling wildcards,
-  /// so it need not type-check by itself). It shares the input's
-  /// unedited declarations and owns a snapshot of the edited one, so it
-  /// stays readable after the search, its oracle and its input are gone.
-  caml::Program Modified;
-
   Suggestion() = default;
   Suggestion(Suggestion &&) = default;
   Suggestion &operator=(Suggestion &&) = default;

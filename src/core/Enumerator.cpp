@@ -2,7 +2,6 @@
 
 #include "core/Enumerator.h"
 
-#include "analysis/SliceGuide.h"
 #include "minicaml/Printer.h"
 
 #include <algorithm>
@@ -156,26 +155,17 @@ void appChanges(const Expr &Node, const EnumeratorOptions &Opts,
     auto EmitPerms = deferredFamily(Node, emitArgPermutations, NumArgs);
 
     if (Opts.GateExpensiveChanges) {
-      // Slice feasibility pre-probe: when the guide proves no argument
-      // subtree touches the error's influence set, the all-wildcard probe
-      // is guaranteed to fail, so the probe (and the family it gates)
-      // can be skipped without an oracle call. A failing probe emits
-      // nothing either, so the candidate stream is unchanged.
-      if (Opts.Guide && Opts.Guide->argumentsDoomed(Node)) {
-        ++Opts.Guide->PrunedPermutationProbes;
-      } else {
-        CandidateChange Probe;
-        std::vector<ExprPtr> Holes;
-        for (unsigned I = 0; I < NumArgs; ++I)
-          Holes.push_back(makeWildcard());
-        Probe.Replacement = makeApp(Node.child(0)->clone(), std::move(Holes));
-        Probe.Description = "probe: any arguments at all?";
-        Probe.IsProbe = true;
-        Probe.FollowUps = [EmitPerms](bool Succeeded) {
-          return Succeeded ? EmitPerms() : std::vector<CandidateChange>();
-        };
-        Out.push_back(std::move(Probe));
-      }
+      CandidateChange Probe;
+      std::vector<ExprPtr> Holes;
+      for (unsigned I = 0; I < NumArgs; ++I)
+        Holes.push_back(makeWildcard());
+      Probe.Replacement = makeApp(Node.child(0)->clone(), std::move(Holes));
+      Probe.Description = "probe: any arguments at all?";
+      Probe.IsProbe = true;
+      Probe.FollowUps = [EmitPerms](bool Succeeded) {
+        return Succeeded ? EmitPerms() : std::vector<CandidateChange>();
+      };
+      Out.push_back(std::move(Probe));
     } else {
       for (auto &Perm : EmitPerms())
         Out.push_back(std::move(Perm));

@@ -25,10 +25,6 @@
 
 namespace seminal {
 
-namespace analysis {
-class SliceGuide;
-} // namespace analysis
-
 /// Tuning knobs for the catalog.
 struct EnumeratorOptions {
   /// Optional user-supplied change generators (the Section 6 "open
@@ -48,14 +44,6 @@ struct EnumeratorOptions {
 
   /// Maximum call arity for which full argument permutations are tried.
   unsigned MaxPermutationArity = 4;
-
-  /// Error-slice guide for the node being enumerated (not owned; may be
-  /// null). When the guide proves the all-wildcard-arguments probe must
-  /// fail, the probe -- and with it the gated permutation family -- is
-  /// statically skipped, saving the probe's oracle call without changing
-  /// any emitted candidate. The searcher installs this only in
-  /// slice-guided mode, outside triage.
-  const analysis::SliceGuide *Guide = nullptr;
 };
 
 /// Produces the constructive changes to try at \p Node.

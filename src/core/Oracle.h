@@ -60,9 +60,8 @@ struct OracleAccelOptions {
 
   /// Give the oracle a hash-consing arena (minicaml/Arena.h). Session
   /// retention keys its cross-request state on the prefix's interned
-  /// declaration ids, and slice-guided search diffs candidates by id;
-  /// one-shot searches intern nothing. Verdicts and logical-call counts
-  /// are identical either way.
+  /// declaration ids; one-shot searches intern nothing. Verdicts and
+  /// logical-call counts are identical either way.
   bool Arena = true;
 };
 

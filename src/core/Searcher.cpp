@@ -21,7 +21,7 @@ bool Searcher::oracleSays() {
 
 void Searcher::note(const char *Layer, const char *Kind,
                     const std::string &Description, const std::string &Path,
-                    bool Verdict, bool Probe, bool Pruned) {
+                    bool Verdict, bool Probe) {
   if (!Opts.Telemetry)
     return;
   obs::CandidateOutcome O;
@@ -31,15 +31,7 @@ void Searcher::note(const char *Layer, const char *Kind,
   O.Path = Path;
   O.Verdict = Verdict;
   O.Probe = Probe;
-  O.Pruned = Pruned;
   Opts.Telemetry->record(std::move(O));
-}
-
-Program Searcher::captureModified() const {
-  assert(Work.Decls.size() == FocusDecl + 1u && "Work ends at the focus");
-  Program Modified = Work;
-  Modified.Decls[FocusDecl] = Work.Decls[FocusDecl]->clone();
-  return Modified;
 }
 
 bool Searcher::testWith(const NodePath &Path, ExprPtr &Replacement) {
@@ -66,16 +58,12 @@ void Searcher::addSuggestion(ChangeKind Kind, const NodePath &Path,
   S.ReplacementSize = Replacement->size();
   S.Description = Description;
   S.LikelyUnboundVariable = LikelyUnbound;
-  // Stamped in both slice modes (ranked and guided) so the ranker's boost
-  // -- and with it the final order -- is identical across the two.
-  S.InSlice = Guide && Guide->inCore(*Node);
+  S.InSlice = CoreNodes.count(Node) != 0;
 
-  // Install the replacement to render context, capture the modified
-  // program, and query the replacement's type.
+  // Install the replacement to render context and query its type.
   const Expr *Installed = Replacement.get();
   ExprPtr Old = replaceAtPath(*Focus, Path, std::move(Replacement));
   S.ContextAfter = printDecl(*Focus);
-  S.Modified = captureModified();
   {
     TraceLayerScope Layer("type-query");
     S.ReplacementType = TheOracle.typeOfNode(Work, Installed);
@@ -89,12 +77,6 @@ void Searcher::addSuggestion(ChangeKind Kind, const NodePath &Path,
 bool Searcher::tryCandidates(const NodePath &Path,
                              std::vector<CandidateChange> Cands) {
   TraceLayerScope Layer("constructive");
-  const Expr *Node = guideActive() ? resolvePath(*Focus, Path) : nullptr;
-  // With an arena the per-candidate diff walks interned ids (shared
-  // subtrees compare as integers); the node is interned once and reused
-  // for every candidate.
-  AstArena::ExprId NodeId =
-      Node && Arena ? Arena->internExpr(*Node) : AstArena::InvalidId;
   const std::string PathStr = Opts.Telemetry ? Path.str() : std::string();
   bool Any = false;
   size_t Tried = 0;
@@ -102,18 +84,7 @@ bool Searcher::tryCandidates(const NodePath &Path,
   for (size_t I = 0; I < Cands.size() && !OutOfBudget; ++I) {
     CandidateChange &C = Cands[I];
     bool Ok;
-    if (Node &&
-        (Arena ? Guide->candidateDoomed(*Node, NodeId, *C.Replacement,
-                                        Arena->internExpr(*C.Replacement),
-                                        *Arena)
-               : Guide->candidateDoomed(*Node, *C.Replacement))) {
-      // The replacement only rewrites core-disjoint subtrees; its verdict
-      // is a proven "no". Proceed exactly as a failed probe would.
-      ++Guide->PrunedCandidates;
-      Ok = false;
-      note("constructive", C.IsProbe ? "probe" : "constructive",
-           C.Description, PathStr, false, C.IsProbe, /*Pruned=*/true);
-    } else {
+    {
       TraceSpan Span(Opts.Trace, SpanKind::Candidate, "searcher.candidate");
       Ok = testWith(Path, C.Replacement);
       ++Tried;
@@ -123,9 +94,9 @@ bool Searcher::tryCandidates(const NodePath &Path,
         Span.attr("priority", C.Priority);
         Span.attr("verdict", Ok);
       }
-      note("constructive", C.IsProbe ? "probe" : "constructive",
-           C.Description, PathStr, Ok, C.IsProbe);
     }
+    note("constructive", C.IsProbe ? "probe" : "constructive", C.Description,
+         PathStr, Ok, C.IsProbe);
     if (Ok && !C.IsProbe) {
       addSuggestion(ChangeKind::Constructive, Path, std::move(C.Replacement),
                     C.Description, /*LikelyUnbound=*/false, C.Priority);
@@ -161,8 +132,6 @@ bool Searcher::tryDeclChanges(unsigned DeclIndex) {
       S.Path = NodePath(DeclIndex);
       S.Description = DC.Description;
       S.ContextAfter = printDecl(*Work.Decls[DeclIndex]);
-      // The replacement is a fresh declaration nothing edits: share it.
-      S.Modified = Work;
       S.OriginalSize = 1; // a declaration-header tweak is a tiny change
       S.ReplacementSize = 1;
       Suggestions.push_back(std::move(S));
@@ -180,17 +149,6 @@ bool Searcher::searchExpr(const NodePath &Path) {
   assert(Node && "search path must resolve");
   if (Node->isWildcard())
     return false;
-
-  // Slice pruning: a subtree disjoint from the error's influence set
-  // cannot contain the fix -- its removal probe is guaranteed to fail,
-  // which is exactly the condition under which this function returns
-  // false below. Skipping the oracle call is behavior-identical.
-  if (guideActive() && Guide->subtreeDoomed(*Node)) {
-    ++Guide->PrunedSubtrees;
-    note("removal", "probe", "", Opts.Telemetry ? Path.str() : std::string(),
-         false, /*Probe=*/true, /*Pruned=*/true);
-    return false;
-  }
 
   TraceSpan Span(Opts.Trace, SpanKind::NodeVisit, "searcher.node");
   if (Span.enabled()) {
@@ -213,15 +171,9 @@ bool Searcher::searchExpr(const NodePath &Path) {
   }
 
   // 2. Adaptation: does the node type-check when its own result type is
-  // unconstrained by the parent (Section 2.3)? When the whole clash
-  // component lives inside this subtree, `adapt` replays the clash
-  // internally and the probe is guaranteed to fail; skip it.
+  // unconstrained by the parent (Section 2.3)?
   bool AdaptOk = false;
-  if (guideActive() && Guide->adaptationDoomed(*Node)) {
-    ++Guide->PrunedAdaptations;
-    note("adaptation", "adaptation", "", PathStr, false, /*Probe=*/false,
-         /*Pruned=*/true);
-  } else {
+  {
     ExprPtr Adapted = makeAdapt(Node->clone());
     {
       TraceLayerScope Layer("adaptation");
@@ -234,13 +186,9 @@ bool Searcher::searchExpr(const NodePath &Path) {
                     "context");
   }
 
-  // 3. Constructive changes from the enumerator (Section 2.2). The guide
-  // rides along (guided mode, outside triage) so the enumerator can skip
-  // permutation probes whose failure is already proven.
-  EnumeratorOptions EnumOpts = Opts.Enum;
-  if (guideActive())
-    EnumOpts.Guide = Guide.get();
-  bool AnyConstructive = tryCandidates(Path, enumerateChanges(*Node, EnumOpts));
+  // 3. Constructive changes from the enumerator (Section 2.2).
+  bool AnyConstructive =
+      tryCandidates(Path, enumerateChanges(*Node, Opts.Enum));
 
   // 4. Recurse into children looking for smaller fixes.
   bool AnyChild = false;
@@ -288,27 +236,18 @@ bool Searcher::triageGeneric(const NodePath &Path) {
   if (N < 2)
     return false;
 
-  // Sibling-removal order (the paper removes rightmost-first).
-  std::vector<unsigned> Order;
-  if (Opts.Order == TriageOrder::RightToLeft) {
-    for (unsigned J = N; J-- > 0;)
-      Order.push_back(J);
-  } else {
-    for (unsigned J = 0; J < N; ++J)
-      Order.push_back(J);
-  }
-
   bool Found = false;
   for (unsigned Focus = 0; Focus < N && !OutOfBudget; ++Focus) {
     TraceSpan PhaseSpan(Opts.Trace, SpanKind::TriagePhase, "triage.focus");
-    // Greedily wildcard the other children, in Order, until the context
-    // admits *some* fix for the focus (tested with the focus itself
-    // wildcarded; the zero-removal configuration is known to fail
-    // because no single-child removal succeeded -- the paper's footnote).
+    // Greedily wildcard the other children, rightmost first as in the
+    // paper, until the context admits *some* fix for the focus (tested
+    // with the focus itself wildcarded; the zero-removal configuration is
+    // known to fail because no single-child removal succeeded -- the
+    // paper's footnote).
     ExprPtr FocusOld = Node->swapChild(Focus, makeWildcard());
     std::vector<std::pair<unsigned, ExprPtr>> Removed;
     bool ContextWorks = false;
-    for (unsigned J : Order) {
+    for (unsigned J = N; J-- > 0;) {
       if (J == Focus)
         continue;
       Removed.emplace_back(J, Node->swapChild(J, makeWildcard()));
@@ -557,7 +496,6 @@ bool Searcher::searchPatternFix(const NodePath &MatchPath,
   PatternPtr Old = std::move(*Best);
   *Best = makeWildPattern();
   S.ContextAfter = printDecl(*Focus);
-  S.Modified = captureModified();
   *Best = std::move(Old);
 
   Suggestions.push_back(std::move(S));
@@ -570,8 +508,8 @@ bool Searcher::searchPatternFix(const NodePath &MatchPath,
 
 void Searcher::prepareSlice() {
   SliceResult.reset();
-  Guide.reset();
-  if (!Opts.ComputeSlice && !Opts.SliceGuided)
+  CoreNodes.clear();
+  if (!Opts.ComputeSlice)
     return;
 
   TraceSpan Span(Opts.Trace, SpanKind::Slice, "searcher.slice");
@@ -590,7 +528,7 @@ void Searcher::prepareSlice() {
     }
   }
   if (!S.Valid)
-    return; // Unsliceable failure: search runs unguided.
+    return; // Unsliceable failure: no slice to show or boost.
 
   if (Opts.Metric) {
     Opts.Metric->observe(metric::SliceSize, double(S.Influence.size()));
@@ -599,8 +537,10 @@ void Searcher::prepareSlice() {
                            1.0 - double(S.Influence.size()) /
                                      double(S.DeclNodes));
   }
+  for (const NodePath &P : S.Core)
+    if (const Expr *E = resolvePath(*Focus, P))
+      CoreNodes.insert(E);
   SliceResult = std::move(S);
-  Guide = std::make_unique<analysis::SliceGuide>(Work, *SliceResult);
 }
 
 SearchOutput Searcher::run(const Program &Input) {
@@ -608,7 +548,7 @@ SearchOutput Searcher::run(const Program &Input) {
   Suggestions.clear();
   OutOfBudget = false;
   SliceResult.reset();
-  Guide.reset();
+  CoreNodes.clear();
 
   TraceSpan RunSpan(Opts.Trace, SpanKind::Search, "searcher.run");
   if (RunSpan.enabled())
@@ -628,26 +568,7 @@ SearchOutput Searcher::run(const Program &Input) {
   // Prefix localization: grow the working program one declaration at a
   // time; the first prefix that fails pins the failing declaration.
   std::optional<unsigned> Failing;
-  size_t LocalizationsSkipped = 0;
-  if (Opts.SliceGuided) {
-    // Guided mode pins the failing declaration with one internal
-    // inference instead: declarations are checked in order and the
-    // checker aborts at the first error, so a whole-program run failing
-    // at declaration K proves prefix K passes and prefix K+1 fails --
-    // exactly what the probe loop concludes, K+1 oracle calls later.
-    TypecheckResult R = typecheckProgram(Input);
-    if (!R.ok() && R.ErrorDeclIndex) {
-      Failing = *R.ErrorDeclIndex;
-      Work.Decls.assign(Input.Decls.begin(),
-                        Input.Decls.begin() + *Failing + 1);
-      LocalizationsSkipped = size_t(*Failing) + 1;
-      for (size_t P = 0; P < LocalizationsSkipped && Opts.Telemetry; ++P)
-        note("localize", "probe", "prefix pinned by internal inference", "",
-             /*Verdict=*/P + 1 < LocalizationsSkipped, /*Probe=*/true,
-             /*Pruned=*/true);
-    }
-  }
-  if (!Failing) {
+  {
     TraceSpan LocalizeSpan(Opts.Trace, SpanKind::Localize,
                            "searcher.localize");
     TraceLayerScope Layer("localize");
@@ -691,22 +612,13 @@ SearchOutput Searcher::run(const Program &Input) {
   // Type/exception declarations produce no searchable expressions; the
   // conventional message stands alone for those.
 
-  if (Guide) {
-    Out.SlicePrunedSubtrees = Guide->PrunedSubtrees;
-    Out.SlicePrunedAdaptations = Guide->PrunedAdaptations;
-    Out.SlicePrunedPermutationProbes = Guide->PrunedPermutationProbes;
-    Out.SlicePrunedCandidates = Guide->PrunedCandidates;
-  }
-  Out.SlicePrunedLocalizations = LocalizationsSkipped;
   Out.Slice = std::move(SliceResult);
 
   if (RunSpan.enabled()) {
     RunSpan.attr("suggestions", int64_t(Suggestions.size()));
     RunSpan.attr("budget_exhausted", OutOfBudget);
-    if (Out.Slice) {
+    if (Out.Slice)
       RunSpan.attr("slice.influence", int64_t(Out.Slice->Influence.size()));
-      RunSpan.attr("slice.pruned_calls", int64_t(Out.slicePrunedCalls()));
-    }
   }
   Out.Suggestions = std::move(Suggestions);
   Out.BudgetExhausted = OutOfBudget;

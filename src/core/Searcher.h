@@ -23,8 +23,9 @@
 ///
 /// The working program shares the input's declarations except the one
 /// under scrutiny, which is a private clone: edits are applied to it in
-/// place and undone after each oracle call. A suggestion shares the
-/// input's other declarations and snapshots the edited one.
+/// place and undone after each oracle call. A suggestion records the
+/// edit (path, original and replacement subtrees) and the rendered
+/// declaration with the edit installed, not the edited program.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +33,6 @@
 #define SEMINAL_CORE_SEARCHER_H
 
 #include "analysis/Slice.h"
-#include "analysis/SliceGuide.h"
 #include "core/Change.h"
 #include "core/Enumerator.h"
 #include "core/Oracle.h"
@@ -41,26 +41,19 @@
 
 #include <memory>
 #include <optional>
+#include <unordered_set>
 #include <vector>
 
 namespace seminal {
 
-/// Order in which triage greedily wildcards the focused node's siblings
-/// (Section 2.4 -- the paper's example removes rightmost-first and notes
-/// "the details of the algorithm ... are less important"; the ablation
-/// bench exercises both).
-enum class TriageOrder {
-  RightToLeft, ///< The paper's order.
-  LeftToRight,
-};
+namespace caml {
+class AstArena;
+} // namespace caml
 
 /// Tuning for one search run.
 struct SearchOptions {
   /// Enable triage for multiple independent errors (Section 2.4).
   bool EnableTriage = true;
-
-  /// Sibling-removal order used inside triage.
-  TriageOrder Order = TriageOrder::RightToLeft;
 
   /// A node must have at least this many AST nodes before a removal-only
   /// result triggers triage ("a nontrivial number of descendents").
@@ -82,16 +75,8 @@ struct SearchOptions {
   /// Compute the provenance error slice before searching: suggestions in
   /// the slice's minimized core are stamped (Suggestion::InSlice) and the
   /// ranker boosts them; the SearchOutput carries the slice for display.
-  /// No pruning: the exact same oracle calls are made.
+  /// The slice never changes which oracle calls are made.
   bool ComputeSlice = false;
-
-  /// Additionally use the slice to statically skip oracle calls whose
-  /// verdict the slice already proves negative (subtree removals,
-  /// adaptations, and permutation probes disjoint from the influence
-  /// set). Implies ComputeSlice. The suggestion list is bit-identical to
-  /// a ComputeSlice-only run -- only fewer logical calls are spent
-  /// (asserted corpus-wide by bench_slice_ablation and FuzzTest).
-  bool SliceGuided = false;
 
   /// Tuning forwarded to analysis::computeErrorSlice.
   analysis::SliceOptions Slice;
@@ -120,40 +105,22 @@ struct SearchOutput {
   /// True if the oracle-call budget was exhausted mid-search.
   bool BudgetExhausted = false;
 
-  /// The error slice, when SearchOptions::ComputeSlice/SliceGuided asked
-  /// for one and the failure was sliceable (a unification clash in a
-  /// let declaration with a body).
+  /// The error slice, when SearchOptions::ComputeSlice asked for one and
+  /// the failure was sliceable (a let declaration with a body whose
+  /// failure is a unification clash or anchors on a witness-verified
+  /// span).
   std::optional<analysis::ErrorSlice> Slice;
-
-  /// Oracle calls statically skipped by slice guidance, by probe kind
-  /// (all zero unless SliceGuided).
-  size_t SlicePrunedSubtrees = 0;
-  size_t SlicePrunedAdaptations = 0;
-  size_t SlicePrunedPermutationProbes = 0;
-  /// Constructive candidates whose replacement only rewrote core-disjoint
-  /// subtrees (verdict proven negative by the carved witness).
-  size_t SlicePrunedCandidates = 0;
-  /// Prefix-growth localization probes skipped because one internal
-  /// inference pinned the failing declaration (SliceGuided only).
-  size_t SlicePrunedLocalizations = 0;
-
-  size_t slicePrunedCalls() const {
-    return SlicePrunedSubtrees + SlicePrunedAdaptations +
-           SlicePrunedPermutationProbes + SlicePrunedCandidates +
-           SlicePrunedLocalizations;
-  }
 };
 
 /// Runs the search procedure against \p TheOracle.
 class Searcher {
 public:
-  /// \p Arena, when non-null, is the hash-consing arena shared with the
-  /// accelerated oracle; slice-guided search diffs candidates against the
-  /// examined node by interned id instead of walking both trees. Search
-  /// behavior and suggestion lists are bit-identical either way.
+  /// The third parameter is ignored. It remains only because the
+  /// benchmark harness (perfbench/src/Layers.cpp) still passes the
+  /// oracle's arena; it goes in that harness's next revision.
   Searcher(Oracle &TheOracle, const SearchOptions &Opts,
-           std::shared_ptr<caml::AstArena> Arena = nullptr)
-      : TheOracle(TheOracle), Opts(Opts), Arena(std::move(Arena)) {}
+           std::shared_ptr<caml::AstArena> = nullptr)
+      : TheOracle(TheOracle), Opts(Opts) {}
 
   SearchOutput run(const caml::Program &Input);
 
@@ -190,7 +157,7 @@ private:
   /// Emits one outcome record to Opts.Telemetry (no-op when null).
   void note(const char *Layer, const char *Kind,
             const std::string &Description, const std::string &Path,
-            bool Verdict, bool Probe, bool Pruned = false);
+            bool Verdict, bool Probe);
 
   // Suggestion construction -------------------------------------------------
   void addSuggestion(ChangeKind Kind, const caml::NodePath &Path,
@@ -198,13 +165,8 @@ private:
                      const std::string &Description,
                      bool LikelyUnbound = false, int Priority = 0);
 
-  /// Captures Work for a Suggestion: the shared prefix plus a snapshot
-  /// of the edited focus declaration.
-  caml::Program captureModified() const;
-
   Oracle &TheOracle;
   SearchOptions Opts;
-  std::shared_ptr<caml::AstArena> Arena;
 
   /// The input's declarations through FocusDecl. The prefix is shared
   /// with the input; Work.Decls[FocusDecl] is Focus.
@@ -213,19 +175,16 @@ private:
   std::shared_ptr<caml::Decl> Focus; ///< Private clone, edited in place.
   bool OutOfBudget = false;
 
-  /// Computes the slice of Work's focus declaration and (in guided mode)
-  /// builds the pruning guide. Resets both on every run.
+  /// Computes the slice of Work's focus declaration and resolves its
+  /// core to Focus's nodes. Resets both on every run.
   void prepareSlice();
 
-  /// True when slice guidance applies at the current search position:
-  /// guided mode, outside triage (triage rewrites sibling context, which
-  /// invalidates the slice's premises), and a guide is installed.
-  bool guideActive() const {
-    return Guide && Opts.SliceGuided && TriageDepth == 0;
-  }
-
   std::optional<analysis::ErrorSlice> SliceResult;
-  std::unique_ptr<analysis::SliceGuide> Guide;
+  /// The slice core's nodes in Focus, resolved once from its paths. A
+  /// suggestion is in the slice when its examined node is one of these
+  /// objects: triage can install a clone at a core path (match phase 1
+  /// does), and that clone is not in the core.
+  std::unordered_set<const caml::Expr *> CoreNodes;
 
   // Triage bookkeeping: >0 while searching inside a triage context.
   int TriageDepth = 0;

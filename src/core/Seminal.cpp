@@ -62,7 +62,6 @@ void seminal::fillRunReport(obs::RunReport &R, const SeminalReport &Report,
 
   R.OracleCalls = Report.OracleCalls;
   R.InferenceRuns = Report.InferenceRuns;
-  R.SlicePrunedCalls = Report.SlicePrunedCalls;
   R.WallSeconds = WallSeconds;
   R.Accel = Report.Accel;
   if (Telemetry)
@@ -109,13 +108,12 @@ SeminalReport seminal::runSeminalWithOracle(CheckpointedOracle &TheOracle,
     if (RootSpan.enabled())
       RootSpan.attr("decls", int64_t(Prog.Decls.size()));
 
-    Searcher S(TheOracle, Opts.Search, TheOracle.arena());
+    Searcher S(TheOracle, Opts.Search);
     SearchOutput Out = S.run(Prog);
 
     Report.InputTypechecks = Out.InputTypechecks;
     Report.FailingDeclIndex = Out.FailingDecl;
     Report.BudgetExhausted = Out.BudgetExhausted;
-    Report.SlicePrunedCalls = Out.slicePrunedCalls();
     Report.Slice = std::move(Out.Slice);
     Report.Suggestions = std::move(Out.Suggestions);
     {
@@ -147,8 +145,8 @@ SeminalReport seminal::runSeminalWithOracle(CheckpointedOracle &TheOracle,
   Report.InferenceRuns = TheOracle.inferenceRuns();
   Report.Accel = TheOracle.counters();
   // Arena occupancy is a level, read once here for the report and the
-  // cost ledger. Only session retention's prefix ids and slice-guided
-  // candidate diffs add nodes; a default one-shot run adds none.
+  // cost ledger. Only session retention's prefix ids add nodes; a
+  // one-shot run adds none.
   if (const std::shared_ptr<caml::AstArena> &Arena = TheOracle.arena()) {
     const caml::AstArena::Stats &A = Arena->stats();
     Report.Accel.ArenaNodes = A.Nodes;

@@ -76,15 +76,9 @@ struct SeminalReport {
   /// True if the search stopped on its call budget.
   bool BudgetExhausted = false;
 
-  /// The provenance error slice, when SearchOptions::ComputeSlice or
-  /// SliceGuided was set and the failure was sliceable.
+  /// The provenance error slice, when SearchOptions::ComputeSlice was
+  /// set and the failure was sliceable.
   std::optional<analysis::ErrorSlice> Slice;
-
-  /// Oracle calls statically skipped by slice guidance (0 unless
-  /// SearchOptions::SliceGuided). These calls are part of the logical
-  /// search effort a plain run would have spent; OracleCalls excludes
-  /// them.
-  size_t SlicePrunedCalls = 0;
 
   /// Aggregated view of the run's trace, present when a TraceSink was
   /// attached via SearchOptions::Trace (span counts by kind, oracle calls

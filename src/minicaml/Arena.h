@@ -13,12 +13,10 @@
 /// computed once from its children's cached hashes, never by walking a
 /// tree.
 ///
-/// Two consumers rely on this: the search daemon's session retention
+/// One consumer relies on this: the search daemon's session retention
 /// keys its cross-request state on a prefix's interned declaration ids
-/// (an edit-resubmit compares integers, not trees), and slice-guided
-/// search diffs a candidate against the examined node by id. Candidate
-/// evaluation itself never interns: a one-shot search leaves the arena
-/// empty.
+/// (an edit-resubmit compares integers, not trees). Candidate evaluation
+/// itself never interns: a one-shot search leaves the arena empty.
 ///
 /// Interned nodes are immutable and never freed, so ids remain valid for
 /// the arena's lifetime -- across seedPrefix/clearPrefix cycles and

@@ -28,7 +28,6 @@ void TelemetryAggregate::add(const RunReport &R) {
 
   OracleCalls += R.OracleCalls;
   InferenceRuns += R.InferenceRuns;
-  SlicePrunedCalls += R.SlicePrunedCalls;
   CacheHits += R.Accel.CacheHits;
   if (R.SliceValid)
     ++FilesSliced;
@@ -104,7 +103,6 @@ void TelemetryAggregate::writeSnapshotJson(std::ostream &OS,
 
   OS << "  \"oracle_calls\": " << OracleCalls << ",\n";
   OS << "  \"inference_runs\": " << InferenceRuns << ",\n";
-  OS << "  \"slice_pruned_calls\": " << SlicePrunedCalls << ",\n";
   OS << "  \"cache_hits\": " << CacheHits << ",\n";
   OS << "  \"files_sliced\": " << FilesSliced << ",\n";
   OS << "  \"wall_seconds\": " << F(WallSeconds) << "\n";

@@ -70,7 +70,6 @@ private:
 
   uint64_t OracleCalls = 0;
   uint64_t InferenceRuns = 0;
-  uint64_t SlicePrunedCalls = 0;
   uint64_t CacheHits = 0;
   uint64_t FilesSliced = 0;
   double WallSeconds = 0.0;

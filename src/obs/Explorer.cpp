@@ -191,7 +191,6 @@ const el = (tag, cls, text) => {
   add("oracle calls", fmt(R.effort.oracle_calls));
   add("inference runs", fmt(R.effort.inference_runs));
   add("cache hits", fmt(R.effort.cache_hits));
-  add("slice-pruned calls", fmt(R.effort.slice_pruned_calls));
   add("suggestions", fmt(R.outcome.suggestions.length));
   add("wall time", (R.effort.wall_seconds * 1000).toFixed(1) + " ms");
 })();

@@ -164,7 +164,6 @@ void RunReport::writeJson(std::ostream &OS, bool Pretty) const {
   J.beginObject();
   J.field("oracle_calls", OracleCalls);
   J.field("inference_runs", InferenceRuns);
-  J.field("slice_pruned_calls", SlicePrunedCalls);
   J.field("wall_seconds", WallSeconds);
   J.field("cache_hits", Accel.CacheHits);
   J.field("cache_misses", Accel.CacheMisses);
@@ -193,7 +192,6 @@ void RunReport::writeJson(std::ostream &OS, bool Pretty) const {
     J.beginObject();
     J.field("tried", KV.second.Tried);
     J.field("succeeded", KV.second.Succeeded);
-    J.field("pruned", KV.second.Pruned);
     J.endObject();
   }
   J.endObject();

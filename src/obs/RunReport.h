@@ -50,7 +50,10 @@ namespace obs {
 /// v3: effort lost "batches" and "wave_collapsed" with the batched
 /// candidate path they counted; "cache_hits" now counts only the
 /// conventional-verdict memo.
-inline constexpr int RunReportSchemaVersion = 3;
+///
+/// v4: effort lost "slice_pruned_calls", and each effort.layers entry
+/// lost "pruned", with the slice-guided search that counted them.
+inline constexpr int RunReportSchemaVersion = 4;
 
 /// One ranked suggestion, flattened for reporting.
 struct SuggestionOutcome {
@@ -111,7 +114,6 @@ struct RunReport {
   // Effort ------------------------------------------------------------------
   uint64_t OracleCalls = 0;
   uint64_t InferenceRuns = 0;
-  uint64_t SlicePrunedCalls = 0;
   double WallSeconds = 0.0;
   /// Thread CPU the run consumed, stamped by whoever measured it
   /// (Session::check, seminal_cli); 0 when nobody did. Hardware-dependent

@@ -32,13 +32,9 @@ std::map<std::string, LayerStats> TelemetrySink::layerStats() const {
     if (O.Rank > 0)
       continue; // post-ranking duplicate of an already-counted outcome
     LayerStats &S = Stats[O.Layer];
-    if (O.Pruned) {
-      ++S.Pruned;
-    } else {
-      ++S.Tried;
-      if (O.Verdict)
-        ++S.Succeeded;
-    }
+    ++S.Tried;
+    if (O.Verdict)
+      ++S.Succeeded;
   }
   return Stats;
 }

@@ -35,8 +35,8 @@
 namespace seminal {
 namespace obs {
 
-/// One candidate edit the search put to the oracle (or statically
-/// resolved), as seen from the outcome side.
+/// One candidate edit the search put to the oracle, as seen from the
+/// outcome side.
 struct CandidateOutcome {
   /// Search layer that asked: "localize", "removal", "adaptation",
   /// "constructive", "decl-change", "triage", "pattern-fix",
@@ -49,12 +49,10 @@ struct CandidateOutcome {
   std::string Description;
   /// NodePath rendering of the site ("" when not applicable).
   std::string Path;
-  /// Did the oracle (or the slice guide) accept the edit?
+  /// Did the oracle accept the edit?
   bool Verdict = false;
   /// Feasibility probe: steers follow-ups, never reported.
   bool Probe = false;
-  /// Statically answered "no" by slice guidance (no oracle call spent).
-  bool Pruned = false;
   /// 1-based rank among the final ranked suggestions; 0 for records that
   /// are not ranked suggestions.
   int Rank = 0;
@@ -62,9 +60,8 @@ struct CandidateOutcome {
 
 /// Per-layer tallies over a record stream.
 struct LayerStats {
-  uint64_t Tried = 0;     ///< Outcomes that reached the oracle.
+  uint64_t Tried = 0;     ///< Outcomes put to the oracle.
   uint64_t Succeeded = 0; ///< Verdict == true among Tried.
-  uint64_t Pruned = 0;    ///< Statically resolved (no oracle call).
 };
 
 /// Collects CandidateOutcomes from a run. One sink per run (or reused

@@ -13,7 +13,6 @@
 
 #include "core/CheckpointedOracle.h"
 #include "core/Seminal.h"
-#include "minicaml/Hash.h"
 #include "minicaml/Parser.h"
 #include "minicaml/Printer.h"
 
@@ -107,7 +106,6 @@ std::string fingerprint(const SeminalReport &R) {
     Out += " :: " + S.Description;
     Out += " :: " + S.PatternBefore + "/" + S.PatternAfter;
     Out += " :: ctx " + S.ContextAfter;
-    Out += " :: " + std::to_string(hashProgram(S.Modified));
     Out += "\n";
     Out += renderSuggestion(S) + "\n";
   }

@@ -219,7 +219,6 @@ std::string fingerprint(const SeminalReport &R) {
       Out += printExpr(*S.Replacement);
     Out += " :: " + S.Description;
     Out += " :: ctx " + S.ContextAfter;
-    Out += " :: " + std::to_string(hashProgram(S.Modified));
     Out += "\n";
   }
   return Out;

@@ -60,13 +60,11 @@ std::string suggestionDigest(const SeminalReport &R) {
 }
 
 obs::CandidateOutcome makeOutcome(const char *Layer, const char *Kind,
-                                  bool Verdict, bool Pruned = false,
-                                  int Rank = 0) {
+                                  bool Verdict, int Rank = 0) {
   obs::CandidateOutcome O;
   O.Layer = Layer;
   O.Kind = Kind;
   O.Verdict = Verdict;
-  O.Pruned = Pruned;
   O.Rank = Rank;
   return O;
 }
@@ -97,18 +95,18 @@ TEST(TelemetrySinkTest, RecordsInOrderAndClears) {
   EXPECT_TRUE(Sink.snapshot().empty());
 }
 
-TEST(TelemetrySinkTest, LayerStatsTallyTriedSucceededPruned) {
+TEST(TelemetrySinkTest, LayerStatsTallyTriedSucceeded) {
   obs::TelemetrySink Sink;
   Sink.record(makeOutcome("adaptation", "adaptation", false));
   Sink.record(makeOutcome("adaptation", "adaptation", true));
-  Sink.record(makeOutcome("adaptation", "adaptation", false,
-                          /*Pruned=*/true));
+  Sink.record(makeOutcome("removal", "probe", false));
 
   auto Stats = Sink.layerStats();
   ASSERT_TRUE(Stats.count("adaptation"));
   EXPECT_EQ(Stats["adaptation"].Tried, 2u);
   EXPECT_EQ(Stats["adaptation"].Succeeded, 1u);
-  EXPECT_EQ(Stats["adaptation"].Pruned, 1u);
+  EXPECT_EQ(Stats["removal"].Tried, 1u);
+  EXPECT_EQ(Stats["removal"].Succeeded, 0u);
 }
 
 TEST(TelemetrySinkTest, LayerStatsExcludePostRankingSuggestionRecords) {
@@ -116,10 +114,8 @@ TEST(TelemetrySinkTest, LayerStatsExcludePostRankingSuggestionRecords) {
   Sink.record(makeOutcome("constructive", "constructive", true));
   // Post-ranking duplicates of outcomes already counted under their
   // issuing layer must not inflate the tallies.
-  Sink.record(makeOutcome("suggestion", "constructive", true,
-                          /*Pruned=*/false, /*Rank=*/1));
-  Sink.record(makeOutcome("suggestion", "removal", true,
-                          /*Pruned=*/false, /*Rank=*/2));
+  Sink.record(makeOutcome("suggestion", "constructive", true, /*Rank=*/1));
+  Sink.record(makeOutcome("suggestion", "removal", true, /*Rank=*/2));
 
   auto Stats = Sink.layerStats();
   EXPECT_EQ(Stats.count("suggestion"), 0u);

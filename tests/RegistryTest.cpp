@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SuggestionTestUtil.h"
 #include "core/ChangeRegistry.h"
 #include "core/Seminal.h"
 #include "minicaml/Parser.h"
@@ -110,13 +111,14 @@ TEST(ChangeRegistryTest, UnsoundGeneratorsAreVetted) {
   });
   SeminalOptions Opts;
   Opts.Search.Enum.Extra = &Reg;
-  SeminalReport R = runSeminalOnSource("let x = 1 + \"two\"", Opts);
+  Program Input = std::move(*parseProgram("let x = 1 + \"two\"").Prog);
+  SeminalReport R = runSeminal(Input, Opts);
   for (const auto &S : R.Suggestions)
     EXPECT_NE(S.Description, "garbage");
   // And untriaged suggestions remain sound.
   for (const auto &S : R.Suggestions) {
     if (!S.ViaTriage) {
-      EXPECT_TRUE(typecheckProgram(S.Modified).ok());
+      EXPECT_TRUE(typecheckProgram(appliedProgram(Input, S)).ok());
     }
   }
 }
@@ -133,28 +135,20 @@ TEST(ChangeRegistryTest, MultipleGeneratorsAllRun) {
 }
 
 //===----------------------------------------------------------------------===//
-// Triage-order ablation (Section 2.4: "the details ... are less
-// important. There are many variations we could try")
+// Triage (Section 2.4): siblings are wildcarded rightmost first, the
+// paper's order ("the details ... are less important")
 //===----------------------------------------------------------------------===//
 
-class TriageOrderSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(TriageOrderSweep, BothOrdersFindSmallFixes) {
-  SeminalOptions Opts;
-  Opts.Search.Order = GetParam() == 0 ? TriageOrder::RightToLeft
-                                      : TriageOrder::LeftToRight;
+TEST(TriageTest, RightmostFirstRemovalFindsSmallFixes) {
   SeminalReport R = runSeminalOnSource("let go y =\n"
                                        "  let a = 3 + true in\n"
                                        "  let b = 4 + \"hi\" in\n"
-                                       "  y + 1\n",
-                                       Opts);
+                                       "  y + 1\n");
   bool FoundSmall = false;
   for (const auto &S : R.Suggestions)
     if (S.ViaTriage && S.OriginalSize < 5)
       FoundSmall = true;
   EXPECT_TRUE(FoundSmall);
 }
-
-INSTANTIATE_TEST_SUITE_P(Orders, TriageOrderSweep, ::testing::Range(0, 2));
 
 } // namespace

@@ -2,11 +2,12 @@
 //
 // Exercises the full pipeline (oracle + searcher + ranker + messages) on
 // the paper's running examples and on a battery of mutated programs,
-// including the key soundness invariant: every untriaged suggestion's
-// modified program type-checks.
+// including the key soundness invariant: every untriaged suggestion,
+// applied to its input, yields a program that type-checks.
 //
 //===----------------------------------------------------------------------===//
 
+#include "SuggestionTestUtil.h"
 #include "core/CheckpointedOracle.h"
 #include "core/Oracle.h"
 #include "core/Ranker.h"
@@ -277,12 +278,13 @@ TEST(TriageTest, BrokenScrutineeFoundInPhaseOne) {
 class SuggestionSoundness : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(SuggestionSoundness, UntriagedSuggestionsTypecheck) {
-  SeminalReport R = run(GetParam());
+  Program Input = std::move(*parseProgram(GetParam()).Prog);
+  SeminalReport R = runSeminal(Input);
   ASSERT_FALSE(R.InputTypechecks);
   for (const auto &S : R.Suggestions) {
     if (S.ViaTriage)
       continue;
-    TypecheckResult TR = typecheckProgram(S.Modified);
+    TypecheckResult TR = typecheckProgram(appliedProgram(Input, S));
     EXPECT_TRUE(TR.ok()) << "suggestion left program ill-typed:\n"
                          << renderSuggestion(S) << "\nerror: "
                          << (TR.Error ? TR.Error->Message : "");
@@ -307,10 +309,11 @@ INSTANTIATE_TEST_SUITE_P(
         "let f a b c = a + b + c\nlet x = f 1 2 + 3",
         "let x = (1, 2)\nlet y = fst x + snd x + x"));
 
-// Captured programs keep their trees alive: every suggestion's Modified
-// is read only after the searcher, the oracle and the input are gone (the
-// ASan job turns a dangling capture into a failure here).
-TEST(SuggestionCaptureTest, ModifiedOutlivesSearcherOracleAndInput) {
+// Suggestions own their trees: every suggestion is read only after the
+// searcher, the oracle and the input are gone (the ASan job turns a
+// dangling subtree into a failure here), and applied to a fresh parse of
+// the source it reproduces the context it rendered.
+TEST(SuggestionCaptureTest, SuggestionOutlivesSearcherOracleAndInput) {
   const std::string Source = "let one = 1\n"
                              "let add a b = a + b\n"
                              "let x = add one \"two\"\n";
@@ -318,8 +321,7 @@ TEST(SuggestionCaptureTest, ModifiedOutlivesSearcherOracleAndInput) {
   {
     auto Input = std::make_unique<Program>(std::move(*parseProgram(Source).Prog));
     auto Oracle = std::make_unique<CheckpointedOracle>();
-    auto S = std::make_unique<Searcher>(*Oracle, SearchOptions(),
-                                        Oracle->arena());
+    auto S = std::make_unique<Searcher>(*Oracle, SearchOptions());
     SearchOutput Out = S->run(*Input);
     ASSERT_EQ(Out.FailingDecl, std::optional<unsigned>(2u));
     Captured = std::move(Out.Suggestions);
@@ -328,21 +330,19 @@ TEST(SuggestionCaptureTest, ModifiedOutlivesSearcherOracleAndInput) {
     Input.reset();
   }
   ASSERT_FALSE(Captured.empty());
+  const Program Fresh = std::move(*parseProgram(Source).Prog);
   size_t Checked = 0;
   for (const Suggestion &Sugg : Captured) {
-    const Program &Modified = Sugg.Modified;
-    ASSERT_EQ(Modified.Decls.size(), 3u) << Sugg.Description;
+    ASSERT_FALSE(Sugg.ViaTriage) << Sugg.Description;
     if (Sugg.Replacement) {
-      Program Expected = std::move(*parseProgram(Source).Prog);
-      replaceAtPath(editDecl(Expected, Sugg.Path.DeclIndex), Sugg.Path,
-                    Sugg.Replacement->clone());
-      EXPECT_TRUE(Modified.equals(Expected)) << Sugg.Description;
-      EXPECT_EQ(printProgram(Modified), printProgram(Expected));
+      ASSERT_NE(Sugg.Original, nullptr) << Sugg.Description;
+      EXPECT_FALSE(printExpr(*Sugg.Original).empty());
       ++Checked;
     }
-    if (!Sugg.ViaTriage) {
-      EXPECT_TRUE(typecheckProgram(Modified).ok()) << printProgram(Modified);
-    }
+    Program Applied = appliedProgram(Fresh, Sugg);
+    ASSERT_EQ(Applied.Decls.size(), 3u) << Sugg.Description;
+    EXPECT_EQ(printDecl(*Applied.Decls[2]), Sugg.ContextAfter);
+    EXPECT_TRUE(typecheckProgram(Applied).ok()) << printProgram(Applied);
   }
   EXPECT_GT(Checked, 0u);
 }
@@ -382,7 +382,7 @@ TEST(SuggestionCaptureTest, SearchLeavesInputUnchanged) {
     }
     const std::string Printed = printProgram(Input);
     CheckpointedOracle Oracle;
-    Searcher S(Oracle, SearchOptions(), Oracle.arena());
+    Searcher S(Oracle, SearchOptions());
     SearchOutput Out = S.run(Input);
     ASSERT_FALSE(Out.Suggestions.empty()) << Source;
     ASSERT_EQ(Input.Decls.size(), Before.size());
@@ -390,32 +390,6 @@ TEST(SuggestionCaptureTest, SearchLeavesInputUnchanged) {
       EXPECT_EQ(Input.Decls[I].get(), Before[I]) << Source << " decl " << I;
     EXPECT_TRUE(Input.equals(Deep)) << Source;
     EXPECT_EQ(printProgram(Input), Printed);
-  }
-}
-
-// Each suggestion's Modified shares the input's prefix declarations and
-// owns its own snapshot of the edited one.
-TEST(SuggestionCaptureTest, ModifiedSharesPrefixAndOwnsFocus) {
-  for (const char *Source : SharingSources) {
-    Program Input = std::move(*parseProgram(Source).Prog);
-    CheckpointedOracle Oracle;
-    Searcher S(Oracle, SearchOptions(), Oracle.arena());
-    SearchOutput Out = S.run(Input);
-    ASSERT_TRUE(Out.FailingDecl.has_value()) << Source;
-    const unsigned Focus = *Out.FailingDecl;
-    ASSERT_FALSE(Out.Suggestions.empty()) << Source;
-    std::vector<const Decl *> Foci;
-    for (const Suggestion &Sugg : Out.Suggestions) {
-      const Program &M = Sugg.Modified;
-      ASSERT_EQ(M.Decls.size(), Focus + 1u) << Sugg.Description;
-      for (unsigned I = 0; I < Focus; ++I)
-        EXPECT_EQ(M.Decls[I], Input.Decls[I]) << Sugg.Description;
-      EXPECT_NE(M.Decls[Focus], Input.Decls[Focus]) << Sugg.Description;
-      Foci.push_back(M.Decls[Focus].get());
-    }
-    std::sort(Foci.begin(), Foci.end());
-    EXPECT_EQ(std::adjacent_find(Foci.begin(), Foci.end()), Foci.end())
-        << Source << ": two suggestions share a focus declaration";
   }
 }
 

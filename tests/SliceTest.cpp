@@ -6,17 +6,17 @@
 //     at a node the slice did not rule out (corpus-wide),
 //   * minimality -- on hand-written programs the minimized core is exactly
 //     the jointly-clashing nodes, not the whole declaration,
-//   * identity   -- slice-guided search returns the bit-identical ranked
-//     suggestion list as unguided search (corpus-wide; the fuzz variant
-//     lives in FuzzTest.cpp).
+//   * identity   -- computing the slice changes no oracle call and no
+//     suggestion, only the ranking's in-slice boost (corpus-wide; the
+//     fuzz variant lives in FuzzTest.cpp).
 //
 // Also pins the UnifyResult rollback fix: a failed unification must not
 // leak partial bindings into rendered diagnostics.
 //
 //===----------------------------------------------------------------------===//
 
+#include "SuggestionTestUtil.h"
 #include "analysis/Slice.h"
-#include "analysis/SliceGuide.h"
 #include "core/Message.h"
 #include "core/Seminal.h"
 #include "corpus/Generator.h"
@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 using namespace seminal;
 using namespace seminal::analysis;
@@ -66,6 +67,14 @@ std::vector<std::string> coreTexts(const std::string &Source,
   return Out;
 }
 
+/// Options that keep every suggestion, so two runs compare in full.
+SeminalOptions allSuggestions(bool ComputeSlice) {
+  SeminalOptions Opts;
+  Opts.MaxSuggestions = std::numeric_limits<size_t>::max();
+  Opts.Search.ComputeSlice = ComputeSlice;
+  return Opts;
+}
+
 //===----------------------------------------------------------------------===//
 // Basic validity
 //===----------------------------------------------------------------------===//
@@ -84,34 +93,26 @@ TEST(SliceTest, UnboundNameYieldsAnchoredSlice) {
   ErrorSlice S = computeErrorSlice(P, 0);
   ASSERT_TRUE(S.Valid);
   EXPECT_TRUE(S.SpanAnchored);
-  EXPECT_TRUE(S.CoreWitnessOk);
   ASSERT_EQ(S.Core.size(), 1u);
   // The anchor is the deepest node enclosing the error span: the
   // offending variable itself.
   EXPECT_NE(S.render().find("anchor:"), std::string::npos);
 }
 
-TEST(SliceTest, AnchoredSliceKeepsGuidedSearchIdentical) {
+TEST(SliceTest, AnchoredSliceLeavesSearchUnchanged) {
   // Non-unification failure (unbound name) in a declaration with plenty
-  // of innocent structure: the anchored slice must prune without
-  // changing a single suggestion.
+  // of innocent structure: the anchored slice must not change a single
+  // oracle call or suggestion.
   const char *Src = "let a = 1 + 2\n"
                     "let b = (a * 3, [a; 4], \"tag\")\n"
                     "let c = (a + 1, nosuchname 5, [2; 3])\n";
-  SeminalOptions Ranked;
-  Ranked.Search.ComputeSlice = true;
-  SeminalOptions Guided;
-  Guided.Search.SliceGuided = true;
-  SeminalReport RR = runSeminalOnSource(Src, Ranked);
-  SeminalReport RG = runSeminalOnSource(Src, Guided);
-  ASSERT_TRUE(RG.Slice.has_value());
-  EXPECT_TRUE(RG.Slice->SpanAnchored);
-  EXPECT_LE(RG.OracleCalls, RR.OracleCalls);
-  ASSERT_EQ(RG.Suggestions.size(), RR.Suggestions.size());
-  MessageOptions MO;
-  for (size_t I = 0; I < RG.Suggestions.size(); ++I)
-    EXPECT_EQ(renderSuggestion(RG.Suggestions[I], MO),
-              renderSuggestion(RR.Suggestions[I], MO));
+  SeminalReport RP = runSeminalOnSource(Src, allSuggestions(false));
+  SeminalReport RR = runSeminalOnSource(Src, allSuggestions(true));
+  ASSERT_TRUE(RR.Slice.has_value());
+  EXPECT_TRUE(RR.Slice->SpanAnchored);
+  EXPECT_EQ(RR.OracleCalls, RP.OracleCalls);
+  ASSERT_FALSE(RR.Suggestions.empty());
+  EXPECT_EQ(renderedSuggestions(RR), renderedSuggestions(RP));
 }
 
 TEST(SliceTest, OutOfRangeFocusYieldsInvalidSlice) {
@@ -200,16 +201,6 @@ TEST(SliceTest, MinimizationRespectsCheckBudget) {
   EXPECT_LE(S.MinimizeChecks, 2u);
 }
 
-TEST(SliceTest, MinimizeOffLeavesCoreEqualInfluence) {
-  Program P = parse("let x = 1 + \"two\"");
-  SliceOptions Opts;
-  Opts.Minimize = false;
-  ErrorSlice S = slice(P, Opts);
-  ASSERT_TRUE(S.Valid);
-  EXPECT_EQ(S.Core.size(), S.Influence.size());
-  EXPECT_EQ(S.MinimizeChecks, 0u);
-}
-
 //===----------------------------------------------------------------------===//
 // Cross-declaration influence
 //===----------------------------------------------------------------------===//
@@ -246,72 +237,87 @@ TEST(SliceTest, OccursCheckMarksCyclic) {
 }
 
 //===----------------------------------------------------------------------===//
-// SliceGuide invariants
-//===----------------------------------------------------------------------===//
-
-TEST(SliceTest, GuideNeverDoomsInfluenceNodes) {
-  std::string Src = "let f =\n"
-                    "  let pad = \"x\" in\n"
-                    "  let n = 3 in\n"
-                    "  n + pad";
-  Program P = parse(Src);
-  ErrorSlice S = slice(P);
-  ASSERT_TRUE(S.Valid);
-  SliceGuide G(P, S);
-  EXPECT_GT(G.influenceSize(), 0u);
-  for (const NodePath &Path : S.Influence) {
-    const Expr *E = resolvePath(P, Path);
-    ASSERT_NE(E, nullptr);
-    EXPECT_FALSE(G.subtreeDoomed(*E)) << Path.str();
-  }
-  // The declaration root contains the whole influence set; never doomed.
-  ASSERT_FALSE(P.Decls.empty());
-  EXPECT_FALSE(G.subtreeDoomed(*P.Decls[S.DeclIndex]->Rhs));
-}
-
-//===----------------------------------------------------------------------===//
 // Corpus-wide properties (the mutated-student-program corpus)
 //===----------------------------------------------------------------------===//
 
-TEST(SliceCorpusTest, GuidedSearchIsIdenticalAndCheaper) {
-  // On every corpus file, slice-guided search must reproduce the
-  // slice-ranked suggestion list exactly while never spending more
-  // logical oracle calls; across the corpus it must spend strictly fewer.
+TEST(SliceCorpusTest, SliceRankedSearchMatchesPlain) {
+  // On every corpus file, a slice-ranked search makes the same oracle
+  // calls and finds the same suggestions as a plain one; the slice only
+  // reorders them through the ranker's in-slice boost.
   CorpusOptions CO;
   CO.Scale = 0.3;
   Corpus C = generateCorpus(CO);
   ASSERT_FALSE(C.Analyzed.empty());
 
-  size_t RankedCalls = 0, GuidedCalls = 0, SlicedFiles = 0;
+  size_t SlicedFiles = 0;
   for (const CorpusFile &F : C.Analyzed) {
-    SeminalOptions Ranked;
-    Ranked.Search.ComputeSlice = true;
-    SeminalOptions Guided = Ranked;
-    Guided.Search.SliceGuided = true;
-
-    SeminalReport RR = runSeminalOnSource(F.Source, Ranked);
-    SeminalReport RG = runSeminalOnSource(F.Source, Guided);
-
-    EXPECT_LE(RG.OracleCalls, RR.OracleCalls) << F.Source;
-    ASSERT_EQ(RG.Suggestions.size(), RR.Suggestions.size()) << F.Source;
-    for (size_t J = 0; J < RR.Suggestions.size(); ++J)
-      ASSERT_EQ(renderSuggestion(RG.Suggestions[J]),
-                renderSuggestion(RR.Suggestions[J]))
-          << F.Source << "\nrank " << J;
-    RankedCalls += RR.OracleCalls;
-    GuidedCalls += RG.OracleCalls;
-    if (RG.Slice)
+    SeminalReport RP = runSeminalOnSource(F.Source, allSuggestions(false));
+    SeminalReport RR = runSeminalOnSource(F.Source, allSuggestions(true));
+    EXPECT_EQ(RR.OracleCalls, RP.OracleCalls) << F.Source;
+    EXPECT_EQ(renderedSuggestions(RR), renderedSuggestions(RP)) << F.Source;
+    if (RR.Slice)
       ++SlicedFiles;
   }
   EXPECT_GT(SlicedFiles, 0u);
-  EXPECT_LT(GuidedCalls, RankedCalls);
+}
+
+TEST(SliceCorpusTest, InSliceMarksSuggestionsAtCoreNodes) {
+  // The searcher stamps a suggestion in-slice when the node it changed is
+  // one of the core's nodes. Outside triage the changed node sits at its
+  // own path, so the stamp agrees with the core's paths exactly; inside
+  // triage a node can stand at a core path without being that node (a
+  // cloned scrutinee), so there the stamp only implies the path.
+  CorpusOptions CO;
+  CO.Scale = 0.2;
+  Corpus C = generateCorpus(CO);
+
+  size_t Stamped = 0;
+  for (const CorpusFile &F : C.Analyzed) {
+    SeminalReport R = runSeminalOnSource(F.Source, allSuggestions(true));
+    for (const Suggestion &S : R.Suggestions) {
+      bool AtCorePath = R.Slice && std::find(R.Slice->Core.begin(),
+                                             R.Slice->Core.end(),
+                                             S.Path) != R.Slice->Core.end();
+      if (S.InSlice)
+        ++Stamped;
+      if (S.InSlice || (!S.ViaTriage && S.Original)) {
+        EXPECT_EQ(S.InSlice, AtCorePath)
+            << F.Source << "\nsuggestion at " << S.Path.str() << ": "
+            << S.Description;
+      }
+    }
+  }
+  EXPECT_GT(Stamped, 0u);
+}
+
+TEST(SliceTest, TriageCloneAtACorePathIsNotInSlice) {
+  // Match triage's phase 1 searches a clone of the scrutinee installed at
+  // the scrutinee's own path. The clone is not a core node, so a
+  // suggestion on it is not in the slice even where its path is a core
+  // path; comparing paths instead would boost it.
+  const char *Src = "let f a =\n"
+                    "  match (a + \"x\", a) with\n"
+                    "    (_, 0) -> 1 + true\n"
+                    "  | _ -> 2 + \"y\"\n";
+  SeminalReport R = runSeminalOnSource(Src, allSuggestions(true));
+  ASSERT_TRUE(R.Slice && R.Slice->Valid);
+  size_t AtCorePaths = 0;
+  for (const Suggestion &S : R.Suggestions) {
+    if (std::find(R.Slice->Core.begin(), R.Slice->Core.end(), S.Path) ==
+        R.Slice->Core.end())
+      continue;
+    ++AtCorePaths;
+    EXPECT_TRUE(S.ViaTriage) << S.Path.str() << ": " << S.Description;
+    EXPECT_FALSE(S.InSlice) << S.Path.str() << ": " << S.Description;
+  }
+  EXPECT_GT(AtCorePaths, 0u);
 }
 
 TEST(SliceCorpusTest, TopSuggestionsRootInTheSlice) {
   // Soundness seen from the ranking side: an untriaged suggestion's node
   // passed the real removal probe, so whenever a slice exists its subtree
-  // must intersect the influence set (otherwise the guide would have
-  // been entitled to skip it).
+  // must intersect the influence set (a subtree disjoint from it cannot
+  // contain the fix).
   CorpusOptions CO;
   CO.Scale = 0.2;
   Corpus C = generateCorpus(CO);
@@ -343,24 +349,6 @@ TEST(SliceCorpusTest, TopSuggestionsRootInTheSlice) {
     }
   }
   EXPECT_GT(Checked, 0u);
-}
-
-TEST(SliceTest, GuideDoomsDisjointSubtree) {
-  // `let a = 1 in` is disjoint from the string/int clash below it.
-  std::string Src = "let f =\n"
-                    "  let a = true in\n"
-                    "  1 + \"two\"";
-  Program P = parse(Src);
-  ErrorSlice S = slice(P);
-  ASSERT_TRUE(S.Valid);
-  SliceGuide G(P, S);
-  // Find the `true` literal: it must be doomable.
-  Expr *Root = P.Decls[S.DeclIndex]->Rhs.get();
-  ASSERT_NE(Root, nullptr);
-  ASSERT_EQ(Root->kind(), Expr::Kind::Let);
-  Expr *Bound = Root->child(0);
-  EXPECT_TRUE(G.subtreeDoomed(*Bound)) << S.render();
-  EXPECT_EQ(G.PrunedSubtrees, 0u) << "queries must not bump counters";
 }
 
 } // namespace
