@@ -200,7 +200,7 @@ BENCHMARK(BM_MutateProgram);
 // inference, candidate construction, suggestion capture and ranking all
 // count. The total is deterministic for a given libstdc++ and gated by
 // scripts/check_bench_regression.py with a tolerance, so per-candidate
-// clone or intern traffic that creeps back shows up here. A second
+// clone traffic that creeps back shows up here. A second
 // scenario isolates the per-candidate oracle call, whose inference
 // allocates nothing once the inferencer's buffers are sized. A third
 // averages one-shot checks over a whole corpus cohort, so copies of the

@@ -70,8 +70,8 @@ double percentile(std::vector<double> Samples, double P) {
 /// Depth 4 is calibrated to tens of milliseconds of inference -- depth
 /// 5 is minutes on this engine -- and stays fixed while --scale only
 /// adds cheap filler decls. That keeps the warm path (which skips all
-/// inference) honest: it still pays the full parse + intern cost of
-/// every decl.
+/// inference) honest: it still pays the full parse and key-compare cost
+/// of every decl.
 std::string makeProgram(size_t Decls, int TailValue) {
   const size_t Depth = 4;
   std::string Out;

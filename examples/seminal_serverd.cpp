@@ -2,7 +2,7 @@
 //
 // The long-lived counterpart of seminal_cli (DESIGN.md section 13): one
 // process holds every editor session's warm search state -- prefix
-// checkpoints keyed on interned declarations, conventional-error memos --
+// checkpoints keyed on their declarations, conventional-error memos --
 // so an edit-resubmit only pays for the suffix that changed. Requests
 // are one JSON object per line on stdin (--stdio, the default) or on a
 // Unix domain socket (--socket=PATH); both transports can run at once.
@@ -69,9 +69,10 @@ void usage(const char *Prog) {
                "                     domain socket at PATH\n"
                "  --threads=N        worker (= session shard) count;\n"
                "                     default: hardware concurrency\n"
-               "  --evict-bytes=N    per-session arena watermark; crossing\n"
-               "                     it drops that session's warm state\n"
-               "                     (default 64 MiB)\n"
+               "  --evict-bytes=N    per-session watermark on retained\n"
+               "                     bytes (checkpoint types plus source);\n"
+               "                     crossing it drops that session's warm\n"
+               "                     state (default 64 MiB)\n"
                "  --max-suggestions=N\n"
                "                     default suggestion cap per check\n"
                "                     (requests may override)\n"

@@ -21,8 +21,8 @@ micro_allocs (bench_micro --json):
     operator-new interposer) is deterministic for a given libstdc++, but
     not across toolchains, so it is gated with a 1.25x tolerance rather
     than exact equality: enough slack for container implementation
-    drift, tight enough to catch reintroduced per-candidate clone or
-    intern traffic (search-figure2, one search), copies of the unedited
+    drift, tight enough to catch reintroduced per-candidate clone
+    traffic (search-figure2, one search), copies of the unedited
     declarations (oneshot-check-corpus, the mean one-shot check over a
     corpus cohort) or per-token and per-node copies in the front end
     (parse-corpus, the mean parseProgram over the same cohort).

@@ -63,7 +63,6 @@ REQUIRED_FAMILIES = [
     "seminal_cost_cpu_us_total",
     "seminal_cost_wall_us_total",
     "seminal_cost_verdict_cache_hits_total",
-    "seminal_cost_arena_nodes",
     "seminal_cost_arena_bytes",
     "seminal_request_cpu_us",
     "seminal_shard_cpu_us_total",

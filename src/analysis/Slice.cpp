@@ -190,6 +190,23 @@ bool isStrictAncestor(const NodePath &A, const NodePath &B) {
          std::equal(A.Steps.begin(), A.Steps.end(), B.Steps.begin());
 }
 
+/// Sets Core to the influence nodes not \p Dropped that have no kept
+/// strict descendant: the antichain of the deepest kept nodes.
+void keepDeepest(ErrorSlice &S, const std::vector<char> &Dropped) {
+  for (size_t I = 0; I < S.Influence.size(); ++I) {
+    if (Dropped[I])
+      continue;
+    bool HasKeptDescendant = false;
+    for (size_t J = 0; J < S.Influence.size() && !HasKeptDescendant; ++J)
+      HasKeptDescendant =
+          !Dropped[J] && isStrictAncestor(S.Influence[I], S.Influence[J]);
+    if (!HasKeptDescendant) {
+      S.Core.push_back(S.Influence[I]);
+      S.CoreSpans.push_back(S.InfluenceSpans[I]);
+    }
+  }
+}
+
 /// Greedy minimal-unsat-core pass: visit influence nodes deepest-first;
 /// wildcard each candidate and keep the wildcard installed whenever the
 /// program still fails (the candidate's constraints are not needed for
@@ -200,7 +217,7 @@ void minimizeCore(ErrorSlice &S, const Program &Prog, unsigned FocusDecl,
                   const SliceOptions &Opts) {
   auto CP = InferenceCheckpoint::create(Prog, FocusDecl);
   if (!CP)
-    return; // Prefix refuses to check; leave Core == Influence.
+    return; // Prefix refuses to check; the caller falls back.
 
   // The checkpoint holds the prefix; only the focus declaration is edited.
   std::shared_ptr<Decl> Work = Prog.Decls[FocusDecl]->clone();
@@ -240,19 +257,7 @@ void minimizeCore(ErrorSlice &S, const Program &Prog, unsigned FocusDecl,
     Decided[Idx] = 1;
   }
 
-  // Core = kept nodes, reduced to an antichain (keep the deepest).
-  for (size_t I = 0; I < S.Influence.size(); ++I) {
-    if (Dropped[I])
-      continue;
-    bool HasKeptDescendant = false;
-    for (size_t J = 0; J < S.Influence.size() && !HasKeptDescendant; ++J)
-      HasKeptDescendant =
-          !Dropped[J] && isStrictAncestor(S.Influence[I], S.Influence[J]);
-    if (!HasKeptDescendant) {
-      S.Core.push_back(S.Influence[I]);
-      S.CoreSpans.push_back(S.InfluenceSpans[I]);
-    }
-  }
+  keepDeepest(S, Dropped);
 }
 
 /// True when one path is a (non-strict) prefix of the other: the nodes
@@ -479,10 +484,11 @@ ErrorSlice analysis::computeErrorSlice(const Program &Prog,
 
   if (!S.Influence.empty())
     minimizeCore(S, Prog, FocusDecl, Opts);
-  if (S.Core.empty()) {
-    S.Core = S.Influence;
-    S.CoreSpans = S.InfluenceSpans;
-  }
+  // Minimization kept nothing (a second, independent error makes every
+  // wildcard still fail) or could not run (the prefix fails): the core is
+  // the deepest influence nodes, still an antichain.
+  if (S.Core.empty())
+    keepDeepest(S, std::vector<char>(S.Influence.size(), 0));
   return S;
 }
 

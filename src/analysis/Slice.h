@@ -14,9 +14,10 @@
 ///     reach the clash: the conservative set, since a subtree disjoint
 ///     from it cannot contain the fix.
 ///   * Core -- Influence greedily minimized by wildcard re-checks to the
-///     antichain of nodes whose constraints are jointly unsatisfiable;
-///     the presentation set ("these program points disagree") and the
-///     ranker's boost set.
+///     antichain of nodes whose constraints are jointly unsatisfiable
+///     (the deepest influence nodes when minimization keeps nothing or
+///     cannot run); the presentation set ("these program points
+///     disagree") and the ranker's boost set.
 ///
 /// The slice explains an error; it never decides which oracle calls the
 /// search makes.

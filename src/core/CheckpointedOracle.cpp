@@ -6,22 +6,18 @@ using namespace seminal;
 using namespace seminal::caml;
 
 CheckpointedOracle::CheckpointedOracle(const OracleAccelOptions &Accel,
-                                       std::shared_ptr<AstArena> Arena)
-    : Accel(Accel), TheArena(std::move(Arena)) {
-  if (this->Accel.Arena && !TheArena)
-    TheArena = std::make_shared<AstArena>();
-  if (!this->Accel.Arena)
-    TheArena.reset(); // The toggle wins over an injected arena.
-}
+                                       std::shared_ptr<AstArena>)
+    : Accel(Accel) {}
 
 CheckpointedOracle::~CheckpointedOracle() = default;
 
 void CheckpointedOracle::setSessionRetention(bool Enabled) {
-  // Retention needs the arena (ids key the stash) and the checkpoint
-  // layer (the stash *is* a checkpoint). Without them the toggle is inert
-  // rather than an error so a server built with ablated acceleration
-  // still runs, just cold.
-  SessionRetention = Enabled && TheArena && Accel.Checkpoint;
+  // Retention needs the checkpoint layer (the stash *is* a checkpoint)
+  // and the memo (its copy of the input supplies the failing
+  // declaration's key). Without them the toggle is inert rather than an
+  // error so a server built with ablated acceleration still runs, just
+  // cold.
+  SessionRetention = Enabled && Accel.Checkpoint && Accel.VerdictCache;
   if (!SessionRetention)
     resetSession();
 }
@@ -29,7 +25,7 @@ void CheckpointedOracle::setSessionRetention(bool Enabled) {
 void CheckpointedOracle::primeConventional(std::string Source) {
   CurrentSource = std::move(Source);
   HaveCurrentSource = true;
-  WalkIds.clear();
+  WalkMatches.clear();
 }
 
 void CheckpointedOracle::resetSession() {
@@ -37,13 +33,21 @@ void CheckpointedOracle::resetSession() {
   SessionConv = RetainedConv();
   CurrentSource.clear();
   HaveCurrentSource = false;
-  SeedPrefixIds.clear();
-  SeedFailingId = AstArena::InvalidId;
-  WalkIds.clear();
+  SeedFailing.reset();
+  WalkMatches.clear();
   resetGrowth();
   ConvProg = Program();
   HasConvMemo = false;
   ConvOk = false;
+}
+
+uint64_t CheckpointedOracle::retainedBytes() const {
+  uint64_t Bytes = SessionConv.Source.size();
+  for (const InferenceCheckpoint *CP :
+       {Retained.Checkpoint.get(), Growth.get(), Checkpoint.get()})
+    if (CP)
+      Bytes += CP->arenaBytes();
+  return Bytes;
 }
 
 bool CheckpointedOracle::convMemoApplies(const Program &Prog) const {
@@ -73,8 +77,8 @@ bool CheckpointedOracle::convMemoApplies(const Program &Prog) const {
 
 std::optional<TypeError>
 CheckpointedOracle::conventionalError(const Program &Prog) {
-  WalkIds.clear(); // Request boundary: Work pointers from the previous
-                   // run's localization walk are gone.
+  WalkMatches.clear(); // Request boundary: Work pointers from the
+                       // previous run's localization walk are gone.
   // Session fast path: an edit past the failing declaration cannot change
   // the diagnostic (the checker aborts at the first error), so replay it.
   if (SessionRetention && SessionConv.Valid && HaveCurrentSource &&
@@ -129,29 +133,35 @@ CheckpointedOracle::conventionalError(const Program &Prog) {
 }
 
 void CheckpointedOracle::seedPrefix(const Program &Prog, unsigned EditedDecl) {
-  clearPrefix();
+  // A re-seed ends the live seed. Seeding right after a localization walk
+  // keeps the walk's match memo, which covers this prefix.
+  if (Seeded)
+    clearPrefix();
   if (EditedDecl >= Prog.Decls.size())
     return;
-  // The memo's whole program can match no call from here on: every
-  // search call is seed-shaped, and typeOfNode never consults it.
-  ConvProg = Program();
-  HasConvMemo = false;
   Seeded = true;
   EditedIndex = EditedDecl;
   PrefixDecls.assign(Prog.Decls.begin(), Prog.Decls.begin() + EditedDecl);
 
-  // Session mode: intern the seed's identity once. The ids key this
-  // request's eventual stash, and matching them against the retained ids
-  // decides whether last request's checkpoint still applies (id equality
-  // is tree equality, so the comparison is EditedDecl integer compares).
+  // Session mode: the stash will key on this prefix and on the input's
+  // own failing declaration -- the memo's copy, since Prog's is the
+  // searcher's clone, which the search edits in place. Last request's
+  // checkpoint still applies when its prefix equals this one; the
+  // localization walk has normally compared every declaration already.
   bool SessionMatch = false;
   if (SessionRetention) {
-    SeedPrefixIds.reserve(EditedDecl);
-    for (unsigned I = 0; I < EditedDecl; ++I)
-      SeedPrefixIds.push_back(TheArena->internDecl(*Prog.Decls[I]));
-    SeedFailingId = TheArena->internDecl(*Prog.Decls[EditedDecl]);
-    SessionMatch = Retained.Valid && Retained.PrefixIds == SeedPrefixIds;
+    if (ConvProg.Decls.size() > EditedDecl &&
+        ConvProg.Decls[EditedDecl]->equals(*Prog.Decls[EditedDecl]))
+      SeedFailing = ConvProg.Decls[EditedDecl];
+    SessionMatch =
+        Retained.Valid && Retained.PrefixDecls.size() == EditedDecl;
+    for (unsigned I = 0; SessionMatch && I < EditedDecl; ++I)
+      SessionMatch = matchesRetained(I, Prog.Decls[I].get());
   }
+  // The memo's whole program can match no call from here on: every
+  // search call is seed-shaped, and typeOfNode never consults it.
+  ConvProg = Program();
+  HasConvMemo = false;
 
   // If localization just grew an environment that covers exactly this
   // prefix, adopt it -- seeding costs nothing. Structural equality is the
@@ -200,16 +210,13 @@ void CheckpointedOracle::seedPrefix(const Program &Prog, unsigned EditedDecl) {
 
 void CheckpointedOracle::stashSessionState() {
   Retained = RetainedSeed();
-  // Only a seed with a live environment snapshot is worth keeping, and
-  // only one whose identity was interned at seedPrefix (retention was on
-  // when this request seeded).
-  if (!Checkpoint || SeedPrefixIds.size() != EditedIndex)
+  // Only a seed with a live environment snapshot is worth keeping.
+  if (!Checkpoint)
     return;
   Retained.Valid = true;
-  Retained.PrefixIds = std::move(SeedPrefixIds);
-  Retained.FailingId = SeedFailingId;
-  Retained.Checkpoint = std::move(Checkpoint);
   Retained.PrefixDecls = std::move(PrefixDecls);
+  Retained.Failing = std::move(SeedFailing);
+  Retained.Checkpoint = std::move(Checkpoint);
 }
 
 void CheckpointedOracle::clearPrefix() {
@@ -219,9 +226,8 @@ void CheckpointedOracle::clearPrefix() {
   EditedIndex = 0;
   PrefixDecls.clear();
   Checkpoint.reset();
-  SeedPrefixIds.clear();
-  SeedFailingId = AstArena::InvalidId;
-  WalkIds.clear();
+  SeedFailing.reset();
+  WalkMatches.clear();
 }
 
 void CheckpointedOracle::resetGrowth() {
@@ -250,29 +256,34 @@ bool CheckpointedOracle::growthExtend(const DeclPtr &D, bool &Verdict) {
   return true;
 }
 
+bool CheckpointedOracle::matchesRetained(size_t I, const Decl *D) {
+  if (I < WalkMatches.size() && WalkMatches[I].first == D)
+    return WalkMatches[I].second;
+  // The walk appends one declaration per localization round and never
+  // mutates the earlier ones, so every round compares exactly one new
+  // declaration; entries past a changed pointer are stale.
+  WalkMatches.resize(I);
+  const DeclPtr &Key =
+      I < Retained.PrefixDecls.size() ? Retained.PrefixDecls[I]
+                                      : Retained.Failing;
+  bool Matched = Key && D->equals(*Key);
+  WalkMatches.emplace_back(D, Matched);
+  return Matched;
+}
+
 bool CheckpointedOracle::trySessionProbe(const Program &Prog, bool &Verdict) {
   if (!SessionRetention || !Retained.Valid || Seeded)
     return false;
   const size_t N = Prog.Decls.size();
-  const size_t P = Retained.PrefixIds.size();
+  const size_t P = Retained.PrefixDecls.size();
   if (N == 0 || N > P + 1)
     return false;
-  // Intern the probe's declarations through the walk memo: the searcher
-  // appends one declaration per localization round and never mutates the
-  // earlier ones, so every round interns exactly one new tree.
-  for (size_t I = 0; I < N; ++I) {
-    const Decl *D = Prog.Decls[I].get();
-    if (I < WalkIds.size() && WalkIds[I].first == D)
-      continue;
-    WalkIds.resize(I);
-    WalkIds.emplace_back(D, TheArena->internDecl(*D));
-  }
   // Everything but (possibly) the last declaration must match the
   // retained known-good prefix; an interior divergence means this is not
   // a walk over the program the session knows.
   size_t Match = 0;
   while (Match < N && Match < P &&
-         WalkIds[Match].second == Retained.PrefixIds[Match])
+         matchesRetained(Match, Prog.Decls[Match].get()))
     ++Match;
   if (Match + 1 < N)
     return false;
@@ -284,8 +295,7 @@ bool CheckpointedOracle::trySessionProbe(const Program &Prog, bool &Verdict) {
     Verdict = true;
     return true;
   }
-  const AstArena::DeclId LastId = WalkIds[N - 1].second;
-  if (N == P + 1 && LastId == Retained.FailingId) {
+  if (N == P + 1 && matchesRetained(P, Prog.Decls[P].get())) {
     // The previous request proved exactly this declaration fails on top
     // of exactly this prefix.
     ++Counters.SessionPrefixHits;
@@ -304,10 +314,10 @@ bool CheckpointedOracle::trySessionProbe(const Program &Prog, bool &Verdict) {
       Retained.Checkpoint->prefixLength() == P) {
     // The retained environment covers the whole prefix -- it becomes the
     // growth environment directly (if the edited declaration still fails,
-    // seedPrefix adopts it back as this request's seed).
+    // seedPrefix adopts it back as this request's seed). The declarations
+    // are copied, not moved: they stay the key for the rest of the walk.
     Growth = std::move(Retained.Checkpoint);
-    GrowthDecls = std::move(Retained.PrefixDecls);
-    Retained.PrefixDecls.clear();
+    GrowthDecls = Retained.PrefixDecls;
     return growthExtend(Prog.Decls[N - 1], Verdict);
   }
   // Prefix edit: the declarations before the divergence are known good,

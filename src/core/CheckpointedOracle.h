@@ -43,15 +43,19 @@
 ///
 /// Server mode (setSessionRetention) keeps the oracle alive across
 /// requests: instead of discarding the seed checkpoint and the
-/// conventional-error memo at clearPrefix(), they are stashed keyed on
-/// the prefix's interned declaration ids (interned once per request) and
-/// re-adopted when a later request seeds an id-identical prefix. An
-/// edit-resubmit from an editor then costs little inference: the
-/// localization walk is answered from the retained known-good prefix
-/// (SessionPrefixHits), seeding re-installs the retained environment
-/// (SessionSeedAdoptions), and the conventional message replays from a
-/// source-prefix memo (SessionConvMemoHits). Verdicts and ranked
-/// suggestions stay bit-identical to a cold run; only the work changes.
+/// conventional-error memo at clearPrefix(), they are stashed with the
+/// prefix declarations they were built from and the input's own failing
+/// declaration, and re-adopted when a later request seeds an equal
+/// prefix. "Equal" is Decl::equals, the AST's own structural equality
+/// (spans ignored); a per-walk memo makes each localization probe compare
+/// only its new declaration. An edit-resubmit from an editor then costs
+/// little inference: the localization walk is answered from the retained
+/// known-good prefix (SessionPrefixHits), seeding re-installs the
+/// retained environment (SessionSeedAdoptions), and the conventional
+/// message replays from a source-prefix memo (SessionConvMemoHits).
+/// Verdicts and ranked suggestions stay bit-identical to a cold run; only
+/// the work changes. retainedBytes() is what that state holds, the level
+/// a daemon session's eviction watermark is checked against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,7 +63,6 @@
 #define SEMINAL_CORE_CHECKPOINTEDORACLE_H
 
 #include "core/Oracle.h"
-#include "minicaml/Arena.h"
 #include "support/Stats.h"
 
 #include <memory>
@@ -70,16 +73,13 @@ namespace seminal {
 /// Drop-in replacement for CamlOracle with the acceleration layer.
 class CheckpointedOracle : public Oracle {
 public:
-  /// \p Arena may be shared with the caller (the server keeps a session's
-  /// arena across oracle rebuilds); when null and Accel.Arena is set the
-  /// oracle creates a private arena. Interned nodes are immortal, so the
-  /// ids keying retained session state stay valid across requests.
+  /// Ignores its second parameter, which perfbench passes (ROADMAP item 5).
   explicit CheckpointedOracle(const OracleAccelOptions &Accel = {},
-                              std::shared_ptr<caml::AstArena> Arena = nullptr);
+                              std::shared_ptr<caml::AstArena> = nullptr);
   ~CheckpointedOracle() override;
 
-  /// The hash-consing arena (null when the layer is disabled).
-  const std::shared_ptr<caml::AstArena> &arena() const { return TheArena; }
+  /// Always null; perfbench still calls it (ROADMAP item 5).
+  std::shared_ptr<caml::AstArena> arena() const { return nullptr; }
 
   // Oracle interface --------------------------------------------------------
   std::optional<caml::TypeError>
@@ -89,16 +89,17 @@ public:
   size_t inferenceRuns() const override { return Counters.inferenceRuns(); }
 
   /// Layer-by-layer instrumentation (hits, misses, saved work). The
-  /// Arena* gauges are not maintained here; runSeminalWithOracle reads
-  /// them from the arena once per run.
+  /// ArenaBytes level is not maintained here; runSeminalWithOracle reads
+  /// retainedBytes() once per run.
   const AccelCounters &counters() const { return Counters; }
   void resetCounters() { Counters.reset(); }
 
   // Session retention (server mode) -----------------------------------------
   /// Keep warm state across seedPrefix/clearPrefix cycles: the seed
   /// checkpoint and the conventional-error memo survive into the next
-  /// request and are re-adopted when its prefix interns to the same
-  /// declaration ids. Requires the arena and checkpoint layers; toggle
+  /// request and are re-adopted when its prefix declarations equal the
+  /// retained ones. Requires the checkpoint layer and the verdict memo
+  /// (whose copy of the input names the failing declaration); toggle
   /// between requests, never mid-request. Turning it off drops all
   /// retained state.
   void setSessionRetention(bool Enabled);
@@ -114,6 +115,11 @@ public:
 
   /// Drops every piece of retained session state.
   void resetSession();
+
+  /// Bytes held for the next request: the type-arena chunks of every
+  /// inference checkpoint kept (the retained seed, a grown environment)
+  /// plus the conventional memo's source text.
+  uint64_t retainedBytes() const;
 
 protected:
   bool typecheckImpl(const caml::Program &Prog) override;
@@ -144,9 +150,13 @@ private:
   /// the retained checkpoint into a growth environment so the rest of
   /// the walk runs incrementally. \returns true when handled.
   bool trySessionProbe(const caml::Program &Prog, bool &Verdict);
-  /// Moves the live seed state (checkpoint, prefix declarations) into
-  /// Retained, keyed on the seed's interned prefix ids; called from
-  /// clearPrefix in session mode.
+  /// Whether declaration \p I of the program being walked equals the
+  /// retained one at that index: a prefix declaration, or at the prefix's
+  /// end the failing one. Memoized per walk by declaration pointer.
+  bool matchesRetained(size_t I, const caml::Decl *D);
+  /// Moves the live seed state (checkpoint, prefix declarations, the
+  /// input's failing declaration) into Retained; called from clearPrefix
+  /// in session mode.
   void stashSessionState();
   /// True when the retained conventional-error memo provably applies to
   /// the program the current source text parsed to.
@@ -154,7 +164,6 @@ private:
 
   OracleAccelOptions Accel;
   AccelCounters Counters;
-  std::shared_ptr<caml::AstArena> TheArena;
 
   // Pre-seed state ----------------------------------------------------------
   /// Environment grown one committed declaration at a time while the
@@ -183,16 +192,17 @@ private:
 
   // Session retention state (server mode) ------------------------------
   bool SessionRetention = false;
-  /// Seed state stashed at clearPrefix, keyed on the prefix's interned
-  /// ids. Everything here is conditioned on exactly that prefix: the
-  /// checkpoint snapshots its environment and FailingId is the
-  /// declaration known to fail on top of it.
+  /// Seed state stashed at clearPrefix. Everything here is conditioned
+  /// on exactly this prefix: the checkpoint snapshots its environment and
+  /// Failing is the declaration known to fail on top of it. Both keys are
+  /// the input's own declarations, shared with the request's program and
+  /// never edited; Failing is null when the seed had no input copy to
+  /// take it from.
   struct RetainedSeed {
     bool Valid = false;
-    std::vector<caml::AstArena::DeclId> PrefixIds;
-    caml::AstArena::DeclId FailingId = caml::AstArena::InvalidId;
-    std::unique_ptr<caml::InferenceCheckpoint> Checkpoint;
     std::vector<caml::DeclPtr> PrefixDecls;
+    caml::DeclPtr Failing;
+    std::unique_ptr<caml::InferenceCheckpoint> Checkpoint;
   };
   RetainedSeed Retained;
 
@@ -215,18 +225,18 @@ private:
   std::string CurrentSource; ///< From primeConventional, one request.
   bool HaveCurrentSource = false;
 
-  /// The live seed's interned identity (prefix ids + failing decl id),
-  /// computed once at seedPrefix in session mode for the later stash.
-  std::vector<caml::AstArena::DeclId> SeedPrefixIds;
-  caml::AstArena::DeclId SeedFailingId = caml::AstArena::InvalidId;
+  /// The live seed's failing declaration as the input has it (the
+  /// memo's copy, not the searcher's clone, which the search edits in
+  /// place), taken at seedPrefix in session mode for the later stash.
+  caml::DeclPtr SeedFailing;
 
-  /// Per-localization-walk intern memo: the searcher's Work program
+  /// Per-localization-walk match memo: the searcher's Work program
   /// appends one declaration per probe and never mutates earlier ones,
-  /// so (pointer, id) pairs make each probe intern exactly one new tree
-  /// instead of the whole prefix. Cleared at every request boundary
-  /// (primeConventional/conventionalError/clearPrefix) so pointers never
-  /// dangle across programs.
-  std::vector<std::pair<const caml::Decl *, caml::AstArena::DeclId>> WalkIds;
+  /// so (pointer, matched) pairs make each probe compare exactly one new
+  /// declaration against the retained ones. Cleared at every request
+  /// boundary (primeConventional/conventionalError/clearPrefix) so
+  /// pointers never dangle across programs.
+  std::vector<std::pair<const caml::Decl *, bool>> WalkMatches;
 };
 
 } // namespace seminal

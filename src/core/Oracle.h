@@ -38,6 +38,11 @@
 
 namespace seminal {
 
+namespace caml {
+/// Empty; perfbench still constructs one (ROADMAP item 5).
+class AstArena {};
+} // namespace caml
+
 /// Toggles for the oracle acceleration layer. Lives here (not in the
 /// accelerated oracle's header) so SearchOptions can embed it and the
 /// ablation benches can switch each layer independently.
@@ -50,19 +55,19 @@ struct OracleAccelOptions {
   /// whole-program probe (and a final localization round that asks about
   /// the same program) is answered without inference. Candidate verdicts
   /// are not memoized: keying them cost more than the inference it saved
-  /// (DESIGN.md section 7). The memo itself does not measurably pay
-  /// either: over the seed-20070611 corpus at scale 0.5 (41 interleaved
-  /// rounds, RelWithDebInfo, 4-core Xeon) the checkpoint alone took a
-  /// median 33.06 ms and checkpoint + memo 32.81 ms, both within the
-  /// other's interquartile range. It stays because a daemon session
-  /// replays the opening probe through it.
+  /// (DESIGN.md section 7). In a one-shot search the memo does not
+  /// measurably pay: over the seed-20070611 corpus at scale 0.5 (41
+  /// interleaved rounds, RelWithDebInfo, 4-core Xeon) the checkpoint
+  /// alone took a median 33.06 ms and checkpoint + memo 32.81 ms, both
+  /// within the other's interquartile range. A daemon session needs it:
+  /// with the memo forced off in Session, `bench_server --scale=0.5`
+  /// (Release, 4-core Xeon, 3 runs each) had a warm p50 of 19.5-26.6 ms
+  /// instead of 0.18-0.27 ms, a warm speedup of about 3x instead of
+  /// about 200x, because the searcher's opening whole-program probe
+  /// re-infers the 60-declaration prefix. So the memo stays.
   bool VerdictCache = true;
 
-  /// Give the oracle a hash-consing arena (minicaml/Arena.h). Session
-  /// retention keys its cross-request state on the prefix's interned
-  /// declaration ids; one-shot searches intern nothing. Verdicts and
-  /// logical-call counts are identical either way.
-  bool Arena = true;
+  bool Arena = true; ///< Ignored; perfbench still sets it (ROADMAP item 5).
 };
 
 /// Black-box type-check oracle over mini-Caml programs.

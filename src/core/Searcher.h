@@ -46,10 +46,6 @@
 
 namespace seminal {
 
-namespace caml {
-class AstArena;
-} // namespace caml
-
 /// Tuning for one search run.
 struct SearchOptions {
   /// Enable triage for multiple independent errors (Section 2.4).
@@ -115,9 +111,7 @@ struct SearchOutput {
 /// Runs the search procedure against \p TheOracle.
 class Searcher {
 public:
-  /// The third parameter is ignored. It remains only because the
-  /// benchmark harness (perfbench/src/Layers.cpp) still passes the
-  /// oracle's arena; it goes in that harness's next revision.
+  /// Ignores its third parameter, which perfbench passes (ROADMAP item 5).
   Searcher(Oracle &TheOracle, const SearchOptions &Opts,
            std::shared_ptr<caml::AstArena> = nullptr)
       : TheOracle(TheOracle), Opts(Opts) {}

@@ -144,15 +144,9 @@ SeminalReport seminal::runSeminalWithOracle(CheckpointedOracle &TheOracle,
   Report.OracleCalls = TheOracle.logicalCalls();
   Report.InferenceRuns = TheOracle.inferenceRuns();
   Report.Accel = TheOracle.counters();
-  // Arena occupancy is a level, read once here for the report and the
-  // cost ledger. Only session retention's prefix ids add nodes; a
-  // one-shot run adds none.
-  if (const std::shared_ptr<caml::AstArena> &Arena = TheOracle.arena()) {
-    const caml::AstArena::Stats &A = Arena->stats();
-    Report.Accel.ArenaNodes = A.Nodes;
-    Report.Accel.ArenaHits = A.Hits;
-    Report.Accel.ArenaBytes = A.Bytes;
-  }
+  // What the oracle keeps for the next request is a level, read once
+  // here for the report and the cost ledger.
+  Report.Accel.ArenaBytes = TheOracle.retainedBytes();
   if (Opts.Search.Trace)
     Report.Trace = Opts.Search.Trace->summarize();
   return Report;

@@ -113,7 +113,7 @@ SeminalReport runSeminal(const caml::Program &Prog,
 class CheckpointedOracle;
 
 /// Runs one request against a caller-owned (typically long-lived) oracle.
-/// This is the server entry point: the oracle keeps its arena, retained
+/// This is the server entry point: the oracle keeps its retained
 /// session checkpoint and conventional-error memo across calls, while
 /// everything per-request is reset at entry -- the logical-call count (so
 /// SearchOptions::MaxOracleCalls budgets each request, not the session)

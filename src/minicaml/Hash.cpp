@@ -9,32 +9,26 @@ namespace {
 
 // 64-bit FNV-1a over typed fields, with a splitmix-style finisher mixed in
 // at every combine so shallow trees still diffuse well.
-constexpr uint64_t FnvOffset = hashing::Seed;
+constexpr uint64_t FnvOffset = 1469598103934665603ull;
 constexpr uint64_t FnvPrime = 1099511628211ull;
 
-uint64_t mix(uint64_t H, uint64_t V) { return hashing::mix(H, V); }
-
-uint64_t hashString(uint64_t H, const std::string &S) {
-  return hashing::mixString(H, S);
-}
-
-} // namespace
-
-uint64_t hashing::mix(uint64_t H, uint64_t V) {
+uint64_t mix(uint64_t H, uint64_t V) {
   H ^= V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
   V *= 0xbf58476d1ce4e5b9ull;
   V ^= V >> 27;
   return (H ^ V) * FnvPrime;
 }
 
-uint64_t hashing::mixString(uint64_t H, const std::string &S) {
-  uint64_t SH = Seed;
+uint64_t hashString(uint64_t H, const std::string &S) {
+  uint64_t SH = FnvOffset;
   for (unsigned char C : S) {
     SH ^= C;
     SH *= FnvPrime;
   }
   return mix(H, mix(SH, S.size()));
 }
+
+} // namespace
 
 uint64_t caml::hashPattern(const Pattern &P) {
   uint64_t H = mix(FnvOffset, 0x50 + uint64_t(P.kind()));

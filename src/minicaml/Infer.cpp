@@ -84,6 +84,10 @@ public:
   /// TypesAllocated, when non-null, receives this call's allocations.
   bool extendDecl(const Decl &D, size_t *TypesAllocated);
 
+  /// Chunk bytes of this instance's type arena (the shared base's not
+  /// included).
+  size_t arenaBytes() const { return Arena.chunkBytes(); }
+
 private:
   struct StdlibTag {};
   /// Builds the base itself: a standalone instance holding the stdlib.
@@ -1242,6 +1246,10 @@ TypecheckResult InferenceCheckpoint::queryDecl(const Decl &D,
   TypecheckOptions Opts;
   Opts.QueryNode = QueryNode;
   return TheImpl->Inf.checkAdditionalDecl(D, Opts, /*Render=*/false);
+}
+
+size_t InferenceCheckpoint::arenaBytes() const {
+  return TheImpl->Inf.arenaBytes();
 }
 
 bool InferenceCheckpoint::extendWith(const Decl &D, size_t *TypesAllocated) {

@@ -126,6 +126,9 @@ public:
 
   unsigned prefixLength() const { return PrefixLen; }
 
+  /// Bytes of type storage the snapshot holds (its TypeArena's chunks).
+  size_t arenaBytes() const;
+
   /// Type-checks \p D as the declaration following the snapshot's prefix.
   /// \p D must be a Let declaration. All side effects are rolled back
   /// before returning, so the checkpoint stays valid. The result's

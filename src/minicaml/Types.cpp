@@ -111,6 +111,7 @@ void TypeArena::nextChunk(size_t Bytes) {
     Chunk C;
     C.Mem.reset(new std::byte[Size]);
     C.Size = Size;
+    ChunkBytes += Size;
     poison(C.Mem.get(), Size);
     Chunks.insert(Chunks.begin() + ptrdiff_t(Next), std::move(C));
   }

@@ -234,6 +234,9 @@ public:
   /// Nodes allocated and not rewound.
   size_t numAllocated() const { return Nodes; }
 
+  /// Bytes of chunk storage held, rewound space included.
+  size_t chunkBytes() const { return ChunkBytes; }
+
 private:
   struct Chunk {
     std::unique_ptr<std::byte[]> Mem;
@@ -261,6 +264,7 @@ private:
   size_t Used = 0; ///< Bytes of Chunks[Cur] in use.
   size_t Nodes = 0;
   int NextVarId = 0;
+  size_t ChunkBytes = 0; ///< Sum of Chunks[i].Size.
 };
 
 /// Follows variable links to the representative, compressing paths.

@@ -170,8 +170,6 @@ void RunReport::writeJson(std::ostream &OS, bool Pretty) const {
   J.field("incremental_inferences", Accel.IncrementalInferences);
   J.field("full_inferences", Accel.FullInferences);
   J.field("decl_rechecks_saved", Accel.DeclInferencesSaved);
-  J.field("arena_nodes", Accel.ArenaNodes);
-  J.field("arena_hits", Accel.ArenaHits);
   J.field("arena_bytes", Accel.ArenaBytes);
   // The cost ledger (schema v2) repeats fields above, in the layout the
   // daemon's check replies share.
@@ -181,7 +179,6 @@ void RunReport::writeJson(std::ostream &OS, bool Pretty) const {
   J.field("wall_ns", uint64_t(WallSeconds * 1e9));
   J.field("oracle_calls", OracleCalls);
   J.field("inference_runs", InferenceRuns);
-  J.field("arena_nodes", Accel.ArenaNodes);
   J.field("arena_bytes", Accel.ArenaBytes);
   J.field("verdict_cache_hits", Accel.CacheHits);
   J.endObject();

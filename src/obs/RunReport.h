@@ -53,7 +53,12 @@ namespace obs {
 ///
 /// v4: effort lost "slice_pruned_calls", and each effort.layers entry
 /// lost "pruned", with the slice-guided search that counted them.
-inline constexpr int RunReportSchemaVersion = 4;
+///
+/// v5: effort and its cost object lost "arena_nodes", and effort lost
+/// "arena_hits", with the AST arena that counted them; "arena_bytes" now
+/// counts the bytes the oracle retains for its next request (a session's
+/// checkpoint types plus source), not interned AST nodes.
+inline constexpr int RunReportSchemaVersion = 5;
 
 /// One ranked suggestion, flattened for reporting.
 struct SuggestionOutcome {
@@ -120,7 +125,7 @@ struct RunReport {
   /// and never gated.
   uint64_t CpuNs = 0;
   /// Acceleration-layer counters for the run (memo hits, checkpoint
-  /// reuse, arena occupancy).
+  /// reuse, retained bytes).
   AccelCounters Accel;
   /// Candidate outcomes per search layer (from the TelemetrySink).
   std::map<std::string, LayerStats> Layers;

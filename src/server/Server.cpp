@@ -58,7 +58,6 @@ std::string server::renderCheckResponse(const std::string &Id,
     << ",\"wall_ns\":" << O.wallNs()
     << ",\"oracle_calls\":" << O.OracleCalls
     << ",\"inference_runs\":" << O.InferenceRuns
-    << ",\"arena_nodes\":" << O.Accel.ArenaNodes
     << ",\"arena_bytes\":" << O.Accel.ArenaBytes
     << ",\"verdict_cache_hits\":" << O.Accel.CacheHits
     << "},\"evicted\":" << (O.Evicted ? "true" : "false");
@@ -149,7 +148,7 @@ ServerEngine::ServerEngine(const ServerOptions &Opts)
   Ops.SessionsCreated = &Registry.counter("seminal_sessions_created_total",
                                           "Sessions created since start");
   Ops.Evictions = &Registry.counter("seminal_evictions_total",
-                                    "Arena watermark evictions");
+                                    "Retained-bytes watermark evictions");
   Ops.Replays = &Registry.counter(
       "seminal_replays_total",
       "Checks answered by replaying the session's previous answer");
@@ -168,7 +167,7 @@ ServerEngine::ServerEngine(const ServerOptions &Opts)
                                      "Requests that exported a slow trace");
   Ops.Sessions = &Registry.gauge("seminal_sessions", "Live sessions");
   Ops.ArenaBytes = &Registry.gauge(
-      "seminal_arena_bytes", "Retained arena bytes across all sessions");
+      "seminal_arena_bytes", "Bytes retained across all sessions");
   Ops.CostCpuUs = &Registry.counter(
       "seminal_cost_cpu_us_total",
       "Ledger: request thread-CPU microseconds across checks");
@@ -178,12 +177,9 @@ ServerEngine::ServerEngine(const ServerOptions &Opts)
   Ops.CostVerdictHits = &Registry.counter(
       "seminal_cost_verdict_cache_hits_total",
       "Ledger: conventional-verdict memo hits across checks");
-  Ops.CostArenaNodes = &Registry.gauge(
-      "seminal_cost_arena_nodes",
-      "Ledger: arena nodes after the most recent check");
   Ops.CostArenaBytes = &Registry.gauge(
       "seminal_cost_arena_bytes",
-      "Ledger: arena bytes after the most recent check");
+      "Ledger: retained bytes after the most recent check");
   Ops.SloBurnFast = &Registry.gauge(
       "seminal_slo_burn_rate_milli",
       "Warm-latency SLO burn rate x1000 (1000 = on budget), by window",
@@ -229,7 +225,7 @@ ServerEngine::ServerEngine(const ServerOptions &Opts)
 }
 
 ServerEngine::~ServerEngine() {
-  // Posted handlers reference the engine (instruments, arena shares)
+  // Posted handlers reference the engine (instruments, retained shares)
   // and sessions; run them all down before any member dies.
   Pool->drainPosted();
   Pool.reset();
@@ -294,7 +290,6 @@ void ServerEngine::finishCheck(const std::string &Id,
   Ops.CostCpuUs->inc(CpuUs);
   Ops.CostWallUs->inc(Out.wallNs() / 1000);
   Ops.CostVerdictHits->inc(Out.Accel.CacheHits);
-  Ops.CostArenaNodes->set(int64_t(Out.Accel.ArenaNodes));
   Ops.CostArenaBytes->set(int64_t(Out.Accel.ArenaBytes));
   Ops.Shards[Shard].CpuUs->inc(CpuUs);
   Ops.WarmPrefixHits->inc(Out.Accel.SessionPrefixHits);
@@ -520,7 +515,6 @@ std::string ServerEngine::renderStats() const {
      << ",\"conv_memo_hits\":" << Ops.WarmConvMemoHits->value()
      << "},\"cost\":{\"cpu_us\":" << Ops.CostCpuUs->value()
      << ",\"wall_us\":" << Ops.CostWallUs->value()
-     << ",\"arena_nodes\":" << Ops.CostArenaNodes->value()
      << ",\"arena_bytes\":" << Ops.CostArenaBytes->value()
      << "},\"shards\":[";
   for (size_t S = 0; S < Ops.Shards.size(); ++S) {

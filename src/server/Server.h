@@ -173,12 +173,11 @@ private:
     obs::OpsGauge *Sessions = nullptr;
     obs::OpsGauge *ArenaBytes = nullptr;
     // Cost-ledger families (DESIGN.md section 16). Counters are flows
-    // summed across checks; the arena pair are levels (gauges). The
+    // summed across checks; retained bytes are a level (a gauge). The
     // ledger's oracle calls and inference runs are the counters above.
     obs::OpsCounter *CostCpuUs = nullptr;
     obs::OpsCounter *CostWallUs = nullptr;
     obs::OpsCounter *CostVerdictHits = nullptr;
-    obs::OpsGauge *CostArenaNodes = nullptr;
     obs::OpsGauge *CostArenaBytes = nullptr;
     /// Burn rates in milli-units (gauges are int64; 1000 = burning the
     /// error budget exactly at the sustainable rate).
@@ -209,7 +208,7 @@ private:
 
   /// Immutable after construction (Opts, Pool, Registry, the cached
   /// instrument pointers in Ops); the instruments themselves are
-  /// lock-free atomics. Mutex guards the session table, the arena
+  /// lock-free atomics. Mutex guards the session table, the retained
   /// shares and the slowest-request exemplar, and no counter.
   ServerOptions Opts;
   std::unique_ptr<ThreadPool> Pool;
@@ -219,7 +218,7 @@ private:
   mutable sync::Mutex Mutex{sync::LockRank::ServerEngine, "server.engine"};
   std::unordered_map<std::string, std::shared_ptr<Session>> Sessions
       SEMINAL_GUARDED_BY(Mutex);
-  /// Last reported retained arena bytes per session, so the process-wide
+  /// Last reported retained bytes per session, so the process-wide
   /// seminal_arena_bytes gauge can track the sum incrementally.
   std::unordered_map<std::string, uint64_t> ArenaBySession
       SEMINAL_GUARDED_BY(Mutex);

@@ -17,45 +17,24 @@ using namespace seminal::server;
 
 Session::Session(std::string Name, const SessionConfig &Config)
     : Name(std::move(Name)), Config(Config) {
-  // Session retention needs the arena and the checkpoint, and the memo
+  // Session retention needs the checkpoint and the memo, which also
   // answers the opening probe; force the layers on regardless of what the
   // caller left in Accel so a session is never silently cold. (Ablation
   // experiments drive the oracle directly.)
-  this->Config.Accel.Arena = true;
   this->Config.Accel.Checkpoint = true;
   this->Config.Accel.VerdictCache = true;
-  rebuildOracle();
+  Oracle = std::make_unique<CheckpointedOracle>(this->Config.Accel);
+  Oracle->setSessionRetention(true);
 }
 
 Session::~Session() = default;
 
-void Session::rebuildOracle() {
-  std::shared_ptr<caml::AstArena> Arena;
-  if (Oracle) {
-    Arena = Oracle->arena();
-    Oracle.reset();
-    // Reuse the node storage when nothing else holds an id into it;
-    // otherwise start a fresh arena and let the old one die with its
-    // last holder (ids must stay valid for whoever kept them).
-    if (Arena && Arena.use_count() == 1)
-      Arena->clear();
-    else
-      Arena = std::make_shared<caml::AstArena>();
-  } else {
-    Arena = std::make_shared<caml::AstArena>();
-  }
-  Oracle = std::make_unique<CheckpointedOracle>(Config.Accel, Arena);
-  Oracle->setSessionRetention(true);
-}
-
 void Session::reset() {
   Previous.reset();
-  rebuildOracle();
+  Oracle->resetSession();
 }
 
-uint64_t Session::arenaBytes() const {
-  return Oracle->arena() ? Oracle->arena()->stats().Bytes : 0;
-}
+uint64_t Session::arenaBytes() const { return Oracle->retainedBytes(); }
 
 namespace {
 
@@ -94,15 +73,10 @@ CheckOutcome Session::check(const std::string &Source,
   ++Checks;
 
   // A replay or a syntax error runs no search: its bill is its own
-  // clocks, no oracle work, and the arena as the session holds it now.
+  // clocks, no oracle work, and what the session retains now.
   auto CloseUnsearched = [&](CheckOutcome &Out) {
     stampClocks(Out, Start, CpuStart);
-    if (Oracle->arena()) {
-      const caml::AstArena::Stats &A = Oracle->arena()->stats();
-      Out.Accel.ArenaNodes = A.Nodes;
-      Out.Accel.ArenaBytes = A.Bytes;
-    }
-    Out.ArenaBytes = Out.Accel.ArenaBytes;
+    Out.Accel.ArenaBytes = Out.ArenaBytes = arenaBytes();
   };
   auto Remember = [&](const CheckOutcome &Out) {
     Previous = PreviousCheck{Source, Opts.MaxSuggestions, Opts.MaxOracleCalls,
@@ -193,10 +167,9 @@ CheckOutcome Session::check(const std::string &Source,
     Out.ReportJson = OS.str();
   }
 
-  // Eviction check: the arena holds only the retained prefix's ids, which
-  // rebuildOracle drops along with the oracle.
+  // Eviction check: one request's retained state crossed the watermark.
   if (arenaBytes() > Config.ArenaEvictBytes) {
-    rebuildOracle();
+    Oracle->resetSession();
     Out.Evicted = true;
   }
   Out.ArenaBytes = arenaBytes();

@@ -6,28 +6,27 @@
 ///
 /// \file
 /// A Session is the unit of warm-state reuse in the search daemon: one
-/// long-lived CheckpointedOracle in session-retention mode, its shared
-/// hash-consing arena, and the previous check's answer. Requests from
-/// the same editor hit the same Session, so an edit-resubmit re-adopts
-/// the previous request's prefix checkpoint instead of re-inferring from
-/// scratch (CheckpointedOracle.h's server-mode notes),
-/// and a resubmit of the very same bytes under the same limits replays
-/// the previous answer without searching at all.
+/// long-lived CheckpointedOracle in session-retention mode and the
+/// previous check's answer. Requests from the same editor hit the same
+/// Session, so an edit-resubmit re-adopts the previous request's prefix
+/// checkpoint instead of re-inferring from scratch (CheckpointedOracle.h's
+/// server-mode notes), and a resubmit of the very same bytes under the
+/// same limits replays the previous answer without searching at all.
 ///
 /// Scoping rules (DESIGN.md section 13): AccelCounters are per-request
 /// -- runSeminalWithOracle resets them at entry, and the server's ops
-/// registry, not the Session, sums them; the arena is per-session and
-/// persists across requests until the eviction watermark. A Session is
-/// single-threaded by construction: the server pins it to one
-/// ThreadPool shard and its requests run FIFO there, so no member needs
-/// a lock.
+/// registry, not the Session, sums them; the retained state is
+/// per-session and persists across requests until the eviction
+/// watermark. A Session is single-threaded by construction: the server
+/// pins it to one ThreadPool shard and its requests run FIFO there, so
+/// no member needs a lock.
 ///
-/// Eviction: interned arena nodes are immortal, so a session that keeps
-/// submitting different programs grows its arena without bound. When
-/// retained bytes cross SessionConfig::ArenaEvictBytes after a request,
-/// the Session drops all id-keyed warm state and clears the arena in
-/// place (or swaps in a fresh one if anything still holds a reference).
-/// The next request on the session runs cold; correctness is unaffected.
+/// Eviction: the oracle keeps one request's state (a prefix checkpoint,
+/// its declarations, the conventional memo's source), but a checkpoint's
+/// types can be far larger than its source. When the bytes it retains
+/// (CheckpointedOracle::retainedBytes) cross SessionConfig::ArenaEvictBytes
+/// after a request, the Session drops that state. The next request on
+/// the session runs cold; correctness is unaffected.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +55,7 @@ struct SessionConfig {
   /// Baseline run options; per-request limits override copies of this.
   SeminalOptions Base;
 
-  /// Arena eviction watermark in retained bytes (see file comment).
+  /// Eviction watermark in retained bytes (see file comment).
   uint64_t ArenaEvictBytes = 64ull << 20;
 
   /// Tail-sampled slow-request tracing (DESIGN.md section 14): when
@@ -78,7 +77,7 @@ struct CheckOptions {
 };
 
 /// Everything one check produced, pre-rendered so the response can be
-/// written without keeping arena-referencing Suggestion objects alive.
+/// written without keeping the request's Suggestion objects alive.
 struct CheckOutcome {
   std::string SyntaxError; ///< Nonempty = the source failed to parse.
   bool InputTypechecks = false;
@@ -101,8 +100,9 @@ struct CheckOutcome {
   uint64_t OracleCalls = 0;
   uint64_t InferenceRuns = 0;
   /// Per-request acceleration counters (includes the Session* warm-reuse
-  /// fields that the protocol surfaces as "warm"). The arena fields are
-  /// the session's levels after the check, also when it ran no search.
+  /// fields that the protocol surfaces as "warm"). ArenaBytes is the
+  /// session's retained level after the check, also when it ran no
+  /// search.
   AccelCounters Accel;
   double WallSeconds = 0.0;
   /// Thread CPU the check consumed. Exact: the session runs confined to
@@ -113,9 +113,9 @@ struct CheckOutcome {
   uint64_t wallNs() const { return uint64_t(WallSeconds * 1e9); }
   /// Compact RunReport JSON (empty unless CheckOptions::WantReport).
   std::string ReportJson;
-  /// The arena watermark was crossed and the session went cold.
+  /// The eviction watermark was crossed and the session went cold.
   bool Evicted = false;
-  /// Retained arena bytes after this request (post-eviction).
+  /// Retained bytes after this request (post-eviction).
   uint64_t ArenaBytes = 0;
   /// File the slow-trace ring captured for this request ("" = not slow
   /// or tracing disabled).
@@ -138,22 +138,17 @@ public:
   /// is replayed (unless \p Opts asks for a report).
   CheckOutcome check(const std::string &Source, const CheckOptions &Opts);
 
-  /// Drops all warm state (retained checkpoints, memos,
-  /// arena contents, the replayable answer). The session identity and
-  /// its check count survive.
+  /// Drops all warm state (retained checkpoints, memos, the replayable
+  /// answer). The session identity and its check count survive.
   void reset();
 
-  /// Retained arena bytes right now.
+  /// Bytes the session's oracle retains right now.
   uint64_t arenaBytes() const;
 
   /// Checks served so far; names the RunReport ("session#N").
   uint64_t checks() const { return Checks; }
 
 private:
-  /// (Re)creates the oracle, reusing the arena storage when this session
-  /// holds the only reference and swapping in a fresh arena otherwise.
-  void rebuildOracle();
-
   std::string Name;
   SessionConfig Config;
   std::unique_ptr<CheckpointedOracle> Oracle;
@@ -161,7 +156,7 @@ private:
   /// The previous check, kept for replay. The key is the exact bytes and
   /// the per-request limits: a search is deterministic in its program
   /// and options, so an equal key has an equal answer. Outcome holds
-  /// rendered strings and no arena ids, so eviction keeps it.
+  /// rendered strings only, so eviction keeps it.
   struct PreviousCheck {
     std::string Source;
     size_t MaxSuggestions = 0;

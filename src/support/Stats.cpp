@@ -22,11 +22,8 @@ AccelCounters &AccelCounters::operator+=(const AccelCounters &Other) {
   SessionPrefixHits += Other.SessionPrefixHits;
   SessionSeedAdoptions += Other.SessionSeedAdoptions;
   SessionConvMemoHits += Other.SessionConvMemoHits;
-  // Arena occupancy is a gauge, not a counter: the arena is shared across
-  // everything that accumulates into this object, so take the max rather
-  // than double-counting the same nodes.
-  ArenaNodes = std::max(ArenaNodes, Other.ArenaNodes);
-  ArenaHits = std::max(ArenaHits, Other.ArenaHits);
+  // Retained bytes are a level, not a counter: take the max rather than
+  // summing the same session's state run after run.
   ArenaBytes = std::max(ArenaBytes, Other.ArenaBytes);
   return *this;
 }
@@ -39,8 +36,6 @@ std::string AccelCounters::render() const {
      << DeclInferencesSaved << " prefix decl re-checks saved\n"
      << "  checkpoints: " << CheckpointSeeds << " seeded, "
      << CheckpointFallbacks << " fallbacks to full inference\n"
-     << "  arena: " << ArenaNodes << " nodes, " << ArenaHits << " hits, "
-     << ArenaBytes << " bytes\n"
      << "  type allocations: " << TypesAllocated << "\n";
   if (SessionPrefixHits || SessionSeedAdoptions || SessionConvMemoHits)
     OS << "  session reuse: " << SessionPrefixHits << " prefix probes, "

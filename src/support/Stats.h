@@ -49,12 +49,9 @@ struct AccelCounters {
   /// Unification-variable allocations across all inference performed; a
   /// hardware-independent work proxy (TypecheckResult::TypesAllocated).
   uint64_t TypesAllocated = 0;
-  /// Hash-consing arena occupancy at the end of the run
-  /// (minicaml/Arena.h): distinct nodes stored, intern requests answered
-  /// by an existing node, and approximate retained bytes. Zero for
-  /// one-shot searches, which intern nothing.
-  uint64_t ArenaNodes = 0;
-  uint64_t ArenaHits = 0;
+  /// Bytes the oracle keeps for its next request at the end of the run
+  /// (CheckpointedOracle::retainedBytes): a level, not a count. It is
+  /// what a daemon session's eviction watermark is checked against.
   uint64_t ArenaBytes = 0;
   /// Session warm-state reuse (server mode; all zero for one-shot runs).
   /// Localization probes answered from a prefix the session already

@@ -352,6 +352,9 @@ TEST_P(SliceRankedFuzz, SliceRankedSearchMatchesPlainOnRandomPrograms) {
     EXPECT_EQ(RR.BudgetExhausted, RP.BudgetExhausted) << "seed " << Seed;
     EXPECT_EQ(renderedSuggestions(RR), renderedSuggestions(RP))
         << "seed " << Seed << "\n" << printProgram(P);
+    if (RR.Slice) {
+      EXPECT_EQ(ancestorPair(RR.Slice->Core), "") << "seed " << Seed;
+    }
   }
   EXPECT_GT(Examined, 0);
 }

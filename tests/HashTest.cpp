@@ -1,11 +1,9 @@
 //===- HashTest.cpp - Structural-hash properties ---------------------------==//
 //
-// The hash-consing arena (minicaml/Arena.h) buckets interned nodes by
-// these hashes, and RunReports identify programs by them, so the hash
-// must respect structural equality: equal trees must hash equal (clone
-// stability), and in practice unequal trees must hash unequal (collision
-// sanity -- a collision is handled by the arena's equality confirmation,
-// but a collision-happy hash would degrade its buckets to a linear scan).
+// RunReports identify programs by these hashes, so the hash must respect
+// structural equality: equal trees must hash equal (clone stability),
+// and in practice unequal trees must hash unequal (collision sanity: two
+// different programs should not share an identity).
 // The inequality property is exercised over exactly the edits the
 // searcher performs: every enumerator candidate and registry-supplied
 // change.

@@ -25,6 +25,7 @@
 #include "obs/SlowTraceRing.h"
 #include "support/Json.h"
 #include "support/Profiler.h"
+#include "support/Rng.h"
 #include "support/Trace.h" // jsonEscape
 
 #include <gtest/gtest.h>
@@ -282,6 +283,28 @@ TEST(ServerSessionTest, EvictionGoesColdButStaysCorrect) {
   EXPECT_TRUE(Second.Evicted);
 }
 
+TEST(ServerSessionTest, EvictionCountsTheCheckpointsTypes) {
+  // Few AST nodes per line, but each declaration's type is one list
+  // deeper than the one before, so the retained checkpoint holds a
+  // quadratic number of type nodes: 300 lines of source retain over a
+  // megabyte of types, which the watermark must count.
+  std::string Source = "let x0 = 1\n";
+  for (int I = 1; I <= 300; ++I)
+    Source += "let x" + std::to_string(I) + " = [x" + std::to_string(I - 1) +
+              "]\n";
+  Source += "let bad = x300 + 1\n";
+  SessionConfig Config;
+  Config.ArenaEvictBytes = 256 << 10;
+  Session S("t", Config);
+  CheckOutcome Out = S.check(Source, CheckOptions());
+  EXPECT_GT(Out.Accel.ArenaBytes, Config.ArenaEvictBytes);
+  EXPECT_TRUE(Out.Evicted);
+  EXPECT_EQ(Out.ArenaBytes, 0u) << "eviction drops every retained byte";
+  EXPECT_EQ(outcomeMessages(Out), oneShotMessages(Source, nullptr));
+  CheckOutcome Again = S.check(std::string(Source) + "\n", CheckOptions());
+  EXPECT_EQ(warmTotal(Again.Accel), 0u) << "evicted sessions run cold";
+}
+
 //===----------------------------------------------------------------------===//
 // Replay: a resubmit of the same bytes serves the previous answer
 //===----------------------------------------------------------------------===//
@@ -313,6 +336,11 @@ void expectColdAnswer(const json::Value &Reply, const std::string &Source) {
     EXPECT_EQ(G.getString("path"), Want.Path.str());
     EXPECT_EQ(G.getString("message"), renderSuggestion(Want, Opts.Message));
   }
+}
+
+/// The same check for a session's outcome, rendered as its reply.
+void expectColdAnswer(const CheckOutcome &Out, const std::string &Source) {
+  expectColdAnswer(parseReply(renderCheckResponse("1", Out)), Source);
 }
 
 /// The answer fields of two outcomes are equal.
@@ -448,11 +476,10 @@ TEST(ServerReplayTest, ReplayBillsItsOwnClocksAndNoSearch) {
   EXPECT_GT(Replay.wallNs(), 0u);
   EXPECT_TRUE(Replay.ReportJson.empty());
   EXPECT_TRUE(Replay.SlowTracePath.empty());
-  // The arena levels are the session's current ones.
+  // The retained level is the session's current one.
   EXPECT_GT(First.ArenaBytes, 0u);
   EXPECT_EQ(Replay.ArenaBytes, First.ArenaBytes);
   EXPECT_EQ(Replay.Accel.ArenaBytes, First.ArenaBytes);
-  EXPECT_EQ(Replay.Accel.ArenaNodes, First.Accel.ArenaNodes);
   EXPECT_EQ(S.checks(), 2u);
 }
 
@@ -500,6 +527,156 @@ TEST(ServerReplayTest, EngineLogsAndCountsReplaysAndTracesNone) {
   EXPECT_NE(Text.find("replayed=true", SecondLine), std::string::npos) << Text;
   (void)std::system(Cmd.c_str());
 }
+
+//===----------------------------------------------------------------------===//
+// Retention keys: the session's own declarations
+//===----------------------------------------------------------------------===//
+
+TEST(SessionRetentionTest, WhitespacePrefixEditKeepsEveryProbeWarm) {
+  // Spans are not part of the key: a prefix that only moved answers every
+  // localization probe from the session, the unchanged failing
+  // declaration included, and its checkpoint is adopted again. (A
+  // declaration after the failing one keeps the last probe off the
+  // whole-program memo.)
+  Session S("t", SessionConfig());
+  S.check(std::string(BaseSource) + "let after = 1\n", CheckOptions());
+  std::string Moved = "\nlet inc x =   x + 1\n\n"
+                      "let twice f y = f (f y)\n"
+                      "let out = twice inc true\n"
+                      "let after = 1\n";
+  CheckOutcome Warm = S.check(Moved, CheckOptions());
+  ASSERT_EQ(Warm.FailingDecl, 2);
+  EXPECT_EQ(Warm.Accel.SessionPrefixHits, 3u) << "one per probe";
+  EXPECT_EQ(Warm.Accel.SessionSeedAdoptions, 1u);
+  EXPECT_EQ(Warm.Accel.SessionConvMemoHits, 0u) << "the bytes moved";
+  EXPECT_EQ(Warm.Accel.FullInferences, 0u);
+  expectColdAnswer(Warm, Moved);
+}
+
+TEST(SessionRetentionTest, TypeAndExceptionDeclarationsKeyInFull) {
+  // A session re-adopts a retained environment on declaration equality
+  // alone, so type and exception declarations compare by their whole
+  // definition, not by name.
+  caml::ParseResult T = caml::parseProgram(
+      "type t = A | B\ntype t = A | C\ntype t = A | B\n"
+      "exception E of int\nexception E of string\n");
+  ASSERT_TRUE(T.ok());
+  const std::vector<caml::DeclPtr> &D = T.Prog->Decls;
+  EXPECT_FALSE(D[0]->equals(*D[1]));
+  EXPECT_TRUE(D[0]->equals(*D[2]));
+  EXPECT_FALSE(D[3]->equals(*D[4]));
+
+  Session S("t", SessionConfig());
+  S.check("type t = A | B\nlet g x = match x with A -> 1 | B -> 2\n"
+          "let y = g 1\n",
+          CheckOptions());
+  std::string Changed = "type t = A of int | B\n"
+                        "let g x = match x with A -> 1 | B -> 2\n"
+                        "let y = g 1\n";
+  CheckOutcome Out = S.check(Changed, CheckOptions());
+  EXPECT_EQ(Out.Accel.SessionPrefixHits, 0u);
+  EXPECT_EQ(Out.Accel.SessionSeedAdoptions, 0u);
+  expectColdAnswer(Out, Changed);
+}
+
+/// The first integer or string literal in \p E, preorder, or null.
+const caml::Expr *firstLiteral(const caml::Expr &E) {
+  if (E.kind() == caml::Expr::Kind::IntLit ||
+      E.kind() == caml::Expr::Kind::StringLit)
+    return &E;
+  for (unsigned C = 0; C < E.numChildren(); ++C)
+    if (const caml::Expr *L = firstLiteral(*E.child(C)))
+      return L;
+  return nullptr;
+}
+
+/// \p Source with declaration \p Index edited the way an editor would:
+/// its first literal changed, or a new declaration inserted before it
+/// when it has none.
+std::string editDecl(const std::string &Source, const caml::Program &P,
+                     size_t Index) {
+  const caml::Decl &D = *P.Decls[Index];
+  const caml::Expr *L = D.Rhs ? firstLiteral(*D.Rhs) : nullptr;
+  std::string Out = Source;
+  if (!L)
+    return Out.insert(D.Span.Begin.Offset, "let fuzz_pad = 0\n");
+  size_t Begin = L->Span.Begin.Offset;
+  if (L->kind() == caml::Expr::Kind::StringLit)
+    return Out.insert(Begin + 1, "z");
+  return Out.replace(Begin, L->Span.EndOffset - Begin,
+                     std::to_string(L->IntValue + 1));
+}
+
+/// Seeded editor sessions over corpus files: prefix edits, edits and
+/// rewrites of the failing declaration, edits after it, whitespace-only
+/// prefix edits, and reverts, all through one Session. Retention may only
+/// skip work.
+class SessionFuzzTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SessionFuzzTest, EditSequencesMatchColdRuns) {
+  static const Corpus C = [] {
+    CorpusOptions CO;
+    CO.Scale = 0.5;
+    return generateCorpus(CO);
+  }();
+  ASSERT_FALSE(C.Analyzed.empty());
+  Rng R(uint64_t(GetParam()) * 7919 + 17);
+  AccelCounters Warm;
+  for (int File = 0; File < 3; ++File) {
+    Session S("fuzz", SessionConfig());
+    std::vector<std::string> History = {R.pick(C.Analyzed).Source};
+    int Failing = S.check(History.back(), CheckOptions()).FailingDecl;
+    for (int Step = 0; Step < 8; ++Step) {
+      const std::string &Cur = History.back();
+      caml::ParseResult PR = caml::parseProgram(Cur);
+      ASSERT_TRUE(PR.ok()) << Cur;
+      const caml::Program &P = *PR.Prog;
+      size_t Prefix = Failing < 0 ? P.Decls.size() : size_t(Failing);
+      // A prefix declaration's index (the first one's when the prefix is
+      // empty).
+      auto InPrefix = [&] {
+        return size_t(R.range(0, int64_t(std::max<size_t>(Prefix, 1)) - 1));
+      };
+      std::string Next;
+      switch (R.range(0, 5)) {
+      case 0: // A prefix declaration.
+        Next = editDecl(Cur, P, InPrefix());
+        break;
+      case 1: // The failing declaration.
+        Next = editDecl(Cur, P, Failing < 0 ? 0 : size_t(Failing));
+        break;
+      case 2: { // The failing declaration rewritten (fixed, or not).
+        const caml::Decl &D = *P.Decls[Failing < 0 ? 0 : size_t(Failing)];
+        Next = Cur;
+        Next.replace(D.Span.Begin.Offset,
+                     D.Span.EndOffset - D.Span.Begin.Offset,
+                     "let fuzz_fix = 0");
+        break;
+      }
+      case 3: // After the failure.
+        Next = Cur + "let fuzz_tail = 1\n";
+        break;
+      case 4: // Whitespace only, inside the prefix.
+        Next = Cur;
+        Next.insert(P.Decls[InPrefix()]->Span.Begin.Offset, "\n  ");
+        break;
+      default: // Back to an earlier version.
+        Next = R.pick(History);
+        break;
+      }
+      CheckOutcome Out = S.check(Next, CheckOptions());
+      SCOPED_TRACE("seed " + std::to_string(GetParam()) + " step " +
+                   std::to_string(Step) + "\n" + Next);
+      expectColdAnswer(Out, Next);
+      Warm += Out.Accel;
+      Failing = Out.FailingDecl;
+      History.push_back(std::move(Next));
+    }
+  }
+  EXPECT_GT(Warm.SessionPrefixHits, 0u) << "the fuzz must exercise the keys";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SessionFuzzTest, ::testing::Range(0, 6));
 
 //===----------------------------------------------------------------------===//
 // Engine: routing, stats, malformed input
@@ -1153,10 +1330,9 @@ TEST(ServerObsTest, MetricsReconcileExactlyWithStats) {
 
   const json::Value *Cost = Stats.member("cost");
   ASSERT_TRUE(Cost && Cost->isObject());
-  EXPECT_EQ(Cost->objectValue().size(), 4u);
+  EXPECT_EQ(Cost->objectValue().size(), 3u);
   EXPECT_EQ(Cost->getInt("cpu_us", -1), Counter("seminal_cost_cpu_us_total"));
   EXPECT_EQ(Cost->getInt("wall_us", -1), Counter("seminal_cost_wall_us_total"));
-  EXPECT_EQ(Cost->getInt("arena_nodes", -1), Gauge("seminal_cost_arena_nodes"));
   EXPECT_EQ(Cost->getInt("arena_bytes", -1), Gauge("seminal_cost_arena_bytes"));
 
   const json::Value *Shards = Stats.member("shards");
@@ -1392,8 +1568,7 @@ TEST(ServerObsTest, HttpEndpointServesMetricsAndHealth) {
 /// The members of a check reply's "cost" object.
 const char *const CostMembers[] = {"cpu_ns",         "wall_ns",
                                    "oracle_calls",   "inference_runs",
-                                   "arena_nodes",    "arena_bytes",
-                                   "verdict_cache_hits"};
+                                   "arena_bytes",    "verdict_cache_hits"};
 
 /// One member of a check reply's "cost" object (asserting it is there).
 uint64_t costField(const json::Value &Reply, const char *Member) {
@@ -1416,10 +1591,9 @@ TEST(ServerLedgerTest, SessionStampsTheLedgerFromTheRunItself) {
   EXPECT_EQ(costField(Reply, "wall_ns"), Out.wallNs());
   EXPECT_EQ(costField(Reply, "oracle_calls"), Out.OracleCalls);
   EXPECT_EQ(costField(Reply, "inference_runs"), Out.InferenceRuns);
-  EXPECT_EQ(costField(Reply, "arena_nodes"), Out.Accel.ArenaNodes);
   EXPECT_EQ(costField(Reply, "arena_bytes"), Out.Accel.ArenaBytes);
   EXPECT_EQ(costField(Reply, "verdict_cache_hits"), Out.Accel.CacheHits);
-  EXPECT_GT(Out.Accel.ArenaNodes, 0u) << "a session check interns its prefix";
+  EXPECT_GT(Out.Accel.ArenaBytes, 0u) << "a session check retains its seed";
 }
 
 TEST(ServerLedgerTest, ResponsesStatsAndScrapeReconcile) {
@@ -1513,9 +1687,8 @@ TEST(ServerLedgerTest, SyntaxErrorsCarryTheirCostAndTheArenaLevel) {
   EXPECT_GT(Syntax.wallNs(), 0u);
   EXPECT_EQ(Syntax.OracleCalls, 0u);
   EXPECT_EQ(Syntax.ArenaBytes, Good.ArenaBytes)
-      << "a syntax error leaves the arena as it was";
+      << "a syntax error leaves the retained state as it was";
   EXPECT_EQ(Syntax.Accel.ArenaBytes, Good.ArenaBytes);
-  EXPECT_EQ(Syntax.Accel.ArenaNodes, Good.Accel.ArenaNodes);
 }
 
 TEST(ServerLedgerTest, ArenaGaugeSurvivesSyntaxErrors) {
@@ -1527,7 +1700,7 @@ TEST(ServerLedgerTest, ArenaGaugeSurvivesSyntaxErrors) {
   EXPECT_EQ(Gauge.value(), Bytes);
 
   // The syntax-error reply carries its own bill, and the session's share
-  // of the gauge stays what its arena still holds.
+  // of the gauge stays what it still retains.
   json::Value Bad = parseReply(Engine.handle(
       checkLine(2, "g", std::string(BaseSource) + "let broken = ")));
   ASSERT_FALSE(Bad.getString("syntax_error").empty());
@@ -1554,7 +1727,7 @@ TEST(ServerLedgerTest, ArenaGaugeFollowsResets) {
   ASSERT_GT(HBytes, 0);
   EXPECT_EQ(Gauge.value(), GBytes + HBytes);
 
-  // A reset clears one session's arena, and its share leaves the gauge.
+  // A reset clears one session's state, and its share leaves the gauge.
   Engine.handle("{\"method\":\"reset\",\"id\":3,\"session\":\"g\"}");
   EXPECT_EQ(Gauge.value(), HBytes);
 }

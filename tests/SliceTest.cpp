@@ -181,14 +181,20 @@ TEST(SliceTest, CoreIsAnAntichain) {
   ErrorSlice S = slice(P);
   ASSERT_TRUE(S.Valid);
   // No core path is a strict prefix (ancestor) of another.
-  for (const NodePath &A : S.Core)
-    for (const NodePath &B : S.Core) {
-      if (A == B)
-        continue;
-      bool Prefix = A.Steps.size() < B.Steps.size() &&
-                    std::equal(A.Steps.begin(), A.Steps.end(), B.Steps.begin());
-      EXPECT_FALSE(Prefix) << A.str() << " is an ancestor of " << B.str();
-    }
+  EXPECT_EQ(ancestorPair(S.Core), "");
+}
+
+TEST(SliceTest, SecondIndependentErrorKeepsTheDeepestNodes) {
+  // Every wildcard still leaves the other arm's error, so minimization
+  // keeps nothing; the core falls back to the deepest influence nodes,
+  // not to the whole influence set with its ancestors.
+  Program P = parse("let f a = match (a + \"x\", a) with "
+                    "(_, 0) -> 1 + true | _ -> 2 + \"y\"");
+  ErrorSlice S = slice(P);
+  ASSERT_TRUE(S.Valid);
+  ASSERT_EQ(S.Core.size(), 1u) << S.render();
+  EXPECT_EQ(S.Core[0].str(), "decl 0.0.0.1");
+  EXPECT_EQ(S.CoreSpans.size(), S.Core.size());
 }
 
 TEST(SliceTest, MinimizationRespectsCheckBudget) {
@@ -255,8 +261,10 @@ TEST(SliceCorpusTest, SliceRankedSearchMatchesPlain) {
     SeminalReport RR = runSeminalOnSource(F.Source, allSuggestions(true));
     EXPECT_EQ(RR.OracleCalls, RP.OracleCalls) << F.Source;
     EXPECT_EQ(renderedSuggestions(RR), renderedSuggestions(RP)) << F.Source;
-    if (RR.Slice)
+    if (RR.Slice) {
       ++SlicedFiles;
+      EXPECT_EQ(ancestorPair(RR.Slice->Core), "") << F.Source;
+    }
   }
   EXPECT_GT(SlicedFiles, 0u);
 }

@@ -9,7 +9,7 @@
 /// replacement subtrees, the rendered declaration), not the edited
 /// program; soundness tests rebuild that program from the input the
 /// search ran on. Identity tests compare two runs' suggestions as
-/// rendered multisets.
+/// rendered multisets. Slice tests check that a core is an antichain.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,6 +61,18 @@ inline std::vector<std::string> renderedSuggestions(const SeminalReport &R) {
     Out.push_back(renderSuggestion(S));
   std::sort(Out.begin(), Out.end());
   return Out;
+}
+
+/// A path of \p Paths that is a strict ancestor of another, rendered as
+/// "A above B", or "" when there is none (the paths are an antichain, as
+/// ErrorSlice::Core promises).
+inline std::string ancestorPair(const std::vector<caml::NodePath> &Paths) {
+  for (const caml::NodePath &A : Paths)
+    for (const caml::NodePath &B : Paths)
+      if (A.DeclIndex == B.DeclIndex && A.Steps.size() < B.Steps.size() &&
+          std::equal(A.Steps.begin(), A.Steps.end(), B.Steps.begin()))
+        return A.str() + " above " + B.str();
+  return "";
 }
 
 } // namespace seminal
