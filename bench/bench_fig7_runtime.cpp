@@ -128,15 +128,17 @@ int main(int Argc, char **Argv) {
   std::printf("\nfull-tool acceleration counters:\n%s",
               FullCounters.render().c_str());
 
-  // Dedicated metrics pass: attaching a Metrics collector costs two clock
-  // reads per oracle call, so it runs outside the timed reps above. It
-  // surfaces the per-layer shape (oracle latency distribution, checkpoint
-  // reuse depth, candidates per node) behind the aggregate curves.
-  Metrics M;
+  // Dedicated metrics pass: the series are read off a trace of the
+  // corpus, and recording spans is not free, so it runs outside the timed
+  // reps above. It surfaces the per-layer shape (oracle latency
+  // distribution, checkpoint reuse depth, candidates per node) behind
+  // the aggregate curves.
+  TraceSink Sink;
   SeminalOptions Instrumented = Full;
-  Instrumented.Search.Metric = &M;
+  Instrumented.Search.Trace = &Sink;
   for (const CorpusFile &F : C.Analyzed)
     runSeminalOnSource(F.Source, Instrumented);
+  Metrics M = Metrics::fromTrace(Sink.snapshot());
   std::printf("\nfull-tool per-layer metrics (untimed pass):\n%s",
               M.render().c_str());
 

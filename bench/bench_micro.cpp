@@ -135,10 +135,8 @@ void BM_SearchFigure2Traced(benchmark::State &State) {
       "let ans = List.filter (fun x -> x == 0) lst\n";
   for (auto _ : State) {
     TraceSink Sink;
-    Metrics M;
     SeminalOptions Opts;
     Opts.Search.Trace = &Sink;
-    Opts.Search.Metric = &M;
     SeminalReport R = runSeminalOnSource(Source, Opts);
     benchmark::DoNotOptimize(R);
     benchmark::DoNotOptimize(Sink.eventCount());

@@ -30,6 +30,7 @@
 #include "minicaml/Hash.h"
 #include "obs/Explorer.h"
 #include "support/Json.h"
+#include "support/Metrics.h"
 #include "support/Profiler.h"
 #include "support/Trace.h"
 
@@ -69,8 +70,8 @@ void usage(const char *Prog) {
                "                 page (search tree, oracle-call timeline,\n"
                "                 slice overlay, ranked suggestions); opens\n"
                "                 offline in any browser\n"
-               "  --metrics      print per-layer latency/shape histograms\n"
-               "                 (stderr)\n"
+               "  --metrics      print per-layer latency/shape series,\n"
+               "                 derived from a trace of the run (stderr)\n"
                "  --slice        compute and print the provenance error\n"
                "                 slice (the program points that jointly\n"
                "                 cause the failure); also boosts in-slice\n"
@@ -479,19 +480,15 @@ int main(int Argc, char **Argv) {
                         Quiet, Json);
   }
 
-  // Observability sinks outlive the run; they are attached by pointer and
-  // exported after the report is in hand. Suggestions are byte-identical
-  // with and without them -- they only observe.
+  // The trace sink outlives the run; it is attached by pointer and
+  // exported (or summarized as --metrics) after the report is in hand.
+  // Suggestions are byte-identical with and without it -- it only
+  // observes.
   TraceSink Sink;
-  Metrics Metric;
-  obs::TelemetrySink Telemetry;
   bool WantReport = Json || !TelemetryPath.empty() || !ExplorePath.empty();
-  if (!TracePath.empty() || !ExplorePath.empty())
+  bool WantTrace = !TracePath.empty() || !ExplorePath.empty();
+  if (WantTrace || WantMetrics)
     Opts.Search.Trace = &Sink;
-  if (WantMetrics)
-    Opts.Search.Metric = &Metric;
-  if (WantReport)
-    Opts.Search.Telemetry = &Telemetry;
 
   // One-shot profiling: the profiler starts empty in this process, so
   // the cumulative snapshot after the run *is* the run's window.
@@ -549,7 +546,7 @@ int main(int Argc, char **Argv) {
       if (PR.ok())
         Run.SourceHash = caml::hashProgram(*PR.Prog);
     }
-    fillRunReport(Run, Report, &Telemetry, WallSeconds);
+    fillRunReport(Run, Report, WallSeconds);
     Run.CpuNs = CpuNs; // the measurer stamps the CPU clock
 
     if (!TelemetryPath.empty()) {
@@ -626,9 +623,12 @@ int main(int Argc, char **Argv) {
 
   // Observability renderings are diagnostics, never results: stderr, so
   // they cannot interleave with --json output or piped messages.
-  if (!Quiet && Report.Trace && Opts.Search.Trace)
+  if (!Quiet && Report.Trace && WantTrace)
     std::fprintf(stderr, "%s", Report.Trace->render().c_str());
-  if (WantMetrics && !Metric.empty())
-    std::fprintf(stderr, "%s", Metric.render().c_str());
+  if (WantMetrics) {
+    Metrics Metric = Metrics::fromTrace(Sink.snapshot());
+    if (!Metric.empty())
+      std::fprintf(stderr, "%s", Metric.render().c_str());
+  }
   return Exit;
 }

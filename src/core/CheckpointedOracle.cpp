@@ -241,9 +241,7 @@ bool CheckpointedOracle::growthExtend(const DeclPtr &D, bool &Verdict) {
   ++Counters.IncrementalInferences;
   Counters.DeclInferencesSaved += Growth->prefixLength();
   LastServedBy = "growth-extend";
-  if (MetricsOut)
-    MetricsOut->observe(metric::CheckpointReuseDepth,
-                        double(Growth->prefixLength()));
+  LastReuseDepth = int64_t(Growth->prefixLength());
   size_t Allocated = 0;
   Verdict = Growth->extendWith(*D, &Allocated);
   Counters.TypesAllocated += Allocated;
@@ -381,9 +379,7 @@ bool CheckpointedOracle::inferEditedDecl(const Decl &D,
     ++Counters.IncrementalInferences;
     Counters.DeclInferencesSaved += Checkpoint->prefixLength();
     LastServedBy = "checkpoint-incremental";
-    if (MetricsOut)
-      MetricsOut->observe(metric::CheckpointReuseDepth,
-                          double(Checkpoint->prefixLength()));
+    LastReuseDepth = int64_t(Checkpoint->prefixLength());
     TypecheckResult R = Checkpoint->queryDecl(D);
     Counters.TypesAllocated += R.TypesAllocated;
     return R.ok();
@@ -429,9 +425,7 @@ CheckpointedOracle::typeOfNodeImpl(const Program &Prog, const Expr *Node) {
     ++Counters.IncrementalInferences;
     Counters.DeclInferencesSaved += Checkpoint->prefixLength();
     LastServedBy = "checkpoint-incremental";
-    if (MetricsOut)
-      MetricsOut->observe(metric::CheckpointReuseDepth,
-                          double(Checkpoint->prefixLength()));
+    LastReuseDepth = int64_t(Checkpoint->prefixLength());
     TypecheckResult R = Checkpoint->queryDecl(*Prog.Decls[EditedIndex], Node);
     Counters.TypesAllocated += R.TypesAllocated;
     if (!R.ok())

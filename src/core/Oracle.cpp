@@ -2,8 +2,6 @@
 
 #include "core/Oracle.h"
 
-#include <chrono>
-
 using namespace seminal;
 using namespace seminal::caml;
 
@@ -13,30 +11,36 @@ Oracle::~Oracle() = default;
 // Traced wrappers
 //===----------------------------------------------------------------------===//
 //
-// Only reached when a trace sink or metrics collector is attached; the
-// inline fast paths in Oracle.h bypass all of this with one branch.
-// Each logical call gets exactly one OracleCall span carrying the search
-// layer that issued it (TraceLayerScope), the verdict, the cache-hit
-// flag, and which acceleration layer served it.
+// Only reached when a trace sink is attached; the inline fast paths in
+// Oracle.h bypass all of this with one branch. Each logical call gets
+// exactly one OracleCall span carrying the search layer that issued it
+// (TraceLayerScope), the verdict, the cache-hit flag, which acceleration
+// layer served it and, for an incremental run, how many prefix
+// declarations it reused.
+
+namespace {
+
+/// The attributes every oracle-call span carries.
+void stampCall(TraceSpan &Span, bool Verdict, bool CacheHit,
+               const char *ServedBy, int64_t ReuseDepth) {
+  Span.attr("layer", searchLayerName(traceCurrentLayer()));
+  Span.attr("verdict", Verdict);
+  Span.attr("cache_hit", CacheHit);
+  Span.attr("served_by", ServedBy);
+  if (ReuseDepth >= 0)
+    Span.attr("reuse_depth", ReuseDepth);
+}
+
+} // namespace
 
 bool Oracle::typechecksTraced(const Program &Prog) {
   TraceSpan Span(TraceOut, SpanKind::OracleCall, "oracle.typecheck");
   LastServedBy = "full-inference";
   LastCacheHit = false;
-  auto Start = std::chrono::steady_clock::now();
+  LastReuseDepth = -1;
   bool Verdict = typecheckImpl(Prog);
-  double Us = std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - Start)
-                  .count();
-  if (Span.enabled()) {
-    Span.attr("layer", traceCurrentLayer());
-    Span.attr("verdict", Verdict);
-    Span.attr("cache_hit", LastCacheHit);
-    Span.attr("served_by", LastServedBy);
-    Span.attr("decls", int64_t(Prog.Decls.size()));
-  }
-  if (MetricsOut)
-    MetricsOut->observe(metric::OracleLatencyUs, Us);
+  stampCall(Span, Verdict, LastCacheHit, LastServedBy, LastReuseDepth);
+  Span.attr("decls", int64_t(Prog.Decls.size()));
   return Verdict;
 }
 
@@ -45,21 +49,12 @@ std::optional<std::string> Oracle::typeOfNodeTraced(const Program &Prog,
   TraceSpan Span(TraceOut, SpanKind::OracleCall, "oracle.type_of_node");
   LastServedBy = "full-inference";
   LastCacheHit = false;
-  auto Start = std::chrono::steady_clock::now();
+  LastReuseDepth = -1;
   std::optional<std::string> Result = typeOfNodeImpl(Prog, Node);
-  double Us = std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - Start)
-                  .count();
-  if (Span.enabled()) {
-    Span.attr("layer", traceCurrentLayer());
-    Span.attr("verdict", Result.has_value());
-    Span.attr("cache_hit", LastCacheHit);
-    Span.attr("served_by", LastServedBy);
-    if (Result)
-      Span.attr("type", *Result);
-  }
-  if (MetricsOut)
-    MetricsOut->observe(metric::OracleLatencyUs, Us);
+  stampCall(Span, Result.has_value(), LastCacheHit, LastServedBy,
+            LastReuseDepth);
+  if (Result)
+    Span.attr("type", *Result);
   return Result;
 }
 

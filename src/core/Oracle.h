@@ -22,6 +22,10 @@
 ///     Acceleration layers (core/CheckpointedOracle.h) drive this far
 ///     below logicalCalls(); for plain oracles the two coincide.
 ///
+/// ledger() splits logicalCalls() by the search layer that asked
+/// (TraceLayerScope), with the accepted answers per layer. It is kept on
+/// every call, traced or not: the one per-layer count a report carries.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SEMINAL_CORE_ORACLE_H
@@ -29,7 +33,6 @@
 
 #include "minicaml/Ast.h"
 #include "minicaml/Infer.h"
-#include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <cstddef>
@@ -37,6 +40,8 @@
 #include <string>
 
 namespace seminal {
+
+class Metrics;
 
 namespace caml {
 /// Empty; perfbench still constructs one (ROADMAP item 5).
@@ -75,22 +80,22 @@ class Oracle {
 public:
   virtual ~Oracle();
 
-  /// Attaches observability sinks (either may be null, neither is
-  /// owned). With both null -- the default -- every query takes the
-  /// untraced fast path: one pointer test of overhead.
-  void setInstrumentation(TraceSink *Trace, Metrics *M) {
+  /// Attaches a trace sink (may be null, not owned). With none -- the
+  /// default -- every query takes the untraced fast path: one pointer
+  /// test of overhead. The second parameter is ignored; perfbench still
+  /// passes it (ROADMAP item 5).
+  void setInstrumentation(TraceSink *Trace, Metrics * = nullptr) {
     TraceOut = Trace;
-    MetricsOut = M;
   }
-  TraceSink *traceSink() const { return TraceOut; }
-  Metrics *metrics() const { return MetricsOut; }
 
   /// \returns true if \p Prog type-checks. Counts one logical call.
   bool typechecks(const caml::Program &Prog) {
     ++LogicalCalls;
-    if (!TraceOut && !MetricsOut)
-      return typecheckImpl(Prog);
-    return typechecksTraced(Prog);
+    LayerCalls &Layer = Ledger[traceCurrentLayer()];
+    ++Layer.Calls;
+    bool Verdict = TraceOut ? typechecksTraced(Prog) : typecheckImpl(Prog);
+    Layer.Accepted += Verdict;
+    return Verdict;
   }
 
   /// Type-checks \p Prog and, on success, reports the rendered type of
@@ -100,9 +105,13 @@ public:
   std::optional<std::string> typeOfNode(const caml::Program &Prog,
                                         const caml::Expr *Node) {
     ++LogicalCalls;
-    if (!TraceOut && !MetricsOut)
-      return typeOfNodeImpl(Prog, Node);
-    return typeOfNodeTraced(Prog, Node);
+    LayerCalls &Layer = Ledger[traceCurrentLayer()];
+    ++Layer.Calls;
+    std::optional<std::string> Type = TraceOut
+                                          ? typeOfNodeTraced(Prog, Node)
+                                          : typeOfNodeImpl(Prog, Node);
+    Layer.Accepted += Type.has_value();
+    return Type;
   }
 
   /// Hints that until clearPrefix(), every queried program will consist of
@@ -123,13 +132,18 @@ public:
   /// Search effort: every question asked (Section 3.2's metric).
   size_t logicalCalls() const { return LogicalCalls; }
 
+  /// logicalCalls() by the search layer that asked, with accepts.
+  const CallLedger &ledger() const { return Ledger; }
+
   /// Work performed: inference executions. Plain oracles run inference
   /// once per question; accelerated oracles override this.
   virtual size_t inferenceRuns() const { return LogicalCalls; }
 
-  /// Legacy alias for logicalCalls().
-  size_t callCount() const { return LogicalCalls; }
-  void resetCallCount() { LogicalCalls = 0; }
+  /// Zeroes logicalCalls() and the ledger.
+  void resetCallCount() {
+    LogicalCalls = 0;
+    Ledger = CallLedger();
+  }
 
 protected:
   virtual bool typecheckImpl(const caml::Program &Prog) = 0;
@@ -145,9 +159,11 @@ protected:
   const char *LastServedBy = "full-inference";
   /// True when the verdict came from a memo rather than inference.
   bool LastCacheHit = false;
+  /// Prefix declarations an incremental run did not re-infer; -1 when
+  /// the call was not served incrementally.
+  int64_t LastReuseDepth = -1;
 
   TraceSink *TraceOut = nullptr;
-  Metrics *MetricsOut = nullptr;
 
 private:
   bool typechecksTraced(const caml::Program &Prog);
@@ -155,6 +171,7 @@ private:
                                               const caml::Expr *Node);
 
   size_t LogicalCalls = 0;
+  CallLedger Ledger;
 };
 
 /// The production oracle: mini-Caml Hindley-Milner inference, one full

@@ -12,26 +12,11 @@ using namespace seminal::caml;
 bool Searcher::oracleSays() {
   if (OutOfBudget)
     return false;
-  if (TheOracle.callCount() >= Opts.MaxOracleCalls) {
+  if (TheOracle.logicalCalls() >= Opts.MaxOracleCalls) {
     OutOfBudget = true;
     return false;
   }
   return TheOracle.typechecks(Work);
-}
-
-void Searcher::note(const char *Layer, const char *Kind,
-                    const std::string &Description, const std::string &Path,
-                    bool Verdict, bool Probe) {
-  if (!Opts.Telemetry)
-    return;
-  obs::CandidateOutcome O;
-  O.Layer = Layer;
-  O.Kind = Kind;
-  O.Description = Description;
-  O.Path = Path;
-  O.Verdict = Verdict;
-  O.Probe = Probe;
-  Opts.Telemetry->record(std::move(O));
 }
 
 bool Searcher::testWith(const NodePath &Path, ExprPtr &Replacement) {
@@ -65,7 +50,7 @@ void Searcher::addSuggestion(ChangeKind Kind, const NodePath &Path,
   ExprPtr Old = replaceAtPath(*Focus, Path, std::move(Replacement));
   S.ContextAfter = printDecl(*Focus);
   {
-    TraceLayerScope Layer("type-query");
+    TraceLayerScope Layer(SearchLayer::TypeQuery);
     S.ReplacementType = TheOracle.typeOfNode(Work, Installed);
   }
   Replacement = replaceAtPath(*Focus, Path, std::move(Old));
@@ -76,10 +61,8 @@ void Searcher::addSuggestion(ChangeKind Kind, const NodePath &Path,
 
 bool Searcher::tryCandidates(const NodePath &Path,
                              std::vector<CandidateChange> Cands) {
-  TraceLayerScope Layer("constructive");
-  const std::string PathStr = Opts.Telemetry ? Path.str() : std::string();
+  TraceLayerScope Layer(SearchLayer::Constructive);
   bool Any = false;
-  size_t Tried = 0;
   // The worklist grows as probes expand into follow-ups.
   for (size_t I = 0; I < Cands.size() && !OutOfBudget; ++I) {
     CandidateChange &C = Cands[I];
@@ -87,7 +70,6 @@ bool Searcher::tryCandidates(const NodePath &Path,
     {
       TraceSpan Span(Opts.Trace, SpanKind::Candidate, "searcher.candidate");
       Ok = testWith(Path, C.Replacement);
-      ++Tried;
       if (Span.enabled()) {
         Span.attr("description", C.Description);
         Span.attr("probe", C.IsProbe);
@@ -95,8 +77,6 @@ bool Searcher::tryCandidates(const NodePath &Path,
         Span.attr("verdict", Ok);
       }
     }
-    note("constructive", C.IsProbe ? "probe" : "constructive", C.Description,
-         PathStr, Ok, C.IsProbe);
     if (Ok && !C.IsProbe) {
       addSuggestion(ChangeKind::Constructive, Path, std::move(C.Replacement),
                     C.Description, /*LikelyUnbound=*/false, C.Priority);
@@ -108,8 +88,6 @@ bool Searcher::tryCandidates(const NodePath &Path,
         Cands.push_back(std::move(Next));
     }
   }
-  if (Opts.Metric && Tried)
-    Opts.Metric->observe(metric::CandidatesPerNode, double(Tried));
   return Any;
 }
 
@@ -117,15 +95,13 @@ bool Searcher::tryDeclChanges(unsigned DeclIndex) {
   TraceSpan Span(Opts.Trace, SpanKind::DeclChanges, "searcher.decl_changes");
   if (Span.enabled())
     Span.attr("decl", int64_t(DeclIndex));
-  TraceLayerScope Layer("decl-change");
+  TraceLayerScope Layer(SearchLayer::DeclChange);
   bool Any = false;
   for (DeclChange &DC : enumerateDeclChanges(*Work.Decls[DeclIndex])) {
     if (OutOfBudget)
       break;
     std::swap(Work.Decls[DeclIndex], DC.Replacement);
     bool Ok = oracleSays();
-    note("decl-change", "constructive", DC.Description,
-         NodePath(DeclIndex).str(), Ok, /*Probe=*/false);
     if (Ok) {
       Suggestion S;
       S.Kind = ChangeKind::Constructive;
@@ -157,16 +133,12 @@ bool Searcher::searchExpr(const NodePath &Path) {
     Span.attr("line", int64_t(Node->Span.Begin.Line));
   }
 
-  const std::string PathStr = Opts.Telemetry ? Path.str() : std::string();
-
   // 1. Removal: can [[...]] here fix the program? If not, the error is
   // not confined to this subtree; stop (Section 2.1).
   ExprPtr Wild = makeWildcard();
   {
-    TraceLayerScope Layer("removal");
-    bool Ok = testWith(Path, Wild);
-    note("removal", "probe", "", PathStr, Ok, /*Probe=*/true);
-    if (!Ok)
+    TraceLayerScope Layer(SearchLayer::Removal);
+    if (!testWith(Path, Wild))
       return false;
   }
 
@@ -176,10 +148,9 @@ bool Searcher::searchExpr(const NodePath &Path) {
   {
     ExprPtr Adapted = makeAdapt(Node->clone());
     {
-      TraceLayerScope Layer("adaptation");
+      TraceLayerScope Layer(SearchLayer::Adaptation);
       AdaptOk = testWith(Path, Adapted);
     }
-    note("adaptation", "adaptation", "", PathStr, AdaptOk, /*Probe=*/false);
     if (AdaptOk)
       addSuggestion(ChangeKind::Adaptation, Path, std::move(Adapted),
                     "the expression type-checks on its own but not in this "
@@ -224,7 +195,7 @@ bool Searcher::triage(const NodePath &Path) {
     Span.attr("path", Path.str());
     Span.attr("size", int64_t(Node->size()));
   }
-  TraceLayerScope Layer("triage");
+  TraceLayerScope Layer(SearchLayer::Triage);
   if (Node->kind() == Expr::Kind::Match)
     return triageMatch(Path);
   return triageGeneric(Path);
@@ -261,11 +232,6 @@ bool Searcher::triageGeneric(const NodePath &Path) {
       PhaseSpan.attr("context_works", ContextWorks);
       PhaseSpan.attr("siblings_removed", int64_t(Removed.size()));
     }
-    note("triage", "probe", "focus child " + std::to_string(Focus),
-         Opts.Telemetry ? Path.str() : std::string(), ContextWorks,
-         /*Probe=*/true);
-    if (Opts.Metric && ContextWorks)
-      Opts.Metric->observe(metric::TriageRemovals, double(Removed.size()));
 
     if (ContextWorks) {
       // Put the focus back and search it, in regular mode, inside the
@@ -363,11 +329,6 @@ bool Searcher::triageMatch(const NodePath &Path) {
       PhaseSpan.attr("context_works", ContextWorks);
       PhaseSpan.attr("siblings_removed", int64_t(Removed.size()));
     }
-    note("triage", "probe", "focus match body " + std::to_string(Focus),
-         Opts.Telemetry ? Path.str() : std::string(), ContextWorks,
-         /*Probe=*/true);
-    if (Opts.Metric && ContextWorks)
-      Opts.Metric->observe(metric::TriageRemovals, double(Removed.size()));
     if (ContextWorks) {
       ExprPtr Hole = Node->swapChild(Focus, std::move(FocusOld));
       ++TriageDepth;
@@ -453,7 +414,7 @@ bool Searcher::searchPatternFix(const NodePath &MatchPath,
     Span.attr("path", MatchPath.str());
     Span.attr("arm", ArmIndex);
   }
-  TraceLayerScope Layer("pattern-fix");
+  TraceLayerScope Layer(SearchLayer::PatternFix);
   std::vector<PatternPtr *> Slots;
   collectPatternSlots(Node->ArmPats[ArmIndex], Slots);
 
@@ -471,9 +432,6 @@ bool Searcher::searchPatternFix(const NodePath &MatchPath,
     *Slot = makeWildPattern();
     bool Ok = oracleSays();
     *Slot = std::move(Old);
-    note("pattern-fix", "probe", "wildcard subpattern of arm",
-         Opts.Telemetry ? MatchPath.str() : std::string(), Ok,
-         /*Probe=*/true);
     if (Ok && (*Slot)->size() < BestSize) {
       Best = Slot;
       BestSize = (*Slot)->size();
@@ -513,7 +471,6 @@ void Searcher::prepareSlice() {
     return;
 
   TraceSpan Span(Opts.Trace, SpanKind::Slice, "searcher.slice");
-  TraceLayerScope Layer("slice");
   analysis::ErrorSlice S =
       analysis::computeErrorSlice(Work, FocusDecl, Opts.Slice);
   if (Span.enabled()) {
@@ -530,13 +487,6 @@ void Searcher::prepareSlice() {
   if (!S.Valid)
     return; // Unsliceable failure: no slice to show or boost.
 
-  if (Opts.Metric) {
-    Opts.Metric->observe(metric::SliceSize, double(S.Influence.size()));
-    if (S.DeclNodes)
-      Opts.Metric->observe(metric::SlicePruneRatio,
-                           1.0 - double(S.Influence.size()) /
-                                     double(S.DeclNodes));
-  }
   for (const NodePath &P : S.Core)
     if (const Expr *E = resolvePath(*Focus, P))
       CoreNodes.insert(E);
@@ -558,7 +508,7 @@ SearchOutput Searcher::run(const Program &Input) {
   Work.Decls.clear();
   Focus.reset();
   {
-    TraceLayerScope Layer("initial-check");
+    TraceLayerScope Layer(SearchLayer::InitialCheck);
     if (TheOracle.typechecks(Input)) {
       Out.InputTypechecks = true;
       return Out;
@@ -571,13 +521,10 @@ SearchOutput Searcher::run(const Program &Input) {
   {
     TraceSpan LocalizeSpan(Opts.Trace, SpanKind::Localize,
                            "searcher.localize");
-    TraceLayerScope Layer("localize");
+    TraceLayerScope Layer(SearchLayer::Localize);
     for (unsigned I = 0; I < Input.Decls.size(); ++I) {
       Work.Decls.push_back(Input.Decls[I]);
-      bool Ok = oracleSays();
-      note("localize", "probe", "prefix through declaration", "", Ok,
-           /*Probe=*/true);
-      if (!Ok) {
+      if (!oracleSays()) {
         Failing = I;
         break;
       }

@@ -37,7 +37,6 @@
 #include "core/Enumerator.h"
 #include "core/Oracle.h"
 #include "minicaml/Ast.h"
-#include "obs/Telemetry.h"
 
 #include <memory>
 #include <optional>
@@ -77,14 +76,10 @@ struct SearchOptions {
   /// Tuning forwarded to analysis::computeErrorSlice.
   analysis::SliceOptions Slice;
 
-  /// Observability sinks (not owned; any may be null). runSeminal
-  /// forwards Trace/Metric to the oracle too; a hand-driven Searcher
-  /// instruments only its own phases. Telemetry receives one
-  /// CandidateOutcome per edit put to the oracle (obs/Telemetry.h) and
-  /// is observational only, like the other two.
+  /// Trace sink (not owned; may be null). runSeminal forwards it to the
+  /// oracle too; a hand-driven Searcher traces only its own phases.
   TraceSink *Trace = nullptr;
-  Metrics *Metric = nullptr;
-  obs::TelemetrySink *Telemetry = nullptr;
+  Metrics *Metric = nullptr; ///< Ignored; perfbench sets it (ROADMAP item 5).
 };
 
 /// Everything a search run produces.
@@ -147,11 +142,6 @@ private:
   /// Minimal subpattern whose replacement by `_` fixes arm \p ArmIndex of
   /// the (bodies-wildcarded) match at \p MatchPath.
   bool searchPatternFix(const caml::NodePath &MatchPath, unsigned ArmIndex);
-
-  /// Emits one outcome record to Opts.Telemetry (no-op when null).
-  void note(const char *Layer, const char *Kind,
-            const std::string &Description, const std::string &Path,
-            bool Verdict, bool Probe);
 
   // Suggestion construction -------------------------------------------------
   void addSuggestion(ChangeKind Kind, const caml::NodePath &Path,

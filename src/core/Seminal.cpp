@@ -30,7 +30,6 @@ const char *seminal::suggestionLayer(const Suggestion &S) {
 }
 
 void seminal::fillRunReport(obs::RunReport &R, const SeminalReport &Report,
-                            const obs::TelemetrySink *Telemetry,
                             double WallSeconds) {
   R.Parsed = !Report.SyntaxError.has_value();
   R.InputTypechecks = Report.InputTypechecks;
@@ -64,10 +63,7 @@ void seminal::fillRunReport(obs::RunReport &R, const SeminalReport &Report,
   R.InferenceRuns = Report.InferenceRuns;
   R.WallSeconds = WallSeconds;
   R.Accel = Report.Accel;
-  if (Telemetry)
-    R.Layers = Telemetry->layerStats();
-  if (Report.Trace)
-    R.CallsByLayer = Report.Trace->CallsByLayer;
+  R.Layers = Report.Layers;
 
   if (Report.Slice && Report.Slice->Valid) {
     R.SliceValid = true;
@@ -98,7 +94,7 @@ SeminalReport seminal::runSeminalWithOracle(CheckpointedOracle &TheOracle,
   // report are per-request quantities.
   TheOracle.resetCallCount();
   TheOracle.resetCounters();
-  TheOracle.setInstrumentation(Opts.Search.Trace, Opts.Search.Metric);
+  TheOracle.setInstrumentation(Opts.Search.Trace);
   Report.CheckerError = TheOracle.conventionalError(Prog);
 
   {
@@ -124,24 +120,9 @@ SeminalReport seminal::runSeminalWithOracle(CheckpointedOracle &TheOracle,
     }
     if (Report.Suggestions.size() > Opts.MaxSuggestions)
       Report.Suggestions.resize(Opts.MaxSuggestions);
-    // Post-ranking outcome records: one per ranked suggestion, carrying
-    // its final 1-based rank. layerStats() excludes these (the same
-    // outcomes were already recorded under their issuing layer).
-    if (Opts.Search.Telemetry) {
-      for (size_t I = 0; I < Report.Suggestions.size(); ++I) {
-        const Suggestion &S = Report.Suggestions[I];
-        obs::CandidateOutcome O;
-        O.Layer = "suggestion";
-        O.Kind = changeKindName(S.Kind);
-        O.Description = S.Description;
-        O.Path = S.Path.str();
-        O.Verdict = true;
-        O.Rank = int(I) + 1;
-        Opts.Search.Telemetry->record(std::move(O));
-      }
-    }
   }
   Report.OracleCalls = TheOracle.logicalCalls();
+  Report.Layers = TheOracle.ledger();
   Report.InferenceRuns = TheOracle.inferenceRuns();
   Report.Accel = TheOracle.counters();
   // What the oracle keeps for the next request is a level, read once

@@ -70,6 +70,11 @@ struct SeminalReport {
   /// drives this below OracleCalls (equal when acceleration is off).
   size_t InferenceRuns = 0;
 
+  /// OracleCalls by the search layer that issued them, with the calls
+  /// the oracle accepted (Oracle::ledger). Always filled; sums to
+  /// OracleCalls.
+  CallLedger Layers;
+
   /// Per-layer acceleration instrumentation for this run.
   AccelCounters Accel;
 
@@ -81,8 +86,8 @@ struct SeminalReport {
   std::optional<analysis::ErrorSlice> Slice;
 
   /// Aggregated view of the run's trace, present when a TraceSink was
-  /// attached via SearchOptions::Trace (span counts by kind, oracle calls
-  /// by search layer, cache hits, root wall-time).
+  /// attached via SearchOptions::Trace (span counts by kind, cache hits,
+  /// root wall-time).
   std::optional<TraceSummary> Trace;
 
   /// The top-ranked suggestion rendered as a message, or a fallback.
@@ -99,11 +104,9 @@ const char *suggestionLayer(const Suggestion &S);
 /// Copies one run's outcome, effort and slice sections from \p Report
 /// into \p R (obs/RunReport.h). Identity and quality fields are the
 /// caller's job (the corpus sweep knows the mutation ground truth; the
-/// CLI knows the file name). \p Telemetry, when non-null, supplies the
-/// per-layer candidate tallies; \p WallSeconds stamps the run's measured
+/// CLI knows the file name). \p WallSeconds stamps the run's measured
 /// wall-clock.
 void fillRunReport(obs::RunReport &R, const SeminalReport &Report,
-                   const obs::TelemetrySink *Telemetry = nullptr,
                    double WallSeconds = 0.0);
 
 /// Runs search-based error-message generation on a parsed program.
@@ -115,10 +118,10 @@ class CheckpointedOracle;
 /// Runs one request against a caller-owned (typically long-lived) oracle.
 /// This is the server entry point: the oracle keeps its retained
 /// session checkpoint and conventional-error memo across calls, while
-/// everything per-request is reset at entry -- the logical-call count (so
-/// SearchOptions::MaxOracleCalls budgets each request, not the session)
-/// and the AccelCounters (so SeminalReport::Accel describes this request
-/// only; accumulate across requests caller-side). Suggestions and
+/// everything per-request is reset at entry -- the logical-call count and
+/// ledger (so SearchOptions::MaxOracleCalls budgets each request, not the
+/// session) and the AccelCounters (so SeminalReport::Accel describes this
+/// request only; accumulate across requests caller-side). Suggestions and
 /// verdicts are bit-identical to a one-shot runSeminal with the same
 /// options; Opts.Search.Accel is ignored here (the oracle was built with
 /// its own acceleration configuration).

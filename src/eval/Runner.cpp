@@ -48,9 +48,6 @@ FileOutcome seminal::evaluateFile(const CorpusFile &File,
   // knob degrades it by disabling triage).
   SeminalOptions Full;
   Full.Search.EnableTriage = !Opts.DisableTriage;
-  obs::TelemetrySink Telemetry;
-  if (Opts.BuildReports)
-    Full.Search.Telemetry = &Telemetry;
   auto Start = std::chrono::steady_clock::now();
   SeminalReport RFull = runSeminal(Prog, Full);
   Out.FullSeconds = secondsSince(Start);
@@ -87,7 +84,7 @@ FileOutcome seminal::evaluateFile(const CorpusFile &File,
     R.SourceHash = hashProgram(Prog);
     for (const GroundTruth &T : File.Truths)
       R.MutationKinds.push_back(mutationKindName(T.Kind));
-    fillRunReport(R, RFull, &Telemetry, Out.FullSeconds);
+    fillRunReport(R, RFull, Out.FullSeconds);
     R.QualityChecker = qualityName(Out.Checker);
     R.QualityOurs = qualityName(Out.Ours);
     R.QualityNoTriage = qualityName(Out.OursNoTriage);

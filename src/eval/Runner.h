@@ -57,8 +57,7 @@ struct EvalOptions {
   /// Also measure wall-clock for the three Figure 7 configurations.
   bool MeasureTimes = false;
 
-  /// Build a full obs::RunReport per file (attaches a TelemetrySink to
-  /// the main run; observational only).
+  /// Build a full obs::RunReport per file from the main run.
   bool BuildReports = false;
 
   /// Run the main configuration with triage disabled -- the synthetic

@@ -186,11 +186,11 @@ CcReport cpp::runCppSeminal(CcProgram &Prog, TraceSink *Trace) {
   TraceSpan RunSpan(Trace, SpanKind::CcSearch, "ccsearch.run");
 
   {
-    TraceLayerScope Layer("initial-check");
+    TraceLayerScope Layer(SearchLayer::InitialCheck);
     TraceSpan Span(Trace, SpanKind::OracleCall, "cc.oracle");
     Report.Baseline = checkProgram(Prog);
     if (Span.enabled()) {
-      Span.attr("layer", traceCurrentLayer());
+      Span.attr("layer", searchLayerName(traceCurrentLayer()));
       Span.attr("verdict", Report.Baseline.ok());
       Span.attr("cache_hit", false);
       Span.attr("served_by", "cc-typecheck");
@@ -220,7 +220,7 @@ CcReport cpp::runCppSeminal(CcProgram &Prog, TraceSink *Trace) {
     TraceSpan Span(Trace, SpanKind::OracleCall, "cc.oracle");
     unsigned Fixed = improvement(Base, checkProgram(Prog));
     if (Span.enabled()) {
-      Span.attr("layer", traceCurrentLayer());
+      Span.attr("layer", searchLayerName(traceCurrentLayer()));
       Span.attr("verdict", Fixed > 0);
       Span.attr("cache_hit", false);
       Span.attr("served_by", "cc-typecheck");
@@ -233,7 +233,7 @@ CcReport cpp::runCppSeminal(CcProgram &Prog, TraceSink *Trace) {
   for (size_t I = 0; I < Target->Body.size(); ++I) {
     // Removal: neutralize the statement.
     {
-      TraceLayerScope Layer("removal");
+      TraceLayerScope Layer(SearchLayer::Removal);
       CcStmt Saved = Target->Body[I].clone();
       std::vector<CcExprPtr> Args;
       Args.push_back(ccIntLit(0));
@@ -258,7 +258,7 @@ CcReport cpp::runCppSeminal(CcProgram &Prog, TraceSink *Trace) {
     if (Target->Body[I].TheKind == CcStmt::Kind::Expr &&
         Target->Body[I].E->kind() == CcExpr::Kind::Call &&
         Target->Body[I].E->numChildren() >= 2) {
-      TraceLayerScope Layer("hoist");
+      TraceLayerScope Layer(SearchLayer::Hoist);
       std::vector<CcStmt> SavedBody;
       for (const auto &S : Target->Body)
         SavedBody.push_back(S.clone());
@@ -303,10 +303,12 @@ CcReport cpp::runCppSeminal(CcProgram &Prog, TraceSink *Trace) {
       std::vector<ExprEdit> Edits;
       enumerateExprEdits(*Node, Path, Edits);
       for (ExprEdit &Edit : Edits) {
-        TraceLayerScope Layer(
-            Edit.Kind == CcSuggestion::Kind::Adaptation ? "adaptation"
-            : Edit.Kind == CcSuggestion::Kind::Removal  ? "removal"
-                                                        : "constructive");
+        SearchLayer EditLayer = SearchLayer::Constructive;
+        if (Edit.Kind == CcSuggestion::Kind::Adaptation)
+          EditLayer = SearchLayer::Adaptation;
+        else if (Edit.Kind == CcSuggestion::Kind::Removal)
+          EditLayer = SearchLayer::Removal;
+        TraceLayerScope Layer(EditLayer);
         std::string Before = Node->str();
         std::string After = Edit.Replacement->str();
         unsigned OriginalSize = Node->size();

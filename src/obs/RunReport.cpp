@@ -2,7 +2,7 @@
 
 #include "obs/RunReport.h"
 
-#include "support/Trace.h" // jsonEscape
+#include "support/Trace.h" // jsonEscape, searchLayerName
 
 #include <cmath>
 
@@ -166,7 +166,6 @@ void RunReport::writeJson(std::ostream &OS, bool Pretty) const {
   J.field("inference_runs", InferenceRuns);
   J.field("wall_seconds", WallSeconds);
   J.field("cache_hits", Accel.CacheHits);
-  J.field("cache_misses", Accel.CacheMisses);
   J.field("incremental_inferences", Accel.IncrementalInferences);
   J.field("full_inferences", Accel.FullInferences);
   J.field("decl_rechecks_saved", Accel.DeclInferencesSaved);
@@ -182,20 +181,19 @@ void RunReport::writeJson(std::ostream &OS, bool Pretty) const {
   J.field("arena_bytes", Accel.ArenaBytes);
   J.field("verdict_cache_hits", Accel.CacheHits);
   J.endObject();
+  // The call ledger (schema v6): every layer that asked, in search order.
   J.key("layers");
   J.beginObject();
-  for (const auto &KV : Layers) {
-    J.key(KV.first.c_str());
+  for (size_t I = 0; I < NumSearchLayers; ++I) {
+    const LayerCalls &L = Layers.Slots[I];
+    if (!L.Calls)
+      continue;
+    J.key(searchLayerName(SearchLayer(I)));
     J.beginObject();
-    J.field("tried", KV.second.Tried);
-    J.field("succeeded", KV.second.Succeeded);
+    J.field("calls", L.Calls);
+    J.field("accepted", L.Accepted);
     J.endObject();
   }
-  J.endObject();
-  J.key("calls_by_layer");
-  J.beginObject();
-  for (const auto &KV : CallsByLayer)
-    J.field(KV.first.c_str(), KV.second);
   J.endObject();
   J.endObject();
 

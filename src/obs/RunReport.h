@@ -26,11 +26,10 @@
 #ifndef SEMINAL_OBS_RUNREPORT_H
 #define SEMINAL_OBS_RUNREPORT_H
 
-#include "obs/Telemetry.h"
 #include "support/Stats.h"
+#include "support/Trace.h"
 
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -58,7 +57,14 @@ namespace obs {
 /// "arena_hits", with the AST arena that counted them; "arena_bytes" now
 /// counts the bytes the oracle retains for its next request (a session's
 /// checkpoint types plus source), not interned AST nodes.
-inline constexpr int RunReportSchemaVersion = 5;
+///
+/// v6: effort.layers is the oracle's call ledger, written for every run:
+/// per layer, "calls" (logical oracle calls) and "accepted" (true
+/// verdicts, or returned types) replace "tried"/"succeeded" (candidate
+/// outcomes noted by a telemetry sink, when one was attached), and the
+/// calls sum to oracle_calls. effort lost "calls_by_layer", the traced
+/// copy of those calls, and "cache_misses", which no layer counted.
+inline constexpr int RunReportSchemaVersion = 6;
 
 /// One ranked suggestion, flattened for reporting.
 struct SuggestionOutcome {
@@ -127,11 +133,8 @@ struct RunReport {
   /// Acceleration-layer counters for the run (memo hits, checkpoint
   /// reuse, retained bytes).
   AccelCounters Accel;
-  /// Candidate outcomes per search layer (from the TelemetrySink).
-  std::map<std::string, LayerStats> Layers;
-  /// Oracle-call spans per layer (from the TraceSummary, when a trace
-  /// was recorded; empty otherwise).
-  std::map<std::string, uint64_t> CallsByLayer;
+  /// Oracle calls and accepts per search layer (Oracle::ledger).
+  CallLedger Layers;
 
   // Slice -------------------------------------------------------------------
   bool SliceValid = false;

@@ -160,7 +160,7 @@ CheckOutcome Session::check(const std::string &Source,
     obs::RunReport Run;
     Run.ProgramId = Name + "#" + std::to_string(Checks);
     Run.SourceHash = caml::hashProgram(*PR.Prog);
-    fillRunReport(Run, R, /*Telemetry=*/nullptr, Out.WallSeconds);
+    fillRunReport(Run, R, Out.WallSeconds);
     Run.CpuNs = Out.CpuNs;
     std::ostringstream OS;
     Run.writeJson(OS);

@@ -1,72 +1,72 @@
-//===- Metrics.cpp - Named histogram metrics -------------------------------==//
+//===- Metrics.cpp - Named sample series derived from a trace --------------==//
 
 #include "support/Metrics.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
 using namespace seminal;
 
-bool Metrics::isHotSeries(const std::string &Name) {
-  static constexpr const char Suffix[] = ".latency_us";
-  static constexpr size_t SuffixLen = sizeof(Suffix) - 1;
-  return Name.size() >= SuffixLen &&
-         Name.compare(Name.size() - SuffixLen, SuffixLen, Suffix) == 0;
+Metrics Metrics::fromTrace(const std::vector<TraceEvent> &Events) {
+  Metrics M;
+  // Every candidate span is a direct child of the node visit that
+  // enumerated it: one tryCandidates pass per node.
+  std::map<uint64_t, size_t> CandidatesByNode;
+  for (const TraceEvent &E : Events) {
+    switch (E.Kind) {
+    case SpanKind::OracleCall:
+      M.observe(metric::OracleLatencyUs, double(E.DurNs) / 1000.0);
+      if (const TraceAttr *Depth = E.attr("reuse_depth"))
+        M.observe(metric::CheckpointReuseDepth, double(Depth->Int));
+      break;
+    case SpanKind::Candidate:
+      ++CandidatesByNode[E.Parent];
+      break;
+    case SpanKind::TriagePhase: {
+      const TraceAttr *Works = E.attr("context_works");
+      const TraceAttr *Removed = E.attr("siblings_removed");
+      if (Works && Works->Flag && Removed)
+        M.observe(metric::TriageRemovals, double(Removed->Int));
+      break;
+    }
+    case SpanKind::Slice: {
+      const TraceAttr *Valid = E.attr("valid");
+      const TraceAttr *Influence = E.attr("influence");
+      const TraceAttr *DeclNodes = E.attr("decl_nodes");
+      if (!Valid || !Valid->Flag || !Influence || !DeclNodes)
+        break;
+      M.observe(metric::SliceSize, double(Influence->Int));
+      if (DeclNodes->Int)
+        M.observe(metric::SlicePruneRatio,
+                  1.0 - double(Influence->Int) / double(DeclNodes->Int));
+      break;
+    }
+    default:
+      break;
+    }
+  }
+  for (const auto &KV : CandidatesByNode)
+    M.observe(metric::CandidatesPerNode, double(KV.second));
+  return M;
 }
 
 void Metrics::observe(const char *Name, double Value) {
-  if (isHotSeries(Name)) {
-    LogHistogram *H;
-    {
-      sync::MutexLock Lock(Mutex);
-      auto &Slot = HotSeries[Name];
-      if (!Slot)
-        Slot = std::make_unique<LogHistogram>();
-      H = Slot.get();
-    }
-    // Latencies are non-negative microseconds; round to the nearest
-    // integer and record outside the registry lock (record is lock-free).
-    H->record(Value <= 0.0 ? 0 : uint64_t(Value + 0.5));
-    return;
-  }
-  sync::MutexLock Lock(Mutex);
   Series[Name].add(Value);
 }
 
 std::vector<std::string> Metrics::names() const {
-  sync::MutexLock Lock(Mutex);
   std::vector<std::string> Out;
-  Out.reserve(Series.size() + HotSeries.size());
+  Out.reserve(Series.size());
   for (const auto &KV : Series)
     Out.push_back(KV.first);
-  for (const auto &KV : HotSeries)
-    Out.push_back(KV.first);
-  std::sort(Out.begin(), Out.end());
   return Out;
 }
 
 MetricSummary Metrics::summary(const std::string &Name) const {
-  Samples Copy;
-  {
-    sync::MutexLock Lock(Mutex);
-    auto Hot = HotSeries.find(Name);
-    if (Hot != HotSeries.end()) {
-      HistogramSummary H = Hot->second->summarize();
-      MetricSummary S;
-      S.Count = size_t(H.Count);
-      S.Min = double(H.Min);
-      S.Mean = H.Mean;
-      S.P50 = double(H.P50);
-      S.P95 = double(H.P95);
-      S.Max = double(H.Max);
-      return S;
-    }
-    auto It = Series.find(Name);
-    if (It == Series.end())
-      return MetricSummary();
-    Copy = It->second;
-  }
+  auto It = Series.find(Name);
+  if (It == Series.end())
+    return MetricSummary();
+  Samples Copy = It->second; // percentile() sorts in place
   MetricSummary S;
   S.Count = Copy.size();
   if (S.Count == 0)
@@ -111,15 +111,4 @@ void Metrics::writeJson(std::ostream &OS) const {
     OS << Buf;
   }
   OS << "\n}";
-}
-
-bool Metrics::empty() const {
-  sync::MutexLock Lock(Mutex);
-  return Series.empty() && HotSeries.empty();
-}
-
-void Metrics::clear() {
-  sync::MutexLock Lock(Mutex);
-  Series.clear();
-  HotSeries.clear();
 }

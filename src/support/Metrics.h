@@ -1,34 +1,28 @@
-//===- Metrics.h - Named histogram metrics with p50/p95/max -----*- C++ -*-==//
+//===- Metrics.h - Named sample series derived from a trace -----*- C++ -*-==//
 //
 // Part of the SEMINAL reproduction. See README.md for license information.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Per-layer histogram metrics for the search pipeline: a thread-safe
-/// registry of named sample series (oracle latency, candidates per node,
-/// checkpoint reuse depth, ...) with percentile summaries and a JSON
-/// snapshot for the BENCH_*.json trajectory files. Like the trace sink,
-/// a Metrics collector is attached by pointer and null means disabled:
-/// instrumentation sites pay one branch when no collector is attached.
+/// Per-layer sample series for the search pipeline (oracle latency,
+/// candidates per node, checkpoint reuse depth, ...) with percentile
+/// summaries and a JSON snapshot for the BENCH_*.json trajectory files.
 ///
-/// Hot series -- names ending in ".latency_us", observed once per oracle
-/// call -- are backed by a fixed-size LogHistogram (support/Histogram.h)
-/// instead of a sample vector: bounded memory in a long-lived daemon and
-/// O(buckets) summaries instead of a sort per query, at the price of
-/// <= 3.1% quantile quantization. All other series keep exact samples.
+/// Metrics is a view of a finished trace: fromTrace() derives every
+/// series from span durations and attributes, so the search reports
+/// through the trace alone and nothing calls into a Metrics while it
+/// runs. A value has one owner and no lock.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SEMINAL_SUPPORT_METRICS_H
 #define SEMINAL_SUPPORT_METRICS_H
 
-#include "support/Histogram.h"
 #include "support/Stats.h"
-#include "support/Sync.h"
+#include "support/Trace.h"
 
 #include <map>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -57,9 +51,18 @@ inline constexpr const char *SliceSize = "slice.size";
 inline constexpr const char *SlicePruneRatio = "slice.prune_ratio";
 } // namespace metric
 
-/// Thread-safe registry of named sample series.
+/// Named sample series.
 class Metrics {
 public:
+  /// The six well-known series of \p Events (a TraceSink snapshot):
+  ///   * oracle.latency_us -- every oracle-call span's duration;
+  ///   * oracle.checkpoint_reuse_depth -- oracle-call `reuse_depth`;
+  ///   * search.candidates_per_node -- candidate spans per parent node;
+  ///   * triage.sibling_removals -- `siblings_removed` of each triage
+  ///     phase whose context worked;
+  ///   * slice.size, slice.prune_ratio -- from each valid slice span.
+  static Metrics fromTrace(const std::vector<TraceEvent> &Events);
+
   /// Appends \p Value to the series \p Name (creating it on first use).
   void observe(const char *Name, double Value);
 
@@ -75,20 +78,11 @@ public:
   /// JSON object {"name": {"count": n, "p50": ..., ...}, ...}.
   void writeJson(std::ostream &OS) const;
 
-  bool empty() const;
-  void clear();
-
-  /// True when \p Name is routed to a LogHistogram (see file comment).
-  static bool isHotSeries(const std::string &Name);
+  bool empty() const { return Series.empty(); }
+  void clear() { Series.clear(); }
 
 private:
-  mutable sync::Mutex Mutex{sync::LockRank::Metrics, "metrics"};
-  std::map<std::string, Samples> Series SEMINAL_GUARDED_BY(Mutex);
-  /// unique_ptr: a LogHistogram is ~9 KiB of atomics and non-copyable.
-  /// The map is guarded; the histograms themselves are lock-free and
-  /// recorded into outside the registry lock (see observe()).
-  std::map<std::string, std::unique_ptr<LogHistogram>> HotSeries
-      SEMINAL_GUARDED_BY(Mutex);
+  std::map<std::string, Samples> Series;
 };
 
 } // namespace seminal

@@ -119,11 +119,9 @@ enum class LockRank : uint16_t {
   ServerEngine = 20,  ///< ServerEngine session table + stats rollup.
   ServerWrite = 30,   ///< Per-connection / per-stream reply writers.
   ThreadPool = 40,    ///< support/ThreadPool queues and job state.
-  Telemetry = 50,     ///< obs/TelemetrySink outcome records.
   SlowTraceRing = 55, ///< obs/SlowTraceRing file ring (holds its lock
                       ///< while exporting through a TraceSink: must
                       ///< stay below Trace).
-  Metrics = 60,       ///< support/Metrics series registry.
   Profiler = 65,      ///< support/Profiler thread registry + aggregates
                       ///< (sampler thread holds it while folding; span
                       ///< hooks take it only on first-use registration).

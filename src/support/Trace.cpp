@@ -6,6 +6,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 
 using namespace seminal;
@@ -46,20 +47,34 @@ const char *seminal::spanKindName(SpanKind K) {
   return "other";
 }
 
+const char *seminal::searchLayerName(SearchLayer L) {
+  static constexpr const char *Names[] = {
+      "unattributed", "initial-check", "localize",     "decl-change",
+      "removal",      "adaptation",    "constructive", "triage",
+      "pattern-fix",  "type-query",    "hoist"};
+  static_assert(std::size(Names) == NumSearchLayers, "one name per layer");
+  return Names[size_t(L)];
+}
+
+uint64_t CallLedger::calls() const {
+  uint64_t N = 0;
+  for (const LayerCalls &L : Slots)
+    N += L.Calls;
+  return N;
+}
+
 namespace {
 
 thread_local TraceSpan *CurrentSpan = nullptr;
-thread_local const char *CurrentLayer = "unattributed";
 
 } // namespace
 
-const char *seminal::traceCurrentLayer() { return CurrentLayer; }
-
-TraceLayerScope::TraceLayerScope(const char *Layer) : Prev(CurrentLayer) {
-  CurrentLayer = Layer;
+const TraceAttr *TraceEvent::attr(const char *Key) const {
+  for (const TraceAttr &A : Attrs)
+    if (A.Key == Key)
+      return &A;
+  return nullptr;
 }
-
-TraceLayerScope::~TraceLayerScope() { CurrentLayer = Prev; }
 
 //===----------------------------------------------------------------------===//
 // TraceSink
@@ -132,11 +147,6 @@ TraceSpan::TraceSpan(TraceSink *Sink, SpanKind Kind, const char *Name)
   CurrentSpan = this;
 }
 
-void TraceSpan::setParent(uint64_t ParentId) {
-  if (Sink)
-    Event.Parent = ParentId;
-}
-
 void TraceSpan::attr(const char *Key, const std::string &Value) {
   if (!Sink)
     return;
@@ -191,9 +201,9 @@ void TraceSpan::finish() {
   if (!Sink)
     return;
   Event.DurNs = Sink->nowNs() - Event.StartNs;
-  // Pop the thread-local stack only if this span is still the top: a
-  // cross-thread span (setParent) constructed on a worker is its own top
-  // there, and finishing out of order must not corrupt the stack.
+  // Pop the thread-local stack only if this span is still the top: an
+  // explicit early finish() can end spans out of order, and that must
+  // not corrupt the stack.
   if (CurrentSpan == this)
     CurrentSpan = PrevTop;
   Sink->record(std::move(Event));
@@ -328,12 +338,9 @@ TraceSummary TraceSink::summarize() const {
     if (E.Kind != SpanKind::OracleCall)
       continue;
     ++S.OracleCallSpans;
-    for (const TraceAttr &A : E.Attrs) {
-      if (A.Key == "layer" && A.T == TraceAttr::Type::String)
-        ++S.CallsByLayer[A.Str];
-      else if (A.Key == "cache_hit" && A.T == TraceAttr::Type::Bool && A.Flag)
-        ++S.CacheHits;
-    }
+    const TraceAttr *Hit = E.attr("cache_hit");
+    if (Hit && Hit->T == TraceAttr::Type::Bool && Hit->Flag)
+      ++S.CacheHits;
   }
   return S;
 }
@@ -343,11 +350,6 @@ std::string TraceSummary::render() const {
   OS << "  spans: " << Spans << " (" << OracleCallSpans << " oracle calls, "
      << CacheHits << " served from a memo); "
      << "root wall " << RootDurMs << " ms\n";
-  if (!CallsByLayer.empty()) {
-    OS << "  oracle calls by search layer:\n";
-    for (const auto &KV : CallsByLayer)
-      OS << "    " << KV.first << ": " << KV.second << "\n";
-  }
   if (!SpansByKind.empty()) {
     OS << "  spans by kind:";
     for (const auto &KV : SpansByKind)

@@ -25,10 +25,13 @@
 ///   * Tracing is observational only: suggestions, logical-call counts,
 ///     and ranking are byte-identical with tracing on or off (enforced
 ///     by tests/TraceTest.cpp).
-///   * Thread-safe recording: the parallel-batch oracle emits item spans
-///     from pool workers; the sink serializes them under a mutex and
-///     stamps a global sequence number, so exports are totally ordered
-///     no matter which worker finished first.
+///   * Thread-safe recording: the sink serializes spans under a mutex
+///     and stamps a global sequence number, so exports are totally
+///     ordered whichever thread recorded each span.
+///
+/// The per-layer call ledger (SearchLayer, CallLedger) lives here too:
+/// TraceLayerScope names the layer on every search, traced or not, and
+/// the oracle counts each call against it (core/Oracle.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +40,9 @@
 
 #include "support/Sync.h"
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -90,6 +95,9 @@ struct TraceEvent {
   uint64_t DurNs = 0;
   uint32_t ThreadId = 0; ///< Dense per-sink thread index (0 = first seen).
   std::vector<TraceAttr> Attrs;
+
+  /// The first attribute named \p Key, or null.
+  const TraceAttr *attr(const char *Key) const;
 };
 
 /// Aggregate view of one recorded trace, cheap enough to surface in a
@@ -98,8 +106,6 @@ struct TraceSummary {
   uint64_t Spans = 0;
   uint64_t OracleCallSpans = 0;
   uint64_t CacheHits = 0;
-  /// Oracle-call spans bucketed by the search layer that issued them.
-  std::map<std::string, uint64_t> CallsByLayer;
   /// All spans bucketed by kind name.
   std::map<std::string, uint64_t> SpansByKind;
   /// Wall-time of root spans (no recorded parent), milliseconds.
@@ -159,8 +165,7 @@ private:
 /// RAII span handle. With a null sink every member is an inert branch;
 /// with a sink, the constructor stamps the start time and pushes the
 /// span onto a thread-local stack so children pick up their parent
-/// automatically. Pool workers, which start on a fresh stack, parent
-/// their spans explicitly via setParent().
+/// automatically.
 class TraceSpan {
 public:
   /// \p Name must outlive the span (string literals only).
@@ -173,11 +178,8 @@ public:
   /// True when attached to a sink; guard expensive attribute rendering.
   bool enabled() const { return Sink != nullptr; }
 
-  /// This span's id (0 when disabled), for explicit parenting.
+  /// This span's id (0 when disabled).
   uint64_t id() const { return Event.Id; }
-
-  /// Overrides the thread-local parent (cross-thread spans).
-  void setParent(uint64_t ParentId);
 
   void attr(const char *Key, const std::string &Value);
   void attr(const char *Key, const char *Value);
@@ -202,27 +204,79 @@ private:
   uint32_t ProfToken = 0;
 };
 
+/// The search layer issuing oracle calls. The names (searchLayerName)
+/// are the `layer` attribute of oracle-call spans and the keys of a
+/// RunReport's effort.layers.
+enum class SearchLayer : uint8_t {
+  Unattributed, ///< No TraceLayerScope is live.
+  InitialCheck, ///< The opening whole-program check (Figure 1).
+  Localize,     ///< Prefix localization (Section 2.1).
+  DeclChange,   ///< Declaration-header changes.
+  Removal,      ///< Wildcard removal probes.
+  Adaptation,   ///< Adaptation (Section 2.3).
+  Constructive, ///< The enumerator's candidates (Section 2.2).
+  Triage,       ///< Triage contexts (Section 2.4).
+  PatternFix,   ///< Subpattern wildcarding in match triage.
+  TypeQuery,    ///< The type of an installed replacement, for messages.
+  Hoist,        ///< Mini-C++ call hoisting (Section 4).
+};
+inline constexpr size_t NumSearchLayers = size_t(SearchLayer::Hoist) + 1;
+
+/// Stable lowercase name for a layer ("initial-check", "removal", ...).
+const char *searchLayerName(SearchLayer L);
+
+/// Logical oracle calls one search layer issued, and how many of them
+/// the oracle accepted (a true verdict; for a type query, a type).
+struct LayerCalls {
+  uint64_t Calls = 0;
+  uint64_t Accepted = 0;
+
+  bool operator==(const LayerCalls &) const = default;
+};
+
+/// Per-layer call counts for one search, kept by the oracle on every
+/// call (Oracle::ledger). A fixed array: counting allocates nothing.
+struct CallLedger {
+  std::array<LayerCalls, NumSearchLayers> Slots{};
+
+  LayerCalls &operator[](SearchLayer L) { return Slots[size_t(L)]; }
+  const LayerCalls &operator[](SearchLayer L) const {
+    return Slots[size_t(L)];
+  }
+
+  /// Calls summed over every layer.
+  uint64_t calls() const;
+
+  bool operator==(const CallLedger &) const = default;
+};
+
+namespace trace_detail {
+inline thread_local SearchLayer CurrentLayer = SearchLayer::Unattributed;
+} // namespace trace_detail
+
 /// Scoped thread-local label naming which search layer is issuing
-/// oracle calls ("localize", "removal", "adaptation", "constructive",
-/// "triage", ...). The oracle stamps the current label onto every
-/// oracle-call span, so each call is attributable even when the caller
-/// is generic code. Setting a thread_local pointer is cheap enough to
-/// run unconditionally (no sink test).
+/// oracle calls. The oracle counts every call against the current
+/// layer and stamps its name onto the call's span, so each call is
+/// attributable even when the caller is generic code. Setting a
+/// thread_local is cheap enough to run unconditionally (no sink test).
 class TraceLayerScope {
 public:
-  explicit TraceLayerScope(const char *Layer);
-  ~TraceLayerScope();
+  explicit TraceLayerScope(SearchLayer Layer)
+      : Prev(trace_detail::CurrentLayer) {
+    trace_detail::CurrentLayer = Layer;
+  }
+  ~TraceLayerScope() { trace_detail::CurrentLayer = Prev; }
 
   TraceLayerScope(const TraceLayerScope &) = delete;
   TraceLayerScope &operator=(const TraceLayerScope &) = delete;
 
 private:
-  const char *Prev;
+  SearchLayer Prev;
 };
 
-/// The calling thread's current layer label ("unattributed" when no
+/// The calling thread's current layer (Unattributed when no
 /// TraceLayerScope is live).
-const char *traceCurrentLayer();
+inline SearchLayer traceCurrentLayer() { return trace_detail::CurrentLayer; }
 
 /// Escapes \p S for embedding in a JSON string literal (quotes,
 /// backslashes, and control characters).

@@ -258,7 +258,6 @@ TEST(CheckpointedOracleTest, CacheHitsKeepLogicalCallsButSkipInference) {
   for (int I = 0; I < 3; ++I)
     EXPECT_FALSE(O.typechecks(P));
   EXPECT_EQ(O.logicalCalls(), 3u);
-  EXPECT_EQ(O.callCount(), 3u); // Legacy alias agrees.
   EXPECT_EQ(O.counters().CacheHits, 3u);
   EXPECT_EQ(O.inferenceRuns(), 0u);
   // A structurally equal deep copy hits too; a different program does

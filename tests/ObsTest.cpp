@@ -1,30 +1,26 @@
-//===- ObsTest.cpp - Tests for the outcome-telemetry subsystem ------------==//
+//===- ObsTest.cpp - Tests for the call ledger and the run report ---------==//
 //
 // The outcome half of the observability stack (DESIGN.md section 10)
-// carries the same two contracts as the trace half:
-//
-//   1. Observational purity: attaching a TelemetrySink changes nothing
-//      about the search -- suggestions and logical-call counts are
-//      byte-identical with the sink attached or not.
-//   2. Faithfulness: the RunReport mirrors the run it distills (ranked
-//      suggestions, winning layer, effort counters), the per-layer
-//      tallies add up, and every serialized artifact -- RunReport JSON,
-//      aggregate snapshot, explorer HTML -- is well-formed and
-//      self-contained.
+// is faithful to the run: the per-layer call ledger sums to the run's
+// oracle calls and agrees, layer by layer, with the trace's oracle-call
+// spans; the RunReport mirrors the run it distills (ranked suggestions,
+// winning layer, effort counters); and every serialized artifact --
+// RunReport JSON, aggregate snapshot, explorer HTML -- is well-formed
+// and self-contained. (Tracing leaves the ledger alone: TraceTest.)
 //
 //===----------------------------------------------------------------------==//
 
 #include "JsonTestUtil.h"
 #include "core/Seminal.h"
-#include "minicaml/Printer.h"
+#include "corpus/Generator.h"
 #include "obs/Aggregate.h"
 #include "obs/Explorer.h"
 #include "obs/RunReport.h"
-#include "obs/Telemetry.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
 using namespace seminal;
@@ -45,116 +41,86 @@ const char *TwoErrors = "let go y =\n"
                         "  let b = 4 + \"hi\" in\n"
                         "  y + 1";
 
-std::string suggestionDigest(const SeminalReport &R) {
-  std::string Out;
-  for (const Suggestion &S : R.Suggestions) {
-    Out += std::to_string(int(S.Kind)) + "/" + S.Path.str() + "/";
-    if (S.Original)
-      Out += caml::printExpr(*S.Original);
-    Out += "=>";
-    if (S.Replacement)
-      Out += caml::printExpr(*S.Replacement);
-    Out += "/" + S.Description + ";";
-  }
-  return Out;
+/// Layer name -> (calls, accepted), for comparing the ledger with a trace.
+using LayerTable = std::map<std::string, std::pair<uint64_t, uint64_t>>;
+
+LayerTable tableOf(const CallLedger &Ledger) {
+  LayerTable T;
+  for (size_t I = 0; I < NumSearchLayers; ++I)
+    if (Ledger.Slots[I].Calls)
+      T[searchLayerName(SearchLayer(I))] = {Ledger.Slots[I].Calls,
+                                            Ledger.Slots[I].Accepted};
+  return T;
 }
 
-obs::CandidateOutcome makeOutcome(const char *Layer, const char *Kind,
-                                  bool Verdict, int Rank = 0) {
-  obs::CandidateOutcome O;
-  O.Layer = Layer;
-  O.Kind = Kind;
-  O.Verdict = Verdict;
-  O.Rank = Rank;
-  return O;
+/// Oracle-call spans per `layer` attribute, and how many had a true
+/// `verdict`.
+LayerTable tableOf(const std::vector<TraceEvent> &Events) {
+  LayerTable T;
+  for (const TraceEvent &E : Events) {
+    if (E.Kind != SpanKind::OracleCall)
+      continue;
+    auto &Row = T[E.attr("layer")->Str];
+    ++Row.first;
+    Row.second += E.attr("verdict")->Flag;
+  }
+  return T;
 }
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// TelemetrySink mechanics
+// The ledger counts every call, by layer
 //===----------------------------------------------------------------------===//
 
-TEST(TelemetrySinkTest, RecordsInOrderAndClears) {
-  obs::TelemetrySink Sink;
-  EXPECT_EQ(Sink.size(), 0u);
+TEST(CallLedgerTest, SumsToOracleCallsAndMatchesTheTrace) {
+  // Figure 2, a triage case, and the 239 files of the first corpus
+  // cohort (seed 20070611, scale 1.5; perfbench's oneshot-corpus).
+  std::vector<std::string> Sources = {Fig2, TwoErrors};
+  CorpusOptions CO;
+  CO.Seed = 20070611;
+  CO.Scale = 1.5;
+  for (const CorpusFile &F : generateCorpus(CO).Analyzed)
+    Sources.push_back(F.Source);
+  ASSERT_EQ(Sources.size(), 2u + 239u);
 
-  Sink.record(makeOutcome("removal", "probe", false));
-  Sink.record(makeOutcome("constructive", "constructive", true));
-  EXPECT_EQ(Sink.size(), 2u);
-
-  std::vector<obs::CandidateOutcome> Records = Sink.snapshot();
-  ASSERT_EQ(Records.size(), 2u);
-  EXPECT_EQ(Records[0].Layer, "removal");
-  EXPECT_FALSE(Records[0].Verdict);
-  EXPECT_EQ(Records[1].Layer, "constructive");
-  EXPECT_TRUE(Records[1].Verdict);
-
-  Sink.clear();
-  EXPECT_EQ(Sink.size(), 0u);
-  EXPECT_TRUE(Sink.snapshot().empty());
-}
-
-TEST(TelemetrySinkTest, LayerStatsTallyTriedSucceeded) {
-  obs::TelemetrySink Sink;
-  Sink.record(makeOutcome("adaptation", "adaptation", false));
-  Sink.record(makeOutcome("adaptation", "adaptation", true));
-  Sink.record(makeOutcome("removal", "probe", false));
-
-  auto Stats = Sink.layerStats();
-  ASSERT_TRUE(Stats.count("adaptation"));
-  EXPECT_EQ(Stats["adaptation"].Tried, 2u);
-  EXPECT_EQ(Stats["adaptation"].Succeeded, 1u);
-  EXPECT_EQ(Stats["removal"].Tried, 1u);
-  EXPECT_EQ(Stats["removal"].Succeeded, 0u);
-}
-
-TEST(TelemetrySinkTest, LayerStatsExcludePostRankingSuggestionRecords) {
-  obs::TelemetrySink Sink;
-  Sink.record(makeOutcome("constructive", "constructive", true));
-  // Post-ranking duplicates of outcomes already counted under their
-  // issuing layer must not inflate the tallies.
-  Sink.record(makeOutcome("suggestion", "constructive", true, /*Rank=*/1));
-  Sink.record(makeOutcome("suggestion", "removal", true, /*Rank=*/2));
-
-  auto Stats = Sink.layerStats();
-  EXPECT_EQ(Stats.count("suggestion"), 0u);
-  EXPECT_EQ(Stats["constructive"].Tried, 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// Contract 1: telemetry is observational only
-//===----------------------------------------------------------------------===//
-
-TEST(ObsPurityTest, SuggestionsIdenticalWithTelemetryOnAndOff) {
-  for (const char *Source : {Fig2, TwoErrors}) {
-    SeminalReport Plain = runSeminalOnSource(Source);
-
-    obs::TelemetrySink Sink;
+  for (const std::string &Source : Sources) {
+    TraceSink Sink;
     SeminalOptions Opts;
-    Opts.Search.Telemetry = &Sink;
-    SeminalReport Observed = runSeminalOnSource(Source, Opts);
-
-    EXPECT_EQ(suggestionDigest(Plain), suggestionDigest(Observed));
-    EXPECT_EQ(Plain.OracleCalls, Observed.OracleCalls);
-    EXPECT_EQ(Plain.InferenceRuns, Observed.InferenceRuns);
-    EXPECT_GT(Sink.size(), 0u);
+    Opts.Search.Trace = &Sink;
+    SeminalReport R = runSeminalOnSource(Source, Opts);
+    EXPECT_EQ(R.Layers.calls(), R.OracleCalls) << Source;
+    EXPECT_EQ(tableOf(R.Layers), tableOf(Sink.snapshot())) << Source;
+    EXPECT_EQ(R.Layers[SearchLayer::Unattributed].Calls, 0u) << Source;
   }
 }
 
+TEST(CallLedgerTest, CountsEveryCallUnderABudget) {
+  // The budget refuses search calls past MaxOracleCalls, but the opening
+  // whole-program check and the type queries that decorate a found
+  // suggestion do not pass through it. The ledger counts the calls made,
+  // not the probes planned: a refused removal probe is no call.
+  SeminalOptions Opts;
+  Opts.Search.MaxOracleCalls = 7;
+  SeminalReport R = runSeminalOnSource(TwoErrors, Opts);
+  EXPECT_TRUE(R.BudgetExhausted);
+  EXPECT_EQ(R.OracleCalls, 8u);
+  EXPECT_EQ(R.Layers.calls(), 8u);
+  EXPECT_EQ(R.Layers[SearchLayer::InitialCheck].Calls, 1u);
+  EXPECT_EQ(R.Layers[SearchLayer::Removal].Calls, 2u);
+  EXPECT_GT(R.Layers[SearchLayer::TypeQuery].Calls, 0u);
+}
+
 //===----------------------------------------------------------------------===//
-// Contract 2: the RunReport mirrors the run
+// The RunReport mirrors the run
 //===----------------------------------------------------------------------===//
 
 TEST(RunReportTest, FillRunReportMirrorsTheRun) {
-  obs::TelemetrySink Sink;
-  SeminalOptions Opts;
-  Opts.Search.Telemetry = &Sink;
-  SeminalReport Report = runSeminalOnSource(Fig2, Opts);
+  SeminalReport Report = runSeminalOnSource(Fig2);
   ASSERT_FALSE(Report.Suggestions.empty());
 
   obs::RunReport R;
-  fillRunReport(R, Report, &Sink, 1.25);
+  fillRunReport(R, Report, 1.25);
 
   EXPECT_TRUE(R.Parsed);
   EXPECT_FALSE(R.InputTypechecks);
@@ -168,28 +134,35 @@ TEST(RunReportTest, FillRunReportMirrorsTheRun) {
   EXPECT_EQ(R.OracleCalls, Report.OracleCalls);
   EXPECT_EQ(R.InferenceRuns, Report.InferenceRuns);
   EXPECT_DOUBLE_EQ(R.WallSeconds, 1.25);
-  EXPECT_FALSE(R.Layers.empty());
+  EXPECT_EQ(R.Layers.calls(), R.OracleCalls);
+}
 
-  // The sink carries one post-ranking record per ranked suggestion,
-  // 1-based in rank order.
-  std::vector<int> Ranks;
-  for (const obs::CandidateOutcome &O : Sink.snapshot())
-    if (O.Rank > 0)
-      Ranks.push_back(O.Rank);
-  ASSERT_EQ(Ranks.size(), Report.Suggestions.size());
-  for (size_t I = 0; I < Ranks.size(); ++I)
-    EXPECT_EQ(Ranks[I], int(I) + 1);
+TEST(RunReportTest, LayersAreTheLedgerInSearchOrder) {
+  obs::RunReport R;
+  fillRunReport(R, runSeminalOnSource(Fig2));
+  std::ostringstream OS;
+  R.writeJson(OS);
+  // Every layer that asked, in the order the search runs them; the
+  // calls sum to oracle_calls (36), and no other per-layer field is left.
+  EXPECT_NE(OS.str().find(
+                "\"layers\":{\"initial-check\":{\"calls\":1,\"accepted\":0},"
+                "\"localize\":{\"calls\":2,\"accepted\":1},"
+                "\"decl-change\":{\"calls\":1,\"accepted\":0},"
+                "\"removal\":{\"calls\":6,\"accepted\":3},"
+                "\"adaptation\":{\"calls\":3,\"accepted\":2},"
+                "\"constructive\":{\"calls\":18,\"accepted\":2},"
+                "\"type-query\":{\"calls\":5,\"accepted\":5}}}"),
+            std::string::npos)
+      << OS.str();
+  EXPECT_EQ(R.OracleCalls, 36u);
 }
 
 TEST(RunReportTest, CompactJsonIsValidAndSingleLine) {
-  obs::TelemetrySink Sink;
-  SeminalOptions Opts;
-  Opts.Search.Telemetry = &Sink;
-  SeminalReport Report = runSeminalOnSource(Fig2, Opts);
+  SeminalReport Report = runSeminalOnSource(Fig2);
 
   obs::RunReport R;
   R.ProgramId = "fig2";
-  fillRunReport(R, Report, &Sink);
+  fillRunReport(R, Report);
 
   std::ostringstream Compact;
   R.writeJson(Compact);
@@ -273,15 +246,13 @@ TEST(AggregateTest, SnapshotJsonIsValidAndFoldsReports) {
 
 TEST(ExplorerTest, SelfContainedHtmlWithAllSections) {
   TraceSink Trace;
-  obs::TelemetrySink Sink;
   SeminalOptions Opts;
   Opts.Search.Trace = &Trace;
-  Opts.Search.Telemetry = &Sink;
   SeminalReport Report = runSeminalOnSource(Fig2, Opts);
 
   obs::RunReport R;
   R.ProgramId = "fig2";
-  fillRunReport(R, Report, &Sink);
+  fillRunReport(R, Report);
 
   std::ostringstream OS;
   obs::writeExplorerHtml(OS, Trace.snapshot(), R, Fig2);

@@ -16,7 +16,6 @@
 #include "obs/SlowTraceRing.h"
 #include "support/Histogram.h"
 #include "support/Json.h"
-#include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
@@ -438,38 +437,6 @@ TEST(SloTrackerTest, SubSpacingTicksStillComputeAgainstTheLastEntry) {
   EXPECT_EQ(B.Fast.Total, 1u);
   EXPECT_EQ(B.Fast.Bad, 1u);
   EXPECT_NEAR(B.Fast.Burn, 10.0, 1e-12);
-}
-
-//===----------------------------------------------------------------------===//
-// Metrics hot-series routing
-//===----------------------------------------------------------------------===//
-
-TEST(MetricsHotSeriesTest, LatencySeriesUseBoundedHistograms) {
-  // ".latency_us" series route into LogHistogram: summaries come back
-  // with bucket precision, and exact-sample series are untouched.
-  Metrics M;
-  for (int I = 1; I <= 1000; ++I)
-    M.observe("request.latency_us", double(I));
-  M.observe("exact.series", 3.0);
-  M.observe("exact.series", 5.0);
-
-  MetricSummary Hot = M.summary("request.latency_us");
-  EXPECT_EQ(Hot.Count, 1000u);
-  EXPECT_GT(Hot.P50, 0.0);
-  EXPECT_LE(Hot.P50, 500.0);
-  EXPECT_GE(Hot.P50, 500.0 * (1.0 - 2.0 / 32.0));
-
-  MetricSummary Exact = M.summary("exact.series");
-  EXPECT_EQ(Exact.Count, 2u);
-  EXPECT_EQ(Exact.Mean, 4.0);
-
-  std::vector<std::string> Names = M.names();
-  EXPECT_NE(std::find(Names.begin(), Names.end(),
-                      std::string("request.latency_us")),
-            Names.end());
-  EXPECT_FALSE(M.empty());
-  M.clear();
-  EXPECT_TRUE(M.empty());
 }
 
 //===----------------------------------------------------------------------===//

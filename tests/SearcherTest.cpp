@@ -401,12 +401,21 @@ TEST(OracleTest, CallsAreCounted) {
   CamlOracle O;
   ParseResult P = parseProgram("let x = 1");
   ASSERT_TRUE(P.ok());
-  EXPECT_EQ(O.callCount(), 0u);
+  EXPECT_EQ(O.logicalCalls(), 0u);
   O.typechecks(*P.Prog);
-  O.typechecks(*P.Prog);
-  EXPECT_EQ(O.callCount(), 2u);
+  {
+    TraceLayerScope Layer(SearchLayer::Removal);
+    O.typechecks(*P.Prog);
+  }
+  EXPECT_EQ(O.logicalCalls(), 2u);
+  // The ledger splits the calls by the live layer and counts accepts.
+  EXPECT_EQ(O.ledger()[SearchLayer::Unattributed].Calls, 1u);
+  EXPECT_EQ(O.ledger()[SearchLayer::Removal].Calls, 1u);
+  EXPECT_EQ(O.ledger()[SearchLayer::Removal].Accepted, 1u);
+  EXPECT_EQ(O.ledger().calls(), 2u);
   O.resetCallCount();
-  EXPECT_EQ(O.callCount(), 0u);
+  EXPECT_EQ(O.logicalCalls(), 0u);
+  EXPECT_EQ(O.ledger().calls(), 0u);
 }
 
 TEST(OracleTest, ReportsOracleCallsInReport) {

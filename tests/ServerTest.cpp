@@ -1751,6 +1751,16 @@ TEST(ServerLedgerTest, RunReportEmbedsTheSameLedger) {
   for (const char *Member : CostMembers)
     EXPECT_EQ(uint64_t(RC->getInt(Member, -1)), costField(Reply, Member))
         << Member;
+
+  // The per-layer call ledger is kept on every search, traced or not,
+  // and sums to the same oracle calls.
+  const json::Value *Layers = Effort->member("layers");
+  ASSERT_TRUE(Layers && Layers->isObject());
+  ASSERT_FALSE(Layers->objectValue().empty());
+  uint64_t Calls = 0;
+  for (const auto &KV : Layers->objectValue())
+    Calls += uint64_t(KV.second.getInt("calls", 0));
+  EXPECT_EQ(Calls, costField(Reply, "oracle_calls"));
 }
 
 TEST(ServerLedgerTest, HostileRequestIdsAreSanitizedInTheExemplar) {

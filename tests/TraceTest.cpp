@@ -2,26 +2,28 @@
 //
 // The trace subsystem's two contracts (DESIGN.md section 8):
 //
-//   1. Observational purity: attaching a TraceSink/Metrics changes
-//      nothing about the search -- suggestions, logical-call counts, and
-//      ranking are byte-identical with tracing on or off.
+//   1. Observational purity: attaching a TraceSink changes nothing
+//      about the search -- suggestions, logical-call counts, and ranking
+//      are byte-identical with tracing on or off.
 //   2. Completeness: every logical oracle call is one OracleCall span
 //      carrying layer / verdict / cache_hit attributes.
 //
-// Plus exporter well-formedness (Chrome trace JSON, JSONL) and the
+// Plus exporter well-formedness (Chrome trace JSON, JSONL), the
 // mechanics the instrumentation relies on (parenting, layer scopes,
-// disabled-span inertness).
+// disabled-span inertness), and Metrics, the series view of a trace.
 //
 //===----------------------------------------------------------------------==//
 
 #include "JsonTestUtil.h"
 #include "core/Seminal.h"
 #include "minicaml/Printer.h"
+#include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -58,17 +60,9 @@ std::string suggestionDigest(const SeminalReport &R) {
   return Out;
 }
 
-const TraceAttr *findAttr(const TraceEvent &E, const char *Key) {
-  for (const TraceAttr &A : E.Attrs)
-    if (A.Key == Key)
-      return &A;
-  return nullptr;
-}
-
-SeminalOptions tracedOptions(TraceSink *Sink, Metrics *M) {
+SeminalOptions tracedOptions(TraceSink *Sink) {
   SeminalOptions Opts;
   Opts.Search.Trace = Sink;
-  Opts.Search.Metric = M;
   return Opts;
 }
 
@@ -83,14 +77,13 @@ TEST(TracePurityTest, SuggestionsIdenticalWithTracingOnAndOff) {
     SeminalReport Plain = runSeminalOnSource(Source);
 
     TraceSink Sink;
-    Metrics M;
-    SeminalReport Traced =
-        runSeminalOnSource(Source, tracedOptions(&Sink, &M));
+    SeminalReport Traced = runSeminalOnSource(Source, tracedOptions(&Sink));
 
     EXPECT_EQ(suggestionDigest(Plain), suggestionDigest(Traced));
     EXPECT_EQ(Plain.OracleCalls, Traced.OracleCalls);
     EXPECT_EQ(Plain.InferenceRuns, Traced.InferenceRuns);
     EXPECT_EQ(Plain.bestMessage(), Traced.bestMessage());
+    EXPECT_TRUE(Plain.Layers == Traced.Layers) << "the call ledger moved";
     EXPECT_GT(Sink.eventCount(), 0u);
   }
 }
@@ -101,7 +94,7 @@ TEST(TracePurityTest, SuggestionsIdenticalWithTracingOnAndOff) {
 
 TEST(TraceCompletenessTest, OneOracleCallSpanPerLogicalCall) {
   TraceSink Sink;
-  SeminalReport R = runSeminalOnSource(Fig2, tracedOptions(&Sink, nullptr));
+  SeminalReport R = runSeminalOnSource(Fig2, tracedOptions(&Sink));
 
   uint64_t OracleSpans = 0;
   for (const TraceEvent &E : Sink.snapshot())
@@ -112,26 +105,26 @@ TEST(TraceCompletenessTest, OneOracleCallSpanPerLogicalCall) {
 
 TEST(TraceCompletenessTest, EveryOracleSpanCarriesLayerVerdictCacheHit) {
   TraceSink Sink;
-  runSeminalOnSource(TwoErrors, tracedOptions(&Sink, nullptr));
+  runSeminalOnSource(TwoErrors, tracedOptions(&Sink));
 
   size_t Checked = 0;
   for (const TraceEvent &E : Sink.snapshot()) {
     if (E.Kind != SpanKind::OracleCall)
       continue;
     ++Checked;
-    const TraceAttr *Layer = findAttr(E, "layer");
+    const TraceAttr *Layer = E.attr("layer");
     ASSERT_NE(Layer, nullptr) << E.Name;
     EXPECT_EQ(Layer->T, TraceAttr::Type::String);
     EXPECT_FALSE(Layer->Str.empty());
     EXPECT_NE(Layer->Str, "unattributed")
         << "oracle call from an unlabeled search site";
-    const TraceAttr *Verdict = findAttr(E, "verdict");
+    const TraceAttr *Verdict = E.attr("verdict");
     ASSERT_NE(Verdict, nullptr);
     EXPECT_EQ(Verdict->T, TraceAttr::Type::Bool);
-    const TraceAttr *CacheHit = findAttr(E, "cache_hit");
+    const TraceAttr *CacheHit = E.attr("cache_hit");
     ASSERT_NE(CacheHit, nullptr);
     EXPECT_EQ(CacheHit->T, TraceAttr::Type::Bool);
-    const TraceAttr *ServedBy = findAttr(E, "served_by");
+    const TraceAttr *ServedBy = E.attr("served_by");
     ASSERT_NE(ServedBy, nullptr);
     EXPECT_FALSE(ServedBy->Str.empty());
   }
@@ -140,25 +133,26 @@ TEST(TraceCompletenessTest, EveryOracleSpanCarriesLayerVerdictCacheHit) {
 
 TEST(TraceCompletenessTest, TriageRunEmitsTriageSpansAndLayers) {
   TraceSink Sink;
-  runSeminalOnSource(TwoErrors, tracedOptions(&Sink, nullptr));
+  runSeminalOnSource(TwoErrors, tracedOptions(&Sink));
   TraceSummary Sum = Sink.summarize();
   EXPECT_GT(Sum.SpansByKind["triage"], 0u);
   EXPECT_GT(Sum.SpansByKind["triage-phase"], 0u);
-  EXPECT_GT(Sum.CallsByLayer["triage"], 0u);
-  EXPECT_GT(Sum.CallsByLayer["localize"], 0u);
-  EXPECT_GT(Sum.CallsByLayer["removal"], 0u);
+  std::map<std::string, uint64_t> CallsByLayer;
+  for (const TraceEvent &E : Sink.snapshot())
+    if (E.Kind == SpanKind::OracleCall)
+      ++CallsByLayer[E.attr("layer")->Str];
+  EXPECT_GT(CallsByLayer["triage"], 0u);
+  EXPECT_GT(CallsByLayer["localize"], 0u);
+  EXPECT_GT(CallsByLayer["removal"], 0u);
 }
 
 TEST(TraceCompletenessTest, ReportSummaryMatchesEventStream) {
   TraceSink Sink;
-  SeminalReport R = runSeminalOnSource(Fig2, tracedOptions(&Sink, nullptr));
+  SeminalReport R = runSeminalOnSource(Fig2, tracedOptions(&Sink));
   ASSERT_TRUE(R.Trace.has_value());
   EXPECT_EQ(R.Trace->OracleCallSpans, R.OracleCalls);
   EXPECT_EQ(R.Trace->Spans, Sink.eventCount());
-  uint64_t LayerTotal = 0;
-  for (const auto &KV : R.Trace->CallsByLayer)
-    LayerTotal += KV.second;
-  EXPECT_EQ(LayerTotal, R.Trace->OracleCallSpans);
+  EXPECT_EQ(R.Layers.calls(), R.Trace->OracleCallSpans);
   EXPECT_FALSE(R.Trace->render().empty());
 }
 
@@ -175,7 +169,6 @@ TEST(TraceSpanTest, DisabledSpanIsInert) {
   Span.attr("n", int64_t(1));
   Span.attr("flag", true);
   Span.attr("d", 2.0);
-  Span.setParent(42);
   Span.finish();
 }
 
@@ -197,24 +190,9 @@ TEST(TraceSpanTest, NestingParentsAutomatically) {
   EXPECT_LE(Events[1].StartNs, Events[0].StartNs);
 }
 
-TEST(TraceSpanTest, ExplicitParentOverridesStack) {
-  TraceSink Sink;
-  uint64_t OuterId;
-  {
-    TraceSpan Outer(&Sink, SpanKind::Search, "outer");
-    OuterId = Outer.id();
-    TraceSpan Middle(&Sink, SpanKind::NodeVisit, "middle");
-    TraceSpan Item(&Sink, SpanKind::OracleCall, "item");
-    Item.setParent(OuterId);
-  }
-  auto Events = Sink.snapshot();
-  ASSERT_EQ(Events.size(), 3u);
-  EXPECT_EQ(Events[0].Parent, OuterId);
-}
-
 TEST(TraceSpanTest, ParentIdsResolveWithinStream) {
   TraceSink Sink;
-  runSeminalOnSource(TwoErrors, tracedOptions(&Sink, nullptr));
+  runSeminalOnSource(TwoErrors, tracedOptions(&Sink));
   auto Events = Sink.snapshot();
   std::set<uint64_t> Ids;
   for (const TraceEvent &E : Events)
@@ -234,24 +212,26 @@ TEST(TraceSpanTest, ParentIdsResolveWithinStream) {
 
 TEST(TraceSpanTest, SequenceNumbersAreStrictlyIncreasing) {
   TraceSink Sink;
-  runSeminalOnSource(Fig2, tracedOptions(&Sink, nullptr));
+  runSeminalOnSource(Fig2, tracedOptions(&Sink));
   auto Events = Sink.snapshot();
   for (size_t I = 1; I < Events.size(); ++I)
     EXPECT_LT(Events[I - 1].Seq, Events[I].Seq);
 }
 
 TEST(TraceLayerScopeTest, NestsAndRestores) {
-  EXPECT_STREQ(traceCurrentLayer(), "unattributed");
+  EXPECT_EQ(traceCurrentLayer(), SearchLayer::Unattributed);
   {
-    TraceLayerScope A("localize");
-    EXPECT_STREQ(traceCurrentLayer(), "localize");
+    TraceLayerScope A(SearchLayer::Localize);
+    EXPECT_EQ(traceCurrentLayer(), SearchLayer::Localize);
     {
-      TraceLayerScope B("triage");
-      EXPECT_STREQ(traceCurrentLayer(), "triage");
+      TraceLayerScope B(SearchLayer::Triage);
+      EXPECT_EQ(traceCurrentLayer(), SearchLayer::Triage);
     }
-    EXPECT_STREQ(traceCurrentLayer(), "localize");
+    EXPECT_EQ(traceCurrentLayer(), SearchLayer::Localize);
   }
-  EXPECT_STREQ(traceCurrentLayer(), "unattributed");
+  EXPECT_EQ(traceCurrentLayer(), SearchLayer::Unattributed);
+  EXPECT_STREQ(searchLayerName(SearchLayer::Unattributed), "unattributed");
+  EXPECT_STREQ(searchLayerName(SearchLayer::TypeQuery), "type-query");
 }
 
 TEST(TraceSinkTest, ClearDropsEventsButKeepsIdsFresh) {
@@ -270,7 +250,7 @@ TEST(TraceSinkTest, ClearDropsEventsButKeepsIdsFresh) {
 
 TEST(TraceExportTest, ChromeTraceIsValidJsonWithExpectedShape) {
   TraceSink Sink;
-  runSeminalOnSource(Fig2, tracedOptions(&Sink, nullptr));
+  runSeminalOnSource(Fig2, tracedOptions(&Sink));
 
   std::ostringstream OS;
   Sink.writeChromeTrace(OS);
@@ -299,7 +279,7 @@ TEST(TraceExportTest, ChromeTraceEscapesAttributeStrings) {
 
 TEST(TraceExportTest, JsonlEveryLineIsValidJson) {
   TraceSink Sink;
-  runSeminalOnSource(TwoErrors, tracedOptions(&Sink, nullptr));
+  runSeminalOnSource(TwoErrors, tracedOptions(&Sink));
 
   std::ostringstream OS;
   Sink.writeJsonl(OS);
@@ -325,22 +305,48 @@ TEST(TraceExportTest, EmptySinkExportsAreValid) {
 }
 
 //===----------------------------------------------------------------------===//
-// Metrics integration
+// Metrics, the series view of a finished trace
 //===----------------------------------------------------------------------===//
 
 TEST(TraceMetricsTest, SearchPopulatesWellKnownSeries) {
-  Metrics M;
-  runSeminalOnSource(Fig2, tracedOptions(nullptr, &M));
-  EXPECT_GT(M.summary(metric::OracleLatencyUs).Count, 0u);
-  EXPECT_GT(M.summary(metric::CandidatesPerNode).Count, 0u);
-  MetricSummary Lat = M.summary(metric::OracleLatencyUs);
-  EXPECT_GE(Lat.P95, Lat.P50);
-  EXPECT_GE(Lat.Max, Lat.P95);
-  EXPECT_FALSE(M.render().empty());
+  for (const char *Source : {Fig2, TwoErrors}) {
+    TraceSink Sink;
+    SeminalReport R = runSeminalOnSource(Source, tracedOptions(&Sink));
+    Metrics M = Metrics::fromTrace(Sink.snapshot());
+
+    // One latency sample per oracle call.
+    MetricSummary Lat = M.summary(metric::OracleLatencyUs);
+    EXPECT_EQ(Lat.Count, R.OracleCalls);
+    EXPECT_GE(Lat.P95, Lat.P50);
+    EXPECT_GE(Lat.Max, Lat.P95);
+    // One reuse depth per incremental run, summing to the declarations
+    // the checkpoint saved.
+    MetricSummary Depth = M.summary(metric::CheckpointReuseDepth);
+    EXPECT_EQ(Depth.Count, R.Accel.IncrementalInferences);
+    EXPECT_GT(Depth.Count, 0u);
+    EXPECT_NEAR(Depth.Mean * double(Depth.Count),
+                double(R.Accel.DeclInferencesSaved), 1e-6);
+    EXPECT_GT(M.summary(metric::CandidatesPerNode).Count, 0u);
+    EXPECT_FALSE(M.render().empty());
+  }
 }
 
 TEST(TraceMetricsTest, TriageRunObservesRemovalCounts) {
-  Metrics M;
-  runSeminalOnSource(TwoErrors, tracedOptions(nullptr, &M));
+  TraceSink Sink;
+  runSeminalOnSource(TwoErrors, tracedOptions(&Sink));
+  Metrics M = Metrics::fromTrace(Sink.snapshot());
   EXPECT_GT(M.summary(metric::TriageRemovals).Count, 0u);
+}
+
+TEST(TraceMetricsTest, SliceSeriesComeFromTheSliceSpan) {
+  TraceSink Sink;
+  SeminalOptions Opts = tracedOptions(&Sink);
+  Opts.Search.ComputeSlice = true;
+  SeminalReport R = runSeminalOnSource(Fig2, Opts);
+  ASSERT_TRUE(R.Slice.has_value());
+  Metrics M = Metrics::fromTrace(Sink.snapshot());
+  MetricSummary Size = M.summary(metric::SliceSize);
+  EXPECT_EQ(Size.Count, 1u);
+  EXPECT_EQ(Size.Max, double(R.Slice->Influence.size()));
+  EXPECT_EQ(M.summary(metric::SlicePruneRatio).Count, 1u);
 }
