@@ -6,16 +6,20 @@
 // spans; the RunReport mirrors the run it distills (ranked suggestions,
 // winning layer, effort counters); and every serialized artifact --
 // RunReport JSON, aggregate snapshot, explorer HTML -- is well-formed
-// and self-contained. (Tracing leaves the ledger alone: TraceTest.)
+// and self-contained. Telemetry only observes: with a trace and a
+// Metrics attached, the suggestions, the counts and the report written
+// from them are the same as without.
 //
 //===----------------------------------------------------------------------==//
 
 #include "JsonTestUtil.h"
 #include "core/Seminal.h"
 #include "corpus/Generator.h"
+#include "minicaml/Printer.h"
 #include "obs/Aggregate.h"
 #include "obs/Explorer.h"
 #include "obs/RunReport.h"
+#include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
@@ -67,6 +71,29 @@ LayerTable tableOf(const std::vector<TraceEvent> &Events) {
   return T;
 }
 
+std::string suggestionDigest(const SeminalReport &R) {
+  std::string Out;
+  for (const Suggestion &S : R.Suggestions) {
+    Out += std::to_string(int(S.Kind)) + "/" + S.Path.str() + "/";
+    if (S.Original)
+      Out += caml::printExpr(*S.Original);
+    Out += "=>";
+    if (S.Replacement)
+      Out += caml::printExpr(*S.Replacement);
+    Out += "/" + S.Description + "/" + S.ContextAfter + "/" +
+           (S.ReplacementType ? *S.ReplacementType : "<none>") + ";";
+  }
+  return Out;
+}
+
+std::string reportJson(const SeminalReport &Report) {
+  obs::RunReport R;
+  fillRunReport(R, Report);
+  std::ostringstream OS;
+  R.writeJson(OS);
+  return OS.str();
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -109,6 +136,34 @@ TEST(CallLedgerTest, CountsEveryCallUnderABudget) {
   EXPECT_EQ(R.Layers[SearchLayer::InitialCheck].Calls, 1u);
   EXPECT_EQ(R.Layers[SearchLayer::Removal].Calls, 2u);
   EXPECT_GT(R.Layers[SearchLayer::TypeQuery].Calls, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Telemetry is observational only
+//===----------------------------------------------------------------------===//
+
+TEST(ObsPurityTest, SuggestionsIdenticalWithTelemetryOnAndOff) {
+  for (const char *Source : {Fig2, TwoErrors}) {
+    SeminalReport Plain = runSeminalOnSource(Source);
+
+    // Telemetry on as `seminal_cli --metrics` turns it on (a trace that
+    // Metrics is read from), plus the Metrics pointer SearchOptions
+    // still accepts and ignores.
+    TraceSink Sink;
+    Metrics Passed;
+    SeminalOptions Opts;
+    Opts.Search.Trace = &Sink;
+    Opts.Search.Metric = &Passed;
+    SeminalReport Observed = runSeminalOnSource(Source, Opts);
+
+    EXPECT_EQ(suggestionDigest(Plain), suggestionDigest(Observed));
+    EXPECT_EQ(Plain.OracleCalls, Observed.OracleCalls);
+    EXPECT_EQ(Plain.InferenceRuns, Observed.InferenceRuns);
+    EXPECT_TRUE(Plain.Layers == Observed.Layers) << "the call ledger moved";
+    EXPECT_EQ(reportJson(Plain), reportJson(Observed));
+    EXPECT_TRUE(Passed.empty()) << "the search wrote into a Metrics";
+    EXPECT_FALSE(Metrics::fromTrace(Sink.snapshot()).empty());
+  }
 }
 
 //===----------------------------------------------------------------------===//
