@@ -205,13 +205,12 @@ void runAccelAblation(const DriverOptions &Driver) {
           F,
           "    {\"name\": \"%s\", \"wall_ms\": %.3f, \"logical_calls\": "
           "%zu, \"inference_runs\": %zu, \"cache_hits\": %llu, "
-          "\"cache_misses\": %llu, \"incremental\": %llu, \"full\": %llu, "
+          "\"incremental\": %llu, \"full\": %llu, "
           "\"decl_rechecks_saved\": %llu, "
           "\"suggestion_mismatches\": %zu, \"call_count_mismatches\": "
           "%zu}%s\n",
           Row.Name, Row.WallSec * 1000.0, Row.LogicalCalls,
           Row.InferenceRuns, (unsigned long long)Row.Counters.CacheHits,
-          (unsigned long long)Row.Counters.CacheMisses,
           (unsigned long long)Row.Counters.IncrementalInferences,
           (unsigned long long)Row.Counters.FullInferences,
           (unsigned long long)Row.Counters.DeclInferencesSaved,

@@ -623,8 +623,8 @@ int main(int Argc, char **Argv) {
 
   // Observability renderings are diagnostics, never results: stderr, so
   // they cannot interleave with --json output or piped messages.
-  if (!Quiet && Report.Trace && WantTrace)
-    std::fprintf(stderr, "%s", Report.Trace->render().c_str());
+  if (!Quiet && WantTrace && !Report.SyntaxError)
+    std::fprintf(stderr, "%s", Sink.summarize().render().c_str());
   if (WantMetrics) {
     Metrics Metric = Metrics::fromTrace(Sink.snapshot());
     if (!Metric.empty())

@@ -9,14 +9,14 @@
 using namespace seminal;
 using namespace seminal::caml;
 
-bool Searcher::oracleSays() {
-  if (OutOfBudget)
-    return false;
-  if (TheOracle.logicalCalls() >= Opts.MaxOracleCalls) {
+bool Searcher::budgetAllowsCall() {
+  if (!OutOfBudget && TheOracle.logicalCalls() >= Opts.MaxOracleCalls)
     OutOfBudget = true;
-    return false;
-  }
-  return TheOracle.typechecks(Work);
+  return !OutOfBudget;
+}
+
+bool Searcher::oracleSays() {
+  return budgetAllowsCall() && TheOracle.typechecks(Work);
 }
 
 bool Searcher::testWith(const NodePath &Path, ExprPtr &Replacement) {
@@ -45,11 +45,13 @@ void Searcher::addSuggestion(ChangeKind Kind, const NodePath &Path,
   S.LikelyUnboundVariable = LikelyUnbound;
   S.InSlice = CoreNodes.count(Node) != 0;
 
-  // Install the replacement to render context and query its type.
+  // Install the replacement to render context and query its type. The
+  // query is an oracle call like any other: past the budget it is not
+  // asked, and the suggestion goes without a type.
   const Expr *Installed = Replacement.get();
   ExprPtr Old = replaceAtPath(*Focus, Path, std::move(Replacement));
   S.ContextAfter = printDecl(*Focus);
-  {
+  if (budgetAllowsCall()) {
     TraceLayerScope Layer(SearchLayer::TypeQuery);
     S.ReplacementType = TheOracle.typeOfNode(Work, Installed);
   }

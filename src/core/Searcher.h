@@ -114,6 +114,12 @@ public:
   SearchOutput run(const caml::Program &Input);
 
 private:
+  /// Whether the budget allows one more oracle call; the first refusal
+  /// marks the search out of budget. Every call after the opening
+  /// whole-program check asks this first, so MaxOracleCalls is a hard
+  /// cap on logical calls.
+  bool budgetAllowsCall();
+
   // One oracle query against the working program, honoring the budget.
   bool oracleSays();
 

@@ -128,8 +128,6 @@ SeminalReport seminal::runSeminalWithOracle(CheckpointedOracle &TheOracle,
   // What the oracle keeps for the next request is a level, read once
   // here for the report and the cost ledger.
   Report.Accel.ArenaBytes = TheOracle.retainedBytes();
-  if (Opts.Search.Trace)
-    Report.Trace = Opts.Search.Trace->summarize();
   return Report;
 }
 

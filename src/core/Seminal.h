@@ -85,11 +85,6 @@ struct SeminalReport {
   /// set and the failure was sliceable.
   std::optional<analysis::ErrorSlice> Slice;
 
-  /// Aggregated view of the run's trace, present when a TraceSink was
-  /// attached via SearchOptions::Trace (span counts by kind, cache hits,
-  /// root wall-time).
-  std::optional<TraceSummary> Trace;
-
   /// The top-ranked suggestion rendered as a message, or a fallback.
   std::string bestMessage(const MessageOptions &Opts = {}) const;
 

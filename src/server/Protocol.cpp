@@ -2,14 +2,43 @@
 
 #include "server/Protocol.h"
 
-#include "support/Trace.h" // jsonEscape
+#include "support/Trace.h" // appendJsonEscaped
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <sstream>
+#include <cstdio>
 
 using namespace seminal;
 using namespace seminal::server;
+
+void server::appendJsonString(std::string &Out, std::string_view S) {
+  Out += '"';
+  appendJsonEscaped(Out, S);
+  Out += '"';
+}
+
+void server::appendJsonInt(std::string &Out, int64_t N) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), N).ptr);
+}
+
+void server::appendJsonUint(std::string &Out, uint64_t N) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), N).ptr);
+}
+
+void server::appendJsonDouble(std::string &Out, double D) {
+  // An ostream's default output of a double is "%g": precision 6, the
+  // shorter of fixed and scientific.
+  char Buf[32];
+  int N = std::snprintf(Buf, sizeof(Buf), "%g", D);
+  Out.append(Buf, size_t(N));
+}
+
+void server::appendJsonBool(std::string &Out, bool B) {
+  Out += B ? "true" : "false";
+}
 
 std::string server::renderValue(const json::Value &V) {
   switch (V.kind()) {
@@ -19,21 +48,18 @@ std::string server::renderValue(const json::Value &V) {
     return V.boolValue() ? "true" : "false";
   case json::Value::Kind::Number: {
     double N = V.numberValue();
+    std::string Out;
     // Ids are almost always small integers; render them without a
     // decimal point so the echo matches what the client sent.
-    if (std::floor(N) == N && std::abs(N) < 1e15) {
-      std::ostringstream OS;
-      OS << static_cast<long long>(N);
-      return OS.str();
-    }
-    std::ostringstream OS;
-    OS << N;
-    return OS.str();
+    if (std::floor(N) == N && std::abs(N) < 1e15)
+      appendJsonInt(Out, int64_t(N));
+    else
+      appendJsonDouble(Out, N);
+    return Out;
   }
   case json::Value::Kind::String: {
-    std::string Out = "\"";
-    Out += jsonEscape(V.stringValue());
-    Out += "\"";
+    std::string Out;
+    appendJsonString(Out, V.stringValue());
     return Out;
   }
   case json::Value::Kind::Array: {
@@ -54,9 +80,8 @@ std::string server::renderValue(const json::Value &V) {
       if (!First)
         Out += ",";
       First = false;
-      Out += "\"";
-      Out += jsonEscape(KV.first);
-      Out += "\":";
+      appendJsonString(Out, KV.first);
+      Out += ':';
       Out += renderValue(KV.second);
     }
     return Out + "}";
@@ -69,13 +94,11 @@ Request server::parseRequest(const std::string &Line) {
   Request R;
   json::ParseResult P = json::parse(Line);
   if (!P.ok()) {
-    std::ostringstream OS;
-    OS << "malformed request: " << P.Error << " (byte " << P.ErrorOffset
-       << ")";
-    R.Error = OS.str();
+    R.Error = "malformed request: " + P.Error + " (byte " +
+              std::to_string(P.ErrorOffset) + ")";
     return R;
   }
-  const json::Value &Doc = *P.Doc;
+  json::Value &Doc = *P.Doc;
   if (!Doc.isObject()) {
     R.Error = "malformed request: expected a JSON object";
     return R;
@@ -91,13 +114,13 @@ Request server::parseRequest(const std::string &Line) {
 
   R.Session = Doc.getString("session", "default");
   if (Method == "check") {
-    const json::Value *Source = Doc.member("source");
+    json::Value *Source = Doc.member("source");
     if (!Source || !Source->isString()) {
       R.Error = "malformed request: \"check\" needs a string \"source\"";
       return R;
     }
     R.TheMethod = Request::Method::Check;
-    R.Source = Source->stringValue();
+    R.Source = Source->takeString(); // P is ours: move, do not copy.
     int64_t MaxSuggestions = Doc.getInt("max_suggestions", 0);
     int64_t MaxCalls = Doc.getInt("max_oracle_calls", 0);
     R.MaxSuggestions = MaxSuggestions > 0 ? size_t(MaxSuggestions) : 0;
@@ -140,8 +163,10 @@ Request server::parseRequest(const std::string &Line) {
 
 std::string server::errorResponse(const std::string &Id,
                                   const std::string &Message) {
-  return "{\"id\":" + Id + ",\"ok\":false,\"error\":\"" +
-         jsonEscape(Message) + "\"}";
+  std::string Out = "{\"id\":" + Id + ",\"ok\":false,\"error\":";
+  appendJsonString(Out, Message);
+  Out += '}';
+  return Out;
 }
 
 std::string server::okResponse(const std::string &Id,

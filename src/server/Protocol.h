@@ -35,6 +35,13 @@
 /// "ok". Adding response fields is allowed without a version bump, like
 /// RunReport's schema rule; consumers must ignore unknown members.
 ///
+/// Costs on the hot path: a request line is parsed once into a JSON
+/// document whose decoded "source" is moved, not copied, into the
+/// Request. A reply is appended into one string by the append* writers
+/// below -- no string streams -- and a check's answer members are
+/// rendered once per search and spliced into every reply that serves
+/// them (Session.h's CheckOutcome::RenderedAnswer).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SEMINAL_SERVER_PROTOCOL_H
@@ -43,7 +50,9 @@
 #include "support/Json.h"
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace seminal {
 namespace server {
@@ -96,6 +105,16 @@ std::string errorResponse(const std::string &Id, const std::string &Message);
 /// ',"k":v' text in \p ExtraMembers.
 std::string okResponse(const std::string &Id,
                        const std::string &ExtraMembers = "");
+
+// Reply writers: each appends one JSON value to \p Out. Numbers come out
+// byte for byte as an ostream's default formatting writes them.
+/// A string literal, quotes included (support/Trace.h's escaper).
+void appendJsonString(std::string &Out, std::string_view S);
+void appendJsonInt(std::string &Out, int64_t N);
+void appendJsonUint(std::string &Out, uint64_t N);
+/// "%g", which is what `ostream << double` writes by default.
+void appendJsonDouble(std::string &Out, double D);
+void appendJsonBool(std::string &Out, bool B);
 
 } // namespace server
 } // namespace seminal

@@ -17,6 +17,7 @@
 #include <sstream>
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -25,47 +26,56 @@ using namespace seminal::server;
 
 std::string server::renderCheckResponse(const std::string &Id,
                                         const CheckOutcome &O) {
-  std::ostringstream M;
-  if (!O.SyntaxError.empty()) {
-    M << ",\"syntax_error\":\"" << jsonEscape(O.SyntaxError) << "\"";
-  } else {
-    M << ",\"input_typechecks\":" << (O.InputTypechecks ? "true" : "false")
-      << ",\"failing_decl\":" << O.FailingDecl << ",\"budget_exhausted\":"
-      << (O.BudgetExhausted ? "true" : "false") << ",\"conventional\":\""
-      << jsonEscape(O.Conventional) << "\",\"suggestions\":[";
-    for (size_t I = 0; I < O.Suggestions.size(); ++I) {
-      const CheckOutcome::RenderedSuggestion &S = O.Suggestions[I];
-      if (I)
-        M << ",";
-      M << "{\"rank\":" << S.Rank << ",\"kind\":\"" << jsonEscape(S.Kind)
-        << "\",\"layer\":\"" << jsonEscape(S.Layer)
-        << "\",\"description\":\"" << jsonEscape(S.Description)
-        << "\",\"path\":\"" << jsonEscape(S.Path) << "\",\"message\":\""
-        << jsonEscape(S.Message) << "\"}";
-    }
-    M << "]";
-  }
+  std::string M;
+  M.reserve(400 + (O.RenderedAnswer ? O.RenderedAnswer->size() : 0) +
+            O.ReportJson.size());
+  M += "{\"id\":";
+  M += Id;
+  M += ",\"ok\":true";
+  if (O.RenderedAnswer)
+    M += *O.RenderedAnswer;
+  else
+    appendAnswerMembers(M, O);
   // The counters and the ledger ride on every check reply, a syntax
   // error's included, so the replies sum to the engine's counters.
-  M << ",\"oracle_calls\":" << O.OracleCalls
-    << ",\"inference_runs\":" << O.InferenceRuns
-    << ",\"warm\":{\"prefix_hits\":" << O.Accel.SessionPrefixHits
-    << ",\"seed_adoptions\":" << O.Accel.SessionSeedAdoptions
-    << ",\"conv_memo_hits\":" << O.Accel.SessionConvMemoHits
-    << ",\"replayed\":" << (O.Replayed ? "true" : "false")
-    << "},\"wall_seconds\":" << O.WallSeconds
-    << ",\"cost\":{\"cpu_ns\":" << O.CpuNs
-    << ",\"wall_ns\":" << O.wallNs()
-    << ",\"oracle_calls\":" << O.OracleCalls
-    << ",\"inference_runs\":" << O.InferenceRuns
-    << ",\"arena_bytes\":" << O.Accel.ArenaBytes
-    << ",\"verdict_cache_hits\":" << O.Accel.CacheHits
-    << "},\"evicted\":" << (O.Evicted ? "true" : "false");
-  if (!O.SlowTracePath.empty())
-    M << ",\"slow_trace\":\"" << jsonEscape(O.SlowTracePath) << "\"";
-  if (!O.ReportJson.empty())
-    M << ",\"report\":" << O.ReportJson;
-  return okResponse(Id, M.str());
+  M += ",\"oracle_calls\":";
+  appendJsonUint(M, O.OracleCalls);
+  M += ",\"inference_runs\":";
+  appendJsonUint(M, O.InferenceRuns);
+  M += ",\"warm\":{\"prefix_hits\":";
+  appendJsonUint(M, O.Accel.SessionPrefixHits);
+  M += ",\"seed_adoptions\":";
+  appendJsonUint(M, O.Accel.SessionSeedAdoptions);
+  M += ",\"conv_memo_hits\":";
+  appendJsonUint(M, O.Accel.SessionConvMemoHits);
+  M += ",\"replayed\":";
+  appendJsonBool(M, O.Replayed);
+  M += "},\"wall_seconds\":";
+  appendJsonDouble(M, O.WallSeconds);
+  M += ",\"cost\":{\"cpu_ns\":";
+  appendJsonUint(M, O.CpuNs);
+  M += ",\"wall_ns\":";
+  appendJsonUint(M, O.wallNs());
+  M += ",\"oracle_calls\":";
+  appendJsonUint(M, O.OracleCalls);
+  M += ",\"inference_runs\":";
+  appendJsonUint(M, O.InferenceRuns);
+  M += ",\"arena_bytes\":";
+  appendJsonUint(M, O.Accel.ArenaBytes);
+  M += ",\"verdict_cache_hits\":";
+  appendJsonUint(M, O.Accel.CacheHits);
+  M += "},\"evicted\":";
+  appendJsonBool(M, O.Evicted);
+  if (!O.SlowTracePath.empty()) {
+    M += ",\"slow_trace\":";
+    appendJsonString(M, O.SlowTracePath);
+  }
+  if (!O.ReportJson.empty()) {
+    M += ",\"report\":";
+    M += O.ReportJson;
+  }
+  M += '}';
+  return M;
 }
 
 namespace {
@@ -104,23 +114,35 @@ struct ConnWriter {
   void markDead() SEMINAL_REQUIRES(WriteLock) { Alive = false; }
 
   /// Writes one reply line (newline appended). Dropped silently when
-  /// the connection is already dead; a short or failed send marks it
-  /// dead for every later reply.
+  /// the connection is already dead; a failed send marks it dead for
+  /// every later reply. The line and its newline leave in one sendmsg
+  /// of two iovecs, so the reply is not copied; a short send resumes
+  /// where it stopped.
   void sendLine(const std::string &Line) SEMINAL_EXCLUDES(WriteLock) {
     sync::MutexLock Lock(WriteLock);
     if (!Alive)
       return;
-    std::string Out = Line;
-    Out.push_back('\n');
-    size_t Off = 0;
-    while (Off < Out.size()) {
-      ssize_t N =
-          ::send(Fd, Out.data() + Off, Out.size() - Off, MSG_NOSIGNAL);
+    char Newline = '\n';
+    iovec Parts[2] = {{const_cast<char *>(Line.data()), Line.size()},
+                      {&Newline, 1}};
+    msghdr Msg{};
+    Msg.msg_iov = Parts;
+    Msg.msg_iovlen = 2;
+    while (Msg.msg_iovlen != 0) {
+      ssize_t N = ::sendmsg(Fd, &Msg, MSG_NOSIGNAL);
       if (N <= 0) {
         markDead(); // Client went away; drop the rest.
         return;
       }
-      Off += size_t(N);
+      size_t Sent = size_t(N);
+      for (; Msg.msg_iovlen != 0 && Sent >= Msg.msg_iov->iov_len;
+           ++Msg.msg_iov, --Msg.msg_iovlen)
+        Sent -= Msg.msg_iov->iov_len;
+      if (Msg.msg_iovlen != 0) {
+        Msg.msg_iov->iov_base =
+            static_cast<char *>(Msg.msg_iov->iov_base) + Sent;
+        Msg.msg_iov->iov_len -= Sent;
+      }
     }
   }
 };
@@ -443,15 +465,14 @@ void ServerEngine::submit(const std::string &Line, ReplyFn Reply) {
     CO.MaxSuggestions = R.MaxSuggestions;
     CO.MaxOracleCalls = R.MaxOracleCalls;
     CO.WantReport = R.WantReport;
-    CO.RequestId = R.Id;
-    std::string Id = R.Id;
-    std::string Source = std::move(R.Source);
+    CO.RequestId = std::move(R.Id);
     size_t Shard = shardOf(R.Session);
     ShardInstruments &SI = Ops.Shards[Shard];
     SI.QueueDepth->add(1);
-    Pool->post(Shard, [this, S, Id, Shard, Submitted, &SI,
-                       Source = std::move(Source), CO,
+    Pool->post(Shard, [this, S, Shard, Submitted, &SI,
+                       Source = std::move(R.Source), CO = std::move(CO),
                        Reply = std::move(Reply)] {
+      const std::string &Id = CO.RequestId;
       SI.QueueDepth->add(-1);
       SI.QueueWaitUs->record(microsSince(Submitted));
       SI.Requests->inc();

@@ -6,6 +6,7 @@
 #include "core/Message.h"
 #include "minicaml/Hash.h"
 #include "minicaml/Parser.h"
+#include "server/Protocol.h"
 #include "support/Profiler.h"
 #include "support/Trace.h"
 
@@ -36,6 +37,40 @@ void Session::reset() {
 
 uint64_t Session::arenaBytes() const { return Oracle->retainedBytes(); }
 
+void server::appendAnswerMembers(std::string &Out, const CheckOutcome &O) {
+  if (!O.SyntaxError.empty()) {
+    Out += ",\"syntax_error\":";
+    appendJsonString(Out, O.SyntaxError);
+    return;
+  }
+  Out += ",\"input_typechecks\":";
+  appendJsonBool(Out, O.InputTypechecks);
+  Out += ",\"failing_decl\":";
+  appendJsonInt(Out, O.FailingDecl);
+  Out += ",\"budget_exhausted\":";
+  appendJsonBool(Out, O.BudgetExhausted);
+  Out += ",\"conventional\":";
+  appendJsonString(Out, O.Conventional);
+  Out += ",\"suggestions\":[";
+  for (size_t I = 0; I < O.Suggestions.size(); ++I) {
+    const CheckOutcome::RenderedSuggestion &S = O.Suggestions[I];
+    Out += I ? ",{\"rank\":" : "{\"rank\":";
+    appendJsonInt(Out, S.Rank);
+    Out += ",\"kind\":";
+    appendJsonString(Out, S.Kind);
+    Out += ",\"layer\":";
+    appendJsonString(Out, S.Layer);
+    Out += ",\"description\":";
+    appendJsonString(Out, S.Description);
+    Out += ",\"path\":";
+    appendJsonString(Out, S.Path);
+    Out += ",\"message\":";
+    appendJsonString(Out, S.Message);
+    Out += '}';
+  }
+  Out += ']';
+}
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -51,6 +86,7 @@ CheckOutcome answerOf(const CheckOutcome &O) {
   A.BudgetExhausted = O.BudgetExhausted;
   A.Conventional = O.Conventional;
   A.Suggestions = O.Suggestions;
+  A.RenderedAnswer = O.RenderedAnswer;
   return A;
 }
 
@@ -78,7 +114,12 @@ CheckOutcome Session::check(const std::string &Source,
     stampClocks(Out, Start, CpuStart);
     Out.Accel.ArenaBytes = Out.ArenaBytes = arenaBytes();
   };
-  auto Remember = [&](const CheckOutcome &Out) {
+  // The answer is rendered here, once: this reply and every replay of
+  // it splice the same bytes.
+  auto Remember = [&](CheckOutcome &Out) {
+    std::string Answer;
+    appendAnswerMembers(Answer, Out);
+    Out.RenderedAnswer = std::make_shared<const std::string>(std::move(Answer));
     Previous = PreviousCheck{Source, Opts.MaxSuggestions, Opts.MaxOracleCalls,
                              answerOf(Out)};
   };

@@ -94,6 +94,11 @@ struct CheckOutcome {
     std::string Message; ///< renderSuggestion() output.
   };
   std::vector<RenderedSuggestion> Suggestions;
+  /// The members above as reply text (appendAnswerMembers), rendered
+  /// once per search: the session renders the answer it remembers, and a
+  /// replay shares the searched check's copy. Null in outcomes built
+  /// elsewhere; renderCheckResponse renders those members itself.
+  std::shared_ptr<const std::string> RenderedAnswer;
 
   // The request's cost ledger (DESIGN.md section 16) is these fields;
   // the reply's "cost" object and the engine's counters read them.
@@ -124,6 +129,11 @@ struct CheckOutcome {
   /// limits, no search (DESIGN.md section 13).
   bool Replayed = false;
 };
+
+/// Appends \p O's answer members as ',"k":v' reply text: "syntax_error"
+/// alone, or "input_typechecks", "failing_decl", "budget_exhausted",
+/// "conventional" and "suggestions".
+void appendAnswerMembers(std::string &Out, const CheckOutcome &O);
 
 class Session {
 public:
@@ -156,7 +166,8 @@ private:
   /// The previous check, kept for replay. The key is the exact bytes and
   /// the per-request limits: a search is deterministic in its program
   /// and options, so an equal key has an equal answer. Outcome holds
-  /// rendered strings only, so eviction keeps it.
+  /// rendered strings only (its fields and its RenderedAnswer), so
+  /// eviction keeps it.
   struct PreviousCheck {
     std::string Source;
     size_t MaxSuggestions = 0;

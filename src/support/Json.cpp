@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
 using namespace seminal;
 using namespace seminal::json;
@@ -49,6 +50,10 @@ const Value *Value::member(const std::string &Key) const {
     return nullptr;
   auto It = Members.find(Key);
   return It == Members.end() ? nullptr : &It->second;
+}
+
+Value *Value::member(const std::string &Key) {
+  return const_cast<Value *>(std::as_const(*this).member(Key));
 }
 
 std::string Value::getString(const std::string &Key,
@@ -175,19 +180,23 @@ private:
     if (!consume('"'))
       return fail("expected string");
     Out.clear();
+    const char *Begin = S.data(), *End = Begin + S.size();
     while (Pos < S.size()) {
-      unsigned char C = (unsigned char)S[Pos];
-      if (C == '"') {
+      // Append the run up to the next quote, backslash or control byte
+      // in one call.
+      const char *Run = Begin + Pos, *P = Run;
+      while (P != End && *P != '"' && *P != '\\' && (unsigned char)*P >= 0x20)
+        ++P;
+      Out.append(Run, size_t(P - Run));
+      Pos = size_t(P - Begin);
+      if (P == End)
+        break;
+      if (*P == '"') {
         ++Pos;
         return true;
       }
-      if (C < 0x20)
+      if (*P != '\\')
         return fail("unescaped control character in string");
-      if (C != '\\') {
-        Out.push_back(char(C));
-        ++Pos;
-        continue;
-      }
       ++Pos;
       if (Pos >= S.size())
         return fail("truncated escape");

@@ -14,8 +14,11 @@
 /// offset so the server can echo a useful diagnostic for a malformed
 /// request line without killing the connection.
 ///
-/// Writing stays with the existing helpers (seminal::jsonEscape in
-/// support/Trace.h); this header adds only what reading needs.
+/// Writing stays with the existing helpers (the escaper in
+/// support/Trace.h, the reply writers in server/Protocol.h); this header
+/// adds only what reading needs. Strings are decoded a run at a time:
+/// the bytes up to the next quote, backslash or control byte are
+/// appended in one call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,6 +65,11 @@ public:
 
   /// Object member lookup; null when absent or not an object.
   const Value *member(const std::string &Key) const;
+  Value *member(const std::string &Key);
+
+  /// Moves the string value out, leaving this value's string empty: a
+  /// caller that owns the document keeps a large member without a copy.
+  std::string takeString() { return std::move(Str); }
 
   // Typed accessors with defaults, for protocol fields ------------------
   /// The member's string value, or \p Default when absent / wrong type.

@@ -7,9 +7,14 @@
 using namespace seminal;
 using sync::MutexLock;
 
-ThreadPool::ThreadPool(unsigned Threads) {
-  if (Threads == 0)
-    Threads = std::max(1u, std::thread::hardware_concurrency());
+namespace {
+unsigned workerCount(unsigned Threads) {
+  return Threads ? Threads : std::max(1u, std::thread::hardware_concurrency());
+}
+} // namespace
+
+ThreadPool::ThreadPool(unsigned Threads) : WorkReady(workerCount(Threads)) {
+  Threads = unsigned(WorkReady.size());
   Queues.resize(Threads);
   Workers.reserve(Threads);
   for (unsigned I = 0; I < Threads; ++I)
@@ -21,20 +26,21 @@ ThreadPool::~ThreadPool() {
     MutexLock Lock(Mutex);
     ShuttingDown = true;
   }
-  WorkReady.notify_all();
+  for (sync::CondVar &Ready : WorkReady)
+    Ready.notify_one();
   for (std::thread &W : Workers)
     W.join();
 }
 
 void ThreadPool::post(size_t Shard, std::function<void()> Task) {
+  size_t Owner = Shard % WorkReady.size();
   {
     MutexLock Lock(Mutex);
-    Queues[Shard % Queues.size()].push_back(std::move(Task));
+    Queues[Owner].push_back(std::move(Task));
     ++PostedPending;
   }
-  // All workers share one condition variable; waking them all is cheap at
-  // request-queue rates and keeps the wait predicate simple.
-  WorkReady.notify_all();
+  // Only the owner can run the task, so only the owner is woken.
+  WorkReady[Owner].notify_one();
 }
 
 void ThreadPool::drainPosted() {
@@ -45,14 +51,15 @@ void ThreadPool::drainPosted() {
 
 void ThreadPool::workerMain(unsigned WorkerIndex) {
   MutexLock Lock(Mutex);
+  std::deque<std::function<void()>> &Queue = Queues[WorkerIndex];
   for (;;) {
-    while (!(ShuttingDown || !Queues[WorkerIndex].empty()))
-      WorkReady.wait(Mutex);
+    while (!(ShuttingDown || !Queue.empty()))
+      WorkReady[WorkerIndex].wait(Mutex);
     // On shutdown the queue is still drained -- a posted task is a
     // promise to the poster.
-    while (!Queues[WorkerIndex].empty()) {
-      std::function<void()> Task = std::move(Queues[WorkerIndex].front());
-      Queues[WorkerIndex].pop_front();
+    while (!Queue.empty()) {
+      std::function<void()> Task = std::move(Queue.front());
+      Queue.pop_front();
       Lock.unlock();
       Task();
       Lock.lock();

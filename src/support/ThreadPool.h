@@ -14,6 +14,11 @@
 /// Posted tasks are FIFO per shard; ordering across shards is
 /// unspecified (by design -- shards are independent).
 ///
+/// Each worker sleeps on its own condition variable, and post() wakes
+/// only the worker that owns the shard: a request costs one wake-up, not
+/// one per worker. That matters most when the workers outnumber the CPUs
+/// they may run on (hardware_concurrency() ignores the affinity mask).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SEMINAL_SUPPORT_THREADPOOL_H
@@ -42,12 +47,13 @@ public:
 
   unsigned numThreads() const { return unsigned(Workers.size()); }
 
-  /// Enqueues \p Task on the FIFO queue of worker Shard % numThreads()
-  /// and returns immediately. Tasks posted to the same shard run on the
-  /// same worker thread in submission order; tasks on different shards
-  /// run concurrently. Thread-safe (any thread may post, including a
-  /// worker posting to another shard -- posting to its *own* shard from
-  /// inside a task is allowed too, the task just runs later).
+  /// Enqueues \p Task on the FIFO queue of worker Shard % numThreads(),
+  /// wakes that worker alone and returns. Tasks posted to the same shard
+  /// run on the same worker thread in submission order; tasks on
+  /// different shards run concurrently. Thread-safe (any thread may
+  /// post, including a worker posting to another shard -- posting to its
+  /// *own* shard from inside a task is allowed too, the task just runs
+  /// later).
   void post(size_t Shard, std::function<void()> Task);
 
   /// Blocks until every task posted so far has finished executing.
@@ -63,7 +69,9 @@ private:
   std::vector<std::thread> Workers;
 
   sync::Mutex Mutex{sync::LockRank::ThreadPool, "threadpool"};
-  sync::CondVar WorkReady;
+  /// One per worker, waited on with Mutex held: worker I sleeps on
+  /// WorkReady[I] until its queue has a task or the pool shuts down.
+  std::vector<sync::CondVar> WorkReady;
   sync::CondVar WorkDone;
   bool ShuttingDown SEMINAL_GUARDED_BY(Mutex) = false;
 

@@ -214,10 +214,17 @@ void TraceSpan::finish() {
 // Exporters
 //===----------------------------------------------------------------------===//
 
-std::string seminal::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (unsigned char C : S) {
+void seminal::appendJsonEscaped(std::string &Out, std::string_view S) {
+  const char *P = S.data(), *End = P + S.size();
+  for (;;) {
+    // Copy the run up to the next byte that needs an escape in one call.
+    const char *Run = P;
+    while (P != End && *P != '"' && *P != '\\' && (unsigned char)*P >= 0x20)
+      ++P;
+    Out.append(Run, size_t(P - Run));
+    if (P == End)
+      return;
+    unsigned char C = (unsigned char)*P++;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -234,16 +241,19 @@ std::string seminal::jsonEscape(const std::string &S) {
     case '\t':
       Out += "\\t";
       break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += char(C);
-      }
+    default: {
+      static const char Hex[] = "0123456789abcdef";
+      const char Escape[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 15]};
+      Out.append(Escape, sizeof(Escape));
+    }
     }
   }
+}
+
+std::string seminal::jsonEscape(const std::string &S) {
+  std::string Out;
+  Out.reserve(S.size());
+  appendJsonEscaped(Out, S);
   return Out;
 }
 

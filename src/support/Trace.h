@@ -47,6 +47,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -100,8 +101,9 @@ struct TraceEvent {
   const TraceAttr *attr(const char *Key) const;
 };
 
-/// Aggregate view of one recorded trace, cheap enough to surface in a
-/// SeminalReport without shipping the event stream.
+/// Aggregate view of one recorded trace (TraceSink::summarize, which
+/// copies the event stream under the sink's mutex; seminal_cli prints
+/// it).
 struct TraceSummary {
   uint64_t Spans = 0;
   uint64_t OracleCallSpans = 0;
@@ -278,8 +280,13 @@ private:
 /// TraceLayerScope is live).
 inline SearchLayer traceCurrentLayer() { return trace_detail::CurrentLayer; }
 
-/// Escapes \p S for embedding in a JSON string literal (quotes,
-/// backslashes, and control characters).
+/// Appends \p S to \p Out escaped for a JSON string literal (quote,
+/// backslash, newline, return and tab as two-character escapes, other
+/// control bytes as \u00xx), copying each run of bytes that need no
+/// escape in one call. The tree's one JSON string escaper.
+void appendJsonEscaped(std::string &Out, std::string_view S);
+
+/// appendJsonEscaped into a new string.
 std::string jsonEscape(const std::string &S);
 
 } // namespace seminal

@@ -309,7 +309,7 @@ TEST_P(RandomOracleFuzz, RandomOracleNeverBreaksTheSearcher) {
       "  let a = 3 + true in\n"
       "  match [a] with [] -> y | b :: t -> b + \"s\"\n");
   SearchOutput Out = S.run(*P.Prog);
-  EXPECT_LE(O.logicalCalls(), Opts.MaxOracleCalls + 2);
+  EXPECT_LE(O.logicalCalls(), Opts.MaxOracleCalls);
   // Whatever nonsense the oracle answered, suggestions carry coherent
   // payloads.
   for (const auto &S2 : Out.Suggestions) {

@@ -123,19 +123,24 @@ TEST(CallLedgerTest, SumsToOracleCallsAndMatchesTheTrace) {
 }
 
 TEST(CallLedgerTest, CountsEveryCallUnderABudget) {
-  // The budget refuses search calls past MaxOracleCalls, but the opening
-  // whole-program check and the type queries that decorate a found
-  // suggestion do not pass through it. The ledger counts the calls made,
-  // not the probes planned: a refused removal probe is no call.
+  // MaxOracleCalls caps every logical call: the opening whole-program
+  // check counts against it, and the type query that decorates a found
+  // suggestion passes the same budget check as a candidate probe. The
+  // removal found while the search unwinds past the budget is kept
+  // without its type. The ledger counts the calls made, not the probes
+  // planned: a refused probe or query is no call.
   SeminalOptions Opts;
   Opts.Search.MaxOracleCalls = 7;
   SeminalReport R = runSeminalOnSource(TwoErrors, Opts);
   EXPECT_TRUE(R.BudgetExhausted);
-  EXPECT_EQ(R.OracleCalls, 8u);
-  EXPECT_EQ(R.Layers.calls(), 8u);
+  EXPECT_EQ(R.OracleCalls, 7u);
+  EXPECT_EQ(R.Layers.calls(), 7u);
   EXPECT_EQ(R.Layers[SearchLayer::InitialCheck].Calls, 1u);
   EXPECT_EQ(R.Layers[SearchLayer::Removal].Calls, 2u);
-  EXPECT_GT(R.Layers[SearchLayer::TypeQuery].Calls, 0u);
+  EXPECT_EQ(R.Layers[SearchLayer::TypeQuery].Calls, 0u);
+  ASSERT_FALSE(R.Suggestions.empty());
+  for (const Suggestion &S : R.Suggestions)
+    EXPECT_FALSE(S.ReplacementType.has_value()) << S.Description;
 }
 
 //===----------------------------------------------------------------------===//

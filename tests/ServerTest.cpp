@@ -166,6 +166,99 @@ TEST(ServerProtocolTest, ProfileRequestsClampSecondsAndValidateFormat) {
             Request::Method::Invalid);
 }
 
+TEST(ServerProtocolTest, CheckReplyBytesArePinned) {
+  // Outcomes built by hand, so the bytes of a check reply do not depend
+  // on the search: the members, their order, string escapes (quote,
+  // backslash, newline, return, tab, a control byte, UTF-8 passed
+  // through), integers, and wall_seconds as an ostream prints a double.
+  CheckOutcome Answer;
+  Answer.FailingDecl = 2;
+  Answer.BudgetExhausted = true;
+  Answer.Conventional =
+      "Error: \"x\" \\ a\nb\rc\td\x01 e \xCE\xBB \xE2\x86\x92 f";
+  CheckOutcome::RenderedSuggestion First;
+  First.Rank = 1;
+  First.Kind = "constructive";
+  First.Layer = "triage";
+  First.Description = "swap \"f\" args";
+  First.Path = "2.1";
+  First.Message = "Try replacing\n  f x\nwith\n  x f\nof type int -> \\int";
+  CheckOutcome::RenderedSuggestion Second;
+  Second.Rank = 2;
+  Second.Kind = "removal";
+  Second.Layer = "removal";
+  Second.Description = "remove\tit";
+  Second.Path = "2";
+  Second.Message = "\xE2\x9C\x93 done";
+  Answer.Suggestions = {First, Second};
+  Answer.OracleCalls = 18;
+  Answer.InferenceRuns = 5;
+  Answer.Accel.SessionPrefixHits = 3;
+  Answer.Accel.SessionSeedAdoptions = 1;
+  Answer.Accel.ArenaBytes = 14336;
+  Answer.Accel.CacheHits = 2;
+  Answer.CpuNs = 12345;
+  Answer.WallSeconds = 1.5e-05;
+  EXPECT_EQ(
+      renderCheckResponse("7", Answer),
+      "{\"id\":7,\"ok\":true,\"input_typechecks\":false,\"failing_decl\":2,"
+      "\"budget_exhausted\":true,\"conventional\":\"Error: \\\"x\\\" \\\\ "
+      "a\\nb\\rc\\td\\u0001 e \xCE\xBB \xE2\x86\x92 f\",\"suggestions\":["
+      "{\"rank\":1,\"kind\":\"constructive\",\"layer\":\"triage\","
+      "\"description\":\"swap \\\"f\\\" args\",\"path\":\"2.1\","
+      "\"message\":\"Try replacing\\n  f x\\nwith\\n  x f\\nof type int -> "
+      "\\\\int\"},{\"rank\":2,\"kind\":\"removal\",\"layer\":\"removal\","
+      "\"description\":\"remove\\tit\",\"path\":\"2\","
+      "\"message\":\"\xE2\x9C\x93 done\"}],\"oracle_calls\":18,"
+      "\"inference_runs\":5,\"warm\":{"
+      "\"prefix_hits\":3,\"seed_adoptions\":1,\"conv_memo_hits\":0,"
+      "\"replayed\":false},\"wall_seconds\":1.5e-05,\"cost\":{\"cpu_ns\":12345,"
+      "\"wall_ns\":15000,\"oracle_calls\":18,\"inference_runs\":5,"
+      "\"arena_bytes\":14336,\"verdict_cache_hits\":2},\"evicted\":false}");
+
+  CheckOutcome Syntax;
+  Syntax.SyntaxError = "line 3, column 14: unexpected end of input";
+  Syntax.Replayed = true;
+  Syntax.Accel.ArenaBytes = 4096;
+  EXPECT_EQ(renderCheckResponse("\"s-1\"", Syntax),
+            "{\"id\":\"s-1\",\"ok\":true,\"syntax_error\":\"line 3, column 14: "
+            "unexpected end of input\",\"oracle_calls\":0,\"inference_runs\":0,"
+            "\"warm\":{\"prefix_hits\":0,\"seed_adoptions\":0,"
+            "\"conv_memo_hits\":0,\"replayed\":true},\"wall_seconds\":0,"
+            "\"cost\":{\"cpu_ns\":0,\"wall_ns\":0,\"oracle_calls\":0,"
+            "\"inference_runs\":0,\"arena_bytes\":4096,"
+            "\"verdict_cache_hits\":0},\"evicted\":false}");
+
+  CheckOutcome Traced;
+  Traced.InputTypechecks = true;
+  Traced.OracleCalls = 1;
+  Traced.InferenceRuns = 1;
+  Traced.CpuNs = 250000000;
+  Traced.WallSeconds = 0.25;
+  Traced.Evicted = true;
+  Traced.SlowTracePath = "/tmp/slow/\"7\".json";
+  Traced.ReportJson = "{\"schema\":6,\"effort\":{}}";
+  EXPECT_EQ(renderCheckResponse("null", Traced),
+            "{\"id\":null,\"ok\":true,\"input_typechecks\":true,"
+            "\"failing_decl\":-1,\"budget_exhausted\":false,"
+            "\"conventional\":\"\",\"suggestions\":[],\"oracle_calls\":1,"
+            "\"inference_runs\":1,"
+            "\"warm\":{\"prefix_hits\":0,\"seed_adoptions\":0,"
+            "\"conv_memo_hits\":0,\"replayed\":false},\"wall_seconds\":0.25,"
+            "\"cost\":{\"cpu_ns\":250000000,\"wall_ns\":250000000,"
+            "\"oracle_calls\":1,\"inference_runs\":1,\"arena_bytes\":0,"
+            "\"verdict_cache_hits\":0},\"evicted\":true,"
+            "\"slow_trace\":\"/tmp/slow/\\\"7\\\".json\","
+            "\"report\":{\"schema\":6,\"effort\":{}}}");
+
+  Syntax.WallSeconds = 12.5;
+  std::string Long = renderCheckResponse("3", Syntax);
+  EXPECT_NE(Long.find(",\"wall_seconds\":12.5,\"cost\":{\"cpu_ns\":0,"
+                      "\"wall_ns\":12500000000,"),
+            std::string::npos)
+      << Long;
+}
+
 //===----------------------------------------------------------------------===//
 // Session: warm answers must equal cold answers
 //===----------------------------------------------------------------------===//
@@ -526,6 +619,49 @@ TEST(ServerReplayTest, EngineLogsAndCountsReplaysAndTracesNone) {
   EXPECT_NE(Text.find("replayed=false"), std::string::npos) << Text;
   EXPECT_NE(Text.find("replayed=true", SecondLine), std::string::npos) << Text;
   (void)std::system(Cmd.c_str());
+}
+
+/// The answer members of a check reply: the bytes between "ok":true and
+/// the counters.
+std::string answerBytes(const std::string &Reply) {
+  const std::string Open = "\"ok\":true", Close = ",\"oracle_calls\"";
+  size_t Begin = Reply.find(Open);
+  size_t End = Reply.find(Close);
+  EXPECT_NE(Begin, std::string::npos) << Reply;
+  EXPECT_NE(End, std::string::npos) << Reply;
+  if (Begin == std::string::npos || End == std::string::npos)
+    return "";
+  Begin += Open.size();
+  return Reply.substr(Begin, End - Begin);
+}
+
+TEST(ServerReplayTest, ReplaySplicesTheSearchedAnswer) {
+  ServerEngine Engine;
+  std::string Bad = std::string(BaseSource) + "let broken = ";
+  for (const std::string &Source : {std::string(BaseSource), Bad}) {
+    std::string Searched = Engine.handle(checkLine(1, "splice", Source));
+    std::string Replayed = Engine.handle(checkLine(2, "splice", Source));
+    ASSERT_NE(Replayed.find("\"replayed\":true"), std::string::npos)
+        << Replayed;
+    EXPECT_FALSE(answerBytes(Searched).empty());
+    EXPECT_EQ(answerBytes(Replayed), answerBytes(Searched));
+  }
+
+  // The session renders the answer it remembers; an outcome without one
+  // (as tests build them) renders the same bytes from its fields.
+  Session S("t", SessionConfig());
+  for (const std::string &Source : {std::string(BaseSource), Bad}) {
+    CheckOutcome Out = S.check(Source, CheckOptions());
+    ASSERT_TRUE(Out.RenderedAnswer) << Source;
+    CheckOutcome Unrendered = Out;
+    Unrendered.RenderedAnswer.reset();
+    EXPECT_EQ(renderCheckResponse("1", Unrendered),
+              renderCheckResponse("1", Out));
+    CheckOutcome Replay = S.check(Source, CheckOptions());
+    ASSERT_TRUE(Replay.Replayed);
+    EXPECT_EQ(Replay.RenderedAnswer, Out.RenderedAnswer)
+        << "a replay shares the searched check's rendering";
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -997,6 +1133,20 @@ public:
     return Buf;
   }
 
+  /// Reads \p N bytes in chunks (fewer if the server closes first).
+  std::string recvBytes(size_t N) {
+    std::string Buf;
+    char Chunk[65536];
+    while (Buf.size() < N) {
+      ssize_t Got =
+          ::recv(Fd, Chunk, std::min(sizeof(Chunk), N - Buf.size()), 0);
+      if (Got <= 0)
+        break;
+      Buf.append(Chunk, size_t(Got));
+    }
+    return Buf;
+  }
+
   /// Ends the request stream and waits until the server has closed its
   /// end, that is, until the connection's reader has finished.
   void finish() {
@@ -1148,6 +1298,34 @@ TEST(ServerSocketTest, ThreeLinesInOneSendGetThreeReplies) {
   EXPECT_EQ(Third.getInt("pings", -1), 2);
   C.close();
   Socket.stop();
+}
+
+TEST(ServerSocketTest, ReplyLargerThanTheSocketBufferArrivesWhole) {
+  // An echoed 4 MiB id makes a reply many times the socket's send
+  // buffer: the writer must deliver all of it, newline last, and the
+  // next reply must follow intact.
+  std::string Path =
+      "/tmp/seminal_bigreply_" + std::to_string(::getpid()) + ".sock";
+  ServerEngine Engine;
+  UnixSocketServer Socket(Engine, Path);
+  std::string Error;
+  ASSERT_TRUE(Socket.start(Error)) << Error;
+
+  std::string Id(size_t(4) << 20, 'x');
+  for (size_t I = 0; I < Id.size(); ++I)
+    Id[I] = char('a' + I % 26);
+  SocketClient C(Path);
+  ASSERT_TRUE(C.Connected);
+  ASSERT_TRUE(C.send("{\"method\":\"ping\",\"id\":\"" + Id + "\"}"));
+  ASSERT_TRUE(C.send("{\"method\":\"ping\",\"id\":2}"));
+  const std::string Want = "{\"id\":\"" + Id +
+                           "\",\"ok\":true,\"pong\":true}\n"
+                           "{\"id\":2,\"ok\":true,\"pong\":true}\n";
+  std::string Got = C.recvBytes(Want.size());
+  C.close();
+  Socket.stop();
+  EXPECT_EQ(Got.size(), Want.size());
+  EXPECT_TRUE(Got == Want) << "the large reply arrived damaged";
 }
 
 TEST(ServerSocketTest, LineSplitAcrossSendsGetsOneReply) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -357,6 +358,37 @@ TEST(ThreadPoolTest, PostedTasksRunFifoPerShard) {
     ASSERT_EQ(Order[Shard].size(), PerShard) << "shard " << Shard;
     for (size_t I = 0; I < PerShard; ++I)
       EXPECT_EQ(Order[Shard][I], I) << "shard " << Shard;
+  }
+}
+
+TEST(ThreadPoolTest, DestructionRunsEveryQueuedTask) {
+  // The shutdown path without drainPosted: every worker is blocked on
+  // its shard's first task while the rest queue behind it, then the
+  // block is released and the pool destroyed at once. The destructor
+  // must wake each worker (one idles on its own condition variable as
+  // soon as its queue empties) and each must drain its queue, in order,
+  // before it exits -- a posted task is a promise to the poster.
+  constexpr size_t Shards = 4, PerShard = 100;
+  for (int Round = 0; Round < 20; ++Round) {
+    std::vector<std::vector<size_t>> Order(Shards);
+    {
+      ThreadPool Pool{unsigned(Shards)};
+      std::promise<void> Release;
+      std::shared_future<void> Gate = Release.get_future().share();
+      for (size_t Shard = 0; Shard < Shards; ++Shard)
+        Pool.post(Shard, [Gate] { Gate.wait(); });
+      for (size_t I = 0; I < PerShard; ++I)
+        for (size_t Shard = 0; Shard < Shards; ++Shard)
+          Pool.post(Shard, [&Order, Shard, I] { Order[Shard].push_back(I); });
+      Release.set_value();
+    }
+    for (size_t Shard = 0; Shard < Shards; ++Shard) {
+      ASSERT_EQ(Order[Shard].size(), PerShard)
+          << "round " << Round << ", shard " << Shard;
+      for (size_t I = 0; I < PerShard; ++I)
+        ASSERT_EQ(Order[Shard][I], I)
+            << "round " << Round << ", shard " << Shard;
+    }
   }
 }
 
