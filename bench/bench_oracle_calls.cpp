@@ -6,10 +6,10 @@
 // Compares gated vs exhaustive enumeration, and triage on vs off, on
 // programs engineered to stress each mechanism.
 //
-// Also the home of the oracle-acceleration ablation: every layer of the
-// acceleration stack (prefix checkpoint, conventional-verdict memo)
-// toggled independently over the Figure-7 corpus, verifying that each
-// configuration reproduces the unaccelerated searches exactly (same
+// Also the home of the oracle-acceleration comparison: the same driver
+// (runSeminalWithOracle) runs every Figure-7 corpus file over CamlOracle,
+// the unaccelerated reference, and over CheckpointedOracle, verifying
+// that the accelerated searches reproduce the reference exactly (same
 // ranked suggestions, same logical-call counts) while measuring the
 // wall-clock and inference-run savings. --json=<path> emits the summary
 // for CI trajectory tracking.
@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "core/CheckpointedOracle.h"
 #include "core/Seminal.h"
 #include "corpus/Generator.h"
 #include "minicaml/Printer.h"
@@ -59,7 +60,7 @@ void compareTriage(const char *Label, const std::string &Source) {
 }
 
 //===----------------------------------------------------------------------===//
-// Oracle-acceleration ablation over the Figure-7 corpus
+// Oracle acceleration on vs off over the Figure-7 corpus
 //===----------------------------------------------------------------------===//
 
 /// Order-sensitive digest of a report's ranked suggestions, used to
@@ -78,9 +79,16 @@ std::string fingerprint(const SeminalReport &R) {
   return Out;
 }
 
+/// One search of \p Source over a fresh \p OracleT.
+template <typename OracleT>
+SeminalReport searchWith(const std::string &Source) {
+  OracleT TheOracle;
+  return runSeminalWithOracle(TheOracle, *caml::parseProgram(Source).Prog);
+}
+
 struct AccelRow {
   const char *Name;
-  OracleAccelOptions Accel;
+  SeminalReport (*Search)(const std::string &);
   // Measured:
   double WallSec = 0.0;
   size_t LogicalCalls = 0;
@@ -90,27 +98,16 @@ struct AccelRow {
   size_t CallCountMismatches = 0;
 };
 
-void runAccelAblation(const DriverOptions &Driver) {
-  header("Ablation: oracle acceleration layers (Figure-7 corpus)");
+void runAccelComparison(const DriverOptions &Driver) {
+  header("Oracle acceleration on vs off (Figure-7 corpus)");
   CorpusOptions CO;
   CO.Scale = Driver.Scale;
   CO.Seed = Driver.Seed;
   Corpus C = generateCorpus(CO);
 
-  OracleAccelOptions Off;
-  Off.Checkpoint = Off.VerdictCache = false;
-  OracleAccelOptions CheckpointOnly = Off;
-  CheckpointOnly.Checkpoint = true;
-  OracleAccelOptions CacheOnly = Off;
-  CacheOnly.VerdictCache = true;
-  OracleAccelOptions Both;
-  Both.Checkpoint = Both.VerdictCache = true;
-
   std::vector<AccelRow> Rows = {
-      {"acceleration off", Off},
-      {"checkpoint only", CheckpointOnly},
-      {"cache only", CacheOnly},
-      {"checkpoint + cache", Both},
+      {"acceleration off", searchWith<CamlOracle>},
+      {"acceleration on", searchWith<CheckpointedOracle>},
   };
 
   // Baseline fingerprints come from the acceleration-off configuration.
@@ -119,8 +116,6 @@ void runAccelAblation(const DriverOptions &Driver) {
 
   for (size_t RowIdx = 0; RowIdx < Rows.size(); ++RowIdx) {
     AccelRow &Row = Rows[RowIdx];
-    SeminalOptions Opts;
-    Opts.Search.Accel = Row.Accel;
     for (size_t I = 0; I < C.Analyzed.size(); ++I) {
       const CorpusFile &F = C.Analyzed[I];
       // Min-of-2 wall clock: millisecond-scale runs are scheduler noise.
@@ -128,7 +123,7 @@ void runAccelAblation(const DriverOptions &Driver) {
       SeminalReport R;
       for (int Rep = 0; Rep < 2; ++Rep) {
         auto Start = std::chrono::steady_clock::now();
-        R = runSeminalOnSource(F.Source, Opts);
+        R = Row.Search(F.Source);
         double Sec = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - Start)
                          .count();
@@ -155,7 +150,7 @@ void runAccelAblation(const DriverOptions &Driver) {
               "configuration\n\n",
               C.Analyzed.size(), Rows[0].LogicalCalls);
   std::printf("%-24s %9s %9s %10s %10s %9s %10s\n", "configuration",
-              "wall ms", "ms/file", "calls", "inf runs", "memo hits",
+              "wall ms", "ms/file", "calls", "inf runs", "known pfx",
               "identical");
   rule();
   const AccelRow &Base = Rows[0];
@@ -170,15 +165,13 @@ void runAccelAblation(const DriverOptions &Driver) {
                 &Row == &Base ? "(base)" : Identical ? "yes" : "NO");
   }
   rule();
-  // "Acceleration on" is the shipped default (checkpoint + memo), so the
-  // headline compares that row.
-  const AccelRow &Full = Rows[3];
+  const AccelRow &Full = Rows[1];
   double Speedup = Full.WallSec > 0.0 ? Base.WallSec / Full.WallSec : 0.0;
   std::printf("acceleration speedup: %.2fx wall-clock per search "
               "(%.3f -> %.3f ms/file)\n",
               Speedup, Base.WallSec * 1000.0 / double(C.Analyzed.size()),
               Full.WallSec * 1000.0 / double(C.Analyzed.size()));
-  std::printf("checkpoint+cache: %zu of %zu logical calls actually ran "
+  std::printf("acceleration on: %zu of %zu logical calls actually ran "
               "inference (%.1f%%); %llu prefix decl re-checks saved\n",
               Full.InferenceRuns, Full.LogicalCalls,
               100.0 * double(Full.InferenceRuns) /
@@ -267,6 +260,6 @@ int main(int Argc, char **Argv) {
                 "  y + 1");
 
   std::printf("\n");
-  runAccelAblation(Driver);
+  runAccelComparison(Driver);
   return 0;
 }

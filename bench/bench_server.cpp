@@ -6,11 +6,11 @@
 //   * cold-request latency: every check against a freshly reset
 //     session, the one-shot seminal_cli cost.
 //   * warm edit-resubmit latency: the same program resubmitted to a
-//     live session after an edit below the failing decl -- the session
-//     replays the conventional error from its memo, serves every
-//     localization probe from the prefix it already proved and
-//     re-adopts the seed checkpoint, so only the search's own candidate
-//     checks run inference against it.
+//     live session after an edit below the failing decl -- the
+//     conventional run starts from the environment the session kept and
+//     infers only the failing decl, the localization probes are answered
+//     from what it proved and the seed is that environment, so only the
+//     search's own candidate checks run inference against it.
 //   * sustained throughput: warm edit-resubmits per second on 1 to
 //     nproc workers, one session per shard (names chosen through
 //     ServerEngine::shardOf, so no shard idles), request lines built
@@ -222,7 +222,7 @@ int main(int Argc, char **Argv) {
   Warm.check(makeProgram(Decls, 0), CheckOptions());
   std::vector<double> WarmMs;
   uint64_t WarmInferenceRuns = 0;
-  uint64_t WarmPrefixHits = 0, WarmSeedAdoptions = 0, WarmConvMemoHits = 0;
+  uint64_t WarmPrefixHits = 0, WarmSeedAdoptions = 0;
   for (size_t I = 0; I < Iterations; ++I) {
     std::string Source = makeProgram(Decls, int(I % 2) + 1);
     Clock::time_point Start = Clock::now();
@@ -231,7 +231,6 @@ int main(int Argc, char **Argv) {
     WarmInferenceRuns += Out.InferenceRuns;
     WarmPrefixHits += Out.Accel.SessionPrefixHits;
     WarmSeedAdoptions += Out.Accel.SessionSeedAdoptions;
-    WarmConvMemoHits += Out.Accel.SessionConvMemoHits;
     if (renderedMessages(Out) != Expected[I % 2])
       ++Mismatches;
   }
@@ -248,11 +247,9 @@ int main(int Argc, char **Argv) {
               (unsigned long long)WarmInferenceRuns);
   std::printf("%-28s %9.1fx   (suggestion mismatches: %zu)\n",
               "warm speedup (p50)", Speedup, Mismatches);
-  std::printf("%-28s prefix hits %llu, seed adoptions %llu, conv memo "
-              "hits %llu\n",
+  std::printf("%-28s prefix hits %llu, seed adoptions %llu\n",
               "warm reuse totals", (unsigned long long)WarmPrefixHits,
-              (unsigned long long)WarmSeedAdoptions,
-              (unsigned long long)WarmConvMemoHits);
+              (unsigned long long)WarmSeedAdoptions);
 
   header("Sustained warm throughput (one session per shard)");
   std::vector<ThroughputRow> Throughput;
@@ -293,7 +290,6 @@ int main(int Argc, char **Argv) {
         << "  \"warm_inference_runs\": " << WarmInferenceRuns << ",\n"
         << "  \"warm_prefix_hits\": " << WarmPrefixHits << ",\n"
         << "  \"warm_seed_adoptions\": " << WarmSeedAdoptions << ",\n"
-        << "  \"warm_conv_memo_hits\": " << WarmConvMemoHits << ",\n"
         << "  \"throughput\": [";
     for (size_t I = 0; I < Throughput.size(); ++I) {
       const ThroughputRow &Row = Throughput[I];

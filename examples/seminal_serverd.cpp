@@ -1,9 +1,9 @@
 //===- seminal_serverd.cpp - Search-as-a-service daemon ---------------------==//
 //
 // The long-lived counterpart of seminal_cli (DESIGN.md section 13): one
-// process holds every editor session's warm search state -- prefix
-// checkpoints keyed on their declarations, conventional-error memos --
-// so an edit-resubmit only pays for the suffix that changed. Requests
+// process holds every editor session's warm search state -- the typing
+// environment of the declarations it proved, keyed on those declarations
+// -- so an edit-resubmit only pays for the suffix that changed. Requests
 // are one JSON object per line on stdin (--stdio, the default) or on a
 // Unix domain socket (--socket=PATH); both transports can run at once.
 //
@@ -70,7 +70,7 @@ void usage(const char *Prog) {
                "  --threads=N        worker (= session shard) count;\n"
                "                     default: hardware concurrency\n"
                "  --evict-bytes=N    per-session watermark on retained\n"
-               "                     bytes (checkpoint types plus source);\n"
+               "                     bytes (the typing environment's types);\n"
                "                     crossing it drops that session's warm\n"
                "                     state (default 64 MiB)\n"
                "  --max-suggestions=N\n"

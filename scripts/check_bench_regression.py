@@ -30,8 +30,8 @@ micro_allocs (bench_micro --json):
 server (bench_server):
   * Warm responses must be byte-identical to cold one-shot runs
     (suggestion_mismatches pinned to zero) and every deterministic
-    warm-reuse counter (prefix hits, seed adoptions, conv-memo hits,
-    inference runs) must match the baseline exactly.
+    warm-reuse counter (prefix hits, seed adoptions, inference runs)
+    must match the baseline exactly.
   * The warm/cold p50 ratio (within-run, hardware-independent) must stay
     above max(10x, 50% of the baseline ratio): 10x is the daemon's
     edit-resubmit contract, the relative bound tracks the trajectory.
@@ -132,7 +132,7 @@ def check_server(base, fresh):
     # probes, same candidates, same warm reuse. Exact equality.
     for key in ("decls", "iterations", "cold_inference_runs",
                 "warm_inference_runs", "warm_prefix_hits",
-                "warm_seed_adoptions", "warm_conv_memo_hits"):
+                "warm_seed_adoptions"):
         check_exact(failures, key, fresh.get(key), base.get(key),
                     "server warm-reuse behavior changed")
     check_exact(failures, "suggestion_mismatches",

@@ -59,7 +59,10 @@ std::optional<std::string> Oracle::typeOfNodeTraced(const Program &Prog,
 }
 
 bool CamlOracle::typecheckImpl(const Program &Prog) {
-  return typecheckProgram(Prog).ok();
+  TypecheckResult R = typecheckProgram(Prog);
+  ++Counters.FullInferences;
+  Counters.TypesAllocated += R.TypesAllocated;
+  return R.ok();
 }
 
 std::optional<std::string> CamlOracle::typeOfNodeImpl(const Program &Prog,
@@ -67,6 +70,8 @@ std::optional<std::string> CamlOracle::typeOfNodeImpl(const Program &Prog,
   TypecheckOptions Opts;
   Opts.QueryNode = Node;
   TypecheckResult R = typecheckProgram(Prog, Opts);
+  ++Counters.FullInferences;
+  Counters.TypesAllocated += R.TypesAllocated;
   if (!R.ok())
     return std::nullopt;
   return R.QueriedType;

@@ -33,6 +33,7 @@
 
 #include "minicaml/Ast.h"
 #include "minicaml/Infer.h"
+#include "support/Stats.h"
 #include "support/Trace.h"
 
 #include <cstddef>
@@ -48,31 +49,13 @@ namespace caml {
 class AstArena {};
 } // namespace caml
 
-/// Toggles for the oracle acceleration layer. Lives here (not in the
-/// accelerated oracle's header) so SearchOptions can embed it and the
-/// ablation benches can switch each layer independently.
+/// Former toggles of the oracle acceleration layer, all ignored:
+/// CheckpointedOracle has one path, and CamlOracle is the unaccelerated
+/// reference. perfbench still sets them (ROADMAP item 7).
 struct OracleAccelOptions {
-  /// Reuse a typing-environment snapshot of the unedited declaration
-  /// prefix instead of re-inferring it on every call.
   bool Checkpoint = true;
-
-  /// Memoize the conventionalError() verdict so the searcher's opening
-  /// whole-program probe (and a final localization round that asks about
-  /// the same program) is answered without inference. Candidate verdicts
-  /// are not memoized: keying them cost more than the inference it saved
-  /// (DESIGN.md section 7). In a one-shot search the memo does not
-  /// measurably pay: over the seed-20070611 corpus at scale 0.5 (41
-  /// interleaved rounds, RelWithDebInfo, 4-core Xeon) the checkpoint
-  /// alone took a median 33.06 ms and checkpoint + memo 32.81 ms, both
-  /// within the other's interquartile range. A daemon session needs it:
-  /// with the memo forced off in Session, `bench_server --scale=0.5`
-  /// (Release, 4-core Xeon, 3 runs each) had a warm p50 of 19.5-26.6 ms
-  /// instead of 0.18-0.27 ms, a warm speedup of about 3x instead of
-  /// about 200x, because the searcher's opening whole-program probe
-  /// re-infers the 60-declaration prefix. So the memo stays.
   bool VerdictCache = true;
-
-  bool Arena = true; ///< Ignored; perfbench still sets it (ROADMAP item 5).
+  bool Arena = true;
 };
 
 /// Black-box type-check oracle over mini-Caml programs.
@@ -139,6 +122,12 @@ public:
   /// once per question; accelerated oracles override this.
   virtual size_t inferenceRuns() const { return LogicalCalls; }
 
+  /// How the calls were answered: inference runs by kind, answers that
+  /// needed none, types allocated (support/Stats.h). All zero for an
+  /// oracle that keeps no such count.
+  const AccelCounters &counters() const { return Counters; }
+  void resetCounters() { Counters.reset(); }
+
   /// Zeroes logicalCalls() and the ledger.
   void resetCallCount() {
     LogicalCalls = 0;
@@ -154,16 +143,17 @@ protected:
   // Implementations describe how they served the *current* call by
   // setting these before returning; the traced wrappers stamp them onto
   // the call's span. Plain oracles leave the defaults.
-  /// Which acceleration layer answered ("full-inference", "conv-memo",
-  /// "checkpoint-incremental", "growth-extend", "session-prefix").
+  /// Which acceleration layer answered ("full-inference",
+  /// "checkpoint-incremental", "known-prefix").
   const char *LastServedBy = "full-inference";
-  /// True when the verdict came from a memo rather than inference.
+  /// True when the verdict needed no inference.
   bool LastCacheHit = false;
   /// Prefix declarations an incremental run did not re-infer; -1 when
   /// the call was not served incrementally.
   int64_t LastReuseDepth = -1;
 
   TraceSink *TraceOut = nullptr;
+  AccelCounters Counters;
 
 private:
   bool typechecksTraced(const caml::Program &Prog);
@@ -174,8 +164,9 @@ private:
   CallLedger Ledger;
 };
 
-/// The production oracle: mini-Caml Hindley-Milner inference, one full
-/// program inference per question.
+/// The plain oracle: mini-Caml Hindley-Milner inference, one full
+/// program inference per question. The unaccelerated reference that
+/// CheckpointedOracle must reproduce.
 class CamlOracle : public Oracle {
 public:
   std::optional<caml::TypeError>

@@ -61,8 +61,7 @@ struct SearchOptions {
   /// much search it buys.
   size_t MaxOracleCalls = 200000;
 
-  /// Oracle acceleration toggles (forwarded to the oracle by runSeminal;
-  /// a Searcher driven with a hand-built oracle ignores them).
+  /// Ignored; perfbench still reads it (ROADMAP item 7).
   OracleAccelOptions Accel;
 
   EnumeratorOptions Enum;

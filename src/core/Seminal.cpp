@@ -80,11 +80,11 @@ void seminal::fillRunReport(obs::RunReport &R, const SeminalReport &Report,
 
 SeminalReport seminal::runSeminal(const Program &Prog,
                                   const SeminalOptions &Opts) {
-  CheckpointedOracle TheOracle(Opts.Search.Accel);
+  CheckpointedOracle TheOracle;
   return runSeminalWithOracle(TheOracle, Prog, Opts);
 }
 
-SeminalReport seminal::runSeminalWithOracle(CheckpointedOracle &TheOracle,
+SeminalReport seminal::runSeminalWithOracle(Oracle &TheOracle,
                                             const Program &Prog,
                                             const SeminalOptions &Opts) {
   SeminalReport Report;
@@ -125,9 +125,6 @@ SeminalReport seminal::runSeminalWithOracle(CheckpointedOracle &TheOracle,
   Report.Layers = TheOracle.ledger();
   Report.InferenceRuns = TheOracle.inferenceRuns();
   Report.Accel = TheOracle.counters();
-  // What the oracle keeps for the next request is a level, read once
-  // here for the report and the cost ledger.
-  Report.Accel.ArenaBytes = TheOracle.retainedBytes();
   return Report;
 }
 

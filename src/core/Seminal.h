@@ -63,11 +63,11 @@ struct SeminalReport {
 
   /// Number of oracle invocations the search performed (logical calls --
   /// the paper-comparable search-effort metric, independent of the
-  /// acceleration configuration).
+  /// oracle).
   size_t OracleCalls = 0;
 
   /// Number of inference executions the oracle actually ran; acceleration
-  /// drives this below OracleCalls (equal when acceleration is off).
+  /// drives this below OracleCalls (equal for CamlOracle).
   size_t InferenceRuns = 0;
 
   /// OracleCalls by the search layer that issued them, with the calls
@@ -108,19 +108,17 @@ void fillRunReport(obs::RunReport &R, const SeminalReport &Report,
 SeminalReport runSeminal(const caml::Program &Prog,
                          const SeminalOptions &Opts = {});
 
-class CheckpointedOracle;
-
-/// Runs one request against a caller-owned (typically long-lived) oracle.
-/// This is the server entry point: the oracle keeps its retained
-/// session checkpoint and conventional-error memo across calls, while
-/// everything per-request is reset at entry -- the logical-call count and
-/// ledger (so SearchOptions::MaxOracleCalls budgets each request, not the
-/// session) and the AccelCounters (so SeminalReport::Accel describes this
-/// request only; accumulate across requests caller-side). Suggestions and
+/// Runs one request against a caller-owned oracle: a long-lived
+/// session oracle (the server entry point), a fresh CheckpointedOracle
+/// (runSeminal), or CamlOracle as the unaccelerated reference. The oracle
+/// keeps whatever it retains across calls, while everything per-request
+/// is reset at entry -- the logical-call count and ledger (so
+/// SearchOptions::MaxOracleCalls budgets each request, not the session)
+/// and the AccelCounters (so SeminalReport::Accel describes this request
+/// only; accumulate across requests caller-side). Suggestions and
 /// verdicts are bit-identical to a one-shot runSeminal with the same
-/// options; Opts.Search.Accel is ignored here (the oracle was built with
-/// its own acceleration configuration).
-SeminalReport runSeminalWithOracle(CheckpointedOracle &TheOracle,
+/// options.
+SeminalReport runSeminalWithOracle(Oracle &TheOracle,
                                    const caml::Program &Prog,
                                    const SeminalOptions &Opts = {});
 

@@ -576,8 +576,7 @@ bool optTypeExprEquals(const TypeExprPtr &A, const TypeExprPtr &B) {
 
 bool Decl::equals(const Decl &Other) const {
   // Programs share their declarations, so a program compared with a copy
-  // of itself (the oracle's memo and growth checks) settles each
-  // declaration with this one pointer compare.
+  // of itself settles each declaration with this one pointer compare.
   if (this == &Other)
     return true;
   if (TheKind != Other.TheKind)

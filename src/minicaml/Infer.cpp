@@ -80,9 +80,9 @@ public:
                                       bool Render);
 
   /// Commit-or-rollback: processes \p D permanently if it type-checks,
-  /// restores the environment if it does not. \returns success; \p
-  /// TypesAllocated, when non-null, receives this call's allocations.
-  bool extendDecl(const Decl &D, size_t *TypesAllocated);
+  /// restores the environment if it does not. A failure's message is
+  /// rendered.
+  TypecheckResult extendDecl(const Decl &D);
 
   /// Chunk bytes of this instance's type arena (the shared base's not
   /// included).
@@ -1169,39 +1169,37 @@ TypecheckResult Inferencer::checkAdditionalDecl(const Decl &D,
   return Result;
 }
 
-bool Inferencer::extendDecl(const Decl &D, size_t *TypesAllocated) {
+TypecheckResult Inferencer::extendDecl(const Decl &D) {
   assert(Trail.empty() && "an extension started with writes on the trail");
   const size_t EnvMark = Env.size();
   const TypeArena::Mark AMark = Arena.mark();
   const int LevelMark = CurrentLevel;
 
   TypecheckOptions None;
-  bool Succeeded;
+  TypecheckResult Result;
   {
     TypeTrailScope Scope(Trail);
     Opts = &None;
-    RenderMessages = false; // The caller reads the verdict only.
     QueriedTy = nullptr;
     processDecl(D);
-    Succeeded = !hasError();
-    if (TypesAllocated)
-      *TypesAllocated = Arena.numAllocated() - AMark.Nodes;
+    // A failure's message was rendered as it was found, before the
+    // rollback below unbinds the types it names.
+    Result.Error = std::move(ErrorOut);
+    Result.TypesAllocated = Arena.numAllocated() - AMark.Nodes;
     Opts = nullptr;
-    RenderMessages = true;
-    QueriedTy = nullptr;
     ErrorOut.reset();
   }
-  if (Succeeded) {
+  if (Result.ok()) {
     // Commit: keep the bindings and links; the trail records are dropped.
     Trail.clear();
     ownBindings(EnvMark);
-    return true;
+    return Result;
   }
   Trail.undoAll();
   Env.resize(EnvMark);
   Arena.rewindTo(AMark);
   CurrentLevel = LevelMark;
-  return false;
+  return Result;
 }
 
 } // namespace
@@ -1252,9 +1250,9 @@ size_t InferenceCheckpoint::arenaBytes() const {
   return TheImpl->Inf.arenaBytes();
 }
 
-bool InferenceCheckpoint::extendWith(const Decl &D, size_t *TypesAllocated) {
-  if (!TheImpl->Inf.extendDecl(D, TypesAllocated))
-    return false;
-  ++PrefixLen;
-  return true;
+TypecheckResult InferenceCheckpoint::extendWith(const Decl &D) {
+  TypecheckResult R = TheImpl->Inf.extendDecl(D);
+  if (R.ok())
+    ++PrefixLen;
+  return R;
 }

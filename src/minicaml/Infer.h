@@ -144,14 +144,16 @@ public:
   /// Permanently extends the prefix with \p D (any declaration kind).
   /// On success the declaration's bindings are committed and
   /// prefixLength() grows by one; on failure every unification side
-  /// effect is rolled back and the prefix is unchanged. \p TypesAllocated,
-  /// when non-null, receives this call's allocation count.
+  /// effect is rolled back, the prefix is unchanged and the result's
+  /// Error is rendered exactly as typecheckProgram renders the first
+  /// error of a program that fails at \p D. TypesAllocated reports this
+  /// call's allocations.
   ///
   /// Caveat: a *failed* type/exception declaration may leave partial
   /// entries in the constructor/record tables (those are not trailed), so
-  /// after extendWith returns false for a non-Let declaration the
-  /// checkpoint must be discarded. A failed Let rolls back completely.
-  bool extendWith(const Decl &D, size_t *TypesAllocated = nullptr);
+  /// after a non-Let declaration fails the checkpoint must be discarded.
+  /// A failed Let rolls back completely.
+  TypecheckResult extendWith(const Decl &D);
 
 private:
   InferenceCheckpoint();

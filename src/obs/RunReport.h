@@ -64,7 +64,13 @@ namespace obs {
 /// outcomes noted by a telemetry sink, when one was attached), and the
 /// calls sum to oracle_calls. effort lost "calls_by_layer", the traced
 /// copy of those calls, and "cache_misses", which no layer counted.
-inline constexpr int RunReportSchemaVersion = 6;
+///
+/// v7: "cache_hits" (and the cost object's "verdict_cache_hits") counts
+/// the calls answered from the declarations the conventional run
+/// proved -- the opening probe and the localization walk -- where it
+/// counted the conventional-verdict memo's hits; "arena_bytes" no longer
+/// includes a memo's source text, and is 0 outside a daemon session.
+inline constexpr int RunReportSchemaVersion = 7;
 
 /// One ranked suggestion, flattened for reporting.
 struct SuggestionOutcome {

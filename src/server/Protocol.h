@@ -17,7 +17,7 @@
 ///   check    {"method":"check","id":1,"session":"s","source":"...",
 ///             "max_suggestions":8,"max_oracle_calls":200000,
 ///             "report":true}
-///   reset    drop a session's warm state (checkpoints, memos, last answer)
+///   reset    drop a session's warm state (environment, last answer)
 ///   stats    server-wide rollup (requests, sessions, warm-reuse totals,
 ///            per-shard breakdown)
 ///   metrics  live ops snapshot from the OpsRegistry; default JSON,

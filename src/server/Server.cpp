@@ -46,8 +46,6 @@ std::string server::renderCheckResponse(const std::string &Id,
   appendJsonUint(M, O.Accel.SessionPrefixHits);
   M += ",\"seed_adoptions\":";
   appendJsonUint(M, O.Accel.SessionSeedAdoptions);
-  M += ",\"conv_memo_hits\":";
-  appendJsonUint(M, O.Accel.SessionConvMemoHits);
   M += ",\"replayed\":";
   appendJsonBool(M, O.Replayed);
   M += "},\"wall_seconds\":";
@@ -81,7 +79,7 @@ std::string server::renderCheckResponse(const std::string &Id,
 namespace {
 
 uint64_t warmTotal(const AccelCounters &A) {
-  return A.SessionPrefixHits + A.SessionSeedAdoptions + A.SessionConvMemoHits;
+  return A.SessionPrefixHits + A.SessionSeedAdoptions;
 }
 
 uint64_t microsSince(std::chrono::steady_clock::time_point Start) {
@@ -183,8 +181,6 @@ ServerEngine::ServerEngine(const ServerOptions &Opts)
       {{"kind", "prefix_hits"}});
   Ops.WarmSeedAdoptions = &Registry.counter("seminal_warm_hits_total", "",
                                             {{"kind", "seed_adoptions"}});
-  Ops.WarmConvMemoHits = &Registry.counter("seminal_warm_hits_total", "",
-                                           {{"kind", "conv_memo_hits"}});
   Ops.SlowTraces = &Registry.counter("seminal_slow_traces_total",
                                      "Requests that exported a slow trace");
   Ops.Sessions = &Registry.gauge("seminal_sessions", "Live sessions");
@@ -198,7 +194,7 @@ ServerEngine::ServerEngine(const ServerOptions &Opts)
       "Ledger: request wall microseconds across checks");
   Ops.CostVerdictHits = &Registry.counter(
       "seminal_cost_verdict_cache_hits_total",
-      "Ledger: conventional-verdict memo hits across checks");
+      "Ledger: calls answered from the known prefix across checks");
   Ops.CostArenaBytes = &Registry.gauge(
       "seminal_cost_arena_bytes",
       "Ledger: retained bytes after the most recent check");
@@ -316,7 +312,6 @@ void ServerEngine::finishCheck(const std::string &Id,
   Ops.Shards[Shard].CpuUs->inc(CpuUs);
   Ops.WarmPrefixHits->inc(Out.Accel.SessionPrefixHits);
   Ops.WarmSeedAdoptions->inc(Out.Accel.SessionSeedAdoptions);
-  Ops.WarmConvMemoHits->inc(Out.Accel.SessionConvMemoHits);
   bool Warm = warmTotal(Out.Accel) > 0;
   if (Out.Evicted)
     Ops.Evictions->inc();
@@ -533,7 +528,6 @@ std::string ServerEngine::renderStats() const {
      << ",\"cache_hits\":" << Ops.CostVerdictHits->value()
      << ",\"warm\":{\"prefix_hits\":" << Ops.WarmPrefixHits->value()
      << ",\"seed_adoptions\":" << Ops.WarmSeedAdoptions->value()
-     << ",\"conv_memo_hits\":" << Ops.WarmConvMemoHits->value()
      << "},\"cost\":{\"cpu_us\":" << Ops.CostCpuUs->value()
      << ",\"wall_us\":" << Ops.CostWallUs->value()
      << ",\"arena_bytes\":" << Ops.CostArenaBytes->value()

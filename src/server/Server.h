@@ -168,7 +168,6 @@ private:
     /// seminal_warm_hits_total by kind: the reply's "warm" counters.
     obs::OpsCounter *WarmPrefixHits = nullptr;
     obs::OpsCounter *WarmSeedAdoptions = nullptr;
-    obs::OpsCounter *WarmConvMemoHits = nullptr;
     obs::OpsCounter *SlowTraces = nullptr;
     obs::OpsGauge *Sessions = nullptr;
     obs::OpsGauge *ArenaBytes = nullptr;

@@ -17,14 +17,8 @@ using namespace seminal;
 using namespace seminal::server;
 
 Session::Session(std::string Name, const SessionConfig &Config)
-    : Name(std::move(Name)), Config(Config) {
-  // Session retention needs the checkpoint and the memo, which also
-  // answers the opening probe; force the layers on regardless of what the
-  // caller left in Accel so a session is never silently cold. (Ablation
-  // experiments drive the oracle directly.)
-  this->Config.Accel.Checkpoint = true;
-  this->Config.Accel.VerdictCache = true;
-  Oracle = std::make_unique<CheckpointedOracle>(this->Config.Accel);
+    : Name(std::move(Name)), Config(Config),
+      Oracle(std::make_unique<CheckpointedOracle>()) {
   Oracle->setSessionRetention(true);
 }
 
@@ -164,12 +158,12 @@ CheckOutcome Session::check(const std::string &Source,
     RunOpts.Search.Trace = Sink.get();
   }
 
-  // Announce the raw text so the oracle's cross-request conventional
-  // memo can prove byte-prefix validity, then run against the warm
-  // oracle. runSeminalWithOracle resets the call count and counters, so
-  // everything the report carries is this request's.
-  Oracle->primeConventional(Source);
+  // Run against the warm oracle. runSeminalWithOracle resets the call
+  // count and counters, so everything the report carries is this
+  // request's; what the oracle keeps for the next one is a level, read
+  // here for the report and the cost ledger.
   SeminalReport R = runSeminalWithOracle(*Oracle, *PR.Prog, RunOpts);
+  R.Accel.ArenaBytes = arenaBytes();
 
   Out.InputTypechecks = R.InputTypechecks;
   Out.FailingDecl = R.FailingDeclIndex ? int(*R.FailingDeclIndex) : -1;

@@ -8,8 +8,8 @@
 /// A Session is the unit of warm-state reuse in the search daemon: one
 /// long-lived CheckpointedOracle in session-retention mode and the
 /// previous check's answer. Requests from the same editor hit the same
-/// Session, so an edit-resubmit re-adopts the previous request's prefix
-/// checkpoint instead of re-inferring from scratch (CheckpointedOracle.h's
+/// Session, so an edit-resubmit starts from the previous request's typing
+/// environment instead of re-inferring from scratch (CheckpointedOracle.h's
 /// server-mode notes), and a resubmit of the very same bytes under the
 /// same limits replays the previous answer without searching at all.
 ///
@@ -21,12 +21,13 @@
 /// pins it to one ThreadPool shard and its requests run FIFO there, so
 /// no member needs a lock.
 ///
-/// Eviction: the oracle keeps one request's state (a prefix checkpoint,
-/// its declarations, the conventional memo's source), but a checkpoint's
-/// types can be far larger than its source. When the bytes it retains
-/// (CheckpointedOracle::retainedBytes) cross SessionConfig::ArenaEvictBytes
-/// after a request, the Session drops that state. The next request on
-/// the session runs cold; correctness is unaffected.
+/// Eviction: the oracle keeps one request's state (the typing environment
+/// of the declarations it proved, and those declarations), but an
+/// environment's types can be far larger than its source. When the bytes
+/// it retains (CheckpointedOracle::retainedBytes, the environment's type
+/// arena) cross SessionConfig::ArenaEvictBytes after a request, the
+/// Session drops that state. The next request on the session runs cold;
+/// correctness is unaffected.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,12 +45,14 @@
 #include <vector>
 
 namespace seminal {
+
+class CheckpointedOracle;
+
 namespace server {
 
 /// Configuration shared by every session of one server.
 struct SessionConfig {
-  /// Oracle acceleration for the long-lived oracle. Server concurrency
-  /// comes from sharding sessions across workers, not from the oracle.
+  /// Ignored; perfbench still reads it (ROADMAP item 7).
   OracleAccelOptions Accel;
 
   /// Baseline run options; per-request limits override copies of this.
@@ -148,7 +151,7 @@ public:
   /// is replayed (unless \p Opts asks for a report).
   CheckOutcome check(const std::string &Source, const CheckOptions &Opts);
 
-  /// Drops all warm state (retained checkpoints, memos, the replayable
+  /// Drops all warm state (the retained environment, the replayable
   /// answer). The session identity and its check count survive.
   void reset();
 

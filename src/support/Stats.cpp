@@ -21,7 +21,6 @@ AccelCounters &AccelCounters::operator+=(const AccelCounters &Other) {
   TypesAllocated += Other.TypesAllocated;
   SessionPrefixHits += Other.SessionPrefixHits;
   SessionSeedAdoptions += Other.SessionSeedAdoptions;
-  SessionConvMemoHits += Other.SessionConvMemoHits;
   // Retained bytes are a level, not a counter: take the max rather than
   // summing the same session's state run after run.
   ArenaBytes = std::max(ArenaBytes, Other.ArenaBytes);
@@ -30,17 +29,16 @@ AccelCounters &AccelCounters::operator+=(const AccelCounters &Other) {
 
 std::string AccelCounters::render() const {
   std::ostringstream OS;
-  OS << "  conventional-verdict memo: " << CacheHits << " hits\n"
+  OS << "  known-prefix answers: " << CacheHits << "\n"
      << "  inference: " << FullInferences << " full + "
      << IncrementalInferences << " incremental runs, "
      << DeclInferencesSaved << " prefix decl re-checks saved\n"
      << "  checkpoints: " << CheckpointSeeds << " seeded, "
      << CheckpointFallbacks << " fallbacks to full inference\n"
      << "  type allocations: " << TypesAllocated << "\n";
-  if (SessionPrefixHits || SessionSeedAdoptions || SessionConvMemoHits)
-    OS << "  session reuse: " << SessionPrefixHits << " prefix probes, "
-       << SessionSeedAdoptions << " seed adoptions, " << SessionConvMemoHits
-       << " conventional-error memos\n";
+  if (SessionPrefixHits || SessionSeedAdoptions)
+    OS << "  session reuse: " << SessionPrefixHits << " prefix decls, "
+       << SessionSeedAdoptions << " seed adoptions\n";
   return OS.str();
 }
 

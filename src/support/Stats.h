@@ -23,44 +23,44 @@
 
 namespace seminal {
 
-/// Hit/saved-work counters for the oracle acceleration layer
-/// (prefix-environment checkpointing, the conventional-verdict memo and
-/// session retention -- see core/CheckpointedOracle.h). Kept in support
-/// so both the oracle and the bench harnesses can consume them without a
-/// dependency cycle.
+/// How an oracle answered its calls (core/CheckpointedOracle.h): inference
+/// runs by kind, answers that needed none, and session reuse. Kept in
+/// support so both the oracle and the bench harnesses can consume them
+/// without a dependency cycle.
 struct AccelCounters {
-  /// Verdicts served by the conventional-verdict memo
-  /// (OracleAccelOptions::VerdictCache) instead of inference.
+  /// Calls answered from the declarations the conventional run proved
+  /// (the opening whole-program probe and the localization walk), with no
+  /// inference.
   uint64_t CacheHits = 0;
-  /// Always zero: no layer counts misses (a memo miss is an ordinary
-  /// inference run). Kept for the hit-fraction readers of the benchmark.
+  /// Always zero: nothing counts misses. Kept for perfbench's
+  /// hit-fraction metrics (ROADMAP item 7).
   uint64_t CacheMisses = 0;
-  /// Whole-program inference runs (checkpoint unavailable or bypassed).
+  /// Whole-program inference runs (no seed, or a call the seed does not
+  /// fit).
   uint64_t FullInferences = 0;
-  /// Single-declaration runs against a prefix checkpoint.
+  /// Single-declaration runs against the seeded environment.
   uint64_t IncrementalInferences = 0;
-  /// Declarations whose re-inference a checkpoint skipped: for each
+  /// Declarations whose re-inference the seed skipped: for each
   /// incremental run, the prefix length it did not have to re-check.
   uint64_t DeclInferencesSaved = 0;
-  /// Checkpoint seeds installed / queries that fell back to full
-  /// inference because the program shape did not match the seed.
+  /// Seeds installed / seeded calls that fell back to full inference
+  /// because the program shape did not match the seed.
   uint64_t CheckpointSeeds = 0;
   uint64_t CheckpointFallbacks = 0;
-  /// Unification-variable allocations across all inference performed; a
+  /// Type allocations across the inference runs counted above; a
   /// hardware-independent work proxy (TypecheckResult::TypesAllocated).
   uint64_t TypesAllocated = 0;
   /// Bytes the oracle keeps for its next request at the end of the run
-  /// (CheckpointedOracle::retainedBytes): a level, not a count. It is
-  /// what a daemon session's eviction watermark is checked against.
+  /// (CheckpointedOracle::retainedBytes, filled in by the daemon
+  /// session): a level, not a count. It is what a session's eviction
+  /// watermark is checked against.
   uint64_t ArenaBytes = 0;
-  /// Session warm-state reuse (server mode; all zero for one-shot runs).
-  /// Localization probes answered from a prefix the session already
-  /// proved (no inference), prefix checkpoints re-adopted wholesale at
-  /// seedPrefix, and conventional errors served from the session's
-  /// source-prefix memo.
+  /// Session warm-state reuse (server mode; all zero for one-shot runs):
+  /// declarations the conventional run took from the session's retained
+  /// environment instead of inferring them, and seeds that came from the
+  /// session.
   uint64_t SessionPrefixHits = 0;
   uint64_t SessionSeedAdoptions = 0;
-  uint64_t SessionConvMemoHits = 0;
 
   /// Inference actually performed, as opposed to logical search effort.
   uint64_t inferenceRuns() const {

@@ -1,18 +1,20 @@
 //===- AccelTest.cpp - Oracle acceleration equivalence tests ---------------==//
 //
-// The acceleration layer must be invisible: any combination of prefix
-// checkpointing and the conventional-verdict memo has to reproduce the
-// plain oracle's searches bit for bit -- same suggestions in the same
-// ranked order, same logical-call totals -- while doing strictly less
+// The acceleration layer must be invisible: CheckpointedOracle has to
+// reproduce CamlOracle, the unaccelerated reference, bit for bit -- the
+// same conventional error, the same suggestions in the same ranked
+// order, the same logical-call totals -- while doing strictly less
 // inference. These tests pin that contract at three levels: the
-// InferenceCheckpoint primitive (rollback correctness), the
-// CheckpointedOracle (memo and checkpoint accounting), and whole
-// runSeminal searches across every acceleration configuration.
+// InferenceCheckpoint primitive (rollback correctness, extension
+// messages), the CheckpointedOracle (its one environment and its
+// accounting), and whole searches over both oracles through the same
+// driver, runSeminalWithOracle.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/CheckpointedOracle.h"
 #include "core/Seminal.h"
+#include "corpus/Generator.h"
 #include "minicaml/Parser.h"
 #include "minicaml/Printer.h"
 
@@ -112,11 +114,38 @@ std::string fingerprint(const SeminalReport &R) {
   return Out;
 }
 
-SeminalOptions withAccel(bool Checkpoint, bool VerdictCache) {
-  SeminalOptions Opts;
-  Opts.Search.Accel.Checkpoint = Checkpoint;
-  Opts.Search.Accel.VerdictCache = VerdictCache;
-  return Opts;
+/// One search of \p Src over a fresh \p OracleT, through the driver
+/// every caller shares.
+template <typename OracleT> SeminalReport searchWith(const char *Src) {
+  OracleT TheOracle;
+  return runSeminalWithOracle(TheOracle, parse(Src));
+}
+
+/// Every field of two conventional errors is equal.
+void expectSameError(const std::optional<TypeError> &Got,
+                     const std::optional<TypeError> &Want,
+                     const std::string &Context) {
+  ASSERT_EQ(Got.has_value(), Want.has_value()) << Context;
+  if (!Want)
+    return;
+  EXPECT_EQ(int(Got->TheKind), int(Want->TheKind)) << Context;
+  EXPECT_EQ(Got->Span.Begin.Offset, Want->Span.Begin.Offset) << Context;
+  EXPECT_EQ(Got->Span.EndOffset, Want->Span.EndOffset) << Context;
+  EXPECT_EQ(Got->Span.Begin.Line, Want->Span.Begin.Line) << Context;
+  EXPECT_EQ(Got->Span.Begin.Col, Want->Span.Begin.Col) << Context;
+  EXPECT_EQ(Got->Message, Want->Message) << Context;
+  EXPECT_EQ(Got->ActualType, Want->ActualType) << Context;
+  EXPECT_EQ(Got->ExpectedType, Want->ExpectedType) << Context;
+  EXPECT_EQ(Got->Name, Want->Name) << Context;
+}
+
+/// CheckpointedOracle's conventional error for \p Src equals
+/// CamlOracle's.
+void expectConventionalLikeCaml(const std::string &Src) {
+  Program P = parse(Src);
+  CamlOracle Plain;
+  CheckpointedOracle Fast;
+  expectSameError(Fast.conventionalError(P), Plain.conventionalError(P), Src);
 }
 
 //===----------------------------------------------------------------------===//
@@ -250,8 +279,9 @@ TEST(CheckpointTest, QueryDeclAnswersLikeCheckDeclWithoutAMessage) {
 //===----------------------------------------------------------------------===//
 
 TEST(CheckpointedOracleTest, CacheHitsKeepLogicalCallsButSkipInference) {
-  // The conventional-verdict memo: the searcher's opening whole-program
-  // probe asks exactly what conventionalError() just inferred.
+  // The conventional run proves every declaration before the failing one
+  // and records them with the failing one; the searcher's opening
+  // whole-program probe asks about exactly those declarations.
   Program P = parse("let a = 1\nlet b = a + true");
   CheckpointedOracle O;
   ASSERT_TRUE(O.conventionalError(P).has_value());
@@ -260,46 +290,31 @@ TEST(CheckpointedOracleTest, CacheHitsKeepLogicalCallsButSkipInference) {
   EXPECT_EQ(O.logicalCalls(), 3u);
   EXPECT_EQ(O.counters().CacheHits, 3u);
   EXPECT_EQ(O.inferenceRuns(), 0u);
-  // A structurally equal deep copy hits too; a different program does
-  // not.
+  // The record keys on the declarations themselves: a structurally equal
+  // deep copy, or a different program, runs inference.
   Program Copy;
   for (const DeclPtr &D : P.Decls)
     Copy.Decls.push_back(D->clone());
   EXPECT_FALSE(O.typechecks(Copy));
-  EXPECT_EQ(O.counters().CacheHits, 4u);
   EXPECT_TRUE(O.typechecks(parse("let a = 1\nlet b = a + 1")));
-  EXPECT_EQ(O.counters().CacheHits, 4u);
-  EXPECT_EQ(O.inferenceRuns(), 1u);
+  EXPECT_EQ(O.counters().CacheHits, 3u);
+  EXPECT_EQ(O.inferenceRuns(), 2u);
 
-  // Seeded calls go straight to the checkpoint: no memo, every call runs
-  // inference.
+  // Seeded calls go straight to the checkpoint: every call runs
+  // inference of the edited declaration alone.
   O.seedPrefix(P, 1);
+  EXPECT_EQ(O.counters().CheckpointSeeds, 1u);
   EXPECT_FALSE(O.typechecks(P));
   EXPECT_FALSE(O.typechecks(P));
-  EXPECT_EQ(O.counters().CacheHits, 4u);
+  EXPECT_EQ(O.counters().CacheHits, 3u);
   EXPECT_EQ(O.counters().IncrementalInferences, 2u);
-  EXPECT_EQ(O.inferenceRuns(), 3u);
-
-  // Seeding released the memo's program: once the seed is cleared,
-  // the same whole-program question runs inference again.
-  O.clearPrefix();
-  EXPECT_FALSE(O.typechecks(P));
-  EXPECT_EQ(O.counters().CacheHits, 4u);
   EXPECT_EQ(O.inferenceRuns(), 4u);
-
-  // With the memo off the opening probe re-infers.
-  OracleAccelOptions NoMemo;
-  NoMemo.VerdictCache = false;
-  CheckpointedOracle Plain(NoMemo);
-  ASSERT_TRUE(Plain.conventionalError(P).has_value());
-  EXPECT_FALSE(Plain.typechecks(P));
-  EXPECT_EQ(Plain.counters().CacheHits, 0u);
-  EXPECT_EQ(Plain.inferenceRuns(), 1u);
+  O.clearPrefix();
 }
 
 TEST(CheckpointedOracleTest, UnseededFallsBackToFullInference) {
-  // Two declarations with no growth history match neither the seed nor
-  // the growing-prefix pattern: a plain full inference.
+  // Without the conventional run nothing is known about the program and
+  // no seed matches it: a plain full inference.
   Program P = parse("let a = 1\nlet x = a + \"two\"");
   CheckpointedOracle O;
   EXPECT_FALSE(O.typechecks(P));
@@ -309,26 +324,83 @@ TEST(CheckpointedOracleTest, UnseededFallsBackToFullInference) {
 }
 
 TEST(CheckpointedOracleTest, LocalizationPatternIsServedIncrementally) {
-  // The searcher's prefix-localization loop: ask about prefixes of
-  // growing length. Every round should extend the growth environment
-  // instead of running whole-program inference.
+  // The searcher's prefix-localization loop asks about prefixes of
+  // growing length, sharing the input's declarations. The conventional
+  // run grew the environment over exactly those declarations, so every
+  // round is answered from it without inference.
   Program P = parse("let a = 1\nlet b = a + 1\nlet c = b + 2\n"
-                    "let d = c ^ \"s\"");
-  CheckpointedOracle O;
-  for (unsigned Len = 1; Len <= P.Decls.size(); ++Len) {
+                    "let d = c ^ \"s\"\nlet e = 1");
+  auto Walk = [&](Oracle &O) {
+    std::vector<bool> Verdicts;
     Program Prefix;
-    for (unsigned I = 0; I < Len; ++I)
-      Prefix.Decls.push_back(P.Decls[I]->clone());
-    Program Truth;
-    for (unsigned I = 0; I < Len; ++I)
-      Truth.Decls.push_back(P.Decls[I]->clone());
-    EXPECT_EQ(O.typechecks(Prefix), caml::typecheckProgram(Truth).ok())
-        << "prefix length " << Len;
+    for (const DeclPtr &D : P.Decls) {
+      Prefix.Decls.push_back(D);
+      Verdicts.push_back(O.typechecks(Prefix));
+    }
+    return Verdicts;
+  };
+  CamlOracle Plain;
+  const std::vector<bool> Truth = Walk(Plain);
+  EXPECT_EQ(Truth, (std::vector<bool>{true, true, true, false, false}));
+
+  CheckpointedOracle O;
+  ASSERT_TRUE(O.conventionalError(P).has_value());
+  EXPECT_EQ(Walk(O), Truth);
+  EXPECT_EQ(O.inferenceRuns(), 0u);
+  EXPECT_EQ(O.counters().CacheHits, P.Decls.size());
+  EXPECT_EQ(O.counters().TypesAllocated, 0u);
+
+  // A caller that walks without the conventional run gets the same
+  // verdicts from full inference.
+  CheckpointedOracle Cold;
+  EXPECT_EQ(Walk(Cold), Truth);
+  EXPECT_EQ(Cold.counters().FullInferences, P.Decls.size());
+  EXPECT_EQ(Cold.counters().CacheHits, 0u);
+}
+
+TEST(CheckpointedOracleTest, ConventionalErrorMatchesCamlOracle) {
+  for (const char *Src : ScenarioSources)
+    expectConventionalLikeCaml(Src);
+  for (const char *Src : {
+           // A failing type declaration, and one after a working one.
+           "type t = A of undefined_type\nlet x = 1",
+           "type t = A | B\ntype u = C of t * nothing\nlet y = C (A, 1)",
+           // A failing exception declaration.
+           "let a = 1\nexception E of missing\nlet b = a",
+           // An unbound name.
+           "let a = 1\nlet b = a + undefined_name",
+           // A weakly polymorphic reference pinned by a later declaration.
+           "let r = ref []\nlet u = r := [1]\nlet v = r := [\"s\"]",
+           "let r = ref []\nlet u = !r\nlet w = List.length u + u",
+           // Well typed, with type and exception declarations.
+           "type t = A of int | B\nexception E of string\n"
+           "let f x = match x with A n -> n | B -> raise (E \"b\")\n",
+       })
+    expectConventionalLikeCaml(Src);
+
+  // Cohort 0 of perfbench's Figure 7 corpus.
+  CorpusOptions CO;
+  CO.Seed = 20070611;
+  CO.Scale = 1.5;
+  Corpus C = generateCorpus(CO);
+  ASSERT_FALSE(C.Analyzed.empty());
+  for (const CorpusFile &F : C.Analyzed)
+    expectConventionalLikeCaml(F.Source);
+}
+
+TEST(CheckpointedOracleTest, OpeningProbeAndLocalizationRunNoInference) {
+  // After the conventional run, a whole search infers only in the seeded
+  // layers: the opening whole-program probe and every localization
+  // probe are answered from what the conventional run proved.
+  for (const char *Src : ScenarioSources) {
+    SeminalReport R = searchWith<CheckpointedOracle>(Src);
+    const size_t PreSeed = R.Layers[SearchLayer::InitialCheck].Calls +
+                           R.Layers[SearchLayer::Localize].Calls;
+    EXPECT_EQ(R.Layers[SearchLayer::InitialCheck].Calls, 1u) << Src;
+    EXPECT_EQ(R.Accel.CacheHits, PreSeed) << Src;
+    EXPECT_EQ(R.Accel.FullInferences, 0u) << Src;
+    EXPECT_EQ(R.InferenceRuns, R.OracleCalls - PreSeed) << Src;
   }
-  EXPECT_EQ(O.counters().FullInferences, 0u);
-  EXPECT_EQ(O.counters().IncrementalInferences, P.Decls.size());
-  // Each round re-checked only the new declaration: 0+1+2+3 skipped.
-  EXPECT_EQ(O.counters().DeclInferencesSaved, 0u + 1u + 2u + 3u);
 }
 
 TEST(CheckpointTest, ExtendWithCommitsOnSuccessAndRollsBackOnFailure) {
@@ -338,22 +410,45 @@ TEST(CheckpointTest, ExtendWithCommitsOnSuccessAndRollsBackOnFailure) {
   ASSERT_TRUE(CP);
   // Committing declarations one at a time tracks full-inference prefix
   // verdicts exactly.
-  ASSERT_TRUE(CP->extendWith(*P.Decls[0]));
+  ASSERT_TRUE(CP->extendWith(*P.Decls[0]).ok());
   EXPECT_EQ(CP->prefixLength(), 1u);
-  size_t Allocated = 0;
-  ASSERT_TRUE(CP->extendWith(*P.Decls[1], &Allocated));
-  EXPECT_GT(Allocated, 0u);
+  TypecheckResult Second = CP->extendWith(*P.Decls[1]);
+  ASSERT_TRUE(Second.ok());
+  EXPECT_GT(Second.TypesAllocated, 0u);
   EXPECT_EQ(CP->prefixLength(), 2u);
   // A failed Let rolls back completely: the prefix is unchanged and the
   // checkpoint keeps answering queries correctly.
-  EXPECT_FALSE(CP->extendWith(*P.Decls[2]));
+  EXPECT_FALSE(CP->extendWith(*P.Decls[2]).ok());
   EXPECT_EQ(CP->prefixLength(), 2u);
   TypecheckResult R = CP->checkDecl(*P.Decls[3]);
   EXPECT_TRUE(R.ok());
   EXPECT_FALSE(CP->checkDecl(*P.Decls[2]).ok());
   // And the environment can still grow past the failure.
-  ASSERT_TRUE(CP->extendWith(*P.Decls[3]));
+  ASSERT_TRUE(CP->extendWith(*P.Decls[3]).ok());
   EXPECT_EQ(CP->prefixLength(), 3u);
+}
+
+TEST(CheckpointTest, ExtendWithRendersTheWholeProgramRunsError) {
+  // Grown one declaration at a time, the environment reports the failing
+  // declaration's error exactly as a whole-program run reports it.
+  for (const char *Src : ScenarioSources) {
+    Program P = parse(Src);
+    TypecheckResult Whole = typecheckProgram(P);
+    auto CP = InferenceCheckpoint::create(P, 0);
+    ASSERT_TRUE(CP);
+    std::optional<TypeError> Grown;
+    for (const DeclPtr &D : P.Decls) {
+      TypecheckResult R = CP->extendWith(*D);
+      if (!R.ok()) {
+        Grown = R.Error;
+        break;
+      }
+    }
+    expectSameError(Grown, Whole.Error, Src);
+    if (Whole.Error) {
+      EXPECT_EQ(CP->prefixLength(), *Whole.ErrorDeclIndex) << Src;
+    }
+  }
 }
 
 TEST(CheckpointedOracleTest, VerdictsMatchPlainOracleEverywhere) {
@@ -368,43 +463,27 @@ TEST(CheckpointedOracleTest, VerdictsMatchPlainOracleEverywhere) {
 }
 
 //===----------------------------------------------------------------------===//
-// Whole-search equivalence across acceleration configurations
+// Whole-search equivalence with the unaccelerated reference
 //===----------------------------------------------------------------------===//
-
-struct AccelConfig {
-  const char *Name;
-  bool Checkpoint, VerdictCache;
-};
-
-const AccelConfig Configs[] = {
-    {"checkpoint-only", true, false},
-    {"memo-only", false, true},
-    {"checkpoint+memo", true, true},
-};
 
 TEST(AccelEquivalenceTest, AllConfigsReproduceTheUnacceleratedSearch) {
   for (const char *Src : ScenarioSources) {
-    SeminalReport Base = runSeminalOnSource(Src, withAccel(false, false));
-    std::string BaseFp = fingerprint(Base);
+    SeminalReport Base = searchWith<CamlOracle>(Src);
     EXPECT_EQ(Base.InferenceRuns, Base.OracleCalls) << Src;
-
-    for (const AccelConfig &C : Configs) {
-      SeminalReport R =
-          runSeminalOnSource(Src, withAccel(C.Checkpoint, C.VerdictCache));
-      EXPECT_EQ(fingerprint(R), BaseFp) << C.Name << " on:\n" << Src;
-      EXPECT_EQ(R.OracleCalls, Base.OracleCalls)
-          << C.Name << " changed the logical-call count on:\n" << Src;
-      EXPECT_LE(R.InferenceRuns, R.OracleCalls) << C.Name;
-      if (C.VerdictCache || C.Checkpoint) {
-        EXPECT_LE(R.InferenceRuns, Base.InferenceRuns) << C.Name;
-      }
-    }
+    SeminalReport R = searchWith<CheckpointedOracle>(Src);
+    EXPECT_EQ(fingerprint(R), fingerprint(Base)) << Src;
+    expectSameError(R.CheckerError, Base.CheckerError, Src);
+    EXPECT_EQ(R.OracleCalls, Base.OracleCalls)
+        << "the logical-call count changed on:\n" << Src;
+    EXPECT_TRUE(R.Layers == Base.Layers) << Src;
+    EXPECT_LT(R.InferenceRuns, Base.InferenceRuns) << Src;
   }
 }
 
 TEST(AccelEquivalenceTest, DefaultConfigDoesStrictlyLessInference) {
-  // The checkpoint+memo default must actually save work, not merely tie:
-  // the memo answers the opening probe, so InferenceRuns < OracleCalls.
+  // The default oracle must actually save work, not merely tie: the
+  // known prefix answers the opening probe and the localization walk,
+  // so InferenceRuns < OracleCalls.
   SeminalReport R = runSeminalOnSource("let go y =\n"
                                        "  let x = 3 + true in\n"
                                        "  let z = y + 1 in\n"
@@ -431,7 +510,7 @@ TEST(AccelEquivalenceTest, TriageHeavyCaseIsDeterministicUnderParallelism) {
                     "  let z = y + 1 in\n"
                     "  let w = 4 + \"hi\" in\n"
                     "  z\n";
-  SeminalReport Base = runSeminalOnSource(Src, withAccel(false, false));
+  SeminalReport Base = searchWith<CamlOracle>(Src);
   std::string BaseFp = fingerprint(Base);
   constexpr size_t Threads = 4;
   std::vector<std::string> Fps(Threads);
@@ -439,7 +518,7 @@ TEST(AccelEquivalenceTest, TriageHeavyCaseIsDeterministicUnderParallelism) {
   std::vector<std::thread> Workers;
   for (size_t T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
-      SeminalReport R = runSeminalOnSource(Src, withAccel(true, true));
+      SeminalReport R = searchWith<CheckpointedOracle>(Src);
       Fps[T] = fingerprint(R);
       Calls[T] = R.OracleCalls;
     });

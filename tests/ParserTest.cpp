@@ -368,8 +368,8 @@ TEST(ParserProgramTest, CloneAndEqualsRoundTrip) {
   EXPECT_TRUE(P.equals(program("let f x = x + 1\nlet y = f 2")));
 }
 
-// Decl::equals backs the oracle's growth, seed and memo checks, so type
-// and exception declarations compare field by field, not by name.
+// Decl::equals keys a session's retained environment, so type and
+// exception declarations compare field by field, not by name.
 TEST(ParserProgramTest, TypeAndExceptionDeclsCompareFieldByField) {
   Program P = program("type t = A | B of int\n"
                       "type t = A | C of int\n"

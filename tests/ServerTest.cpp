@@ -87,7 +87,7 @@ std::vector<std::string> outcomeMessages(const CheckOutcome &O) {
 }
 
 uint64_t warmTotal(const AccelCounters &C) {
-  return C.SessionPrefixHits + C.SessionSeedAdoptions + C.SessionConvMemoHits;
+  return C.SessionPrefixHits + C.SessionSeedAdoptions;
 }
 
 json::Value parseReply(const std::string &Line) {
@@ -211,7 +211,7 @@ TEST(ServerProtocolTest, CheckReplyBytesArePinned) {
       "\"description\":\"remove\\tit\",\"path\":\"2\","
       "\"message\":\"\xE2\x9C\x93 done\"}],\"oracle_calls\":18,"
       "\"inference_runs\":5,\"warm\":{"
-      "\"prefix_hits\":3,\"seed_adoptions\":1,\"conv_memo_hits\":0,"
+      "\"prefix_hits\":3,\"seed_adoptions\":1,"
       "\"replayed\":false},\"wall_seconds\":1.5e-05,\"cost\":{\"cpu_ns\":12345,"
       "\"wall_ns\":15000,\"oracle_calls\":18,\"inference_runs\":5,"
       "\"arena_bytes\":14336,\"verdict_cache_hits\":2},\"evicted\":false}");
@@ -224,7 +224,7 @@ TEST(ServerProtocolTest, CheckReplyBytesArePinned) {
             "{\"id\":\"s-1\",\"ok\":true,\"syntax_error\":\"line 3, column 14: "
             "unexpected end of input\",\"oracle_calls\":0,\"inference_runs\":0,"
             "\"warm\":{\"prefix_hits\":0,\"seed_adoptions\":0,"
-            "\"conv_memo_hits\":0,\"replayed\":true},\"wall_seconds\":0,"
+            "\"replayed\":true},\"wall_seconds\":0,"
             "\"cost\":{\"cpu_ns\":0,\"wall_ns\":0,\"oracle_calls\":0,"
             "\"inference_runs\":0,\"arena_bytes\":4096,"
             "\"verdict_cache_hits\":0},\"evicted\":false}");
@@ -244,7 +244,7 @@ TEST(ServerProtocolTest, CheckReplyBytesArePinned) {
             "\"conventional\":\"\",\"suggestions\":[],\"oracle_calls\":1,"
             "\"inference_runs\":1,"
             "\"warm\":{\"prefix_hits\":0,\"seed_adoptions\":0,"
-            "\"conv_memo_hits\":0,\"replayed\":false},\"wall_seconds\":0.25,"
+            "\"replayed\":false},\"wall_seconds\":0.25,"
             "\"cost\":{\"cpu_ns\":250000000,\"wall_ns\":250000000,"
             "\"oracle_calls\":1,\"inference_runs\":1,\"arena_bytes\":0,"
             "\"verdict_cache_hits\":0},\"evicted\":true,"
@@ -281,36 +281,38 @@ TEST(ServerSessionTest, WarmResubmitIsByteIdenticalAndCounted) {
   Session S("t", SessionConfig());
   CheckOutcome Cold = S.check(BaseSource, CheckOptions());
   ASSERT_FALSE(Cold.Suggestions.empty());
+  EXPECT_EQ(Cold.Accel.CheckpointSeeds, 1u);
 
-  // Edit only the failing decl and resubmit: the session must reuse the
-  // prefix it proved last time and still answer exactly like a cold
-  // one-shot run of the edited program.
+  // Edit only the failing decl and resubmit: the conventional run takes
+  // the two declarations before it from the session's environment, the
+  // seed is that environment, and the answer is still exactly a cold
+  // one-shot run's.
   std::string Conventional;
   std::vector<std::string> Expected =
       oneShotMessages(EditedSource, &Conventional);
   CheckOutcome Warm = S.check(EditedSource, CheckOptions());
   EXPECT_EQ(Warm.Conventional, Conventional);
   EXPECT_EQ(outcomeMessages(Warm), Expected);
-  EXPECT_GT(Warm.Accel.SessionPrefixHits, 0u);
-  EXPECT_GT(Warm.Accel.SessionSeedAdoptions, 0u);
-  EXPECT_EQ(Warm.Accel.SessionConvMemoHits, 0u)
-      << "the failing declaration changed, so its diagnostic cannot replay";
-  EXPECT_LT(Warm.InferenceRuns, Cold.InferenceRuns)
-      << "the warm resubmit must do strictly less inference";
+  EXPECT_EQ(Warm.Accel.SessionPrefixHits, 2u) << "one per declaration";
+  EXPECT_EQ(Warm.Accel.SessionSeedAdoptions, 1u);
+  EXPECT_EQ(Warm.Accel.FullInferences, 0u);
+  // Only the search's own candidate checks infer, warm as cold.
+  EXPECT_EQ(Warm.InferenceRuns, Warm.Accel.IncrementalInferences);
 
-  // A declaration appended after the failing one leaves the bytes up to
-  // the error unchanged, so the conventional error additionally comes
-  // from the cross-request memo -- and the answer is still the cold one.
+  // A declaration appended after the failing one: the session's
+  // declarations still open the program, so they are adopted again, and
+  // the answer is still the cold one.
   std::string Appended = std::string(EditedSource) + "let after = inc 1\n";
   std::string AppendedConventional;
   std::vector<std::string> AppendedExpected =
       oneShotMessages(Appended, &AppendedConventional);
-  CheckOutcome Memo = S.check(Appended, CheckOptions());
-  EXPECT_GT(Memo.Accel.SessionConvMemoHits, 0u);
-  EXPECT_EQ(Memo.Conventional, Conventional);
-  EXPECT_EQ(outcomeMessages(Memo), Expected);
-  EXPECT_EQ(Memo.Conventional, AppendedConventional);
-  EXPECT_EQ(outcomeMessages(Memo), AppendedExpected);
+  CheckOutcome Tail = S.check(Appended, CheckOptions());
+  EXPECT_EQ(Tail.Accel.SessionPrefixHits, 2u);
+  EXPECT_EQ(Tail.Accel.SessionSeedAdoptions, 1u);
+  EXPECT_EQ(Tail.Conventional, AppendedConventional);
+  EXPECT_EQ(outcomeMessages(Tail), AppendedExpected);
+  EXPECT_EQ(Tail.Conventional, Conventional);
+  EXPECT_EQ(outcomeMessages(Tail), Expected);
 
   // An identical resubmit replays the whole answer without a search.
   CheckOutcome Replay = S.check(Appended, CheckOptions());
@@ -326,10 +328,11 @@ TEST(ServerSessionTest, CountersAreScopedPerRequest) {
   json::Value Second =
       parseReply(Engine.handle(checkLine(2, "t", EditedSource)));
   // Per-request scoping: the second reply's counters describe only the
-  // second request (no bleed from the first, which did more inference),
+  // second request (the first, cold, took nothing from the session),
   // while the per-server scope, the engine's registry, sums both.
-  EXPECT_LT(Second.getInt("inference_runs", -1),
-            First.getInt("inference_runs", -1));
+  ASSERT_TRUE(First.member("warm") && Second.member("warm"));
+  EXPECT_EQ(First.member("warm")->getInt("prefix_hits", -1), 0);
+  EXPECT_EQ(Second.member("warm")->getInt("prefix_hits", -1), 2);
   obs::OpsRegistry &R = Engine.registry();
   EXPECT_EQ(R.counter("seminal_inference_runs_total").value(),
             uint64_t(First.getInt("inference_runs", -1) +
@@ -337,12 +340,12 @@ TEST(ServerSessionTest, CountersAreScopedPerRequest) {
   EXPECT_EQ(R.counter("seminal_oracle_calls_total").value(),
             uint64_t(First.getInt("oracle_calls", -1) +
                      Second.getInt("oracle_calls", -1)));
-  ASSERT_TRUE(First.member("warm") && Second.member("warm"));
-  EXPECT_EQ(
-      R.counter("seminal_warm_hits_total", "", {{"kind", "prefix_hits"}})
-          .value(),
-      uint64_t(First.member("warm")->getInt("prefix_hits", -1) +
-               Second.member("warm")->getInt("prefix_hits", -1)));
+  for (const char *Kind : {"prefix_hits", "seed_adoptions"})
+    EXPECT_EQ(R.counter("seminal_warm_hits_total", "", {{"kind", Kind}})
+                  .value(),
+              uint64_t(First.member("warm")->getInt(Kind, -1) +
+                       Second.member("warm")->getInt(Kind, -1)))
+        << Kind;
 }
 
 TEST(ServerSessionTest, SyntaxErrorLeavesWarmStateIntact) {
@@ -669,11 +672,10 @@ TEST(ServerReplayTest, ReplaySplicesTheSearchedAnswer) {
 //===----------------------------------------------------------------------===//
 
 TEST(SessionRetentionTest, WhitespacePrefixEditKeepsEveryProbeWarm) {
-  // Spans are not part of the key: a prefix that only moved answers every
-  // localization probe from the session, the unchanged failing
-  // declaration included, and its checkpoint is adopted again. (A
-  // declaration after the failing one keeps the last probe off the
-  // whole-program memo.)
+  // Spans are not part of the key: a prefix that only moved is taken from
+  // the session's environment, the opening probe and every localization
+  // probe are answered from what the conventional run proved, and the
+  // environment is the seed again.
   Session S("t", SessionConfig());
   S.check(std::string(BaseSource) + "let after = 1\n", CheckOptions());
   std::string Moved = "\nlet inc x =   x + 1\n\n"
@@ -682,9 +684,9 @@ TEST(SessionRetentionTest, WhitespacePrefixEditKeepsEveryProbeWarm) {
                       "let after = 1\n";
   CheckOutcome Warm = S.check(Moved, CheckOptions());
   ASSERT_EQ(Warm.FailingDecl, 2);
-  EXPECT_EQ(Warm.Accel.SessionPrefixHits, 3u) << "one per probe";
+  EXPECT_EQ(Warm.Accel.SessionPrefixHits, 2u) << "one per declaration";
   EXPECT_EQ(Warm.Accel.SessionSeedAdoptions, 1u);
-  EXPECT_EQ(Warm.Accel.SessionConvMemoHits, 0u) << "the bytes moved";
+  EXPECT_EQ(Warm.Accel.CacheHits, 4u) << "the opening probe and three more";
   EXPECT_EQ(Warm.Accel.FullInferences, 0u);
   expectColdAnswer(Warm, Moved);
 }
@@ -713,6 +715,25 @@ TEST(SessionRetentionTest, TypeAndExceptionDeclarationsKeyInFull) {
   EXPECT_EQ(Out.Accel.SessionPrefixHits, 0u);
   EXPECT_EQ(Out.Accel.SessionSeedAdoptions, 0u);
   expectColdAnswer(Out, Changed);
+}
+
+TEST(SessionRetentionTest, FailedTypeDeclarationIsNotRetained) {
+  // A failed type or exception declaration may leave its constructors
+  // behind in the environment, so the session must not start the next
+  // request from that environment, though its prefix still matches.
+  for (const char *Failed : {"type t = A | B of undefined_type\n",
+                             "exception A of undefined_type\n"}) {
+    Session S("t", SessionConfig());
+    CheckOutcome First =
+        S.check(std::string("let a = 1\n") + Failed + "let x = A\n",
+                CheckOptions());
+    ASSERT_EQ(First.FailingDecl, 1) << Failed;
+    const std::string Next = "let a = 1\nlet x = A\n";
+    CheckOutcome Out = S.check(Next, CheckOptions());
+    EXPECT_EQ(Out.Accel.SessionPrefixHits, 0u) << Failed;
+    EXPECT_FALSE(Out.InputTypechecks) << "A is unbound: " << Failed;
+    expectColdAnswer(Out, Next);
+  }
 }
 
 /// The first integer or string literal in \p E, preorder, or null.
@@ -857,7 +878,6 @@ TEST(ServerEngineTest, WarmCountersRiseInResponses) {
   ASSERT_TRUE(W);
   EXPECT_GT(W->getInt("prefix_hits", 0), 0);
   EXPECT_GT(W->getInt("seed_adoptions", 0), 0);
-  EXPECT_EQ(W->getInt("conv_memo_hits", -1), 0);
   EXPECT_EQ(W->member("verdict_reuses"), nullptr);
 
   // The engine's counters summed both requests.
@@ -1499,7 +1519,7 @@ TEST(ServerObsTest, MetricsReconcileExactlyWithStats) {
 
   const json::Value *Warm = Stats.member("warm");
   ASSERT_TRUE(Warm && Warm->isObject());
-  for (const char *Kind : {"prefix_hits", "seed_adoptions", "conv_memo_hits"})
+  for (const char *Kind : {"prefix_hits", "seed_adoptions"})
     EXPECT_EQ(Warm->getInt(Kind, -1),
               Counter("seminal_warm_hits_total", {{"kind", Kind}}))
         << Kind;

@@ -131,7 +131,7 @@ std::string exercise(const Program &P) {
       TypecheckResult Q = Growth->checkDecl(*D);
       Out += Q.ok() ? " q+" : " q-";
     }
-    bool Extended = Growth->extendWith(*D);
+    bool Extended = Growth->extendWith(*D).ok();
     Out += Extended ? " x+" : " x-";
     if (!Extended)
       break; // A failed type/exception declaration voids the checkpoint.

@@ -189,7 +189,6 @@ AccelCounters makeCounters(uint64_t Base) {
   C.SessionPrefixHits = Base + 8;
   C.SessionSeedAdoptions = Base + 9;
   C.TypesAllocated = Base + 10;
-  C.SessionConvMemoHits = Base + 11;
   return C;
 }
 
@@ -209,7 +208,6 @@ TEST(AccelCountersTest, PlusEqualsSumsEveryField) {
   EXPECT_EQ(A.SessionPrefixHits, 116u);
   EXPECT_EQ(A.SessionSeedAdoptions, 118u);
   EXPECT_EQ(A.TypesAllocated, 120u);
-  EXPECT_EQ(A.SessionConvMemoHits, 122u);
   EXPECT_EQ(A.inferenceRuns(), 106u + 108u);
   // B is untouched.
   EXPECT_EQ(B.CacheHits, 101u);
@@ -236,7 +234,6 @@ TEST(AccelCountersTest, ResetClearsEveryField) {
   EXPECT_EQ(A.SessionPrefixHits, 0u);
   EXPECT_EQ(A.SessionSeedAdoptions, 0u);
   EXPECT_EQ(A.TypesAllocated, 0u);
-  EXPECT_EQ(A.SessionConvMemoHits, 0u);
   EXPECT_EQ(A.inferenceRuns(), 0u);
   // Reusable after reset.
   A += makeCounters(0);
